@@ -51,11 +51,13 @@ class CheckReport:
         }
 
 
-def _guard(table: TabularFunction, max_pairs: int) -> None:
+def _guard(table: TabularFunction, max_pairs: int | None) -> None:
+    """Refuse anything but a nonnegative table, and (for the checkers that
+    scan assignment pairs) a table with more than ``max_pairs`` pairs."""
     if not isinstance(table, TabularFunction):
         raise InputError("checkers operate on tabulated functions")
     size = table.values.size
-    if size * size > max_pairs:
+    if max_pairs is not None and size * size > max_pairs:
         raise InputError(
             f"{size * size} assignment pairs exceed the cap of {max_pairs}"
         )
@@ -203,7 +205,6 @@ def check_r_wise_monotone(
     table: TabularFunction,
     r: int,
     eps: float = EPS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
 ) -> CheckReport:
     """Verify that every sum of r distinct-label marginals at an unassigned
     element is nonnegative.
@@ -213,7 +214,7 @@ def check_r_wise_monotone(
     """
     if not 1 <= r <= table.dims.k:
         raise InputError(f"r must be in [1, k={table.dims.k}], got {r}")
-    _guard(table, max_pairs)
+    _guard(table, None)
     dims = table.dims
     values = table.values
     digits = digit_matrix(dims.n, dims.k)
@@ -270,7 +271,7 @@ def check_characterization(
         raise InputError("characterization check needs k >= 2")
     ksub = check_k_submodular(table, eps, max_pairs)
     orthant = check_orthant_submodular(table, eps, max_pairs)
-    pairwise = check_r_wise_monotone(table, 2, eps, max_pairs)
+    pairwise = check_r_wise_monotone(table, 2, eps)
     right = orthant.holds and pairwise.holds
     evals = ksub.evals_used + orthant.evals_used + pairwise.evals_used
     if ksub.holds == right:

@@ -2,13 +2,13 @@
 
 Subcommands: ``check`` (run one property verifier on an instance file),
 ``maximize`` (run an algorithm; ``--exact`` switches the randomized
-algorithms to their exact expectation), ``expectation`` (alias of
-``maximize --exact``), and ``bench`` (run a suite and write a JSON report
-with a CSV twin).
+algorithms to their exact expectation), and ``bench`` (run a suite and
+write a JSON report with a CSV twin).
 
 Exit codes: 0 when the property holds / all bounds are satisfied, 1 on a
-property or bound violation, 2 on input or usage errors.  stdout carries
-exactly one JSON document per invocation; diagnostics go to stderr.  The
+property or bound violation, 2 on input or usage errors and on results
+that are not finite.  stdout carries exactly one JSON document per
+invocation; diagnostics go to stderr.  The
 environment variable ``KSUB_MAX_STATES`` overrides the default enumeration
 cap; an explicit ``--max-states`` flag wins over both.
 """
@@ -73,7 +73,11 @@ def _default_max_states() -> int:
 
 
 def _emit(doc: dict) -> None:
-    print(json.dumps(doc, indent=2))
+    try:
+        text = json.dumps(doc, indent=2, allow_nan=False)
+    except ValueError as exc:
+        raise OracleRangeError(f"result holds a non-finite number: {exc}") from exc
+    print(text)
 
 
 def _load_instance(path: str):
@@ -125,7 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
             r = int(prop.split(":", 1)[1])
         except ValueError as exc:
             raise InputError(f"--property {prop!r}: arity is not an integer") from exc
-        report = check_r_wise_monotone(table, r, args.eps, args.max_pairs)
+        report = check_r_wise_monotone(table, r, args.eps)
     else:
         raise InputError(
             f"--property {prop!r}: expected ksub, orthant, monotone:<r>, "
@@ -135,12 +139,11 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.holds else 1
 
 
-def cmd_maximize(args: argparse.Namespace, force_exact: bool = False) -> int:
+def cmd_maximize(args: argparse.Namespace) -> int:
     oracle = _load_instance(args.instance)
     order = _parse_order(args.order)
-    exact = force_exact or args.exact
     algo = args.algo
-    if exact:
+    if args.exact:
         if algo == "random":
             value = exact_expectation_random_orthant(oracle, max_states=args.max_states)
         elif algo == "greedy-rand":
@@ -198,10 +201,6 @@ def cmd_maximize(args: argparse.Namespace, force_exact: bool = False) -> int:
     return 0
 
 
-def cmd_expectation(args: argparse.Namespace) -> int:
-    return cmd_maximize(args, force_exact=True)
-
-
 def _bench_row(
     instance: str,
     k: int,
@@ -235,51 +234,33 @@ def _bench_row(
 
 def _paper_tight_rows(ks: list, rs: list | None, eps: float, max_states: int) -> list:
     rows = []
+
+    def add(instance, oracle, k, r, algorithm, mode, value, bound):
+        opt = brute_force_max(oracle, max_states=max_states).value
+        rows.append(_bench_row(instance, k, r, algorithm, mode, value, opt, bound, eps))
+
     for k in ks:
         if k < 2:
             raise InputError(f"--k: paper-tight suite needs k >= 2, got {k}")
         if k == 2:
             edge = GraphInstance(2, ((0, 1),), directed=True)
-            oracle = make_layer_layout(edge, 2)
-            value = exact_expectation_random_orthant(oracle, max_states)
-            opt = brute_force_max(oracle, max_states=max_states).value
-            rows.append(
-                _bench_row(
-                    "layer_layout_edge", k, None, "random", "exact-expectation",
-                    value, opt, random_orthant_guarantee(k), eps,
-                )
-            )
+            name, oracle = "layer_layout_edge", make_layer_layout(edge, 2)
         else:
-            oracle = make_indicator(k, 1)
-            value = exact_expectation_random_orthant(oracle, max_states)
-            opt = brute_force_max(oracle, max_states=max_states).value
-            rows.append(
-                _bench_row(
-                    "indicator", k, None, "random", "exact-expectation",
-                    value, opt, random_orthant_guarantee(k), eps,
-                )
-            )
+            name, oracle = "indicator", make_indicator(k, 1)
+        value = exact_expectation_random_orthant(oracle, max_states)
+        add(name, oracle, k, None, "random", "exact-expectation",
+            value, random_orthant_guarantee(k))
         for r in rs if rs is not None else range(1, k + 1):
             if not 1 <= r <= k:
                 continue
             oracle = make_det_greedy_tight(k, r)
-            result = deterministic_greedy(oracle, eps=eps)
-            opt = brute_force_max(oracle, max_states=max_states).value
-            rows.append(
-                _bench_row(
-                    "det_greedy_tight", k, r, "greedy-det", "single-run",
-                    result.value, opt, det_greedy_guarantee(r), eps,
-                )
-            )
+            value = deterministic_greedy(oracle, eps=eps).value
+            add("det_greedy_tight", oracle, k, r, "greedy-det", "single-run",
+                value, det_greedy_guarantee(r))
         oracle = make_coverage_tight(k)
         value = exact_expectation_randomized_greedy(oracle, eps=eps, max_states=max_states)
-        opt = brute_force_max(oracle, max_states=max_states).value
-        rows.append(
-            _bench_row(
-                "coverage_tight", k, None, "greedy-rand", "exact-expectation",
-                value, opt, rand_greedy_guarantee_ksub(k), eps,
-            )
-        )
+        add("coverage_tight", oracle, k, None, "greedy-rand", "exact-expectation",
+            value, rand_greedy_guarantee_ksub(k))
     return rows
 
 
@@ -294,30 +275,20 @@ def _random_ksub_rows(
             table_seed = seed * 1_000_003 + k * 1_009 + t
             table = random_ksubmodular(Dims(3, k), atoms=6, seed=table_seed)
             opt = brute_force_max(table, max_states=max_states).value
-            name = "random_ksub"
-            det = deterministic_greedy(table, eps=eps)
-            rows.append(
-                _bench_row(
-                    name, k, None, "greedy-det", "single-run",
-                    det.value, opt, det_greedy_guarantee(2), eps, seed=table_seed,
-                )
+            runs = (
+                ("greedy-det", "single-run",
+                 deterministic_greedy(table, eps=eps).value, det_greedy_guarantee(2)),
+                ("random", "exact-expectation",
+                 exact_expectation_random_orthant(table, max_states),
+                 random_orthant_guarantee(k)),
+                ("greedy-rand", "exact-expectation",
+                 exact_expectation_randomized_greedy(table, eps=eps,
+                                                     max_states=max_states),
+                 rand_greedy_guarantee_ksub(k)),
             )
-            exp_rand = exact_expectation_random_orthant(table, max_states)
-            rows.append(
-                _bench_row(
-                    name, k, None, "random", "exact-expectation",
-                    exp_rand, opt, random_orthant_guarantee(k), eps, seed=table_seed,
-                )
-            )
-            exp_greedy = exact_expectation_randomized_greedy(
-                table, eps=eps, max_states=max_states
-            )
-            rows.append(
-                _bench_row(
-                    name, k, None, "greedy-rand", "exact-expectation",
-                    exp_greedy, opt, rand_greedy_guarantee_ksub(k), eps, seed=table_seed,
-                )
-            )
+            for algorithm, mode, value, bound in runs:
+                rows.append(_bench_row("random_ksub", k, None, algorithm, mode,
+                                       value, opt, bound, eps, seed=table_seed))
     return rows
 
 
@@ -414,16 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_flags(p_max)
     _add_common(p_max)
     p_max.set_defaults(func=cmd_maximize)
-
-    p_exp = sub.add_parser("expectation",
-                           help="exact expectation (alias of maximize --exact)")
-    p_exp.add_argument("instance", help="path to an instance JSON file")
-    p_exp.add_argument("--algo", required=True, choices=["random", "greedy-rand"])
-    p_exp.add_argument("--orthants-only", action="store_true", help=argparse.SUPPRESS)
-    p_exp.add_argument("--exact", action="store_true", help=argparse.SUPPRESS)
-    _add_run_flags(p_exp)
-    _add_common(p_exp)
-    p_exp.set_defaults(func=cmd_expectation)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite, write a report")
     p_bench.add_argument("--suite", required=True, choices=["paper-tight", "random-ksub"])

@@ -38,7 +38,8 @@ class PreconditionError(ValueError):
 
 
 class OracleRangeError(ValueError):
-    """A value oracle produced a negative value; the codomain is R+."""
+    """A value oracle produced a negative or non-finite value; the codomain
+    is R+."""
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,11 @@ class Dims:
 
     def __post_init__(self) -> None:
         if self.n < 1:
-            raise InputError(f"n must be >= 1, got {self.n}")
+            raise InputError(f"n: must be >= 1, got {self.n}")
         if self.k < 1:
-            raise InputError(f"k must be >= 1, got {self.k}")
+            raise InputError(f"k: must be >= 1, got {self.k}")
         if self.r is not None and not 1 <= self.r <= self.k:
-            raise InputError(f"r must be in [1, k={self.k}], got {self.r}")
+            raise InputError(f"r: must be in [1, k={self.k}], got {self.r}")
 
     @property
     def num_assignments(self) -> int:
@@ -239,6 +240,32 @@ def smallest_max_label(ys: Sequence[float], eps: float = EPS) -> int:
     return len(ys)  # unreachable; max is always within eps of itself
 
 
+def marginal_gains(f: ValueOracle, s: tuple, e: int, value: float) -> list:
+    """The k gains of assigning labels 1..k to the unassigned element e of
+    s, where ``value`` is f(s).  Makes exactly k oracle calls."""
+    return [f(with_label(s, e, i)) - value for i in range(1, f.dims.k + 1)]
+
+
+def greedy_fill(
+    f: ValueOracle, s: tuple, value: float, elements: Iterable[int], eps: float
+) -> tuple:
+    """Assign each of ``elements``, in turn, the label of maximal marginal
+    gain, ties within eps going to the smallest label.
+
+    ``value`` is f(s); the running value is tracked incrementally, so this
+    makes k oracle calls per element.  Returns the final assignment, its
+    value and the per-element :class:`GreedyTrace` list.
+    """
+    trace = []
+    for e in elements:
+        gains = marginal_gains(f, s, e, value)
+        q = smallest_max_label(gains, eps)
+        s = with_label(s, e, q)
+        value += gains[q - 1]
+        trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))
+    return s, value, trace
+
+
 def extend_to_orthant(f: ValueOracle, s: Assignment, eps: float = EPS) -> tuple:
     """Assign every unassigned element the label of maximal marginal gain.
 
@@ -250,13 +277,5 @@ def extend_to_orthant(f: ValueOracle, s: Assignment, eps: float = EPS) -> tuple:
     cur = tuple(s)
     if is_orthant(cur):
         return cur
-    value = f(cur)
-    k = f.dims.k
-    for e in range(f.dims.n):
-        if cur[e] != 0:
-            continue
-        gains = [f(with_label(cur, e, i)) - value for i in range(1, k + 1)]
-        q = smallest_max_label(gains, eps)
-        cur = with_label(cur, e, q)
-        value += gains[q - 1]
-    return cur
+    unassigned = [e for e, v in enumerate(cur) if v == 0]
+    return greedy_fill(f, cur, f(cur), unassigned, eps)[0]

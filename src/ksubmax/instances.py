@@ -1,11 +1,13 @@
 """JSON instance format: parsing, validation, and oracle construction.
 
 An instance is a JSON object with a "kind" field naming the family, common
-fields "n" and "k", and kind-specific payload.  Validation happens before
-any oracle is built and diagnostics name the offending field.
+fields "n" and "k", and kind-specific payload.  The parser checks JSON
+types only; the family constructors validate everything else, and the
+parser builds the oracle once and prefixes any constructor diagnostic with
+the JSON path of the instance, so diagnostics name the offending field.
 
 kinds and their extra fields:
-  tabular            values (dense array in index order, nonnegative)
+  tabular            values (dense array in index order, finite, nonnegative)
   max_k_cut          edges [[u,v],...], directed (false), weights (optional)
   layer_layout       edges [[u,v],...], directed (true), weights (optional)
   det_greedy_tight   r (1..k; n must be 2)
@@ -20,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .core import Dims, InputError, ValueOracle
+from .core import Dims, InputError, OracleRangeError, ValueOracle
 from .zoo import (
     GraphInstance,
     TabularFunction,
@@ -61,199 +63,122 @@ class InstanceSpec:
 def parse_instance(text: str) -> InstanceSpec:
     """Parse and validate a JSON instance document."""
     try:
-        obj = json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise InputError(f"instance is not valid JSON: {exc}") from exc
     return instance_from_dict(obj)
 
 
+def _reject_constant(name: str):
+    raise InputError(f"instance: {name} is not a finite number")
+
+
 def instance_from_dict(obj, path: str = "instance") -> InstanceSpec:
     """Validate an already-decoded instance object (used recursively for
-    nested terms)."""
+    nested terms) by building its oracle once."""
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object")
     kind = obj.get("kind")
     if kind not in KINDS:
         raise InputError(f"{path}.kind: unknown kind {kind!r}; expected one of {KINDS}")
-    n = _int_field(obj, "n", path, minimum=1)
-    k = _int_field(obj, "k", path, minimum=1)
-    dims = Dims(n, k)
-    payload = _VALIDATORS[kind](obj, dims, path)
-    return InstanceSpec(kind, dims, payload)
+    n = _int_field(obj, "n", path)
+    k = _int_field(obj, "k", path)
+    payload = _VALIDATORS[kind](obj, n, k, path)
+    try:
+        spec = InstanceSpec(kind, Dims(n, k), payload)
+        built = spec.build().dims
+    except (InputError, OracleRangeError) as exc:
+        raise InputError(f"{path}.{exc}") from exc
+    for field, declared, actual in (("n", n, built.n), ("k", k, built.k)):
+        if declared != actual:
+            raise InputError(
+                f"{path}.{field}: declared {declared}, but this {kind} "
+                f"payload builds {field}={actual}"
+            )
+    return spec
 
 
-def _int_field(obj: dict, key: str, path: str, minimum: int | None = None) -> int:
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _int_field(obj: dict, key: str, path: str) -> int:
     if key not in obj:
         raise InputError(f"{path}.{key}: missing required field")
     value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise InputError(f"{path}.{key}: expected an integer, got {value!r}")
-    if minimum is not None and value < minimum:
-        raise InputError(f"{path}.{key}: must be >= {minimum}, got {value}")
     return value
+
+
+def _array(obj: dict, key: str, path: str) -> list:
+    value = obj.get(key)
+    if not isinstance(value, list):
+        raise InputError(f"{path}.{key}: missing or not an array")
+    return value
+
+
+def _numbers(obj: dict, key: str, path: str) -> list:
+    items = _array(obj, key, path)
+    return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(items)]
 
 
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise InputError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an integer literal beyond float range
+        raise InputError(f"{where}: {exc}") from exc
 
 
-def _validate_tabular(obj: dict, dims: Dims, path: str) -> dict:
-    values = obj.get("values")
-    if not isinstance(values, list):
-        raise InputError(f"{path}.values: missing or not an array")
-    if len(values) != dims.num_assignments:
-        raise InputError(
-            f"{path}.values: need {dims.num_assignments} entries for "
-            f"n={dims.n}, k={dims.k}, got {len(values)}"
-        )
-    out = []
-    for i, v in enumerate(values):
-        x = _number(v, f"{path}.values[{i}]")
-        if x < 0:
-            raise InputError(f"{path}.values[{i}]: must be >= 0, got {x}")
-        out.append(x)
-    return {"values": out}
+def _weights(obj: dict, path: str) -> list | None:
+    return None if obj.get("weights") is None else _numbers(obj, "weights", path)
 
 
-def _validate_graph(obj: dict, dims: Dims, path: str) -> dict:
-    edges = obj.get("edges")
-    if not isinstance(edges, list):
-        raise InputError(f"{path}.edges: missing or not an array")
-    parsed = []
-    for i, edge in enumerate(edges):
-        if (
-            not isinstance(edge, list)
-            or len(edge) != 2
-            or any(isinstance(v, bool) or not isinstance(v, int) for v in edge)
-        ):
+def _validate_tabular(obj: dict, n: int, k: int, path: str) -> dict:
+    return {"values": _numbers(obj, "values", path)}
+
+
+def _validate_graph(obj: dict, n: int, k: int, path: str) -> dict:
+    edges = []
+    for i, edge in enumerate(_array(obj, "edges", path)):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
             raise InputError(f"{path}.edges[{i}]: expected a pair [u, v] of integers")
-        u, v = edge
-        if not (0 <= u < dims.n and 0 <= v < dims.n):
-            raise InputError(
-                f"{path}.edges[{i}]: endpoint out of range for n={dims.n}"
-            )
-        if u == v:
-            raise InputError(f"{path}.edges[{i}]: self-loop not allowed")
-        parsed.append((u, v))
+        edges.append(tuple(edge))
     directed = obj.get("directed", False)
     if not isinstance(directed, bool):
         raise InputError(f"{path}.directed: expected a boolean")
-    weights = obj.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or len(weights) != len(parsed):
-            raise InputError(
-                f"{path}.weights: expected an array of {len(parsed)} numbers"
-            )
-        ws = []
-        for i, w in enumerate(weights):
-            x = _number(w, f"{path}.weights[{i}]")
-            if x < 0:
-                raise InputError(f"{path}.weights[{i}]: must be >= 0, got {x}")
-            ws.append(x)
-        weights = ws
-    return {"edges": parsed, "directed": directed, "weights": weights}
+    return {"edges": edges, "directed": directed, "weights": _weights(obj, path)}
 
 
-def _validate_max_k_cut(obj: dict, dims: Dims, path: str) -> dict:
-    payload = _validate_graph(obj, dims, path)
-    if payload["directed"]:
-        raise InputError(f"{path}.directed: max_k_cut requires an undirected graph")
-    return payload
-
-
-def _validate_layer_layout(obj: dict, dims: Dims, path: str) -> dict:
-    if dims.k < 2:
-        raise InputError(f"{path}.k: layer_layout needs k >= 2, got {dims.k}")
-    payload = _validate_graph(obj, dims, path)
-    if not payload["directed"]:
-        raise InputError(f"{path}.directed: layer_layout requires a directed graph")
-    return payload
-
-
-def _validate_det_greedy_tight(obj: dict, dims: Dims, path: str) -> dict:
-    if dims.n != 2:
-        raise InputError(f"{path}.n: det_greedy_tight is a 2-element family, got n={dims.n}")
-    if dims.k < 2:
-        raise InputError(f"{path}.k: det_greedy_tight needs k >= 2, got {dims.k}")
-    r = _int_field(obj, "r", path, minimum=1)
-    if r > dims.k:
-        raise InputError(f"{path}.r: must be in [1, k={dims.k}], got {r}")
-    return {"r": r}
-
-
-def _validate_coverage_tight(obj: dict, dims: Dims, path: str) -> dict:
-    if dims.n != 2:
-        raise InputError(f"{path}.n: coverage_tight is a 2-element family, got n={dims.n}")
-    if dims.k < 2:
-        raise InputError(f"{path}.k: coverage_tight needs k >= 2, got {dims.k}")
-    return {}
-
-
-def _validate_indicator(obj: dict, dims: Dims, path: str) -> dict:
-    if dims.n != 1:
-        raise InputError(f"{path}.n: indicator is a 1-element family, got n={dims.n}")
-    target = _int_field(obj, "target", path, minimum=1)
-    if target > dims.k:
-        raise InputError(f"{path}.target: must be in [1, k={dims.k}], got {target}")
-    return {"target": target}
-
-
-def _validate_sum(obj: dict, dims: Dims, path: str) -> dict:
-    terms = obj.get("terms")
-    if not isinstance(terms, list) or not terms:
-        raise InputError(f"{path}.terms: expected a non-empty array of instances")
+def _validate_sum(obj: dict, n: int, k: int, path: str) -> dict:
     specs = []
-    for i, term in enumerate(terms):
+    for i, term in enumerate(_array(obj, "terms", path)):
         spec = instance_from_dict(term, f"{path}.terms[{i}]")
-        if spec.dims.n != dims.n or spec.dims.k != dims.k:
+        if spec.dims.n != n or spec.dims.k != k:
             raise InputError(
                 f"{path}.terms[{i}]: dims (n={spec.dims.n}, k={spec.dims.k}) "
-                f"differ from parent (n={dims.n}, k={dims.k})"
+                f"differ from parent (n={n}, k={k})"
             )
         specs.append(spec)
-    weights = obj.get("weights")
-    if weights is not None:
-        if not isinstance(weights, list) or len(weights) != len(specs):
-            raise InputError(
-                f"{path}.weights: expected an array of {len(specs)} numbers"
-            )
-        ws = []
-        for i, w in enumerate(weights):
-            x = _number(w, f"{path}.weights[{i}]")
-            if x < 0:
-                raise InputError(f"{path}.weights[{i}]: must be >= 0, got {x}")
-            ws.append(x)
-        weights = ws
-    return {"terms": specs, "weights": weights}
+    return {"terms": specs, "weights": _weights(obj, path)}
 
 
-def _validate_embedding(obj: dict, dims: Dims, path: str) -> dict:
-    if dims.k != 2:
-        raise InputError(f"{path}.k: embedding produces a k=2 function, got k={dims.k}")
-    base = obj.get("base")
-    if base is None:
-        raise InputError(f"{path}.base: missing required field")
-    spec = instance_from_dict(base, f"{path}.base")
+def _validate_embedding(obj: dict, n: int, k: int, path: str) -> dict:
+    spec = instance_from_dict(obj.get("base"), f"{path}.base")
     if spec.kind != "tabular":
         raise InputError(f"{path}.base.kind: expected 'tabular', got {spec.kind!r}")
-    if spec.dims.k != 1:
-        raise InputError(f"{path}.base.k: expected 1, got {spec.dims.k}")
-    if spec.dims.n != dims.n:
-        raise InputError(
-            f"{path}.base.n: expected {dims.n} to match the embedding, got {spec.dims.n}"
-        )
     return {"base": spec}
 
 
 _VALIDATORS = {
     "tabular": _validate_tabular,
-    "max_k_cut": _validate_max_k_cut,
-    "layer_layout": _validate_layer_layout,
-    "det_greedy_tight": _validate_det_greedy_tight,
-    "coverage_tight": _validate_coverage_tight,
-    "indicator": _validate_indicator,
+    "max_k_cut": _validate_graph,
+    "layer_layout": _validate_graph,
+    "det_greedy_tight": lambda obj, n, k, path: {"r": _int_field(obj, "r", path)},
+    "coverage_tight": lambda obj, n, k, path: {},
+    "indicator": lambda obj, n, k, path: {"target": _int_field(obj, "target", path)},
     "sum": _validate_sum,
     "embedding": _validate_embedding,
 }

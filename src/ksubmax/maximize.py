@@ -27,7 +27,8 @@ from .core import (
     ValueOracle,
     all_assignments,
     all_orthants,
-    smallest_max_label,
+    greedy_fill,
+    marginal_gains,
     with_label,
 )
 
@@ -125,17 +126,19 @@ def deterministic_greedy(
     dims = f.dims
     order = _validated_order(order, dims.n)
     s = (0,) * dims.n
-    value = f(s)
-    evals = 1
-    trace = []
-    for e in order:
-        gains = [f(with_label(s, e, i)) - value for i in range(1, dims.k + 1)]
-        evals += dims.k
-        q = smallest_max_label(gains, eps)
-        s = with_label(s, e, q)
-        value += gains[q - 1]
-        trace.append(GreedyTrace(element=e, marginals=tuple(gains), beta=None, chosen=q))
-    return MaximizeResult(s, value, evals, trace)
+    s, value, trace = greedy_fill(f, s, f(s), order, eps)
+    return MaximizeResult(s, value, 1 + dims.n * dims.k, trace)
+
+
+def _clamped_gains(raw: list) -> tuple:
+    """Gains clamped at zero and their sum beta, the randomized greedy's
+    normalizer.  beta is accumulated left to right, so seeded picks do not
+    depend on the interpreter's float summation."""
+    clamped = [g if g > 0.0 else 0.0 for g in raw]
+    beta = 0.0
+    for g in clamped:
+        beta += g
+    return clamped, beta
 
 
 def randomized_greedy(
@@ -158,15 +161,10 @@ def randomized_greedy(
     rng = np.random.default_rng(seed)
     s = (0,) * dims.n
     value = f(s)
-    evals = 1
     trace = []
     for e in order:
-        raw = [f(with_label(s, e, i)) - value for i in range(1, dims.k + 1)]
-        evals += dims.k
-        clamped = [g if g > 0.0 else 0.0 for g in raw]
-        beta = 0.0
-        for g in clamped:
-            beta += g
+        raw = marginal_gains(f, s, e, value)
+        clamped, beta = _clamped_gains(raw)
         if beta > eps:
             u = rng.random() * beta
             acc = 0.0
@@ -183,7 +181,7 @@ def randomized_greedy(
         trace.append(
             GreedyTrace(element=e, marginals=tuple(clamped), beta=beta, chosen=q)
         )
-    return MaximizeResult(s, value, evals, trace)
+    return MaximizeResult(s, value, 1 + dims.n * dims.k, trace)
 
 
 def exact_expectation_randomized_greedy(
@@ -205,7 +203,6 @@ def exact_expectation_randomized_greedy(
             f"decision tree may reach {dims.num_orthants} leaves, cap is {max_states}"
         )
     order = _validated_order(order, dims.n)
-    k = dims.k
     leaves: list[float] = []
 
     def walk(s: tuple, value: float, prob: float, depth: int) -> None:
@@ -213,14 +210,10 @@ def exact_expectation_randomized_greedy(
             leaves.append(prob * value)
             return
         e = order[depth]
-        raw = [f(with_label(s, e, i)) - value for i in range(1, k + 1)]
-        clamped = [g if g > 0.0 else 0.0 for g in raw]
-        beta = 0.0
-        for g in clamped:
-            beta += g
+        raw = marginal_gains(f, s, e, value)
+        clamped, beta = _clamped_gains(raw)
         if beta > eps:
-            for i in range(1, k + 1):
-                g = clamped[i - 1]
+            for i, g in enumerate(clamped, start=1):
                 if g > 0.0:
                     walk(
                         with_label(s, e, i),

@@ -41,26 +41,37 @@ class TabularFunction(ValueOracle):
     in mixed-radix index order (element 0 least significant).
 
     This is the ground truth the checkers and brute-force oracles operate
-    on.  Construction validates shape and nonnegativity.
+    on.  Construction validates shape, finiteness and nonnegativity.
     """
 
     def __init__(self, dims: Dims, values, name: str = "table") -> None:
         values = np.ascontiguousarray(values, dtype=float)
         if values.shape != (dims.num_assignments,):
             raise InputError(
-                f"table needs {dims.num_assignments} values for n={dims.n}, "
+                f"values: need {dims.num_assignments} entries for n={dims.n}, "
                 f"k={dims.k}, got shape {values.shape}"
             )
-        if values.size and float(values.min()) < 0.0:
-            bad = int(np.argmin(values))
+        bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
+        if bad.size:
             raise OracleRangeError(
-                f"negative table entry {values[bad]} at index {bad}"
+                f"values[{bad[0]}]: must be finite and >= 0, got {values[bad[0]]}"
             )
         self.values = values
         super().__init__(dims, self._lookup, name)
 
     def _lookup(self, x: tuple) -> float:
         return float(self.values[index_of(x, self.dims.k)])
+
+
+def _weights(weights: Sequence[float], count: int, of: str) -> tuple:
+    """Check a weight vector: one finite, nonnegative weight per item."""
+    ws = tuple(float(w) for w in weights)
+    if len(ws) != count:
+        raise InputError(f"weights: {len(ws)} weights for {count} {of}")
+    for i, w in enumerate(ws):
+        if not 0.0 <= w < math.inf:
+            raise InputError(f"weights[{i}]: must be finite and >= 0, got {w}")
+    return ws
 
 
 @dataclass(frozen=True)
@@ -75,24 +86,18 @@ class GraphInstance:
     def __post_init__(self) -> None:
         edges = tuple((int(u), int(v)) for u, v in self.edges)
         object.__setattr__(self, "edges", edges)
-        for u, v in edges:
+        for i, (u, v) in enumerate(edges):
             if not (0 <= u < self.n_vertices and 0 <= v < self.n_vertices):
                 raise InputError(
-                    f"edge ({u},{v}) out of range for n_vertices={self.n_vertices}"
+                    f"edges[{i}]: ({u},{v}) out of range "
+                    f"for n_vertices={self.n_vertices}"
                 )
             if u == v:
-                raise InputError(f"self-loop ({u},{v}) not allowed")
-        if self.weights is None:
-            object.__setattr__(self, "weights", (1.0,) * len(edges))
-        else:
-            weights = tuple(float(w) for w in self.weights)
-            if len(weights) != len(edges):
-                raise InputError(
-                    f"{len(weights)} weights for {len(edges)} edges"
-                )
-            if any(w < 0 for w in weights):
-                raise InputError("edge weights must be nonnegative")
-            object.__setattr__(self, "weights", weights)
+                raise InputError(f"edges[{i}]: self-loop ({u},{v}) not allowed")
+        weights = (1.0,) * len(edges)
+        if self.weights is not None:
+            weights = _weights(self.weights, len(edges), "edges")
+        object.__setattr__(self, "weights", weights)
 
 
 def make_max_k_cut(graph: GraphInstance, k: int) -> ValueOracle:
@@ -106,7 +111,7 @@ def make_max_k_cut(graph: GraphInstance, k: int) -> ValueOracle:
     counterexample.
     """
     if graph.directed:
-        raise InputError("max-k-cut expects an undirected graph")
+        raise InputError("directed: max-k-cut expects an undirected graph")
     dims = Dims(graph.n_vertices, k)
     edges, weights = graph.edges, graph.weights
 
@@ -127,9 +132,9 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
     for k >= 3.
     """
     if not graph.directed:
-        raise InputError("layer layout expects a directed graph")
+        raise InputError("directed: layer layout expects a directed graph")
     if k < 2:
-        raise InputError(f"layer layout needs k >= 2, got {k}")
+        raise InputError(f"k: layer layout needs k >= 2, got {k}")
     dims = Dims(graph.n_vertices, k, r=k)
     edges, weights = graph.edges, graph.weights
 
@@ -159,9 +164,7 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
     and r-wise monotone but not (r-1)-wise monotone.
     """
     if k < 2:
-        raise InputError(f"need k >= 2, got {k}")
-    if not 1 <= r <= k:
-        raise InputError(f"r must be in [1, k={k}], got {r}")
+        raise InputError(f"k: need k >= 2, got {k}")
     dims = Dims(2, k, r=r)
     lo = 1.0 / (r + 1)
     hi = r / (r + 1)
@@ -179,7 +182,7 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
 def coverage_gamma(k: int) -> float:
     """Weight of the shared element in the two-element coverage instance."""
     if k < 2:
-        raise InputError(f"need k >= 2, got {k}")
+        raise InputError(f"k: need k >= 2, got {k}")
     return 1.0 / math.sqrt(k - 1)
 
 
@@ -210,7 +213,7 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
     """Single-element function worth 1 exactly when the element carries the
     target label.  A uniform random orthant hits it with probability 1/k."""
     if not 1 <= target_label <= k:
-        raise InputError(f"target label {target_label} out of range [1, k={k}]")
+        raise InputError(f"target: label {target_label} out of range [1, k={k}]")
     dims = Dims(1, k)
 
     def fn(x: tuple) -> float:
@@ -224,19 +227,13 @@ def sum_combine(
 ) -> ValueOracle:
     """Pointwise nonnegative combination of oracles over the same (n, k)."""
     if not fs:
-        raise InputError("sum_combine needs at least one oracle")
-    if weights is None:
-        weights = [1.0] * len(fs)
-    if len(weights) != len(fs):
-        raise InputError(f"{len(weights)} weights for {len(fs)} oracles")
-    ws = [float(w) for w in weights]
-    if any(w < 0 for w in ws):
-        raise InputError("combination weights must be nonnegative")
+        raise InputError("terms: need at least one oracle")
+    ws = (1.0,) * len(fs) if weights is None else _weights(weights, len(fs), "terms")
     dims = fs[0].dims
-    for f in fs[1:]:
+    for i, f in enumerate(fs):
         if not f.dims.same_shape(dims):
             raise InputError(
-                f"oracle dims mismatch: {f.dims} vs {dims} (need equal n and k)"
+                f"terms[{i}]: dims {f.dims} differ from {dims} (need equal n and k)"
             )
     terms = list(zip(fs, ws))
 
@@ -260,7 +257,8 @@ class EmbeddedBisubmodular(ValueOracle):
     def __init__(self, base: ValueOracle) -> None:
         if base.dims.k != 1:
             raise InputError(
-                f"embedding needs a set-function oracle (k=1), got k={base.dims.k}"
+                "base.k: embedding needs a set-function oracle (k=1), "
+                f"got k={base.dims.k}"
             )
         self.base = base
         n = base.dims.n

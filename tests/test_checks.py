@@ -206,6 +206,12 @@ class TestRWiseMonotone:
         for r in range(1, 5):
             assert check_r_wise_monotone(table, r).holds
 
+    def test_linear_scan_has_no_pair_cap(self):
+        # 5^14 assignment pairs, far past the pair checkers' cap; the
+        # marginal scan itself reads each of the 5^7 entries k+1 times.
+        table = random_ksubmodular(Dims(7, 4), atoms=12, seed=1)
+        assert check_r_wise_monotone(table, 2).holds
+
     def test_r_out_of_range(self):
         table = random_ksubmodular(Dims(2, 2), atoms=2, seed=0)
         with pytest.raises(InputError):

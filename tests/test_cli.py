@@ -67,6 +67,16 @@ class TestCheckCommand:
         assert code == 2
         assert out == ""  # diagnostics go to stderr
 
+    @pytest.mark.parametrize("entry", ["NaN", "Infinity", "1e999", "1" + "0" * 400],
+                             ids=["NaN", "Infinity", "1e999", "10^400"])
+    def test_non_finite_table_entry_exit_2(self, tmp_path, capsys, entry):
+        path = tmp_path / "instance.json"
+        path.write_text('{"kind": "tabular", "n": 1, "k": 2, "values": [0, %s, 1]}'
+                        % entry)
+        code, out = run(capsys, ["check", str(path), "--property", "ksub"])
+        assert code == 2
+        assert out == ""
+
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, ["check", "/no/such/file.json",
                             "--property", "ksub"])[0] == 2
@@ -102,12 +112,16 @@ class TestMaximizeCommand:
         assert code == 0
         assert json.loads(out)["expectation"] == pytest.approx(1 / 3, abs=1e-12)
 
-    def test_expectation_alias_matches(self, tmp_path, capsys):
-        path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 5})
-        _, via_flag = run(capsys, ["maximize", path, "--algo", "greedy-rand",
-                                   "--exact"])
-        _, via_alias = run(capsys, ["expectation", path, "--algo", "greedy-rand"])
-        assert json.loads(via_flag) == json.loads(via_alias)
+    def test_non_finite_result_exit_2(self, tmp_path, capsys):
+        # each term is finite, but their sum overflows to infinity
+        term = {"kind": "tabular", "n": 1, "k": 1, "values": [1e308, 1e308]}
+        path = write_instance(tmp_path, {"kind": "sum", "n": 1, "k": 1,
+                                         "terms": [term, term]})
+        code = main(["maximize", path, "--algo", "brute"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "non-finite" in captured.err
 
     def test_exact_with_deterministic_algo_rejected(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 3})

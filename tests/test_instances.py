@@ -137,3 +137,24 @@ class TestBuild:
         }
         f = parse(doc).build()
         assert f((1, 2)) == 2.0
+
+
+INDICATOR = {"kind": "indicator", "n": 1, "k": 2, "target": 1}
+
+
+@pytest.mark.parametrize("doc,where", [
+    ({"kind": "indicator", "n": 1, "k": 3, "target": 4}, r"instance\.target: "),
+    ({"kind": "coverage_tight", "n": 3, "k": 3}, r"instance\.n: "),
+    ({"kind": "det_greedy_tight", "n": 2, "k": 1, "r": 1}, r"instance\.k: "),
+    ({"kind": "layer_layout", "n": 2, "k": 1,
+      "edges": [[0, 1]], "directed": True}, r"instance\.k: "),
+    ({"kind": "embedding", "n": 2, "k": 2,
+      "base": {"kind": "tabular", "n": 3, "k": 1, "values": [0] * 8}},
+     r"instance\.n: "),
+    ({"kind": "sum", "n": 1, "k": 2, "terms": [INDICATOR], "weights": [-1]},
+     r"instance\.weights\[0\]: "),
+], ids=["indicator-target", "coverage-n", "det-greedy-k", "layout-k",
+        "embedding-base-n", "sum-weight"])
+def test_constructor_rules_name_the_json_field(doc, where):
+    with pytest.raises(InputError, match=where):
+        parse(doc)

@@ -1,0 +1,43 @@
+"""The README's command-line examples: every ``ksub`` line parses, and the
+``check`` lines exit with the code annotated next to them (0 when none is)."""
+
+import re
+import shlex
+from pathlib import Path
+
+from ksubmax.cli import build_parser, main
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def bash_blocks():
+    return re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+
+
+def ksub_lines():
+    return [line for block in bash_blocks() for line in block.splitlines()
+            if line.startswith("ksub ")]
+
+
+def argv(line):
+    return shlex.split(line, comments=True)[1:]
+
+
+def test_every_ksub_example_parses():
+    lines = ksub_lines()
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(argv(line))
+
+
+def test_check_examples_exit_as_annotated(tmp_path, monkeypatch, capsys):
+    heredoc = re.compile(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", re.S | re.M)
+    for name, body in heredoc.findall("".join(bash_blocks())):
+        (tmp_path / name).write_text(body)
+    monkeypatch.chdir(tmp_path)
+    checks = [line for line in ksub_lines() if line.startswith("ksub check ")]
+    assert len(checks) == 3
+    for line in checks:
+        stated = re.search(r"# exit (\d)", line)
+        assert main(argv(line)) == (int(stated.group(1)) if stated else 0), line
