@@ -1,20 +1,22 @@
 """Exhaustive, counterexample-producing verifiers for k-set function
 structure.
 
-Each checker enumerates every relevant assignment pair (or marginal
-context) of a tabulated function in a fixed order and returns a
-:class:`CheckReport`.  ``holds=False`` always comes with the first
-counterexample in enumeration order together with both sides of the
-violated inequality, so the violation can be reproduced independently.
-Inequalities are tested with one-sided slack: ``A >= B`` holds when
-``A >= B - eps``.
+Each checker examines every relevant inequality of a tabulated function in
+a fixed order and returns a :class:`CheckReport`.  ``holds=False`` always
+comes with the first counterexample in that order together with both sides
+of the violated inequality, so the violation can be reproduced
+independently.  Inequalities are tested with one-sided slack: ``A >= B``
+holds when ``A >= B - eps``.
+
+The pair checkers scan pairs in lexicographic order of (index(s),
+index(t)) in row blocks, far below size^2 memory; the orthant and r-wise
+checkers sweep local conditions, about (k+1)^n * n^2 * k^2 table reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,7 +30,7 @@ from .core import (
     ValueOracle,
     assignment_of,
     is_orthant,
-    restrict,
+    with_label,
 )
 from .zoo import TabularFunction, digit_matrix
 
@@ -66,45 +68,63 @@ def _guard(table: TabularFunction, max_pairs: int | None) -> None:
         raise OracleRangeError(f"negative table entry at index {bad}")
 
 
-@lru_cache(maxsize=32)
-def _meet_join_index_tables(n: int, k: int) -> tuple:
-    """Index tables M, J with M[i, j] = index(min0(x_i, x_j)) and likewise
-    J for max0, over all assignment pairs of the given dimensions."""
-    digits = digit_matrix(n, k)
-    pows = (k + 1) ** np.arange(n, dtype=np.int64)
-    size = digits.shape[0]
-    meet = np.zeros((size, size), dtype=np.int64)
-    join = np.zeros((size, size), dtype=np.int64)
-    for e in range(n):
-        a = digits[:, e][:, None]
-        b = digits[:, e][None, :]
-        clash = (a != b) & (a != 0) & (b != 0)
-        meet += np.where(clash, 0, np.minimum(a, b)) * pows[e]
-        join += np.where(clash, 0, np.maximum(a, b)) * pows[e]
-    meet.setflags(write=False)
-    join.setflags(write=False)
-    return meet, join
+def _index(labels: np.ndarray, k: int) -> np.ndarray:
+    """Mixed-radix indices of label arrays, elements along the last axis."""
+    return labels @ ((k + 1) ** np.arange(labels.shape[-1], dtype=np.int64))
 
 
-@lru_cache(maxsize=16)
-def _subset_tables(n: int) -> tuple:
-    """Membership matrix (mask -> element bits) plus intersection and union
-    tables over all 2^n subset-mask pairs."""
-    masks = np.arange(2**n, dtype=np.int64)
-    inter = masks[:, None] & masks[None, :]
-    union = masks[:, None] | masks[None, :]
-    member = (masks[:, None] >> np.arange(n, dtype=np.int64)[None, :]) & 1
-    for arr in (inter, union, member):
-        arr.setflags(write=False)
-    return member, inter, union
+def _meet_join(a: np.ndarray, b: np.ndarray, k: int) -> tuple:
+    """Indices of min0(a, b) and max0(a, b) for label arrays broadcast
+    against each other, elements along the last axis."""
+    clash = (a != b) & (a != 0) & (b != 0)
+    meet = np.where(clash, 0, np.minimum(a, b))
+    join = np.where(clash, 0, np.maximum(a, b))
+    return _index(meet, k), _index(join, k)
 
 
-@lru_cache(maxsize=32)
-def _orthant_rows(n: int, k: int) -> np.ndarray:
-    digits = digit_matrix(n, k)
-    rows = np.flatnonzero((digits != 0).all(axis=1))
-    rows.setflags(write=False)
-    return rows
+def _pair_scan(
+    table: TabularFunction, prop: str, inequality: str, orthants: bool,
+    eps: float, evals: int,
+) -> CheckReport:
+    """Report the first pair (s, t), in lexicographic order of (index(s),
+    index(t)), with f(s) + f(t) < f(min0(s,t)) + f(max0(s,t)) - eps, over
+    all assignments or the orthants only (where min0 = max0 = id0).
+
+    Both sides are symmetric in (s, t), so the first violating pair has
+    index(s) <= index(t) and only that triangle is scanned.  An index is
+    hi * L + lo with L = (k+1)^(n//2); each block of rows sharing hi takes
+    meets and joins from its high parts and a low-half table of L^2 entries.
+    """
+    n, k = table.dims.n, table.dims.k
+    values = table.values
+    span = (k + 1) ** (n // 2)
+    lo, hi = digit_matrix(n // 2, k), digit_matrix(n - n // 2, k)
+    if orthants:
+        lo, hi = lo[(lo != 0).all(axis=1)], hi[(hi != 0).all(axis=1)]
+    lo_meet, lo_join = _meet_join(lo[:, None], lo[None, :], k)
+    rows = _index(hi, k)[:, None] * span + _index(lo, k)[None, :]
+    row_values, grid = values[rows], values.reshape(-1, span)
+    upper = np.triu(np.ones(lo_meet.shape, dtype=bool))
+    for p in range(hi.shape[0]):
+        hi_meet, hi_join = _meet_join(hi[p], hi[p:], k)
+        # axes: high part of t, low part of s, low part of t
+        lhs = row_values[p][None, :, None] + row_values[p:][:, None, :]
+        rhs = grid[hi_meet].take(lo_meet, 1) + grid[hi_join].take(lo_join, 1)
+        bad = lhs < rhs - eps
+        bad[0] &= upper
+        if bad.any():
+            bad = bad.transpose(1, 0, 2)
+            a, q, b = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            s, t = rows[p, a], rows[p + q, b]
+            counterexample = {
+                "inequality": inequality,
+                "s": list(assignment_of(int(s), table.dims)),
+                "t": list(assignment_of(int(t), table.dims)),
+                "lhs": float(lhs[q, a, b]),
+                "rhs": float(rhs[q, a, b]),
+            }
+            return CheckReport(prop, False, counterexample, evals)
+    return CheckReport(prop, True, None, evals)
 
 
 def check_k_submodular(
@@ -118,72 +138,54 @@ def check_k_submodular(
     smallest violating pair is reported.
     """
     _guard(table, max_pairs)
-    dims = table.dims
-    values = table.values
-    meet, join = _meet_join_index_tables(dims.n, dims.k)
-    lhs = values[:, None] + values[None, :]
-    rhs = values[meet] + values[join]
-    bad = lhs < rhs - eps
-    evals = 4 * values.size * values.size
-    if not bad.any():
-        return CheckReport("k_submodular", True, None, evals)
-    flat = int(np.argmax(bad))
-    i, j = divmod(flat, values.size)
-    counterexample = {
-        "inequality": "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))",
-        "s": list(assignment_of(i, dims)),
-        "t": list(assignment_of(j, dims)),
-        "lhs": float(lhs[i, j]),
-        "rhs": float(rhs[i, j]),
-    }
-    return CheckReport("k_submodular", False, counterexample, evals)
+    inequality = "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"
+    evals = 4 * table.values.size * table.values.size
+    return _pair_scan(table, "k_submodular", inequality, False, eps, evals)
 
 
-def check_orthant_submodular(
-    table: TabularFunction,
-    eps: float = EPS,
-    max_pairs: int = DEFAULT_MAX_PAIRS,
-) -> CheckReport:
+def check_orthant_submodular(table: TabularFunction, eps: float = EPS) -> CheckReport:
     """Verify classical submodularity of the set function induced by every
-    orthant: over each orthant o and subset pair (A, B),
-    f(o|A) + f(o|B) >= f(o|A&B) + f(o|A|B).
+    orthant, in its local form: f(s+a:i) + f(s+b:j) >= f(s) + f(s+a:i+b:j)
+    for every partial assignment s, pair of elements a < b unassigned in s
+    and labels i, j.  Restricting an orthant o with o_a = i and o_b = j to
+    S and to S+a, S+b, S+a+b gives exactly these, so they hold for all s
+    precisely when every orthant's set function is submodular.
 
-    Orthants are visited in increasing index order, subset-mask pairs
-    lexicographically within each orthant.
+    Enumeration order: element pair (a, b) lexicographically, then index(s),
+    then i, then j.  The counterexample names the pair (s+a:i, s+b:j), whose
+    meet is s and join s+a:i+b:j, and an orthant containing both: the join
+    with its unassigned elements given label 1.  ``evals`` counts four
+    table reads per inequality in the element pairs scanned.
     """
-    _guard(table, max_pairs)
+    _guard(table, None)
     dims = table.dims
-    values = table.values
-    digits = digit_matrix(dims.n, dims.k)
-    pows = (dims.k + 1) ** np.arange(dims.n, dtype=np.int64)
-    member, inter, union = _subset_tables(dims.n)
+    n, k = dims.n, dims.k
+    digits = digit_matrix(n, k)
+    labels = np.arange(k + 1)
     evals = 0
-    for row in _orthant_rows(dims.n, dims.k):
-        sub_index = member @ (digits[row] * pows)
-        vals = values[sub_index]
-        lhs = vals[:, None] + vals[None, :]
-        rhs = vals[inter] + vals[union]
+    for a, b in itertools.combinations(range(n), 2):
+        rows = np.flatnonzero((digits[:, a] == 0) & (digits[:, b] == 0))
+        steps = labels[:, None] * (k + 1) ** a + labels * (k + 1) ** b
+        sq = table.values[rows[:, None, None] + steps]  # [s, label at a, at b]
+        lhs = sq[:, 1:, :1] + sq[:, :1, 1:]
+        rhs = sq[:, :1, :1] + sq[:, 1:, 1:]
         bad = lhs < rhs - eps
-        evals += 4 * lhs.size
+        evals += 4 * bad.size
         if bad.any():
-            flat = int(np.argmax(bad))
-            a, b = divmod(flat, vals.size)
-            orthant = assignment_of(int(row), dims)
+            row, i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
+            s = assignment_of(int(rows[row]), dims)
+            sa, sb = with_label(s, a, int(i) + 1), with_label(s, b, int(j) + 1)
             counterexample = {
                 "inequality": "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b))"
                 " within one orthant",
-                "orthant": list(orthant),
-                "s": list(restrict(orthant, _mask_elements(a, dims.n))),
-                "t": list(restrict(orthant, _mask_elements(b, dims.n))),
-                "lhs": float(lhs[a, b]),
-                "rhs": float(rhs[a, b]),
+                "orthant": [v or 1 for v in with_label(sa, b, int(j) + 1)],
+                "s": list(sa),
+                "t": list(sb),
+                "lhs": float(lhs[row, i, j]),
+                "rhs": float(rhs[row, i, j]),
             }
             return CheckReport("orthant_submodular", False, counterexample, evals)
     return CheckReport("orthant_submodular", True, None, evals)
-
-
-def _mask_elements(mask: int, n: int) -> tuple:
-    return tuple(e for e in range(n) if mask >> e & 1)
 
 
 def induced_set_function(f: ValueOracle, x) -> ValueOracle:
@@ -201,6 +203,27 @@ def induced_set_function(f: ValueOracle, x) -> ValueOracle:
     return ValueOracle(Dims(f.dims.n, 1), fn, name=f"induced({f.name})")
 
 
+def _low_sum(gains: np.ndarray, r: int) -> np.ndarray:
+    """Sum of the r smallest entries along the last axis, added in
+    ascending order."""
+    return np.cumsum(np.sort(gains)[..., :r], axis=-1)[..., -1]
+
+
+def _first_label_set(gains: np.ndarray, r: int, eps: float) -> list:
+    """Lexicographically first r labels whose gains sum below -eps, for a
+    row whose r smallest gains do: each slot takes the smallest label that
+    the smallest later gains complete below -eps.  Trials add gains in
+    ascending order, as the row test does, so a slot is never left empty."""
+    picked: list = []
+    for need in range(r - 1, -1, -1):
+        for label in range(picked[-1] + 1 if picked else 0, gains.size - need):
+            rest = np.sort(gains[label + 1 :])[:need]
+            if _low_sum(np.concatenate([gains[picked + [label]], rest]), r) < -eps:
+                picked.append(label)
+                break
+    return [label + 1 for label in picked]
+
+
 def check_r_wise_monotone(
     table: TabularFunction,
     r: int,
@@ -210,7 +233,9 @@ def check_r_wise_monotone(
     element is nonnegative.
 
     Enumeration order: element index, then base assignment index, then
-    label sets in lexicographic order.
+    label sets in lexicographic order.  A base assignment fails when the sum
+    of its r smallest marginals does, so label sets are searched only on the
+    first failing one, to name the lexicographically first failing set.
     """
     if not 1 <= r <= table.dims.k:
         raise InputError(f"r must be in [1, k={table.dims.k}], got {r}")
@@ -218,33 +243,23 @@ def check_r_wise_monotone(
     dims = table.dims
     values = table.values
     digits = digit_matrix(dims.n, dims.k)
-    combos = list(itertools.combinations(range(1, dims.k + 1), r))
+    labels = np.arange(1, dims.k + 1)
     evals = 0
     for e in range(dims.n):
         rows = np.flatnonzero(digits[:, e] == 0)
         step = (dims.k + 1) ** e
-        base = values[rows]
-        margs = np.stack(
-            [values[rows + i * step] - base for i in range(1, dims.k + 1)]
-        )
+        margs = values[rows[:, None] + labels * step] - values[rows][:, None]
         evals += (dims.k + 1) * rows.size
-        best = None  # (row position, combo position)
-        for ci, combo in enumerate(combos):
-            sums = margs[[i - 1 for i in combo]].sum(axis=0)
-            bad = sums < -eps
-            if bad.any():
-                pos = int(np.argmax(bad))
-                if best is None or (pos, ci) < best:
-                    best = (pos, ci)
-        if best is not None:
-            pos, ci = best
-            combo = combos[ci]
-            lhs = float(margs[[i - 1 for i in combo], pos].sum())
+        bad = _low_sum(margs, r) < -eps
+        if bad.any():
+            pos = int(np.argmax(bad))
+            chosen = _first_label_set(margs[pos], r, eps)
+            lhs = float(margs[pos, [i - 1 for i in chosen]].sum())
             counterexample = {
                 "inequality": "sum of marginals over the label set >= 0",
                 "s": list(assignment_of(int(rows[pos]), dims)),
                 "element": e,
-                "labels": list(combo),
+                "labels": chosen,
                 "lhs": lhs,
                 "rhs": 0.0,
             }
@@ -265,12 +280,13 @@ def check_characterization(
     (it says nothing about whether the function itself is k-submodular).
     Disagreement indicates an implementation bug in one of the checkers,
     never a mathematical finding, and is reported with both verdicts and
-    the witness from whichever side found a violation.
+    the witness from whichever side found a violation.  The two sides
+    share no enumeration: a pair scan against two local sweeps.
     """
     if table.dims.k < 2:
         raise InputError("characterization check needs k >= 2")
     ksub = check_k_submodular(table, eps, max_pairs)
-    orthant = check_orthant_submodular(table, eps, max_pairs)
+    orthant = check_orthant_submodular(table, eps)
     pairwise = check_r_wise_monotone(table, 2, eps)
     right = orthant.holds and pairwise.holds
     evals = ksub.evals_used + orthant.evals_used + pairwise.evals_used
@@ -296,33 +312,10 @@ def check_orthant_pair_inequality(
 
     A consequence of k-submodularity (for orthants min0, max0 and id0
     coincide); vacuous for functions that are not k-submodular, which may
-    fail it.
+    fail it.  Pairs are enumerated lexicographically by (index(s),
+    index(t)); the smallest violating pair is reported.
     """
     _guard(table, max_pairs)
-    dims = table.dims
-    values = table.values
-    rows = _orthant_rows(dims.n, dims.k)
-    digits = digit_matrix(dims.n, dims.k)[rows]
-    pows = (dims.k + 1) ** np.arange(dims.n, dtype=np.int64)
-    agree = np.zeros((rows.size, rows.size), dtype=np.int64)
-    for e in range(dims.n):
-        a = digits[:, e][:, None]
-        b = digits[:, e][None, :]
-        agree += np.where(a == b, a, 0) * pows[e]
-    orth_vals = values[rows]
-    lhs = orth_vals[:, None] + orth_vals[None, :]
-    rhs = 2.0 * values[agree]
-    bad = lhs < rhs - eps
-    evals = 3 * rows.size * rows.size
-    if not bad.any():
-        return CheckReport("orthant_pair_inequality", True, None, evals)
-    flat = int(np.argmax(bad))
-    i, j = divmod(flat, rows.size)
-    counterexample = {
-        "inequality": "f(s) + f(t) >= 2 f(id0(s,t))",
-        "s": list(assignment_of(int(rows[i]), dims)),
-        "t": list(assignment_of(int(rows[j]), dims)),
-        "lhs": float(lhs[i, j]),
-        "rhs": float(rhs[i, j]),
-    }
-    return CheckReport("orthant_pair_inequality", False, counterexample, evals)
+    inequality = "f(s) + f(t) >= 2 f(id0(s,t))"
+    evals = 3 * table.dims.num_orthants * table.dims.num_orthants
+    return _pair_scan(table, "orthant_pair_inequality", inequality, True, eps, evals)

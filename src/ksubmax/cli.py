@@ -62,14 +62,24 @@ from .zoo import (
 )
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for caps: a positive integer."""
+    try:
+        if int(text) >= 1:
+            return int(text)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+
+
 def _default_max_states() -> int:
     env = os.environ.get("KSUB_MAX_STATES")
     if env is None:
         return DEFAULT_MAX_STATES
     try:
-        return int(env)
-    except ValueError as exc:
-        raise InputError(f"KSUB_MAX_STATES={env!r} is not an integer") from exc
+        return _positive_int(env)
+    except argparse.ArgumentTypeError as exc:
+        raise InputError(f"KSUB_MAX_STATES: {exc}") from exc
 
 
 def _emit(doc: dict) -> None:
@@ -119,7 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if prop == "ksub":
         report = check_k_submodular(table, args.eps, args.max_pairs)
     elif prop == "orthant":
-        report = check_orthant_submodular(table, args.eps, args.max_pairs)
+        report = check_orthant_submodular(table, args.eps)
     elif prop == "characterization":
         report = check_characterization(table, args.eps, args.max_pairs)
     elif prop == "orthant-pairs":
@@ -344,7 +354,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=float, default=EPS,
                         help="comparison tolerance (default 1e-9)")
-    parser.add_argument("--max-states", type=int, default=None,
+    parser.add_argument("--max-states", type=_positive_int, default=None,
                         help="cap on enumerated assignments (default 10^6, "
                         "or KSUB_MAX_STATES)")
 
@@ -369,7 +379,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check.add_argument("--property", required=True,
                          help="ksub | orthant | monotone:<r> | characterization"
                          " | orthant-pairs")
-    p_check.add_argument("--max-pairs", type=int, default=DEFAULT_MAX_PAIRS,
+    p_check.add_argument("--max-pairs", type=_positive_int, default=DEFAULT_MAX_PAIRS,
                          help="cap on enumerated assignment pairs (default 10^8)")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)

@@ -67,6 +67,14 @@ class Dims:
     def num_orthants(self) -> int:
         return self.k**self.n
 
+    def check_cap(self, what: str, cap: int, orthants: bool = False) -> None:
+        """Refuse to enumerate more than ``cap`` assignments (orthants, if
+        asked).  The count is named as a power: (k+1)^n can have more
+        digits than Python will format."""
+        base = self.k if orthants else self.k + 1
+        if base**self.n > cap:
+            raise InputError(f"{what} needs {base}^{self.n} states, cap is {cap}")
+
     def same_shape(self, other: "Dims") -> bool:
         return self.n == other.n and self.k == other.k
 

@@ -76,9 +76,8 @@ def brute_force_max(
     orthant of equal value always exists).
     """
     dims = f.dims
+    dims.check_cap("brute force", max_states, orthants=over_orthants_only)
     count = dims.num_orthants if over_orthants_only else dims.num_assignments
-    if count > max_states:
-        raise InputError(f"enumeration of {count} states exceeds cap {max_states}")
     states = all_orthants(dims) if over_orthants_only else all_assignments(dims)
     best_x: tuple | None = None
     best_v = -math.inf
@@ -104,10 +103,7 @@ def exact_expectation_random_orthant(
     """Mean of f over all k^n orthants: the exact expected value of the
     uniform random draw, computed by enumeration."""
     dims = f.dims
-    if dims.num_orthants > max_states:
-        raise InputError(
-            f"enumeration of {dims.num_orthants} orthants exceeds cap {max_states}"
-        )
+    dims.check_cap("random-orthant expectation", max_states, orthants=True)
     return math.fsum(f(x) for x in all_orthants(dims)) / dims.num_orthants
 
 
@@ -198,10 +194,7 @@ def exact_expectation_randomized_greedy(
     deterministically, mirroring the sampler.
     """
     dims = f.dims
-    if dims.num_orthants > max_states:
-        raise InputError(
-            f"decision tree may reach {dims.num_orthants} leaves, cap is {max_states}"
-        )
+    dims.check_cap("randomized-greedy decision tree", max_states, orthants=True)
     order = _validated_order(order, dims.n)
     leaves: list[float] = []
 

@@ -48,8 +48,8 @@ class TabularFunction(ValueOracle):
         values = np.ascontiguousarray(values, dtype=float)
         if values.shape != (dims.num_assignments,):
             raise InputError(
-                f"values: need {dims.num_assignments} entries for n={dims.n}, "
-                f"k={dims.k}, got shape {values.shape}"
+                f"values: need (k+1)^n = {dims.k + 1}^{dims.n} entries for "
+                f"n={dims.n}, k={dims.k}, got shape {values.shape}"
             )
         bad = np.flatnonzero(~(np.isfinite(values) & (values >= 0.0)))
         if bad.size:
@@ -294,9 +294,8 @@ def random_ksubmodular(
     """
     if atoms < 0:
         raise InputError(f"atoms must be >= 0, got {atoms}")
+    dims.check_cap("random table", max_states)
     size = dims.num_assignments
-    if size > max_states:
-        raise InputError(f"table would hold {size} values, cap is {max_states}")
     rng = np.random.default_rng(seed)
     digits = digit_matrix(dims.n, dims.k)
     values = np.zeros(size)
@@ -322,9 +321,8 @@ def random_table(
 ) -> TabularFunction:
     """Uniform random nonnegative table, with no structure imposed.  Almost
     surely not k-submodular; useful as checker fodder."""
+    dims.check_cap("random table", max_states)
     size = dims.num_assignments
-    if size > max_states:
-        raise InputError(f"table would hold {size} values, cap is {max_states}")
     rng = np.random.default_rng(seed)
     return TabularFunction(dims, rng.random(size), name=f"random_table_s{seed}")
 
@@ -335,10 +333,8 @@ def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFun
     Raises :class:`OracleRangeError` on the first negative value met."""
     if isinstance(f, TabularFunction):
         return f
-    size = f.dims.num_assignments
-    if size > max_states:
-        raise InputError(f"tabulation needs {size} values, cap is {max_states}")
-    values = np.empty(size)
+    f.dims.check_cap("tabulation", max_states)
+    values = np.empty(f.dims.num_assignments)
     for i, x in enumerate(all_assignments(f.dims)):
         v = f(x)
         if v < 0:

@@ -2,6 +2,9 @@
 agreement with the independent loop-based references."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -34,6 +37,38 @@ from factories import single_edge
 
 def layout_table(k):
     return tabulate(make_layer_layout(single_edge(directed=True), k))
+
+
+def raised_last_table():
+    """A k-submodular table whose last entry is raised far past any slack,
+    so its first k-submodularity violation comes late in the pair order."""
+    base = random_ksubmodular(Dims(3, 3), atoms=9, seed=4)
+    values = base.values.copy()
+    values[-1] += 2.0 * values.max() + 1.0
+    return TabularFunction(base.dims, values, name="raised")
+
+
+WITNESS_TABLES = {
+    "layout": lambda: layout_table(3),
+    "random": lambda: random_table(Dims(3, 3), seed=5),
+    "raised-last": raised_last_table,
+}
+
+
+def first_pair_in_index_order(states, violates):
+    """The first (s, t) over states x states, in index order, for which
+    ``violates`` holds, or None."""
+    for s in states:
+        for t in states:
+            if violates(s, t):
+                return s, t
+    return None
+
+
+def reported_pair(report):
+    if report.holds:
+        return None
+    return tuple(report.counterexample["s"]), tuple(report.counterexample["t"])
 
 
 def any_table(seed, n, k):
@@ -75,21 +110,23 @@ class TestKSubmodular:
             table, n, k, 1e-9
         )
 
-    def test_first_counterexample_is_smallest_pair(self):
-        table = layout_table(3)
+    @pytest.mark.parametrize(
+        "make", WITNESS_TABLES.values(), ids=WITNESS_TABLES.keys()
+    )
+    def test_first_counterexample_is_smallest_pair(self, make):
+        table = make()
         report = check_k_submodular(table)
-        found = tuple(report.counterexample["s"]), tuple(report.counterexample["t"])
+        assert not report.holds
         # scan in index order and stop at the first violation
         from ksubmax import all_assignments
 
-        for s in all_assignments(table.dims):
-            for t in all_assignments(table.dims):
-                lhs = table(s) + table(t)
-                rhs = table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t))
-                if lhs < rhs - 1e-9:
-                    assert (s, t) == found
-                    return
-        pytest.fail("reference scan found no violation")
+        def violates(s, t):
+            lhs = table(s) + table(t)
+            rhs = table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t))
+            return lhs < rhs - 1e-9
+
+        states = list(all_assignments(table.dims))
+        assert reported_pair(report) == first_pair_in_index_order(states, violates)
 
     def test_negative_entry_rejected(self):
         table = TabularFunction(Dims(1, 1), [0.0, 1.0])
@@ -128,7 +165,7 @@ class TestOrthantSubmodular:
         assert check_orthant_submodular(TabularFunction(dims, values)).holds
 
     @settings(max_examples=25)
-    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), k=st.integers(1, 3))
+    @given(seed=st.integers(0, 10**6), n=st.integers(1, 4), k=st.integers(1, 3))
     def test_agrees_with_loop_reference(self, seed, n, k):
         table = any_table(seed, n, k)
         assert check_orthant_submodular(table).holds == oracles.is_orthant_submodular(
@@ -201,9 +238,13 @@ class TestRWiseMonotone:
             # the violating sum is exactly -1/(r+1)
             assert abs(report.counterexample["lhs"] + 1 / (r + 1)) < 1e-12
 
-    def test_nonneg_marginals_hold_for_every_r(self):
-        table = tabulate(make_coverage_tight(4))
-        for r in range(1, 5):
+    @pytest.mark.parametrize(
+        "k,rs", [(4, range(1, 5)), (26, [13])], ids=["k4-every-r", "k26-r13"]
+    )
+    def test_nonneg_marginals_hold_for_every_r(self, k, rs):
+        # C(26, 13) = 10^7 label sets: the check must not enumerate them
+        table = tabulate(make_coverage_tight(k))
+        for r in rs:
             assert check_r_wise_monotone(table, r).holds
 
     def test_linear_scan_has_no_pair_cap(self):
@@ -211,6 +252,34 @@ class TestRWiseMonotone:
         # marginal scan itself reads each of the 5^7 entries k+1 times.
         table = random_ksubmodular(Dims(7, 4), atoms=12, seed=1)
         assert check_r_wise_monotone(table, 2).holds
+
+    @pytest.mark.parametrize("r", [2, 3, 4])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_first_counterexample_is_first_label_set(self, seed, r):
+        # element, then base assignment index, then label sets in
+        # lexicographic order: the first failing set is the reported one
+        import itertools
+
+        from ksubmax import all_assignments
+
+        table = random_table(Dims(2, 5), seed=seed)
+        report = check_r_wise_monotone(table, r)
+
+        def first():
+            for e in range(2):
+                for s in all_assignments(table.dims):
+                    if s[e] != 0:
+                        continue
+                    gains = {i: table(s[:e] + (i,) + s[e + 1 :]) - table(s)
+                             for i in range(1, 6)}
+                    for labels in itertools.combinations(range(1, 6), r):
+                        if sum(gains[i] for i in labels) < -1e-9:
+                            return list(s), e, list(labels)
+            return None
+
+        cx = report.counterexample
+        found = None if report.holds else (cx["s"], cx["element"], cx["labels"])
+        assert found == first()
 
     def test_r_out_of_range(self):
         table = random_ksubmodular(Dims(2, 2), atoms=2, seed=0)
@@ -307,6 +376,19 @@ class TestOrthantPairInequality:
         margin = oracles.violation_margin(layout_table(3), report.counterexample)
         assert margin > 1e-9
 
+    @pytest.mark.parametrize(
+        "make", WITNESS_TABLES.values(), ids=WITNESS_TABLES.keys()
+    )
+    def test_first_counterexample_is_smallest_pair(self, make):
+        table = make()
+        report = check_orthant_pair_inequality(table)
+
+        def violates(s, t):
+            return table(s) + table(t) < 2.0 * table(oracles.vec_id0(s, t)) - 1e-9
+
+        states = list(all_orthants(table.dims))
+        assert reported_pair(report) == first_pair_in_index_order(states, violates)
+
 
 class TestCheckReport:
     def test_json_shape(self):
@@ -320,3 +402,26 @@ class TestCheckReport:
     def test_holding_report_has_no_counterexample(self):
         report = check_orthant_submodular(layout_table(3))
         assert report.holds and report.counterexample is None
+
+
+def test_characterization_memory_stays_bounded():
+    # the pair scan works in row blocks: a fresh process checking a (6, 3)
+    # table peaked at 692 MB when it built size x size index tables
+    if not sys.platform.startswith("linux"):
+        pytest.skip("ru_maxrss is in KiB on Linux only")
+    import ksubmax
+
+    code = (
+        "import resource\n"
+        "from ksubmax import Dims, check_characterization, random_ksubmodular\n"
+        "table = random_ksubmodular(Dims(6, 3), atoms=18, seed=1)\n"
+        "assert check_characterization(table).holds\n"
+        "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)\n"
+    )
+    src = os.path.dirname(os.path.dirname(ksubmax.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True,
+        timeout=120, check=True,
+    )
+    assert int(out.stdout) / 1024 < 150

@@ -20,6 +20,9 @@ def run(capsys, argv):
     return code, out
 
 
+HUGE_CUT = {"kind": "max_k_cut", "n": 20000, "k": 3, "edges": [[0, 1]]}
+
+
 def layer_layout_doc(k):
     return {"kind": "layer_layout", "n": 2, "k": k,
             "edges": [[0, 1]], "directed": True}
@@ -76,6 +79,27 @@ class TestCheckCommand:
         code, out = run(capsys, ["check", str(path), "--property", "ksub"])
         assert code == 2
         assert out == ""
+
+    @pytest.mark.parametrize(
+        "doc,argv,field",
+        [
+            ({"kind": "tabular", "n": 20000, "k": 1, "values": [0, 1]},
+             ["check", "--property", "ksub"], "values"),
+            (HUGE_CUT, ["check", "--property", "orthant"], "cap"),
+            (HUGE_CUT, ["maximize", "--algo", "brute"], "cap"),
+            (HUGE_CUT, ["maximize", "--algo", "random", "--exact"], "cap"),
+            (HUGE_CUT, ["maximize", "--algo", "greedy-rand", "--exact"], "cap"),
+        ],
+        ids=["tabular-check", "cut-check", "cut-brute", "cut-random", "cut-greedy"],
+    )
+    def test_huge_n_exit_2(self, tmp_path, capsys, doc, argv, field):
+        # (k+1)^n has more digits than Python will format into a message
+        path = write_instance(tmp_path, doc)
+        code = main(argv[:1] + [path] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert field in captured.err
 
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, ["check", "/no/such/file.json",
@@ -224,6 +248,27 @@ class TestEnvironment:
         assert run(capsys, ["check", path, "--property", "ksub"])[0] == 2
         monkeypatch.delenv("KSUB_MAX_STATES")
         assert run(capsys, ["check", path, "--property", "ksub"])[0] == 0
+
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_env_cap_exit_2(self, tmp_path, capsys, monkeypatch, value):
+        path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
+        monkeypatch.setenv("KSUB_MAX_STATES", value)
+        code = main(["check", path, "--property", "ksub"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "KSUB_MAX_STATES" in captured.err
+
+    @pytest.mark.parametrize("flag", ["--max-states", "--max-pairs"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_cap_flag_exit_2(self, tmp_path, capsys, flag, value):
+        path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", path, "--property", "ksub", flag, value])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert flag in captured.err
 
     def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
