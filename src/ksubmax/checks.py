@@ -8,14 +8,14 @@ of the violated inequality, so the violation can be reproduced
 independently.  Inequalities are tested with one-sided slack: ``A >= B``
 holds when ``A >= B - eps``.
 
-The pair checkers scan pairs in lexicographic order of (index(s),
-index(t)) in row blocks, far below size^2 memory; the orthant and r-wise
-checkers sweep local conditions, about (k+1)^n * n^2 * k^2 table reads.
+The pair checkers scan assignment pairs in lexicographic order of
+(index(s), index(t)) in row blocks, far below size^2 memory; the orthant
+checker scans subset pairs orthant by orthant in blocks, and the r-wise
+checker sweeps marginals, one sort per base assignment.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +30,6 @@ from .core import (
     ValueOracle,
     assignment_of,
     is_orthant,
-    with_label,
 )
 from .zoo import TabularFunction, digit_matrix
 
@@ -143,49 +142,58 @@ def check_k_submodular(
     return _pair_scan(table, "k_submodular", inequality, False, eps, evals)
 
 
-def check_orthant_submodular(table: TabularFunction, eps: float = EPS) -> CheckReport:
-    """Verify classical submodularity of the set function induced by every
-    orthant, in its local form: f(s+a:i) + f(s+b:j) >= f(s) + f(s+a:i+b:j)
-    for every partial assignment s, pair of elements a < b unassigned in s
-    and labels i, j.  Restricting an orthant o with o_a = i and o_b = j to
-    S and to S+a, S+b, S+a+b gives exactly these, so they hold for all s
-    precisely when every orthant's set function is submodular.
+_BLOCK = 1 << 16  # subset pairs per step of the orthant scan
 
-    Enumeration order: element pair (a, b) lexicographically, then index(s),
-    then i, then j.  The counterexample names the pair (s+a:i, s+b:j), whose
-    meet is s and join s+a:i+b:j, and an orthant containing both: the join
-    with its unassigned elements given label 1.  ``evals`` counts four
-    table reads per inequality in the element pairs scanned.
+
+def check_orthant_submodular(
+    table: TabularFunction,
+    eps: float = EPS,
+    max_pairs: int = DEFAULT_MAX_PAIRS,
+) -> CheckReport:
+    """Verify classical submodularity of the set function induced by every
+    orthant: over each orthant o and subset pair (A, B),
+    f(o|A) + f(o|B) >= f(o|A&B) + f(o|A|B).
+
+    Orthants are visited in increasing index order, subset-mask pairs
+    lexicographically within each orthant.  Both sides are symmetric in
+    (A, B) and equal when A and B are nested, so the first violating pair
+    has A < B incomparable, and only such pairs are scanned: in steps of
+    about _BLOCK, several whole orthants or rows A of one orthant.
     """
-    _guard(table, None)
-    dims = table.dims
-    n, k = dims.n, dims.k
-    digits = digit_matrix(n, k)
-    labels = np.arange(k + 1)
-    evals = 0
-    for a, b in itertools.combinations(range(n), 2):
-        rows = np.flatnonzero((digits[:, a] == 0) & (digits[:, b] == 0))
-        steps = labels[:, None] * (k + 1) ** a + labels * (k + 1) ** b
-        sq = table.values[rows[:, None, None] + steps]  # [s, label at a, at b]
-        lhs = sq[:, 1:, :1] + sq[:, :1, 1:]
-        rhs = sq[:, :1, :1] + sq[:, 1:, 1:]
-        bad = lhs < rhs - eps
-        evals += 4 * bad.size
-        if bad.any():
-            row, i, j = np.unravel_index(int(np.argmax(bad)), bad.shape)
-            s = assignment_of(int(rows[row]), dims)
-            sa, sb = with_label(s, a, int(i) + 1), with_label(s, b, int(j) + 1)
-            counterexample = {
-                "inequality": "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b))"
-                " within one orthant",
-                "orthant": [v or 1 for v in with_label(sa, b, int(j) + 1)],
-                "s": list(sa),
-                "t": list(sb),
-                "lhs": float(lhs[row, i, j]),
-                "rhs": float(rhs[row, i, j]),
-            }
-            return CheckReport("orthant_submodular", False, counterexample, evals)
-    return CheckReport("orthant_submodular", True, None, evals)
+    _guard(table, max_pairs)
+    n, k = table.dims.n, table.dims.k
+    masks = np.arange(2**n, dtype=np.int64)
+    member = (masks[:, None, None] >> np.arange(n)) & 1
+    orthants = digit_matrix(n, k - 1) + 1  # in index order
+    evals = 4 * masks.size**2  # per orthant visited
+    rows = min(masks.size, max(1, _BLOCK // masks.size))
+    per = max(1, _BLOCK // masks.size**2)  # 1 unless rows covers every A
+    for o in range(0, len(orthants), per):
+        # axes: subset, orthant (innermost, so gathers copy whole rows)
+        vals = table.values[_index(member * orthants[o : o + per], k)]
+        for a in range(0, masks.size, rows):
+            sets = masks[a : a + rows, None]
+            apart = (sets & masks != sets) & (sets & masks != masks) & (masks > sets)
+            first, second = np.nonzero(apart)
+            first += a
+            lhs = vals[first] + vals[second]
+            rhs = vals[first & second] + vals[first | second]
+            bad = (lhs < rhs - eps).T
+            if bad.any():
+                q, p = np.unravel_index(int(np.argmax(bad)), bad.shape)
+                orthant = orthants[o + q]
+                counterexample = {
+                    "inequality": "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b))"
+                    " within one orthant",
+                    "orthant": orthant.tolist(),
+                    "s": (orthant * member[first[p], 0]).tolist(),
+                    "t": (orthant * member[second[p], 0]).tolist(),
+                    "lhs": float(lhs[p, q]),
+                    "rhs": float(rhs[p, q]),
+                }
+                evals *= o + int(q) + 1
+                return CheckReport("orthant_submodular", False, counterexample, evals)
+    return CheckReport("orthant_submodular", True, None, evals * len(orthants))
 
 
 def induced_set_function(f: ValueOracle, x) -> ValueOracle:
@@ -203,22 +211,24 @@ def induced_set_function(f: ValueOracle, x) -> ValueOracle:
     return ValueOracle(Dims(f.dims.n, 1), fn, name=f"induced({f.name})")
 
 
-def _low_sum(gains: np.ndarray, r: int) -> np.ndarray:
-    """Sum of the r smallest entries along the last axis, added in
-    ascending order."""
-    return np.cumsum(np.sort(gains)[..., :r], axis=-1)[..., -1]
+def _low_set(gains: np.ndarray, r: int) -> np.ndarray:
+    """Positions of the r smallest entries along the last axis (ties to the
+    lower position), in increasing order."""
+    return np.sort(np.argsort(gains, axis=-1, kind="stable")[..., :r], axis=-1)
 
 
 def _first_label_set(gains: np.ndarray, r: int, eps: float) -> list:
     """Lexicographically first r labels whose gains sum below -eps, for a
     row whose r smallest gains do: each slot takes the smallest label that
-    the smallest later gains complete below -eps.  Trials add gains in
-    ascending order, as the row test does, so a slot is never left empty."""
+    the smallest later gains complete below -eps.  Sets are summed in label
+    order and ties go to the lower label, as in the row test, so the
+    smallest label of the set that passed the previous test completes that
+    same set again: a slot is never left empty."""
     picked: list = []
     for need in range(r - 1, -1, -1):
         for label in range(picked[-1] + 1 if picked else 0, gains.size - need):
-            rest = np.sort(gains[label + 1 :])[:need]
-            if _low_sum(np.concatenate([gains[picked + [label]], rest]), r) < -eps:
+            rest = label + 1 + _low_set(gains[label + 1 :], need)
+            if gains[np.concatenate([picked + [label], rest])].sum() < -eps:
                 picked.append(label)
                 break
     return [label + 1 for label in picked]
@@ -233,9 +243,10 @@ def check_r_wise_monotone(
     element is nonnegative.
 
     Enumeration order: element index, then base assignment index, then
-    label sets in lexicographic order.  A base assignment fails when the sum
-    of its r smallest marginals does, so label sets are searched only on the
-    first failing one, to name the lexicographically first failing set.
+    label sets in lexicographic order.  Every set's marginals are added in
+    label order.  A base assignment fails when the set of its r smallest
+    marginals does, so label sets are searched only on the first failing
+    one, to name the lexicographically first failing set.
     """
     if not 1 <= r <= table.dims.k:
         raise InputError(f"r must be in [1, k={table.dims.k}], got {r}")
@@ -250,7 +261,8 @@ def check_r_wise_monotone(
         step = (dims.k + 1) ** e
         margs = values[rows[:, None] + labels * step] - values[rows][:, None]
         evals += (dims.k + 1) * rows.size
-        bad = _low_sum(margs, r) < -eps
+        low = np.take_along_axis(margs, _low_set(margs, r), axis=-1)
+        bad = low.sum(axis=-1) < -eps
         if bad.any():
             pos = int(np.argmax(bad))
             chosen = _first_label_set(margs[pos], r, eps)
@@ -280,13 +292,12 @@ def check_characterization(
     (it says nothing about whether the function itself is k-submodular).
     Disagreement indicates an implementation bug in one of the checkers,
     never a mathematical finding, and is reported with both verdicts and
-    the witness from whichever side found a violation.  The two sides
-    share no enumeration: a pair scan against two local sweeps.
+    the witness from whichever side found a violation.
     """
     if table.dims.k < 2:
         raise InputError("characterization check needs k >= 2")
     ksub = check_k_submodular(table, eps, max_pairs)
-    orthant = check_orthant_submodular(table, eps)
+    orthant = check_orthant_submodular(table, eps, max_pairs)
     pairwise = check_r_wise_monotone(table, 2, eps)
     right = orthant.holds and pairwise.holds
     evals = ksub.evals_used + orthant.evals_used + pairwise.evals_used

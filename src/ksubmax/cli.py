@@ -129,7 +129,7 @@ def cmd_check(args: argparse.Namespace) -> int:
     if prop == "ksub":
         report = check_k_submodular(table, args.eps, args.max_pairs)
     elif prop == "orthant":
-        report = check_orthant_submodular(table, args.eps)
+        report = check_orthant_submodular(table, args.eps, args.max_pairs)
     elif prop == "characterization":
         report = check_characterization(table, args.eps, args.max_pairs)
     elif prop == "orthant-pairs":

@@ -15,6 +15,7 @@ from ksubmax import (
     OracleRangeError,
     PreconditionError,
     TabularFunction,
+    all_assignments,
     all_orthants,
     check_characterization,
     check_k_submodular,
@@ -53,6 +54,21 @@ WITNESS_TABLES = {
     "random": lambda: random_table(Dims(3, 3), seed=5),
     "raised-last": raised_last_table,
 }
+
+
+def slack_table():
+    """f = 1 + sum_e w_e(x_e) + d |supp(x)|^2 / 2 with w >= 0 on n=3, k=2.
+    Every local orthant inequality f(s+a) + f(s+b) >= f(s) + f(s+a+b) falls
+    short by d = 0.7e-9, inside the default eps; the subset pair ({0}, {1, 2})
+    of any orthant falls short by 2d, outside it."""
+    dims = Dims(3, 2)
+    w = [[0.0, 0.25, 0.5], [0.0, 0.5, 0.125], [0.0, 0.75, 0.25]]
+    values = [
+        1.0 + sum(w[e][x[e]] for e in range(3))
+        + 0.7e-9 * sum(v != 0 for v in x) ** 2 / 2
+        for x in all_assignments(dims)
+    ]
+    return TabularFunction(dims, values, name="slack")
 
 
 def first_pair_in_index_order(states, violates):
@@ -201,6 +217,49 @@ class TestOrthantSubmodular:
         assert lhs < rhs - 1e-9
 
 
+    def test_slack_applies_to_each_orthant_inequality(self):
+        # eps bounds the shortfall of each f(o|A) + f(o|B) >= f(o|A&B) +
+        # f(o|A|B), not of each local step: two steps short by d each add
+        # up to 2d > eps
+        table = slack_table()
+        report = check_orthant_submodular(table)
+        assert not oracles.is_orthant_submodular(table, 3, 2, 1e-9)
+        assert not report.holds
+        assert oracles.violation_margin(table, report.counterexample) > 1e-9
+
+    @pytest.mark.parametrize(
+        "make", [*WITNESS_TABLES.values(), slack_table],
+        ids=[*WITNESS_TABLES.keys(), "slack"],
+    )
+    def test_first_counterexample_in_orthant_then_subset_order(self, make):
+        table = make()
+        report = check_orthant_submodular(table)
+        n = table.dims.n
+
+        def first():
+            for orthant in all_orthants(table.dims):
+                for a in range(2**n):
+                    for b in range(2**n):
+                        s = tuple(v if a >> e & 1 else 0 for e, v in enumerate(orthant))
+                        t = tuple(v if b >> e & 1 else 0 for e, v in enumerate(orthant))
+                        lhs = table(s) + table(t)
+                        rhs = table(oracles.vec_min0(s, t)) + table(
+                            oracles.vec_max0(s, t)
+                        )
+                        if lhs < rhs - 1e-9:
+                            return list(orthant), list(s), list(t)
+            return None
+
+        cx = report.counterexample
+        found = None if report.holds else (cx["orthant"], cx["s"], cx["t"])
+        assert found == first()
+
+    def test_pair_cap(self):
+        table = random_ksubmodular(Dims(2, 2), atoms=2, seed=1)
+        with pytest.raises(InputError):
+            check_orthant_submodular(table, max_pairs=10)
+
+
 class TestInducedSetFunction:
     def test_max_2_cut_values(self):
         f = make_max_k_cut(single_edge(), 2)
@@ -281,6 +340,20 @@ class TestRWiseMonotone:
         found = None if report.holds else (cx["s"], cx["element"], cx["labels"])
         assert found == first()
 
+    def test_verdict_and_reported_sum_agree_at_a_tie(self):
+        # eps is set so that the one 3-label sum, added in label order,
+        # equals -eps exactly: not a violation, although adding the same
+        # gains in ascending order lands just below -eps
+        values = [2.572213, 0.100757, 2.188966, 0.526967]
+        table = TabularFunction(Dims(1, 3), values)
+        gains = table.values[1:] - table.values[0]
+        eps = -float(gains.sum())
+        report = check_r_wise_monotone(table, 3, eps)
+        assert report.holds
+        tighter = check_r_wise_monotone(table, 3, eps * (1 - 1e-12))
+        assert not tighter.holds
+        assert tighter.counterexample["lhs"] < -eps * (1 - 1e-12)
+
     def test_r_out_of_range(self):
         table = random_ksubmodular(Dims(2, 2), atoms=2, seed=0)
         with pytest.raises(InputError):
@@ -331,6 +404,13 @@ class TestCharacterization:
         )
         perturbed.values[7] += 0.5
         assert check_characterization(perturbed).holds
+
+    def test_agreement_when_local_slack_accumulates(self):
+        # both sides miss the same subset pair by 2d > eps
+        table = slack_table()
+        assert not check_k_submodular(table).holds
+        assert check_r_wise_monotone(table, 2).holds
+        assert check_characterization(table).holds
 
     def test_requires_k_at_least_2(self):
         with pytest.raises(InputError):
