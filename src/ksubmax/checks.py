@@ -29,6 +29,7 @@ from .core import (
     PreconditionError,
     ValueOracle,
     assignment_of,
+    check_eps,
     is_orthant,
 )
 from .zoo import TabularFunction, digit_matrix
@@ -52,19 +53,16 @@ class CheckReport:
         }
 
 
-def _guard(table: TabularFunction, max_pairs: int | None) -> None:
-    """Refuse anything but a nonnegative table, and (for the checkers that
-    scan assignment pairs) a table with more than ``max_pairs`` pairs."""
+def _guard(table: TabularFunction, eps: float) -> Dims:
+    """Refuse anything but a nonnegative table and a finite eps >= 0;
+    return the table's dims, so a pair checker can cap the pairs it scans."""
     if not isinstance(table, TabularFunction):
         raise InputError("checkers operate on tabulated functions")
-    size = table.values.size
-    if max_pairs is not None and size * size > max_pairs:
-        raise InputError(
-            f"{size * size} assignment pairs exceed the cap of {max_pairs}"
-        )
-    if size and float(table.values.min()) < 0.0:
+    check_eps(eps)
+    if table.values.size and float(table.values.min()) < 0.0:
         bad = int(np.argmin(table.values))
         raise OracleRangeError(f"negative table entry at index {bad}")
+    return table.dims
 
 
 def _index(labels: np.ndarray, k: int) -> np.ndarray:
@@ -136,7 +134,8 @@ def check_k_submodular(
     Pairs are enumerated lexicographically by (index(s), index(t)); the
     smallest violating pair is reported.
     """
-    _guard(table, max_pairs)
+    dims = _guard(table, eps)
+    dims.check_cap("k-submodularity check", max_pairs, (dims.k + 1) ** 2, "pairs")
     inequality = "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"
     evals = 4 * table.values.size * table.values.size
     return _pair_scan(table, "k_submodular", inequality, False, eps, evals)
@@ -160,8 +159,10 @@ def check_orthant_submodular(
     has A < B incomparable, and only such pairs are scanned: in steps of
     about _BLOCK, several whole orthants or rows A of one orthant.
     """
-    _guard(table, max_pairs)
-    n, k = table.dims.n, table.dims.k
+    dims = _guard(table, eps)
+    # k^n orthants times 4^n subset-mask pairs (A, B)
+    dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")
+    n, k = dims.n, dims.k
     masks = np.arange(2**n, dtype=np.int64)
     member = (masks[:, None, None] >> np.arange(n)) & 1
     orthants = digit_matrix(n, k - 1) + 1  # in index order
@@ -250,8 +251,7 @@ def check_r_wise_monotone(
     """
     if not 1 <= r <= table.dims.k:
         raise InputError(f"r must be in [1, k={table.dims.k}], got {r}")
-    _guard(table, None)
-    dims = table.dims
+    dims = _guard(table, eps)
     values = table.values
     digits = digit_matrix(dims.n, dims.k)
     labels = np.arange(1, dims.k + 1)
@@ -326,7 +326,8 @@ def check_orthant_pair_inequality(
     fail it.  Pairs are enumerated lexicographically by (index(s),
     index(t)); the smallest violating pair is reported.
     """
-    _guard(table, max_pairs)
+    dims = _guard(table, eps)
+    dims.check_cap("orthant-pair check", max_pairs, dims.k**2, "pairs")
     inequality = "f(s) + f(t) >= 2 f(id0(s,t))"
     evals = 3 * table.dims.num_orthants * table.dims.num_orthants
     return _pair_scan(table, "orthant_pair_inequality", inequality, True, eps, evals)

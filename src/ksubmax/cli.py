@@ -8,9 +8,11 @@ write a JSON report with a CSV twin).
 Exit codes: 0 when the property holds / all bounds are satisfied, 1 on a
 property or bound violation, 2 on input or usage errors and on results
 that are not finite.  stdout carries exactly one JSON document per
-invocation; diagnostics go to stderr.  The
-environment variable ``KSUB_MAX_STATES`` overrides the default enumeration
-cap; an explicit ``--max-states`` flag wins over both.
+invocation; diagnostics go to stderr.  Each flag is checked by its argparse
+type, so a bad value exits 2 through argparse's usage message, which names
+the flag; command bodies only dispatch.  The environment variable
+``KSUB_MAX_STATES`` overrides the default enumeration cap; an explicit
+``--max-states`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
 from pathlib import Path
+from typing import Iterator
 
 from .checks import (
     check_characterization,
@@ -62,14 +66,58 @@ from .zoo import (
 )
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for caps: a positive integer."""
-    try:
-        if int(text) >= 1:
-            return int(text)
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{text!r} is not a positive integer")
+def _flag(parse, ok, rule: str):
+    """argparse type: ``parse`` the text and require ``ok`` of the value;
+    either failing exits 2 through argparse's usage, naming the flag."""
+
+    def convert(text: str):
+        try:
+            value = parse(text)
+        except ValueError:
+            pass
+        else:
+            if ok(value):
+                return value
+        raise argparse.ArgumentTypeError(f"{text!r} is not {rule}")
+
+    return convert
+
+
+def _int_range(text: str) -> list:
+    """Parse "2..6", "4", or "2,3,5" into a list of ints."""
+    if ".." in text:
+        lo, hi = text.split("..", 1)
+        return list(range(int(lo), int(hi) + 1))
+    return [int(part) for part in text.split(",")]
+
+
+_CHECKERS = {
+    "ksub": check_k_submodular,
+    "orthant": check_orthant_submodular,
+    "characterization": check_characterization,
+    "orthant-pairs": check_orthant_pair_inequality,
+}
+
+
+def _checker(text: str):
+    """The --property checker, called as checker(table, eps, max_pairs)."""
+    name, _, arity = text.partition(":")
+    if name == "monotone":
+        r = int(arity)
+        return lambda table, eps, max_pairs: check_r_wise_monotone(table, r, eps)
+    return _CHECKERS.get(text)
+
+
+_positive_int = _flag(int, lambda v: v >= 1, "a positive integer")
+_seed = _flag(int, lambda v: v >= 0, "an integer >= 0")
+_eps = _flag(float, lambda v: 0.0 <= v < math.inf, "a finite number >= 0")
+_order = _flag(lambda text: tuple(int(e) for e in text.split(",")), bool,
+               "a comma-separated list of element indices")
+_k_values = _flag(_int_range, lambda ks: ks and min(ks) >= 2,
+                  "a non-empty range of k >= 2")
+_r_values = _flag(_int_range, bool, "a non-empty range")
+_property = _flag(_checker, bool, "one of ksub, orthant, monotone:<r>, "
+                  "characterization, orthant-pairs")
 
 
 def _default_max_states() -> int:
@@ -98,102 +146,36 @@ def _load_instance(path: str):
     return parse_instance(text).build()
 
 
-def _parse_order(text: str | None):
-    if text is None:
-        return None
-    try:
-        return tuple(int(part) for part in text.split(","))
-    except ValueError as exc:
-        raise InputError(f"--order {text!r} is not a comma-separated permutation") from exc
-
-
-def _parse_range(text: str) -> list:
-    """Parse "2..6", "4", or "2,3,5" into a list of ints."""
-    text = text.strip()
-    try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-            return list(range(lo, hi + 1))
-        if "," in text:
-            return [int(part) for part in text.split(",")]
-        return [int(text)]
-    except ValueError as exc:
-        raise InputError(f"cannot parse range {text!r}") from exc
-
-
 def cmd_check(args: argparse.Namespace) -> int:
-    oracle = _load_instance(args.instance)
-    table = tabulate(oracle, max_states=args.max_states)
-    prop = args.property
-    if prop == "ksub":
-        report = check_k_submodular(table, args.eps, args.max_pairs)
-    elif prop == "orthant":
-        report = check_orthant_submodular(table, args.eps, args.max_pairs)
-    elif prop == "characterization":
-        report = check_characterization(table, args.eps, args.max_pairs)
-    elif prop == "orthant-pairs":
-        report = check_orthant_pair_inequality(table, args.eps, args.max_pairs)
-    elif prop.startswith("monotone:"):
-        try:
-            r = int(prop.split(":", 1)[1])
-        except ValueError as exc:
-            raise InputError(f"--property {prop!r}: arity is not an integer") from exc
-        report = check_r_wise_monotone(table, r, args.eps)
-    else:
-        raise InputError(
-            f"--property {prop!r}: expected ksub, orthant, monotone:<r>, "
-            "characterization, or orthant-pairs"
-        )
+    table = tabulate(_load_instance(args.instance), max_states=args.max_states)
+    report = args.property(table, args.eps, args.max_pairs)
     _emit(report.to_json())
     return 0 if report.holds else 1
 
 
 def cmd_maximize(args: argparse.Namespace) -> int:
+    algo, order, eps = args.algo, args.order, args.eps
+    if (args.exact or args.trials > 1) and algo not in ("random", "greedy-rand"):
+        flag = "--exact" if args.exact else "--trials"
+        raise InputError(f"{flag} applies to random and greedy-rand, not {algo!r}")
     oracle = _load_instance(args.instance)
-    order = _parse_order(args.order)
-    algo = args.algo
     if args.exact:
         if algo == "random":
             value = exact_expectation_random_orthant(oracle, max_states=args.max_states)
-        elif algo == "greedy-rand":
-            value = exact_expectation_randomized_greedy(
-                oracle, order, args.eps, max_states=args.max_states
-            )
         else:
-            raise InputError(
-                f"--exact applies to random and greedy-rand, not {algo!r}"
+            value = exact_expectation_randomized_greedy(
+                oracle, order, eps, max_states=args.max_states
             )
-        _emit(
-            {
-                "algorithm": algo,
-                "mode": "exact-expectation",
-                "expectation": value,
-                "evals": oracle.calls,
-            }
-        )
+        _emit({"algorithm": algo, "mode": "exact-expectation",
+               "expectation": value, "evals": oracle.calls})
         return 0
     if args.trials > 1:
-        if algo not in ("random", "greedy-rand"):
-            raise InputError(f"--trials applies to random and greedy-rand, not {algo!r}")
-        mean, stderr = empirical_expectation(
-            oracle,
-            "greedy_rand" if algo == "greedy-rand" else "random",
-            args.trials,
-            args.seed,
-            order,
-            args.eps,
-        )
-        _emit(
-            {
-                "algorithm": algo,
-                "mode": "empirical-expectation",
-                "trials": args.trials,
-                "seed": args.seed,
-                "mean": mean,
-                "stderr": stderr,
-            }
-        )
+        name = "greedy_rand" if algo == "greedy-rand" else "random"
+        mean, stderr = empirical_expectation(oracle, name, args.trials, args.seed,
+                                             order, eps)
+        _emit({"algorithm": algo, "mode": "empirical-expectation",
+               "trials": args.trials, "seed": args.seed, "mean": mean,
+               "stderr": stderr})
         return 0
     if algo == "brute":
         result = brute_force_max(
@@ -202,105 +184,66 @@ def cmd_maximize(args: argparse.Namespace) -> int:
     elif algo == "random":
         result = naive_random_sample(oracle, args.seed)
     elif algo == "greedy-det":
-        result = deterministic_greedy(oracle, order, args.eps)
-    elif algo == "greedy-rand":
-        result = randomized_greedy(oracle, args.seed, order, args.eps)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown algorithm {algo!r}")
+        result = deterministic_greedy(oracle, order, eps)
+    else:
+        result = randomized_greedy(oracle, args.seed, order, eps)
     _emit(result.to_json())
     return 0
 
 
-def _bench_row(
-    instance: str,
-    k: int,
-    r: int | None,
-    algorithm: str,
-    mode: str,
-    value: float,
-    opt: float,
-    bound: float,
-    eps: float,
-    trials: int | None = None,
-    seed: int | None = None,
-) -> dict:
-    ratio = value / opt if opt > 0 else None
-    satisfied = True if ratio is None else ratio >= bound - eps
-    return {
-        "instance": instance,
-        "k": k,
-        "r": r,
-        "algorithm": algorithm,
-        "mode": mode,
-        "value": value,
-        "opt": opt,
-        "ratio": ratio,
-        "bound": bound,
-        "bound_satisfied": satisfied,
-        "trials": trials,
-        "seed": seed,
-    }
-
-
-def _paper_tight_rows(ks: list, rs: list | None, eps: float, max_states: int) -> list:
-    rows = []
-
-    def add(instance, oracle, k, r, algorithm, mode, value, bound):
-        opt = brute_force_max(oracle, max_states=max_states).value
-        rows.append(_bench_row(instance, k, r, algorithm, mode, value, opt, bound, eps))
-
-    for k in ks:
-        if k < 2:
-            raise InputError(f"--k: paper-tight suite needs k >= 2, got {k}")
+def _paper_tight(args: argparse.Namespace) -> Iterator[tuple]:
+    """Per k: the random orthant on an instance where its guarantee is
+    tight, the deterministic greedy on det_greedy_tight(k, r) for each r of
+    --r in [1, k] (default every r), and the randomized greedy on the
+    coverage instance.  Yields (instance, oracle, k, r, seed, runs) with
+    runs a list of (algorithm, mode, value, guarantee)."""
+    for k in args.k:
         if k == 2:
             edge = GraphInstance(2, ((0, 1),), directed=True)
             name, oracle = "layer_layout_edge", make_layer_layout(edge, 2)
         else:
             name, oracle = "indicator", make_indicator(k, 1)
-        value = exact_expectation_random_orthant(oracle, max_states)
-        add(name, oracle, k, None, "random", "exact-expectation",
-            value, random_orthant_guarantee(k))
-        for r in rs if rs is not None else range(1, k + 1):
-            if not 1 <= r <= k:
-                continue
-            oracle = make_det_greedy_tight(k, r)
-            value = deterministic_greedy(oracle, eps=eps).value
-            add("det_greedy_tight", oracle, k, r, "greedy-det", "single-run",
-                value, det_greedy_guarantee(r))
+        value = exact_expectation_random_orthant(oracle, args.max_states)
+        yield name, oracle, k, None, None, [
+            ("random", "exact-expectation", value, random_orthant_guarantee(k))
+        ]
+        for r in args.r or range(1, k + 1):
+            if 1 <= r <= k:
+                oracle = make_det_greedy_tight(k, r)
+                value = deterministic_greedy(oracle, eps=args.eps).value
+                yield "det_greedy_tight", oracle, k, r, None, [
+                    ("greedy-det", "single-run", value, det_greedy_guarantee(r))
+                ]
         oracle = make_coverage_tight(k)
-        value = exact_expectation_randomized_greedy(oracle, eps=eps, max_states=max_states)
-        add("coverage_tight", oracle, k, None, "greedy-rand", "exact-expectation",
-            value, rand_greedy_guarantee_ksub(k))
-    return rows
+        value = exact_expectation_randomized_greedy(
+            oracle, eps=args.eps, max_states=args.max_states
+        )
+        yield "coverage_tight", oracle, k, None, None, [
+            ("greedy-rand", "exact-expectation", value, rand_greedy_guarantee_ksub(k))
+        ]
 
 
-def _random_ksub_rows(
-    ks: list, trials: int, seed: int, eps: float, max_states: int
-) -> list:
-    rows = []
-    for k in ks:
-        if k < 2:
-            raise InputError(f"--k: random-ksub suite needs k >= 2, got {k}")
-        for t in range(trials):
-            table_seed = seed * 1_000_003 + k * 1_009 + t
-            table = random_ksubmodular(Dims(3, k), atoms=6, seed=table_seed)
-            opt = brute_force_max(table, max_states=max_states).value
-            runs = (
-                ("greedy-det", "single-run",
-                 deterministic_greedy(table, eps=eps).value, det_greedy_guarantee(2)),
+def _random_ksub(args: argparse.Namespace) -> Iterator[tuple]:
+    """--trials seeded random k-submodular tables on 3 elements per k, each
+    run by all three algorithms; yields as :func:`_paper_tight` does."""
+    eps, cap = args.eps, args.max_states
+    for k in args.k:
+        for t in range(args.trials):
+            seed = args.seed * 1_000_003 + k * 1_009 + t
+            table = random_ksubmodular(Dims(3, k), atoms=6, seed=seed)
+            yield "random_ksub", table, k, None, seed, [
+                ("greedy-det", "single-run", deterministic_greedy(table, eps=eps).value,
+                 det_greedy_guarantee(2)),
                 ("random", "exact-expectation",
-                 exact_expectation_random_orthant(table, max_states),
+                 exact_expectation_random_orthant(table, cap),
                  random_orthant_guarantee(k)),
                 ("greedy-rand", "exact-expectation",
-                 exact_expectation_randomized_greedy(table, eps=eps,
-                                                     max_states=max_states),
+                 exact_expectation_randomized_greedy(table, eps=eps, max_states=cap),
                  rand_greedy_guarantee_ksub(k)),
-            )
-            for algorithm, mode, value, bound in runs:
-                rows.append(_bench_row("random_ksub", k, None, algorithm, mode,
-                                       value, opt, bound, eps, seed=table_seed))
-    return rows
+            ]
 
+
+_SUITES = {"paper-tight": _paper_tight, "random-ksub": _random_ksub}
 
 _CSV_COLUMNS = (
     "instance", "k", "r", "algorithm", "mode", "value", "opt",
@@ -309,20 +252,20 @@ _CSV_COLUMNS = (
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
-    ks = _parse_range(args.k)
-    if not ks:
-        raise InputError(f"--k {args.k!r} describes an empty range")
-    rs = _parse_range(args.r) if args.r is not None else None
-    if args.suite == "paper-tight":
-        rows = _paper_tight_rows(ks, rs, args.eps, args.max_states)
-    elif args.suite == "random-ksub":
-        rows = _random_ksub_rows(ks, args.trials, args.seed, args.eps, args.max_states)
-    else:  # pragma: no cover - argparse restricts choices
-        raise InputError(f"unknown suite {args.suite!r}")
+    rows = []
+    for instance, oracle, k, r, seed, runs in _SUITES[args.suite](args):
+        opt = brute_force_max(oracle, max_states=args.max_states).value
+        for algorithm, mode, value, bound in runs:
+            ratio = value / opt if opt > 0 else None
+            satisfied = True if ratio is None else ratio >= bound - args.eps
+            # the trials column is kept for the report layout; it is always null
+            cells = (instance, k, r, algorithm, mode, value, opt, ratio, bound,
+                     satisfied, None, seed)
+            rows.append(dict(zip(_CSV_COLUMNS, cells)))
     report = {
         "suite": args.suite,
         "eps": args.eps,
-        "k_values": ks,
+        "k_values": args.k,
         "rows": rows,
         "all_bounds_satisfied": all(row["bound_satisfied"] for row in rows),
     }
@@ -352,18 +295,18 @@ def cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eps", type=float, default=EPS,
-                        help="comparison tolerance (default 1e-9)")
+    parser.add_argument("--eps", type=_eps, default=EPS,
+                        help="comparison tolerance, finite and >= 0 (default 1e-9)")
     parser.add_argument("--max-states", type=_positive_int, default=None,
                         help="cap on enumerated assignments (default 10^6, "
                         "or KSUB_MAX_STATES)")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--trials", type=int, default=1,
+    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
+    parser.add_argument("--trials", type=_positive_int, default=1,
                         help="number of seeded runs for empirical expectations")
-    parser.add_argument("--order", default=None,
+    parser.add_argument("--order", type=_order, default=None,
                         help="element order as a comma-separated permutation")
 
 
@@ -376,11 +319,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_check = sub.add_parser("check", help="run a property verifier on an instance")
     p_check.add_argument("instance", help="path to an instance JSON file")
-    p_check.add_argument("--property", required=True,
+    p_check.add_argument("--property", required=True, type=_property,
                          help="ksub | orthant | monotone:<r> | characterization"
                          " | orthant-pairs")
     p_check.add_argument("--max-pairs", type=_positive_int, default=DEFAULT_MAX_PAIRS,
-                         help="cap on enumerated assignment pairs (default 10^8)")
+                         help="cap on the pairs a checker scans (default 10^8)")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 
@@ -397,14 +340,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_max.set_defaults(func=cmd_maximize)
 
     p_bench = sub.add_parser("bench", help="run a benchmark suite, write a report")
-    p_bench.add_argument("--suite", required=True, choices=["paper-tight", "random-ksub"])
-    p_bench.add_argument("--k", required=True,
-                         help="k values, e.g. 2..6 or 3 or 2,4,6")
-    p_bench.add_argument("--r", default=None,
+    p_bench.add_argument("--suite", required=True, choices=_SUITES)
+    p_bench.add_argument("--k", required=True, type=_k_values,
+                         help="k values >= 2, e.g. 2..6 or 3 or 2,4,6")
+    p_bench.add_argument("--r", type=_r_values, default=None,
                          help="restrict the tight greedy family to these arities")
-    p_bench.add_argument("--trials", type=int, default=100,
+    p_bench.add_argument("--trials", type=_positive_int, default=100,
                          help="random tables per k for the random-ksub suite")
-    p_bench.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    p_bench.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
     p_bench.add_argument("--out", required=True, help="report path (.json; CSV twin "
                          "written alongside)")
     _add_common(p_bench)

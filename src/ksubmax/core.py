@@ -12,6 +12,7 @@ audited.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,20 +45,16 @@ class OracleRangeError(ValueError):
 
 @dataclass(frozen=True)
 class Dims:
-    """Problem dimensions: ground-set size n, number of parts k, and an
-    optional declared monotonicity arity r for instances that carry one."""
+    """Problem dimensions: ground-set size n and number of parts k."""
 
     n: int
     k: int
-    r: int | None = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise InputError(f"n: must be >= 1, got {self.n}")
         if self.k < 1:
             raise InputError(f"k: must be >= 1, got {self.k}")
-        if self.r is not None and not 1 <= self.r <= self.k:
-            raise InputError(f"r: must be in [1, k={self.k}], got {self.r}")
 
     @property
     def num_assignments(self) -> int:
@@ -67,16 +64,22 @@ class Dims:
     def num_orthants(self) -> int:
         return self.k**self.n
 
-    def check_cap(self, what: str, cap: int, orthants: bool = False) -> None:
-        """Refuse to enumerate more than ``cap`` assignments (orthants, if
-        asked).  The count is named as a power: (k+1)^n can have more
-        digits than Python will format."""
-        base = self.k if orthants else self.k + 1
+    def check_cap(
+        self, what: str, cap: int, base: int | None = None, unit: str = "states"
+    ) -> None:
+        """Refuse to enumerate more than ``cap`` of base^n items, by default
+        the (k+1)^n assignments.  The count is named as a power: it can have
+        more digits than Python will format."""
+        base = self.k + 1 if base is None else base
         if base**self.n > cap:
-            raise InputError(f"{what} needs {base}^{self.n} states, cap is {cap}")
+            raise InputError(f"{what} needs {base}^{self.n} {unit}, cap is {cap}")
 
-    def same_shape(self, other: "Dims") -> bool:
-        return self.n == other.n and self.k == other.k
+
+def check_eps(eps: float) -> None:
+    """Refuse a tolerance that is not finite and >= 0: NaN or infinite slack
+    passes every inequality, and negative slack fails equal sides."""
+    if not 0.0 <= eps < math.inf:
+        raise InputError(f"eps: must be finite and >= 0, got {eps}")
 
 
 def _require_same_length(a: Assignment, b: Assignment) -> None:
@@ -282,6 +285,7 @@ def extend_to_orthant(f: ValueOracle, s: Assignment, eps: float = EPS) -> tuple:
     the value (some marginal in any size-r label set is nonnegative, so the
     best one is); that precondition is the caller's responsibility.
     """
+    check_eps(eps)
     cur = tuple(s)
     if is_orthant(cur):
         return cur

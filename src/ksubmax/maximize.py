@@ -27,6 +27,7 @@ from .core import (
     ValueOracle,
     all_assignments,
     all_orthants,
+    check_eps,
     greedy_fill,
     marginal_gains,
     with_label,
@@ -76,7 +77,7 @@ def brute_force_max(
     orthant of equal value always exists).
     """
     dims = f.dims
-    dims.check_cap("brute force", max_states, orthants=over_orthants_only)
+    dims.check_cap("brute force", max_states, dims.k if over_orthants_only else None)
     count = dims.num_orthants if over_orthants_only else dims.num_assignments
     states = all_orthants(dims) if over_orthants_only else all_assignments(dims)
     best_x: tuple | None = None
@@ -103,7 +104,7 @@ def exact_expectation_random_orthant(
     """Mean of f over all k^n orthants: the exact expected value of the
     uniform random draw, computed by enumeration."""
     dims = f.dims
-    dims.check_cap("random-orthant expectation", max_states, orthants=True)
+    dims.check_cap("random-orthant expectation", max_states, dims.k)
     return math.fsum(f(x) for x in all_orthants(dims)) / dims.num_orthants
 
 
@@ -121,6 +122,7 @@ def deterministic_greedy(
     """
     dims = f.dims
     order = _validated_order(order, dims.n)
+    check_eps(eps)
     s = (0,) * dims.n
     s, value, trace = greedy_fill(f, s, f(s), order, eps)
     return MaximizeResult(s, value, 1 + dims.n * dims.k, trace)
@@ -154,6 +156,7 @@ def randomized_greedy(
     """
     dims = f.dims
     order = _validated_order(order, dims.n)
+    check_eps(eps)
     rng = np.random.default_rng(seed)
     s = (0,) * dims.n
     value = f(s)
@@ -194,8 +197,9 @@ def exact_expectation_randomized_greedy(
     deterministically, mirroring the sampler.
     """
     dims = f.dims
-    dims.check_cap("randomized-greedy decision tree", max_states, orthants=True)
+    dims.check_cap("randomized-greedy decision tree", max_states, dims.k)
     order = _validated_order(order, dims.n)
+    check_eps(eps)
     leaves: list[float] = []
 
     def walk(s: tuple, value: float, prob: float, depth: int) -> None:

@@ -135,7 +135,7 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
         raise InputError("directed: layer layout expects a directed graph")
     if k < 2:
         raise InputError(f"k: layer layout needs k >= 2, got {k}")
-    dims = Dims(graph.n_vertices, k, r=k)
+    dims = Dims(graph.n_vertices, k)
     edges, weights = graph.edges, graph.weights
 
     def edge_value(xu: int, xv: int) -> float:
@@ -165,7 +165,9 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
     """
     if k < 2:
         raise InputError(f"k: need k >= 2, got {k}")
-    dims = Dims(2, k, r=r)
+    if not 1 <= r <= k:
+        raise InputError(f"r: must be in [1, k={k}], got {r}")
+    dims = Dims(2, k)
     lo = 1.0 / (r + 1)
     hi = r / (r + 1)
 
@@ -196,7 +198,7 @@ def make_coverage_tight(k: int) -> ValueOracle:
     drops below 1/3 once k >= 21.
     """
     gamma = coverage_gamma(k)
-    dims = Dims(2, k, r=k)
+    dims = Dims(2, k)
 
     def fn(x: tuple) -> float:
         xu, xv = x
@@ -204,9 +206,7 @@ def make_coverage_tight(k: int) -> ValueOracle:
         covers_b = xu >= 2 or xv >= 1
         return (1.0 if covers_a else 0.0) + (gamma if covers_b else 0.0)
 
-    oracle = ValueOracle(dims, fn, name=f"coverage_tight_k{k}")
-    oracle.gamma = gamma
-    return oracle
+    return ValueOracle(dims, fn, name=f"coverage_tight_k{k}")
 
 
 def make_indicator(k: int, target_label: int) -> ValueOracle:
@@ -231,7 +231,7 @@ def sum_combine(
     ws = (1.0,) * len(fs) if weights is None else _weights(weights, len(fs), "terms")
     dims = fs[0].dims
     for i, f in enumerate(fs):
-        if not f.dims.same_shape(dims):
+        if f.dims != dims:
             raise InputError(
                 f"terms[{i}]: dims {f.dims} differ from {dims} (need equal n and k)"
             )
@@ -240,40 +240,33 @@ def sum_combine(
     def fn(x: tuple) -> float:
         return sum((w * f(x) for f, w in terms), 0.0)
 
-    return ValueOracle(Dims(dims.n, dims.k), fn, name="sum")
+    return ValueOracle(dims, fn, name="sum")
 
 
-class EmbeddedBisubmodular(ValueOracle):
-    """k=2 view of a set function g: the assignment encodes a disjoint pair
-    (S, T) via labels 1 and 2, and the value is g(S) + g(U \\ T) - g(U).
+def embed_submodular(g: ValueOracle) -> ValueOracle:
+    """Lift a set-function oracle g (k=1) to the pair world (k=2): the
+    assignment encodes a disjoint pair (S, T) via labels 1 and 2, and the
+    value is g(S) + g(U \\ T) - g(U).
 
     The formula is implemented verbatim; for some nonnegative submodular g
     it goes negative, which surfaces as an :class:`OracleRangeError` at
     tabulation or check time rather than being clamped here.  g(U) is
-    evaluated once at construction; each evaluation then makes exactly two
-    further g-calls.
+    evaluated once, here; each evaluation then makes exactly two further
+    g-calls.
     """
+    if g.dims.k != 1:
+        raise InputError(
+            f"base.k: embedding needs a set-function oracle (k=1), got k={g.dims.k}"
+        )
+    n = g.dims.n
+    ground_value = g((1,) * n)
 
-    def __init__(self, base: ValueOracle) -> None:
-        if base.dims.k != 1:
-            raise InputError(
-                "base.k: embedding needs a set-function oracle (k=1), "
-                f"got k={base.dims.k}"
-            )
-        self.base = base
-        n = base.dims.n
-        self._ground_value = base((1,) * n)
-        super().__init__(Dims(n, 2), self._eval, name=f"embed({base.name})")
-
-    def _eval(self, x: tuple) -> float:
+    def fn(x: tuple) -> float:
         first = tuple(1 if v == 1 else 0 for v in x)
         co_second = tuple(0 if v == 2 else 1 for v in x)
-        return self.base(first) + self.base(co_second) - self._ground_value
+        return g(first) + g(co_second) - ground_value
 
-
-def embed_submodular(g: ValueOracle) -> EmbeddedBisubmodular:
-    """Lift a set-function oracle (k=1) to the pair world (k=2)."""
-    return EmbeddedBisubmodular(g)
+    return ValueOracle(Dims(n, 2), fn, name=f"embed({g.name})")
 
 
 def random_ksubmodular(

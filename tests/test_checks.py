@@ -505,3 +505,18 @@ def test_characterization_memory_stays_bounded():
         timeout=120, check=True,
     )
     assert int(out.stdout) / 1024 < 150
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize(
+    "check",
+    [check_k_submodular, check_orthant_submodular, check_orthant_pair_inequality,
+     check_characterization, lambda table, eps: check_r_wise_monotone(table, 2, eps)],
+    ids=["ksub", "orthant", "orthant-pairs", "characterization", "monotone:2"],
+)
+def test_unusable_eps_rejected(check, eps):
+    # NaN or infinite slack would pass every inequality: under eps=nan the
+    # ksub check reported `holds` on this violating table
+    table = random_table(Dims(3, 3), seed=5)
+    with pytest.raises(InputError, match="eps"):
+        check(table, eps)

@@ -59,8 +59,10 @@ class TestCheckCommand:
 
     def test_bad_property_flag(self, tmp_path, capsys):
         path = write_instance(tmp_path, layer_layout_doc(3))
-        assert run(capsys, ["check", path, "--property", "nope"])[0] == 2
-        assert run(capsys, ["check", path, "--property", "monotone:x"])[0] == 2
+        for prop in ("nope", "monotone:x"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["check", path, "--property", prop])
+            assert excinfo.value.code == 2
 
     def test_invalid_instance_exit_2(self, tmp_path, capsys):
         path = write_instance(
@@ -100,6 +102,21 @@ class TestCheckCommand:
         assert code == 2
         assert captured.out == ""
         assert field in captured.err
+
+    def test_pair_cap_counts_the_pairs_each_check_scans(self, tmp_path, capsys):
+        # n=7, k=3: orthant-pairs scans 9^7 (about 4.8e6) orthant pairs and
+        # runs; ksub scans 16^7 (about 2.7e8) assignment pairs, past 1e8
+        path = write_instance(tmp_path, {
+            "kind": "layer_layout", "n": 7, "k": 3, "directed": True,
+            "edges": [[e, e + 1] for e in range(6)]})
+        code, out = run(capsys, ["check", path, "--property", "orthant-pairs"])
+        assert code == 1
+        assert json.loads(out)["holds"] is False
+        code = main(["check", path, "--property", "ksub"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "16^7 pairs" in captured.err
 
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, ["check", "/no/such/file.json",
@@ -223,12 +240,11 @@ class TestBenchCommand:
         assert a.read_bytes() == b.read_bytes()
 
     def test_empty_k_range_exit_2(self, tmp_path, capsys):
-        code, _ = run(capsys, ["bench", "--suite", "paper-tight",
-                               "--k", "6..2", "--out", str(tmp_path / "r.json")])
-        assert code == 2
-        code, _ = run(capsys, ["bench", "--suite", "paper-tight",
-                               "--k", "1", "--out", str(tmp_path / "r.json")])
-        assert code == 2
+        for ks in ("6..2", "1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", "--suite", "paper-tight",
+                      "--k", ks, "--out", str(tmp_path / "r.json")])
+            assert excinfo.value.code == 2
 
     def test_r_restriction(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
@@ -281,3 +297,30 @@ class TestEnvironment:
         with pytest.raises(SystemExit) as excinfo:
             main(["maximize", "--algo", "warp"])
         assert excinfo.value.code == 2
+
+
+BAD_RUN_FLAGS = [("--eps", "nan"), ("--eps", "inf"), ("--eps", "-1"),
+                 ("--seed", "-1"), ("--trials", "0"), ("--trials", "-4")]
+
+
+@pytest.mark.parametrize(
+    "command,flag,value",
+    [(command, flag, value) for command in ("maximize", "bench")
+     for flag, value in BAD_RUN_FLAGS]
+    + [("check", "--eps", value) for value in ("nan", "inf", "-1")],
+)
+def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
+    path = write_instance(tmp_path, layer_layout_doc(3))
+    report = tmp_path / "report.json"
+    argv = {
+        "check": ["check", path, "--property", "ksub"],
+        "maximize": ["maximize", path, "--algo", "greedy-rand"],
+        "bench": ["bench", "--suite", "random-ksub", "--k", "2", "--out", str(report)],
+    }[command]
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv + [flag, value])
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 2
+    assert captured.out == ""
+    assert f"argument {flag}:" in captured.err
+    assert not report.exists()

@@ -119,9 +119,6 @@ class TestIndexing:
             Dims(0, 2)
         with pytest.raises(InputError):
             Dims(2, 0)
-        with pytest.raises(InputError):
-            Dims(2, 2, r=3)
-        assert Dims(2, 3, r=2).num_assignments == 16
 
 
 class TestValueOracle:

@@ -18,6 +18,7 @@ from ksubmax import (
     empirical_expectation,
     exact_expectation_random_orthant,
     exact_expectation_randomized_greedy,
+    extend_to_orthant,
     is_orthant,
     make_coverage_tight,
     make_det_greedy_tight,
@@ -322,3 +323,19 @@ def test_maximize_result_json():
     assert doc["trace"][0]["chosen"] == 1
     plain = brute_force_max(make_det_greedy_tight(2, 1))
     assert json.loads(json.dumps(plain.to_json()))["trace"] is None
+
+
+@pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9])
+@pytest.mark.parametrize(
+    "run",
+    [lambda f, eps: deterministic_greedy(f, eps=eps),
+     lambda f, eps: randomized_greedy(f, 0, eps=eps),
+     lambda f, eps: exact_expectation_randomized_greedy(f, eps=eps),
+     lambda f, eps: extend_to_orthant(f, (0, 0), eps)],
+    ids=["greedy-det", "greedy-rand", "exact-greedy-rand", "extend-to-orthant"],
+)
+def test_unusable_eps_rejected(run, eps):
+    # under eps=nan no gain is within eps of the best, so the deterministic
+    # greedy fell through to label k and returned (5, 5) instead of (1, 1)
+    with pytest.raises(InputError, match="eps"):
+        run(make_coverage_tight(5), eps)
