@@ -6,13 +6,14 @@ algorithms to their exact expectation), and ``bench`` (run a suite and
 write a JSON report with a CSV twin).
 
 Exit codes: 0 when the property holds / all bounds are satisfied, 1 on a
-property or bound violation, 2 on input or usage errors and on results
-that are not finite.  stdout carries exactly one JSON document per
-invocation; diagnostics go to stderr.  Each flag is checked by its argparse
-type, so a bad value exits 2 through argparse's usage message, which names
-the flag; command bodies only dispatch.  The environment variable
-``KSUB_MAX_STATES`` overrides the default enumeration cap; an explicit
-``--max-states`` flag wins over both.
+property or bound violation, 2 on input or usage errors, on results that
+are not finite and on a stdout closed before the result is written.
+stdout carries exactly one JSON document per invocation; diagnostics go to
+stderr.  Each flag is checked by its argparse type, so a bad value exits 2
+through argparse's usage message, which names the flag; command bodies
+only dispatch, after ``maximize`` refuses any flag its mode would ignore.
+The environment variable ``KSUB_MAX_STATES`` overrides the default
+enumeration cap; an explicit ``--max-states`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -135,7 +136,7 @@ def _emit(doc: dict) -> None:
         text = json.dumps(doc, indent=2, allow_nan=False)
     except ValueError as exc:
         raise OracleRangeError(f"result holds a non-finite number: {exc}") from exc
-    print(text)
+    print(text, flush=True)  # a closed stdout raises here, inside main
 
 
 def _load_instance(path: str):
@@ -153,11 +154,31 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.holds else 1
 
 
+def _refuse_ignored_flags(args: argparse.Namespace) -> None:
+    """Refuse a maximize flag that the chosen mode would ignore, naming it
+    and the flag that rules it out."""
+    algo = f"--algo {args.algo}"
+    randomized = args.algo in ("random", "greedy-rand")
+    seeded = args.seed is not None
+    rules = (
+        ("--exact", algo, args.exact and not randomized),
+        ("--trials", algo, args.trials is not None and not randomized),
+        ("--trials", "--exact", args.trials is not None and args.exact),
+        ("--seed", algo, seeded and not randomized),
+        ("--seed", "--exact", seeded and args.exact),
+        ("--orthants-only", algo, args.orthants_only and args.algo != "brute"),
+        ("--order", algo, args.order is not None and args.algo in ("brute", "random")),
+    )
+    for flag, rival, ignored in rules:
+        if ignored:
+            raise InputError(f"{flag} does not apply to {rival}")
+
+
 def cmd_maximize(args: argparse.Namespace) -> int:
     algo, order, eps = args.algo, args.order, args.eps
-    if (args.exact or args.trials > 1) and algo not in ("random", "greedy-rand"):
-        flag = "--exact" if args.exact else "--trials"
-        raise InputError(f"{flag} applies to random and greedy-rand, not {algo!r}")
+    _refuse_ignored_flags(args)
+    seed = 0 if args.seed is None else args.seed
+    trials = 1 if args.trials is None else args.trials
     oracle = _load_instance(args.instance)
     if args.exact:
         if algo == "random":
@@ -169,24 +190,22 @@ def cmd_maximize(args: argparse.Namespace) -> int:
         _emit({"algorithm": algo, "mode": "exact-expectation",
                "expectation": value, "evals": oracle.calls})
         return 0
-    if args.trials > 1:
+    if trials > 1:
         name = "greedy_rand" if algo == "greedy-rand" else "random"
-        mean, stderr = empirical_expectation(oracle, name, args.trials, args.seed,
-                                             order, eps)
+        mean, stderr = empirical_expectation(oracle, name, trials, seed, order, eps)
         _emit({"algorithm": algo, "mode": "empirical-expectation",
-               "trials": args.trials, "seed": args.seed, "mean": mean,
-               "stderr": stderr})
+               "trials": trials, "seed": seed, "mean": mean, "stderr": stderr})
         return 0
     if algo == "brute":
         result = brute_force_max(
             oracle, over_orthants_only=args.orthants_only, max_states=args.max_states
         )
     elif algo == "random":
-        result = naive_random_sample(oracle, args.seed)
+        result = naive_random_sample(oracle, seed)
     elif algo == "greedy-det":
         result = deterministic_greedy(oracle, order, eps)
     else:
-        result = randomized_greedy(oracle, args.seed, order, eps)
+        result = randomized_greedy(oracle, seed, order, eps)
     _emit(result.to_json())
     return 0
 
@@ -303,8 +322,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed, default=0, help="RNG seed (default 0)")
-    parser.add_argument("--trials", type=_positive_int, default=1,
+    parser.add_argument("--seed", type=_seed, default=None, help="RNG seed (default 0)")
+    parser.add_argument("--trials", type=_positive_int, default=None,
                         help="number of seeded runs for empirical expectations")
     parser.add_argument("--order", type=_order, default=None,
                         help="element order as a comma-separated permutation")
@@ -364,6 +383,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except (InputError, PreconditionError, OracleRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # point stdout at devnull so the interpreter's final flush stays quiet
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the result was written", file=sys.stderr)
         return 2
 
 

@@ -6,7 +6,8 @@ of the partition.  A vector with no zero entry is an *orthant* (a partition
 of the whole ground set).  Everything downstream (function families,
 property checkers, maximizers) consumes this one representation through
 :class:`ValueOracle`, which counts evaluations so query complexity can be
-audited.
+audited.  Enumerations name assignments by their mixed-radix index and
+evaluate whole index vectors at once through :meth:`ValueOracle.eval_indices`.
 """
 
 from __future__ import annotations
@@ -15,6 +16,8 @@ import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
+
+import numpy as np
 
 #: Default tolerance for float comparisons.  Inequality ``A >= B`` is taken
 #: to hold when ``A >= B - EPS``.
@@ -26,6 +29,10 @@ DEFAULT_MAX_STATES = 10**6
 
 #: Default cap on the number of enumerated assignment pairs (checkers).
 DEFAULT_MAX_PAIRS = 10**8
+
+#: Indices per block in :meth:`ValueOracle.eval_indices`; bounds the label
+#: matrix a batched oracle sees at 2^14 rows.
+EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
 
@@ -158,6 +165,30 @@ def assignment_of(idx: int, dims: Dims) -> tuple:
     return tuple(labels)
 
 
+def digits_of(idx: np.ndarray, n: int, k: int) -> np.ndarray:
+    """len(idx) x n int64 matrix whose row j holds the n labels in
+    {0, ..., k} of assignment idx[j], element 0 in column 0: the array form
+    of :func:`assignment_of`."""
+    rest = np.array(idx, dtype=np.int64)
+    digits = np.empty((rest.size, n), dtype=np.int64)
+    for e in range(n):
+        np.divmod(rest, k + 1, out=(rest, digits[:, e]))
+    return digits
+
+
+def _checked_indices(idx, dims: Dims) -> np.ndarray:
+    """``idx`` as a 1-D int64 array of assignment indices in [0, (k+1)^n)."""
+    idx = np.asarray(idx)
+    if idx.ndim != 1 or (idx.size and idx.dtype.kind not in "iu"):
+        raise InputError(
+            f"indices: need a 1-D integer array, got {idx.dtype} of shape {idx.shape}"
+        )
+    idx = idx.astype(np.int64, copy=False)
+    if idx.size and not (0 <= int(idx.min()) and int(idx.max()) < dims.num_assignments):
+        raise InputError(f"indices: must lie in [0, {dims.k + 1}^{dims.n})")
+    return idx
+
+
 def all_assignments(dims: Dims) -> Iterator[tuple]:
     """All (k+1)^n assignments in increasing index order."""
     for combo in itertools.product(range(dims.k + 1), repeat=dims.n):
@@ -175,10 +206,15 @@ class ValueOracle:
 
     Wraps a deterministic map from assignments to nonnegative reals.  The
     ``calls`` counter is the only mutable state; it increases by one per
-    evaluation.  Nonnegativity is a contract, not enforced here: consumers
-    that materialize or verify values raise :class:`OracleRangeError` when
-    they meet a negative one.  For parallel use, give each worker its own
-    oracle instance; the counter is not synchronized.
+    evaluation, whether one assignment is evaluated through ``__call__`` or
+    many through :meth:`eval_indices`.  ``batch``, when given, is the same
+    map on a matrix of label rows (one assignment per row, as built by
+    :func:`digits_of`) returning one value per row; without it
+    :meth:`eval_indices` calls ``fn`` once per index.  Nonnegativity is a
+    contract, not enforced here: consumers that materialize or verify values
+    raise :class:`OracleRangeError` when they meet a negative one.  For
+    parallel use, give each worker its own oracle instance; the counter is
+    not synchronized.
     """
 
     def __init__(
@@ -186,11 +222,13 @@ class ValueOracle:
         dims: Dims,
         fn: Callable[[tuple], float],
         name: str = "f",
+        batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
         self.dims = dims
         self.name = name
         self.calls = 0
         self._fn = fn
+        self._batch = batch
 
     def __call__(self, x: Assignment) -> float:
         n, k = self.dims.n, self.dims.k
@@ -201,6 +239,26 @@ class ValueOracle:
                 raise InputError(f"label {v} out of range [0, k={k}]")
         self.calls += 1
         return self._fn(tuple(x))
+
+    def eval_indices(self, idx) -> np.ndarray:
+        """Values at the assignments with mixed-radix indices ``idx``, in the
+        order given (repeats allowed), as a float array.  Counts one call per
+        index and evaluates in blocks of :data:`EVAL_BLOCK` indices."""
+        idx = _checked_indices(idx, self.dims)
+        n, k = self.dims.n, self.dims.k
+        values = np.empty(idx.size)
+        for lo in range(0, idx.size, EVAL_BLOCK):
+            block = idx[lo : lo + EVAL_BLOCK]
+            values[lo : lo + block.size] = self._eval_rows(digits_of(block, n, k))
+        return values
+
+    def _eval_rows(self, digits: np.ndarray) -> np.ndarray:
+        """Values at the label rows of ``digits``, counting one call per row;
+        the batched form when there is one, else ``fn`` row by row."""
+        self.calls += len(digits)
+        if self._batch is not None:
+            return np.asarray(self._batch(digits), dtype=float)
+        return np.array([self._fn(x) for x in map(tuple, digits.tolist())], dtype=float)
 
     def __repr__(self) -> str:
         d = self.dims

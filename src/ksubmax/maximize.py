@@ -22,11 +22,12 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_STATES,
     EPS,
+    Dims,
     GreedyTrace,
     InputError,
+    OracleRangeError,
     ValueOracle,
-    all_assignments,
-    all_orthants,
+    assignment_of,
     check_eps,
     greedy_fill,
     marginal_gains,
@@ -62,6 +63,28 @@ def _validated_order(order: Sequence[int] | None, n: int) -> tuple:
     return order
 
 
+def _orthant_indices(dims: Dims) -> np.ndarray:
+    """Indices of the k^n orthants, in increasing order."""
+    base = dims.k + 1
+    idx = np.zeros(1, dtype=np.int64)
+    for e in reversed(range(dims.n)):
+        idx = (idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e).ravel()
+    return idx
+
+
+def _finite_values(f: ValueOracle, idx: np.ndarray) -> np.ndarray:
+    """f at the indices idx; refuses a non-finite value, naming the first."""
+    values = f.eval_indices(idx)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        j = int(bad[0])
+        x = assignment_of(int(idx[j]), f.dims)
+        raise OracleRangeError(
+            f"oracle {f.name} has a non-finite value at {x}: {float(values[j])}"
+        )
+    return values
+
+
 def brute_force_max(
     f: ValueOracle,
     over_orthants_only: bool = False,
@@ -78,16 +101,14 @@ def brute_force_max(
     """
     dims = f.dims
     dims.check_cap("brute force", max_states, dims.k if over_orthants_only else None)
-    count = dims.num_orthants if over_orthants_only else dims.num_assignments
-    states = all_orthants(dims) if over_orthants_only else all_assignments(dims)
-    best_x: tuple | None = None
-    best_v = -math.inf
-    for x in states:
-        v = f(x)
-        if v > best_v:
-            best_x, best_v = x, v
-    assert best_x is not None
-    return MaximizeResult(best_x, best_v, evals=count, trace=None)
+    if over_orthants_only:
+        idx = _orthant_indices(dims)
+    else:
+        idx = np.arange(dims.num_assignments)
+    values = _finite_values(f, idx)
+    best = int(np.argmax(values))  # the first maximum: ties go to the smaller index
+    x = assignment_of(int(idx[best]), dims)
+    return MaximizeResult(x, float(values[best]), evals=idx.size, trace=None)
 
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
@@ -105,7 +126,8 @@ def exact_expectation_random_orthant(
     uniform random draw, computed by enumeration."""
     dims = f.dims
     dims.check_cap("random-orthant expectation", max_states, dims.k)
-    return math.fsum(f(x) for x in all_orthants(dims)) / dims.num_orthants
+    values = _finite_values(f, _orthant_indices(dims))
+    return math.fsum(values.tolist()) / dims.num_orthants
 
 
 def deterministic_greedy(
@@ -189,41 +211,40 @@ def exact_expectation_randomized_greedy(
     eps: float = EPS,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> float:
-    """Exact expected final value of the randomized greedy, by depth-first
-    enumeration of its decision tree with exact branch probabilities.
+    """Exact expected final value of the randomized greedy, by enumerating
+    its decision tree level by level with exact branch probabilities.
 
     Zero-gain labels under a positive normalizer carry probability zero and
     are not branched on; a zero normalizer (beta <= eps) forces label 1
-    deterministically, mirroring the sampler.
+    deterministically, mirroring the sampler.  Each node's gains, normalizer
+    and branch probabilities take the same floating-point steps as
+    :func:`randomized_greedy`, and each internal node costs k evaluations.
     """
     dims = f.dims
     dims.check_cap("randomized-greedy decision tree", max_states, dims.k)
     order = _validated_order(order, dims.n)
     check_eps(eps)
-    leaves: list[float] = []
-
-    def walk(s: tuple, value: float, prob: float, depth: int) -> None:
-        if depth == len(order):
-            leaves.append(prob * value)
-            return
-        e = order[depth]
-        raw = marginal_gains(f, s, e, value)
-        clamped, beta = _clamped_gains(raw)
-        if beta > eps:
-            for i, g in enumerate(clamped, start=1):
-                if g > 0.0:
-                    walk(
-                        with_label(s, e, i),
-                        value + raw[i - 1],
-                        prob * (g / beta),
-                        depth + 1,
-                    )
-        else:
-            walk(with_label(s, e, 1), value + raw[0], prob, depth + 1)
-
-    zero = (0,) * dims.n
-    walk(zero, f(zero), 1.0, 0)
-    return math.fsum(leaves)
+    k, base = dims.k, dims.k + 1
+    # the frontier: one entry per tree node at the current depth
+    idx = np.zeros(1, dtype=np.int64)
+    value = _finite_values(f, idx)
+    prob = np.ones(1)
+    for e in order:
+        children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
+        raw = _finite_values(f, children.ravel()).reshape(-1, k) - value[:, None]
+        clamped = np.where(raw > 0.0, raw, 0.0)
+        beta = np.zeros(len(idx))
+        for i in range(k):  # left to right, as the sampler sums
+            beta += clamped[:, i]
+        branching = beta > eps
+        share = np.ones_like(clamped)
+        np.divide(clamped, beta[:, None], out=share, where=branching[:, None])
+        take = (clamped > 0.0) & branching[:, None]
+        take[~branching, 0] = True  # beta <= eps: label 1, probability kept
+        idx = children[take]
+        value = (value[:, None] + raw)[take]
+        prob = (prob[:, None] * share)[take]
+    return math.fsum((prob * value).tolist())
 
 
 def empirical_expectation(

@@ -3,7 +3,8 @@
 Graph objectives (max-k-cut, layered layout), the two-element instances on
 which the greedy guarantees are met with equality, nonnegative combinations,
 the embedding of set functions into the k=2 world, and seeded random
-generators.  Every constructor returns a :class:`~ksubmax.core.ValueOracle`;
+generators.  Every constructor returns a :class:`~ksubmax.core.ValueOracle`
+with both a per-assignment form and a batched form over label-row matrices;
 :func:`tabulate` materializes any oracle into a :class:`TabularFunction` for
 exhaustive checking.
 """
@@ -23,7 +24,9 @@ from .core import (
     InputError,
     OracleRangeError,
     ValueOracle,
-    all_assignments,
+    _checked_indices,
+    assignment_of,
+    digits_of,
     index_of,
 )
 
@@ -31,9 +34,7 @@ from .core import (
 @lru_cache(maxsize=32)
 def digit_matrix(n: int, k: int) -> np.ndarray:
     """(k+1)^n x n matrix whose row i holds the labels of assignment i."""
-    idx = np.arange((k + 1) ** n, dtype=np.int64)
-    pows = (k + 1) ** np.arange(n, dtype=np.int64)
-    return (idx[:, None] // pows[None, :]) % (k + 1)
+    return digits_of(np.arange((k + 1) ** n), n, k)
 
 
 class TabularFunction(ValueOracle):
@@ -57,10 +58,23 @@ class TabularFunction(ValueOracle):
                 f"values[{bad[0]}]: must be finite and >= 0, got {values[bad[0]]}"
             )
         self.values = values
-        super().__init__(dims, self._lookup, name)
+        k = dims.k
+        radix = (k + 1) ** np.arange(dims.n, dtype=np.int64)
 
-    def _lookup(self, x: tuple) -> float:
-        return float(self.values[index_of(x, self.dims.k)])
+        # closures over the array, not methods: a table that referenced
+        # itself would wait for the cycle collector to free its values
+        def lookup(x: tuple) -> float:
+            return float(values[index_of(x, k)])
+
+        def gather(digits: np.ndarray) -> np.ndarray:
+            return values[digits @ radix]
+
+        super().__init__(dims, lookup, name, batch=gather)
+
+    def eval_indices(self, idx) -> np.ndarray:
+        idx = _checked_indices(idx, self.dims)
+        self.calls += idx.size
+        return self.values[idx]
 
 
 def _weights(weights: Sequence[float], count: int, of: str) -> tuple:
@@ -118,7 +132,13 @@ def make_max_k_cut(graph: GraphInstance, k: int) -> ValueOracle:
     def fn(x: tuple) -> float:
         return sum((w for (u, v), w in zip(edges, weights) if x[u] != x[v]), 0.0)
 
-    return ValueOracle(dims, fn, name=f"max_{k}_cut")
+    def batch(digits: np.ndarray) -> np.ndarray:
+        values = np.zeros(len(digits))
+        for (u, v), w in zip(edges, weights):
+            values += np.where(digits[:, u] != digits[:, v], w, 0.0)
+        return values
+
+    return ValueOracle(dims, fn, name=f"max_{k}_cut", batch=batch)
 
 
 def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
@@ -152,7 +172,17 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
             (w * edge_value(x[u], x[v]) for (u, v), w in zip(edges, weights)), 0.0
         )
 
-    return ValueOracle(dims, fn, name=f"layer_layout_{k}")
+    # w * edge_value on every label pair: the batched form gathers the terms
+    pairs = np.array([[edge_value(a, b) for b in range(k + 1)] for a in range(k + 1)])
+    terms = [(u, v, w * pairs) for (u, v), w in zip(edges, weights)]
+
+    def batch(digits: np.ndarray) -> np.ndarray:
+        values = np.zeros(len(digits))
+        for u, v, term in terms:
+            values += term[digits[:, u], digits[:, v]]
+        return values
+
+    return ValueOracle(dims, fn, name=f"layer_layout_{k}", batch=batch)
 
 
 def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
@@ -178,7 +208,11 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
             value += hi
         return value
 
-    return ValueOracle(dims, fn, name=f"det_greedy_tight_k{k}_r{r}")
+    def batch(digits: np.ndarray) -> np.ndarray:
+        xu, xv = digits[:, 0], digits[:, 1]
+        return np.where(xu != 0, lo, 0.0) + np.where((xu != 1) & (xv == 2), hi, 0.0)
+
+    return ValueOracle(dims, fn, name=f"det_greedy_tight_k{k}_r{r}", batch=batch)
 
 
 def coverage_gamma(k: int) -> float:
@@ -206,7 +240,11 @@ def make_coverage_tight(k: int) -> ValueOracle:
         covers_b = xu >= 2 or xv >= 1
         return (1.0 if covers_a else 0.0) + (gamma if covers_b else 0.0)
 
-    return ValueOracle(dims, fn, name=f"coverage_tight_k{k}")
+    def batch(digits: np.ndarray) -> np.ndarray:
+        xu, xv = digits[:, 0], digits[:, 1]
+        return np.where(xu == 1, 1.0, 0.0) + np.where((xu >= 2) | (xv >= 1), gamma, 0.0)
+
+    return ValueOracle(dims, fn, name=f"coverage_tight_k{k}", batch=batch)
 
 
 def make_indicator(k: int, target_label: int) -> ValueOracle:
@@ -219,7 +257,10 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
     def fn(x: tuple) -> float:
         return 1.0 if x[0] == target_label else 0.0
 
-    return ValueOracle(dims, fn, name=f"indicator_k{k}_t{target_label}")
+    def batch(digits: np.ndarray) -> np.ndarray:
+        return np.where(digits[:, 0] == target_label, 1.0, 0.0)
+
+    return ValueOracle(dims, fn, name=f"indicator_k{k}_t{target_label}", batch=batch)
 
 
 def sum_combine(
@@ -240,7 +281,13 @@ def sum_combine(
     def fn(x: tuple) -> float:
         return sum((w * f(x) for f, w in terms), 0.0)
 
-    return ValueOracle(dims, fn, name="sum")
+    def batch(digits: np.ndarray) -> np.ndarray:
+        values = np.zeros(len(digits))
+        for f, w in terms:
+            values += w * f._eval_rows(digits)
+        return values
+
+    return ValueOracle(dims, fn, name="sum", batch=batch)
 
 
 def embed_submodular(g: ValueOracle) -> ValueOracle:
@@ -266,7 +313,12 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
         co_second = tuple(0 if v == 2 else 1 for v in x)
         return g(first) + g(co_second) - ground_value
 
-    return ValueOracle(Dims(n, 2), fn, name=f"embed({g.name})")
+    def batch(digits: np.ndarray) -> np.ndarray:
+        first = (digits == 1).astype(np.int64)
+        co_second = (digits != 2).astype(np.int64)
+        return g._eval_rows(first) + g._eval_rows(co_second) - ground_value
+
+    return ValueOracle(Dims(n, 2), fn, name=f"embed({g.name})", batch=batch)
 
 
 def random_ksubmodular(
@@ -323,14 +375,15 @@ def random_table(
 def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFunction:
     """Materialize an oracle into a table by evaluating every assignment in
     index order.  Idempotent: tables pass through unchanged with no calls.
-    Raises :class:`OracleRangeError` on the first negative value met."""
+    Raises :class:`OracleRangeError` naming the first negative value, else
+    the first non-finite one."""
     if isinstance(f, TabularFunction):
         return f
     f.dims.check_cap("tabulation", max_states)
-    values = np.empty(f.dims.num_assignments)
-    for i, x in enumerate(all_assignments(f.dims)):
-        v = f(x)
-        if v < 0:
-            raise OracleRangeError(f"oracle {f.name} is negative at {x}: {v}")
-        values[i] = v
+    values = f.eval_indices(np.arange(f.dims.num_assignments))
+    negative = np.flatnonzero(values < 0)
+    if negative.size:
+        i = int(negative[0])
+        x, v = assignment_of(i, f.dims), float(values[i])
+        raise OracleRangeError(f"oracle {f.name} is negative at {x}: {v}")
     return TabularFunction(f.dims, values, name=f.name)

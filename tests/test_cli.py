@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,47 @@ class TestMaximizeCommand:
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 3})
         assert run(capsys, ["maximize", path, "--algo", "greedy-det",
                             "--exact"])[0] == 2
+
+    @pytest.mark.parametrize("flags,named", [
+        (["--algo", "greedy-det", "--orthants-only"], ("--orthants-only", "--algo")),
+        (["--algo", "greedy-rand", "--orthants-only"], ("--orthants-only", "--algo")),
+        (["--algo", "brute", "--order", "1,0"], ("--order", "--algo")),
+        (["--algo", "random", "--order", "1,0"], ("--order", "--algo")),
+        (["--algo", "brute", "--seed", "9"], ("--seed", "--algo")),
+        (["--algo", "greedy-det", "--seed", "0"], ("--seed", "--algo")),
+        (["--algo", "random", "--exact", "--seed", "9"], ("--seed", "--exact")),
+        (["--algo", "greedy-rand", "--exact", "--trials", "50"],
+         ("--trials", "--exact")),
+        (["--algo", "random", "--exact", "--trials", "1"], ("--trials", "--exact")),
+        (["--algo", "brute", "--trials", "1"], ("--trials", "--algo")),
+    ])
+    def test_ignored_flag_exit_2(self, tmp_path, capsys, flags, named):
+        path = write_instance(tmp_path, layer_layout_doc(3))
+        code = main(["maximize", path, *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert all(flag in captured.err for flag in named)
+
+    def test_closed_stdout_exit_2(self, tmp_path):
+        path = write_instance(tmp_path, layer_layout_doc(3))
+        src = Path(__file__).resolve().parents[1] / "src"
+        path_var = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        env = {**os.environ, "PYTHONPATH": path_var}
+        read_end, write_end = os.pipe()
+        os.close(read_end)  # closed before the child can write a byte
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "ksubmax.cli", "maximize", path,
+                 "--algo", "random", "--exact"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        err = child.stderr.decode()
+        assert child.returncode == 2, err
+        assert "Traceback" not in err
+        assert err.count("\n") == 1 and err.startswith("error: ")
 
     def test_brute_and_orthants_only(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 3})

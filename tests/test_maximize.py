@@ -3,6 +3,7 @@ independent enumeration references."""
 
 import itertools
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from ksubmax import (
     Dims,
     InputError,
+    OracleRangeError,
     ValueOracle,
     brute_force_max,
     coverage_gamma,
@@ -35,7 +37,7 @@ from ksubmax import (
 )
 
 import oracles
-from factories import single_edge
+from factories import directed_path, single_edge
 
 
 class TestBruteForce:
@@ -257,6 +259,40 @@ class TestExactExpectationRandomizedGreedy:
     def test_cap(self):
         with pytest.raises(InputError):
             exact_expectation_randomized_greedy(make_coverage_tight(9), max_states=8)
+
+    @pytest.mark.parametrize("build,order,calls,value", [
+        (lambda: make_coverage_tight(5), None, 31, "0x1.aaaaaaaaaaaabp-1"),
+        (lambda: make_layer_layout(directed_path(4), 3), (3, 1, 0, 2), 52,
+         "0x1.e38e38e38e38ep+0"),
+        (lambda: random_ksubmodular(Dims(3, 3), atoms=6, seed=2), None, 31,
+         "0x1.f6b1113bb9827p+0"),
+    ])
+    def test_pinned_calls_and_value(self, build, order, calls, value):
+        # k calls per internal node of the decision tree, plus one at the root
+        f = build()
+        assert exact_expectation_randomized_greedy(f, order).hex() == value
+        assert f.calls == calls
+
+
+class TestNonFiniteValues:
+    """The exact enumerations refuse a non-finite oracle value and name the
+    assignment, instead of skipping it or returning nan."""
+
+    def oracle(self, bad):
+        # one point per assigned element: every branch of the greedy tree is live
+        return ValueOracle(Dims(2, 2), lambda x: bad if x == (2, 1) else
+                           float(sum(v != 0 for v in x)))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("run", [
+        brute_force_max,
+        lambda f: brute_force_max(f, over_orthants_only=True),
+        exact_expectation_random_orthant,
+        exact_expectation_randomized_greedy,
+    ])
+    def test_refused_naming_the_assignment(self, run, bad):
+        with pytest.raises(OracleRangeError, match=r"non-finite value at \(2, 1\)"):
+            run(self.oracle(bad))
 
 
 class TestEmpiricalExpectation:

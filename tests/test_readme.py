@@ -1,6 +1,8 @@
-"""The README's command-line examples: every ``ksub`` line parses, and the
-``check`` lines exit with the code annotated next to them (0 when none is)."""
+"""The README's command-line examples: every ``ksub`` line parses, the
+``check`` lines exit with the code annotated next to them (0 when none is),
+and the ``maximize`` lines exit 0 with one JSON document."""
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -31,13 +33,29 @@ def test_every_ksub_example_parses():
         parser.parse_args(argv(line))
 
 
-def test_check_examples_exit_as_annotated(tmp_path, monkeypatch, capsys):
+def write_heredocs(directory):
     heredoc = re.compile(r"^cat > (\S+) <<'EOF'\n(.*?)^EOF$", re.S | re.M)
     for name, body in heredoc.findall("".join(bash_blocks())):
-        (tmp_path / name).write_text(body)
+        (directory / name).write_text(body)
+
+
+def test_check_examples_exit_as_annotated(tmp_path, monkeypatch, capsys):
+    write_heredocs(tmp_path)
     monkeypatch.chdir(tmp_path)
     checks = [line for line in ksub_lines() if line.startswith("ksub check ")]
     assert len(checks) == 3
     for line in checks:
         stated = re.search(r"# exit (\d)", line)
         assert main(argv(line)) == (int(stated.group(1)) if stated else 0), line
+
+
+def test_maximize_examples_print_one_document(tmp_path, monkeypatch, capsys):
+    write_heredocs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    # the 100,000-trial line is left out: it takes seconds, not milliseconds
+    runs = [line for line in ksub_lines()
+            if line.startswith("ksub maximize ") and "--trials" not in line]
+    assert len(runs) == 3
+    for line in runs:
+        assert main(argv(line)) == 0, line
+        assert isinstance(json.loads(capsys.readouterr().out), dict), line

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ksubmax.core
 from ksubmax import (
     Dims,
     GraphInstance,
@@ -14,6 +15,7 @@ from ksubmax import (
     TabularFunction,
     ValueOracle,
     all_assignments,
+    assignment_of,
     check_k_submodular,
     check_orthant_submodular,
     check_r_wise_monotone,
@@ -317,3 +319,73 @@ class TestTabulate:
             TabularFunction(Dims(1, 1), [0.0, 1.0, 2.0])
         with pytest.raises(OracleRangeError):
             TabularFunction(Dims(1, 1), [0.0, -0.5])
+
+
+def _eval_cases():
+    """name -> builder of (oracle, [(sub-oracle, calls it takes per row)])."""
+    cut_graph = GraphInstance(4, ((0, 1), (1, 2), (2, 3), (0, 3)),
+                              weights=(0.3, 1.7, 0.1, 2.9))
+    dag = GraphInstance(4, ((0, 1), (1, 2), (3, 2), (0, 3)), directed=True,
+                        weights=(0.3, 1.7, 0.1, 2.9))
+
+    def nested_sum():
+        layout, cut = make_layer_layout(dag, 3), make_max_k_cut(cut_graph, 3)
+        table = random_table(Dims(4, 3), seed=3)
+        inner = sum_combine([cut, table], weights=(0.25, 3.5))
+        f = sum_combine([layout, inner], weights=(1.0, 0.7))
+        return f, [(layout, 1), (inner, 1), (cut, 1), (table, 1)]
+
+    def embedding():
+        g = random_submodular_table(4, seed=1, cut_only=True)
+        return embed_submodular(g), [(g, 2)]
+
+    return {
+        "max_k_cut": lambda: (make_max_k_cut(cut_graph, 3), []),
+        "layer_layout": lambda: (make_layer_layout(dag, 4), []),
+        "det_greedy_tight": lambda: (make_det_greedy_tight(4, 2), []),
+        "coverage_tight": lambda: (make_coverage_tight(5), []),
+        "indicator": lambda: (make_indicator(4, 2), []),
+        "nested_sum": nested_sum,
+        "embedding": embedding,
+        "table": lambda: (random_ksubmodular(Dims(3, 3), atoms=6, seed=4), []),
+        "fallback": lambda: (
+            ValueOracle(Dims(3, 2), lambda x: 0.1 * x[0] + x[1] * x[2] / 3), []
+        ),
+    }
+
+
+EVAL_CASES = _eval_cases()
+
+
+class TestEvalIndices:
+    @settings(max_examples=80)
+    @given(name=st.sampled_from(sorted(EVAL_CASES)), data=st.data())
+    def test_matches_scalar_calls_and_counts(self, name, data):
+        f, subs = EVAL_CASES[name]()
+        size = f.dims.num_assignments
+        idx = data.draw(st.lists(st.integers(0, size - 1), max_size=3 * size))
+        calls, sub_calls = f.calls, [g.calls for g, _ in subs]
+        got = f.eval_indices(np.array(idx, dtype=np.int64))
+        assert f.calls == calls + len(idx)
+        for (g, per_row), before in zip(subs, sub_calls):
+            assert g.calls == before + per_row * len(idx)
+        want = [f(assignment_of(i, f.dims)) for i in idx]
+        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+
+    @pytest.mark.parametrize("name", sorted(EVAL_CASES))
+    def test_blocks_and_empty_input(self, name, monkeypatch):
+        f, _ = EVAL_CASES[name]()
+        idx = np.arange(f.dims.num_assignments)[::-1]
+        whole = f.eval_indices(idx)
+        monkeypatch.setattr(ksubmax.core, "EVAL_BLOCK", 7)
+        assert np.array_equal(f.eval_indices(idx), whole)
+        calls = f.calls
+        assert f.eval_indices([]).shape == (0,)
+        assert f.calls == calls
+
+    def test_rejects_bad_indices(self):
+        f = make_indicator(3, 1)
+        for bad in ([4], [-1], [0.5], [[0, 1]]):
+            with pytest.raises(InputError):
+                f.eval_indices(np.array(bad))
+        assert f.calls == 0
