@@ -266,7 +266,7 @@ _SUITES = {"paper-tight": _paper_tight, "random-ksub": _random_ksub}
 
 _CSV_COLUMNS = (
     "instance", "k", "r", "algorithm", "mode", "value", "opt",
-    "ratio", "bound", "bound_satisfied", "trials", "seed",
+    "ratio", "bound", "bound_satisfied", "seed",
 )
 
 
@@ -277,9 +277,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for algorithm, mode, value, bound in runs:
             ratio = value / opt if opt > 0 else None
             satisfied = True if ratio is None else ratio >= bound - args.eps
-            # the trials column is kept for the report layout; it is always null
             cells = (instance, k, r, algorithm, mode, value, opt, ratio, bound,
-                     satisfied, None, seed)
+                     satisfied, seed)
             rows.append(dict(zip(_CSV_COLUMNS, cells)))
     report = {
         "suite": args.suite,

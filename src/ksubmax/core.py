@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -30,8 +31,9 @@ DEFAULT_MAX_STATES = 10**6
 #: Default cap on the number of enumerated assignment pairs (checkers).
 DEFAULT_MAX_PAIRS = 10**8
 
-#: Indices per block in :meth:`ValueOracle.eval_indices`; bounds the label
-#: matrix a batched oracle sees at 2^14 rows.
+#: Indices per block in :meth:`ValueOracle.eval_indices` and trials per
+#: chunk in ``maximize.empirical_expectation``; bounds the label matrix a
+#: batched oracle sees at 2^14 rows.
 EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
@@ -87,6 +89,14 @@ def check_eps(eps: float) -> None:
     passes every inequality, and negative slack fails equal sides."""
     if not 0.0 <= eps < math.inf:
         raise InputError(f"eps: must be finite and >= 0, got {eps}")
+
+
+def check_int(name: str, value, least: int) -> None:
+    """Refuse a ``name`` argument that is not an integer >= least; a bool
+    is refused too, although Python counts it as an int."""
+    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    if not (integral and value >= least):
+        raise InputError(f"{name}: must be an integer >= {least}, got {value!r}")
 
 
 def _require_same_length(a: Assignment, b: Assignment) -> None:

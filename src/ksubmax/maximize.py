@@ -22,6 +22,7 @@ import numpy as np
 from .core import (
     DEFAULT_MAX_STATES,
     EPS,
+    EVAL_BLOCK,
     Dims,
     GreedyTrace,
     InputError,
@@ -29,6 +30,7 @@ from .core import (
     ValueOracle,
     assignment_of,
     check_eps,
+    check_int,
     greedy_fill,
     marginal_gains,
     with_label,
@@ -72,17 +74,29 @@ def _orthant_indices(dims: Dims) -> np.ndarray:
     return idx
 
 
-def _finite_values(f: ValueOracle, idx: np.ndarray) -> np.ndarray:
-    """f at the indices idx; refuses a non-finite value, naming the first."""
-    values = f.eval_indices(idx)
+def _finite(f: ValueOracle, values: np.ndarray, assignment) -> np.ndarray:
+    """``values``, unless one is non-finite: then refuse, naming the first
+    through ``assignment(j)``, the assignment of values[j]."""
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         j = int(bad[0])
-        x = assignment_of(int(idx[j]), f.dims)
         raise OracleRangeError(
-            f"oracle {f.name} has a non-finite value at {x}: {float(values[j])}"
+            f"oracle {f.name} has a non-finite value at {assignment(j)}: "
+            f"{float(values[j])}"
         )
     return values
+
+
+def _finite_values(f: ValueOracle, idx: np.ndarray) -> np.ndarray:
+    """f at the indices idx; refuses a non-finite value, naming the first."""
+    return _finite(f, f.eval_indices(idx), lambda j: assignment_of(int(idx[j]), f.dims))
+
+
+def _finite_rows(f: ValueOracle, rows: np.ndarray) -> np.ndarray:
+    """f at the label rows of ``rows``, at most :data:`EVAL_BLOCK` of them;
+    refuses a non-finite value, naming the first.  Rows, unlike indices,
+    name assignments of any (n, k): (k+1)^n need not fit in an int64."""
+    return _finite(f, f._eval_rows(rows), lambda j: tuple(rows[j].tolist()))
 
 
 def brute_force_max(
@@ -114,6 +128,7 @@ def brute_force_max(
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
     """Evaluate one orthant drawn uniformly at random (each element gets an
     independent uniform label in 1..k)."""
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     x = tuple(int(v) for v in rng.integers(1, f.dims.k + 1, size=f.dims.n))
     return MaximizeResult(x, f(x), evals=1, trace=None)
@@ -161,6 +176,16 @@ def _clamped_gains(raw: list) -> tuple:
     return clamped, beta
 
 
+def _clamped_beta(raw: np.ndarray) -> tuple:
+    """:func:`_clamped_gains` on each row of a matrix of gains, with the
+    same float steps: the clamped rows and their normalizers beta."""
+    clamped = np.where(raw > 0.0, raw, 0.0)
+    beta = np.zeros(len(raw))
+    for i in range(raw.shape[1]):  # a loop: sum(axis=1) may add pairwise
+        beta += clamped[:, i]
+    return clamped, beta
+
+
 def randomized_greedy(
     f: ValueOracle,
     seed: int,
@@ -179,6 +204,7 @@ def randomized_greedy(
     dims = f.dims
     order = _validated_order(order, dims.n)
     check_eps(eps)
+    check_int("seed", seed, 0)
     rng = np.random.default_rng(seed)
     s = (0,) * dims.n
     value = f(s)
@@ -232,10 +258,7 @@ def exact_expectation_randomized_greedy(
     for e in order:
         children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
         raw = _finite_values(f, children.ravel()).reshape(-1, k) - value[:, None]
-        clamped = np.where(raw > 0.0, raw, 0.0)
-        beta = np.zeros(len(idx))
-        for i in range(k):  # left to right, as the sampler sums
-            beta += clamped[:, i]
+        clamped, beta = _clamped_beta(raw)
         branching = beta > eps
         share = np.ones_like(clamped)
         np.divide(clamped, beta[:, None], out=share, where=branching[:, None])
@@ -245,6 +268,50 @@ def exact_expectation_randomized_greedy(
         value = (value[:, None] + raw)[take]
         prob = (prob[:, None] * share)[take]
     return math.fsum((prob * value).tolist())
+
+
+def _greedy_values(
+    f: ValueOracle, seeds: list, order: tuple, eps: float
+) -> np.ndarray:
+    """Final values of ``randomized_greedy(f, s, order, eps)`` for each seed
+    s, all runs advancing together one element at a time, with the
+    sampler's float steps, draws and call counts."""
+    m, n, k = len(seeds), f.dims.n, f.dims.k
+    runs = np.arange(m)
+    draws = np.empty((m, n))
+    for t, seed in enumerate(seeds):
+        # a run takes its next draw only on a branching step, so n suffice
+        np.random.default_rng(seed).random(out=draws[t])
+    used = np.zeros(m, dtype=np.int64)  # draws each run has taken
+    labels = np.zeros((m, n), dtype=np.int64)
+    value = _finite_rows(f, labels)  # f(0): each run evaluates it once
+    raw = np.empty((m, k))
+    for e in order:
+        for i in range(k):
+            labels[:, e] = i + 1
+            raw[:, i] = _finite_rows(f, labels) - value
+        clamped, beta = _clamped_beta(raw)
+        branching = beta > eps
+        u = draws[runs, used] * beta
+        used += branching
+        q = np.zeros(m, dtype=np.int64)  # 0: no label hit yet
+        acc = np.zeros(m)
+        for i in range(k):
+            acc += clamped[:, i]
+            q[(q == 0) & (u < acc)] = i + 1
+        q[q == 0] = k
+        q[~branching] = 1
+        labels[:, e] = q
+        value = value + raw[runs, q - 1]
+    return value
+
+
+def _random_values(f: ValueOracle, seeds: list) -> np.ndarray:
+    """Values of ``naive_random_sample(f, s)`` for each seed s."""
+    labels = np.empty((len(seeds), f.dims.n), dtype=np.int64)
+    for t, seed in enumerate(seeds):
+        labels[t] = np.random.default_rng(seed).integers(1, f.dims.k + 1, size=f.dims.n)
+    return _finite_rows(f, labels)
 
 
 def empirical_expectation(
@@ -258,20 +325,31 @@ def empirical_expectation(
     """Sample mean and standard error of an algorithm's value over
     independent runs.
 
-    Trial t runs with seed ``seed ^ t``, so serial and parallel executions
-    agree.  With a single trial the standard error is reported as 0.0.
-    ``algo`` is "random" (uniform orthant) or "greedy_rand".
+    Trial t *is* the single run with seed ``seed ^ t``: its value is bit
+    for bit that of ``randomized_greedy(f, seed ^ t, order, eps)`` or
+    ``naive_random_sample(f, seed ^ t)``, and the oracle is charged the
+    same calls, so any trial can be replayed with its trace.  The trials
+    advance together, in chunks of :data:`EVAL_BLOCK`, through one batched
+    evaluation per label and element; building each trial's generator
+    (~10-20 us) is the remaining per-trial cost.  A non-finite oracle value
+    raises :class:`OracleRangeError` naming the assignment.  With a single
+    trial the standard error is reported as 0.0.  ``algo`` is "random"
+    (uniform orthant) or "greedy_rand".
     """
-    if trials < 1:
-        raise InputError(f"trials must be >= 1, got {trials}")
-    if algo == "random":
-        values = [naive_random_sample(f, seed ^ t).value for t in range(trials)]
-    elif algo == "greedy_rand":
-        values = [
-            randomized_greedy(f, seed ^ t, order, eps).value for t in range(trials)
-        ]
-    else:
+    check_int("trials", trials, 1)
+    check_int("seed", seed, 0)
+    if algo == "greedy_rand":
+        order = _validated_order(order, f.dims.n)
+        check_eps(eps)
+    elif algo != "random":
         raise InputError(f"unknown algorithm {algo!r}; use 'random' or 'greedy_rand'")
+    values = []
+    for lo in range(0, trials, EVAL_BLOCK):
+        seeds = [seed ^ t for t in range(lo, min(lo + EVAL_BLOCK, trials))]
+        if algo == "greedy_rand":
+            values += _greedy_values(f, seeds, order, eps).tolist()
+        else:
+            values += _random_values(f, seeds).tolist()
     mean = math.fsum(values) / trials
     if trials == 1:
         return mean, 0.0

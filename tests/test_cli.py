@@ -273,7 +273,9 @@ class TestBenchCommand:
             assert row["ratio"] == pytest.approx(row["bound"], abs=1e-12)
         csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
         assert len(csv_lines) == len(report["rows"]) + 1
-        assert csv_lines[0].startswith("instance,k,r,algorithm")
+        header = "instance,k,r,algorithm,mode,value,opt,ratio,bound,bound_satisfied,seed"
+        assert csv_lines[0] == header
+        assert all(list(row) == header.split(",") for row in report["rows"])
 
     def test_random_ksub_reproducible(self, tmp_path, capsys):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

@@ -5,13 +5,16 @@ import itertools
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import ksubmax.maximize
 from ksubmax import (
     Dims,
     InputError,
     OracleRangeError,
+    TabularFunction,
     ValueOracle,
     brute_force_max,
     coverage_gamma,
@@ -37,7 +40,7 @@ from ksubmax import (
 )
 
 import oracles
-from factories import directed_path, single_edge
+from factories import EVAL_CASES, directed_path, single_edge
 
 
 class TestBruteForce:
@@ -274,9 +277,17 @@ class TestExactExpectationRandomizedGreedy:
         assert f.calls == calls
 
 
+def empirical_greedy_rand(f):
+    return empirical_expectation(f, "greedy_rand", 50, seed=0)
+
+
+def empirical_random(f):
+    return empirical_expectation(f, "random", 50, seed=0)
+
+
 class TestNonFiniteValues:
-    """The exact enumerations refuse a non-finite oracle value and name the
-    assignment, instead of skipping it or returning nan."""
+    """The exact enumerations and the sampler refuse a non-finite oracle
+    value and name the assignment, instead of skipping it or returning nan."""
 
     def oracle(self, bad):
         # one point per assigned element: every branch of the greedy tree is live
@@ -289,10 +300,20 @@ class TestNonFiniteValues:
         lambda f: brute_force_max(f, over_orthants_only=True),
         exact_expectation_random_orthant,
         exact_expectation_randomized_greedy,
+        empirical_greedy_rand,
+        empirical_random,
     ])
     def test_refused_naming_the_assignment(self, run, bad):
         with pytest.raises(OracleRangeError, match=r"non-finite value at \(2, 1\)"):
             run(self.oracle(bad))
+
+
+#: The sampler's cases: every zoo family, tables, a plain ValueOracle
+#: without a batched form, and a constant oracle (every beta is 0).
+SAMPLER_CASES = {
+    **{name: (lambda build=build: build()[0]) for name, build in EVAL_CASES.items()},
+    "constant": lambda: ValueOracle(Dims(3, 3), lambda x: 4.0),
+}
 
 
 class TestEmpiricalExpectation:
@@ -327,6 +348,86 @@ class TestEmpiricalExpectation:
             empirical_expectation(f, "greedy_rand", trials=0, seed=0)
         with pytest.raises(InputError):
             empirical_expectation(f, "annealing", trials=5, seed=0)
+
+    @pytest.mark.parametrize("bad", [0, -4, 2.5, True, "3", None])
+    def test_trials_must_be_a_positive_int(self, bad):
+        with pytest.raises(InputError, match=r"^trials: "):
+            empirical_expectation(make_coverage_tight(3), "greedy_rand", bad, seed=0)
+
+    @settings(max_examples=60)
+    @given(
+        name=st.sampled_from(sorted(SAMPLER_CASES)),
+        algo=st.sampled_from(["greedy_rand", "random"]),
+        trials=st.integers(1, 40),
+        seed=st.integers(0, 2**40),
+        eps=st.sampled_from([0.0, 1e-9, 0.5]),
+        data=st.data(),
+    )
+    def test_trial_t_is_the_run_with_seed_xor_t(self, name, algo, trials, seed, eps,
+                                                 data):
+        f, runs = SAMPLER_CASES[name](), SAMPLER_CASES[name]()
+        if algo == "greedy_rand":
+            order = data.draw(st.permutations(range(f.dims.n)))
+            got = empirical_expectation(f, algo, trials, seed, order, eps)
+            values = [randomized_greedy(runs, seed ^ t, order, eps).value
+                      for t in range(trials)]
+        else:
+            got = empirical_expectation(f, algo, trials, seed)
+            values = [naive_random_sample(runs, seed ^ t).value for t in range(trials)]
+        mean = math.fsum(values) / trials
+        stderr = 0.0 if trials == 1 else math.sqrt(
+            math.fsum((v - mean) ** 2 for v in values) / (trials - 1) / trials
+        )
+        assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
+        assert f.calls == runs.calls
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("overflow", [False, True],
+                             ids=["draw-on-a-partial-sum", "overflowing-beta"])
+    def test_inverse_cdf_edges_match_the_single_run(self, overflow):
+        # the first seed whose first draw r is above 1/2
+        seed = next(s for s in range(100) if np.random.default_rng(s).random() > 0.5)
+        r = np.random.default_rng(seed).random()
+        # gains 2r and 2 - 2r sum to exactly 2, so u = 2r equals the first
+        # partial sum and the strict u < acc passes on to label 2; gains
+        # 1.5e308 and 1.7e308 make beta and u infinite, so no label is hit
+        # and label k is taken
+        gains = [1.5e308, 1.7e308] if overflow else [2 * r, 2 - 2 * r]
+        f, g = (TabularFunction(Dims(1, 2), [0.0, *gains]) for _ in range(2))
+        run = randomized_greedy(g, seed)
+        assert run.solution == (2,)
+        assert empirical_expectation(f, "greedy_rand", 1, seed) == (run.value, 0.0)
+
+    @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
+    def test_chunks_match_one_pass(self, algo, monkeypatch):
+        f, g = (make_layer_layout(directed_path(4), 3) for _ in range(2))
+        whole = empirical_expectation(f, algo, 50, seed=5)
+        name = "_greedy_values" if algo == "greedy_rand" else "_random_values"
+        real, chunks = getattr(ksubmax.maximize, name), []
+
+        def spy(oracle, seeds, *rest):
+            chunks.append(len(seeds))
+            return real(oracle, seeds, *rest)
+
+        monkeypatch.setattr(ksubmax.maximize, name, spy)
+        monkeypatch.setattr(ksubmax.maximize, "EVAL_BLOCK", 7)
+        chunked = empirical_expectation(g, algo, 50, seed=5)
+        assert chunks == [7] * 7 + [1]
+        assert [v.hex() for v in chunked] == [v.hex() for v in whole]
+        assert g.calls == f.calls
+
+
+@pytest.mark.parametrize("bad", [-1, 1.5, True, "3", None])
+@pytest.mark.parametrize("run", [
+    lambda f, seed: randomized_greedy(f, seed),
+    lambda f, seed: naive_random_sample(f, seed),
+    lambda f, seed: empirical_expectation(f, "greedy_rand", 3, seed),
+    lambda f, seed: empirical_expectation(f, "random", 3, seed),
+], ids=["greedy-rand", "random", "empirical-greedy-rand", "empirical-random"])
+def test_seed_must_be_a_nonnegative_int(run, bad):
+    # -1 was numpy's "expected non-negative integer", 1.5 a TypeError
+    with pytest.raises(InputError, match=r"^seed: "):
+        run(make_coverage_tight(3), bad)
 
 
 class TestGuarantees:
