@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 import ksubmax.maximize
 from ksubmax import (
     Dims,
+    GraphInstance,
     InputError,
     OracleRangeError,
     TabularFunction,
@@ -309,10 +310,14 @@ class TestNonFiniteValues:
 
 
 #: The sampler's cases: every zoo family, tables, a plain ValueOracle
-#: without a batched form, and a constant oracle (every beta is 0).
+#: without a batched form, a constant oracle (every beta is 0), and a cut
+#: on 40 elements, whose 4^40 assignment indices would overflow an int64.
 SAMPLER_CASES = {
     **{name: (lambda build=build: build()[0]) for name, build in EVAL_CASES.items()},
     "constant": lambda: ValueOracle(Dims(3, 3), lambda x: 4.0),
+    "long_path": lambda: make_max_k_cut(
+        GraphInstance(40, tuple((e, e + 1) for e in range(39))), 3
+    ),
 }
 
 
