@@ -31,9 +31,9 @@ DEFAULT_MAX_STATES = 10**6
 #: Default cap on the number of enumerated assignment pairs (checkers).
 DEFAULT_MAX_PAIRS = 10**8
 
-#: Indices per block in :meth:`ValueOracle.eval_indices` and trials per
-#: chunk in ``maximize.empirical_expectation``; bounds the label matrix a
-#: batched oracle sees at 2^14 rows.
+#: Indices per block in :meth:`ValueOracle.eval_indices` and, divided by
+#: k, trials per chunk in ``maximize.empirical_expectation``; bounds the
+#: label matrix a batched oracle sees at 2^14 rows.
 EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
@@ -319,12 +319,6 @@ def smallest_max_label(ys: Sequence[float], eps: float = EPS) -> int:
     return len(ys)  # unreachable; max is always within eps of itself
 
 
-def marginal_gains(f: ValueOracle, s: tuple, e: int, value: float) -> list:
-    """The k gains of assigning labels 1..k to the unassigned element e of
-    s, where ``value`` is f(s).  Makes exactly k oracle calls."""
-    return [f(with_label(s, e, i)) - value for i in range(1, f.dims.k + 1)]
-
-
 def greedy_fill(
     f: ValueOracle, s: tuple, value: float, elements: Iterable[int], eps: float
 ) -> tuple:
@@ -337,7 +331,7 @@ def greedy_fill(
     """
     trace = []
     for e in elements:
-        gains = marginal_gains(f, s, e, value)
+        gains = [f(with_label(s, e, i)) - value for i in range(1, f.dims.k + 1)]
         q = smallest_max_label(gains, eps)
         s = with_label(s, e, q)
         value += gains[q - 1]

@@ -8,7 +8,10 @@ brute-force maximization, the exact expectation of the random-orthant draw,
 and an exact decision-tree expectation for the randomized greedy, so every
 approximation guarantee can be verified at desk scale without sampling
 noise.  All randomness is seeded and reproducible within this
-implementation.
+implementation.  Each randomized algorithm has one sampler, which advances
+any number of seeded runs together over a matrix of label rows: a single
+run is its one-seed case and trial t of :func:`empirical_expectation` is
+row t, so both refuse a non-finite oracle value alike.
 """
 
 from __future__ import annotations
@@ -32,8 +35,6 @@ from .core import (
     check_eps,
     check_int,
     greedy_fill,
-    marginal_gains,
-    with_label,
 )
 
 
@@ -127,11 +128,11 @@ def brute_force_max(
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
     """Evaluate one orthant drawn uniformly at random (each element gets an
-    independent uniform label in 1..k)."""
+    independent uniform label in 1..k); a non-finite value raises
+    :class:`OracleRangeError`."""
     check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    x = tuple(int(v) for v in rng.integers(1, f.dims.k + 1, size=f.dims.n))
-    return MaximizeResult(x, f(x), evals=1, trace=None)
+    labels, values = _random_runs(f, [seed])
+    return MaximizeResult(tuple(labels[0].tolist()), float(values[0]), evals=1)
 
 
 def exact_expectation_random_orthant(
@@ -165,20 +166,10 @@ def deterministic_greedy(
     return MaximizeResult(s, value, 1 + dims.n * dims.k, trace)
 
 
-def _clamped_gains(raw: list) -> tuple:
-    """Gains clamped at zero and their sum beta, the randomized greedy's
-    normalizer.  beta is accumulated left to right, so seeded picks do not
-    depend on the interpreter's float summation."""
-    clamped = [g if g > 0.0 else 0.0 for g in raw]
-    beta = 0.0
-    for g in clamped:
-        beta += g
-    return clamped, beta
-
-
 def _clamped_beta(raw: np.ndarray) -> tuple:
-    """:func:`_clamped_gains` on each row of a matrix of gains, with the
-    same float steps: the clamped rows and their normalizers beta."""
+    """Each row of a matrix of gains clamped at zero, and the row sums beta,
+    the randomized greedy's normalizers.  beta is accumulated left to right,
+    so seeded picks do not depend on how numpy would sum a row."""
     clamped = np.where(raw > 0.0, raw, 0.0)
     beta = np.zeros(len(raw))
     for i in range(raw.shape[1]):  # a loop: sum(axis=1) may add pairwise
@@ -199,36 +190,19 @@ def randomized_greedy(
     set to label 1.  Labels are sampled by inverse CDF over the clamped
     gains in label order from one uniform draw per element, so a run with a
     fixed seed is reproducible and matches the exact decision-tree
-    expectation branch for branch.
+    expectation branch for branch.  This is the one-trial case of the
+    sampler behind :func:`empirical_expectation`; a non-finite oracle value
+    raises :class:`OracleRangeError` naming the assignment.
     """
     dims = f.dims
     order = _validated_order(order, dims.n)
     check_eps(eps)
     check_int("seed", seed, 0)
-    rng = np.random.default_rng(seed)
-    s = (0,) * dims.n
-    value = f(s)
     trace = []
-    for e in order:
-        raw = marginal_gains(f, s, e, value)
-        clamped, beta = _clamped_gains(raw)
-        if beta > eps:
-            u = rng.random() * beta
-            acc = 0.0
-            q = dims.k
-            for i, g in enumerate(clamped, start=1):
-                acc += g
-                if u < acc:
-                    q = i
-                    break
-        else:
-            q = 1
-        s = with_label(s, e, q)
-        value += raw[q - 1]
-        trace.append(
-            GreedyTrace(element=e, marginals=tuple(clamped), beta=beta, chosen=q)
-        )
-    return MaximizeResult(s, value, 1 + dims.n * dims.k, trace)
+    labels, values = _greedy_runs(f, [seed], order, eps, trace)
+    return MaximizeResult(
+        tuple(labels[0].tolist()), float(values[0]), 1 + dims.n * dims.k, trace
+    )
 
 
 def exact_expectation_randomized_greedy(
@@ -242,9 +216,10 @@ def exact_expectation_randomized_greedy(
 
     Zero-gain labels under a positive normalizer carry probability zero and
     are not branched on; a zero normalizer (beta <= eps) forces label 1
-    deterministically, mirroring the sampler.  Each node's gains, normalizer
-    and branch probabilities take the same floating-point steps as
-    :func:`randomized_greedy`, and each internal node costs k evaluations.
+    and an overflowing one (beta = inf) label k deterministically, mirroring
+    the sampler.  Each node's gains, normalizer and branch probabilities take
+    the same floating-point steps as :func:`randomized_greedy`, and each
+    internal node costs k evaluations.
     """
     dims = f.dims
     dims.check_cap("randomized-greedy decision tree", max_states, dims.k)
@@ -260,22 +235,31 @@ def exact_expectation_randomized_greedy(
         raw = _finite_values(f, children.ravel()).reshape(-1, k) - value[:, None]
         clamped, beta = _clamped_beta(raw)
         branching = beta > eps
+        overflow = np.isinf(beta)
+        split = branching & ~overflow
         share = np.ones_like(clamped)
-        np.divide(clamped, beta[:, None], out=share, where=branching[:, None])
-        take = (clamped > 0.0) & branching[:, None]
+        np.divide(clamped, beta[:, None], out=share, where=split[:, None])
+        take = (clamped > 0.0) & split[:, None]
         take[~branching, 0] = True  # beta <= eps: label 1, probability kept
+        take[overflow, -1] = True  # u = r * inf is below no partial sum: label k
         idx = children[take]
         value = (value[:, None] + raw)[take]
         prob = (prob[:, None] * share)[take]
     return math.fsum((prob * value).tolist())
 
 
-def _greedy_values(
-    f: ValueOracle, seeds: list, order: tuple, eps: float
-) -> np.ndarray:
-    """Final values of ``randomized_greedy(f, s, order, eps)`` for each seed
-    s, all runs advancing together one element at a time, with the
-    sampler's float steps, draws and call counts."""
+def _greedy_runs(
+    f: ValueOracle, seeds: list, order: tuple, eps: float, trace: list | None = None
+) -> tuple:
+    """Final label rows and values of the randomized greedy run with each
+    of ``seeds``, all runs advancing together one element at a time; the
+    first run's steps are appended to ``trace`` when one is given.
+
+    Run t draws from ``default_rng(seeds[t])``, one uniform r per branching
+    step (beta > eps), and takes the first label whose running sum of
+    clamped gains exceeds u = r * beta, else label k.  Each run evaluates
+    f(0) once, then at each element the k children of its assignment: one
+    batched call over all runs' children, so len(seeds) * k rows."""
     m, n, k = len(seeds), f.dims.n, f.dims.k
     runs = np.arange(m)
     draws = np.empty((m, n))
@@ -285,11 +269,11 @@ def _greedy_values(
     used = np.zeros(m, dtype=np.int64)  # draws each run has taken
     labels = np.zeros((m, n), dtype=np.int64)
     value = _finite_rows(f, labels)  # f(0): each run evaluates it once
-    raw = np.empty((m, k))
+    child_labels = np.tile(np.arange(1, k + 1), m)
     for e in order:
-        for i in range(k):
-            labels[:, e] = i + 1
-            raw[:, i] = _finite_rows(f, labels) - value
+        children = np.repeat(labels, k, axis=0)
+        children[:, e] = child_labels
+        raw = _finite_rows(f, children).reshape(m, k) - value[:, None]
         clamped, beta = _clamped_beta(raw)
         branching = beta > eps
         u = draws[runs, used] * beta
@@ -303,15 +287,19 @@ def _greedy_values(
         q[~branching] = 1
         labels[:, e] = q
         value = value + raw[runs, q - 1]
-    return value
+        if trace is not None:
+            trace.append(GreedyTrace(e, tuple(clamped[0].tolist()), float(beta[0]),
+                                     int(q[0])))
+    return labels, value
 
 
-def _random_values(f: ValueOracle, seeds: list) -> np.ndarray:
-    """Values of ``naive_random_sample(f, s)`` for each seed s."""
+def _random_runs(f: ValueOracle, seeds: list) -> tuple:
+    """Label rows and values of the uniform random orthant drawn with each
+    of ``seeds``, all scored in one batched call."""
     labels = np.empty((len(seeds), f.dims.n), dtype=np.int64)
     for t, seed in enumerate(seeds):
         labels[t] = np.random.default_rng(seed).integers(1, f.dims.k + 1, size=f.dims.n)
-    return _finite_rows(f, labels)
+    return labels, _finite_rows(f, labels)
 
 
 def empirical_expectation(
@@ -325,16 +313,18 @@ def empirical_expectation(
     """Sample mean and standard error of an algorithm's value over
     independent runs.
 
-    Trial t *is* the single run with seed ``seed ^ t``: its value is bit
-    for bit that of ``randomized_greedy(f, seed ^ t, order, eps)`` or
+    Trial t *is* the single run with seed ``seed ^ t``: both are rows of
+    the same sampler, so its value is bit for bit that of
+    ``randomized_greedy(f, seed ^ t, order, eps)`` or
     ``naive_random_sample(f, seed ^ t)``, and the oracle is charged the
     same calls, so any trial can be replayed with its trace.  The trials
-    advance together, in chunks of :data:`EVAL_BLOCK`, through one batched
-    evaluation per label and element; building each trial's generator
-    (~10-20 us) is the remaining per-trial cost.  A non-finite oracle value
-    raises :class:`OracleRangeError` naming the assignment.  With a single
-    trial the standard error is reported as 0.0.  ``algo`` is "random"
-    (uniform orthant) or "greedy_rand".
+    advance together in chunks of EVAL_BLOCK // k, through one batched
+    evaluation of every trial's k children per element; building each
+    trial's generator (~10-20 us) is the remaining per-trial cost.  A
+    non-finite oracle value, or values whose mean or variance overflows,
+    raises :class:`OracleRangeError`.  With a single trial the standard
+    error is reported as 0.0.  ``algo`` is "random" (uniform orthant) or
+    "greedy_rand".
     """
     check_int("trials", trials, 1)
     check_int("seed", seed, 0)
@@ -343,17 +333,22 @@ def empirical_expectation(
         check_eps(eps)
     elif algo != "random":
         raise InputError(f"unknown algorithm {algo!r}; use 'random' or 'greedy_rand'")
+    chunk = max(1, EVAL_BLOCK // f.dims.k)  # a greedy step evaluates chunk * k rows
     values = []
-    for lo in range(0, trials, EVAL_BLOCK):
-        seeds = [seed ^ t for t in range(lo, min(lo + EVAL_BLOCK, trials))]
+    for lo in range(0, trials, chunk):
+        seeds = [seed ^ t for t in range(lo, min(lo + chunk, trials))]
         if algo == "greedy_rand":
-            values += _greedy_values(f, seeds, order, eps).tolist()
+            values += _greedy_runs(f, seeds, order, eps)[1].tolist()
         else:
-            values += _random_values(f, seeds).tolist()
-    mean = math.fsum(values) / trials
-    if trials == 1:
-        return mean, 0.0
-    var = math.fsum((v - mean) ** 2 for v in values) / (trials - 1)
+            values += _random_runs(f, seeds)[1].tolist()
+    try:
+        mean = math.fsum(values) / trials
+        var = math.fsum((v - mean) ** 2 for v in values) / max(1, trials - 1)
+    except OverflowError as exc:
+        raise OracleRangeError(
+            f"oracle {f.name}: the mean or variance of {trials} trial values "
+            f"overflows a float"
+        ) from exc
     return mean, math.sqrt(var / trials)
 
 

@@ -9,6 +9,8 @@ evidence.
 import itertools
 import math
 
+import numpy as np
+
 
 def sc_min0(a, b):
     if a != b and a != 0 and b != 0:
@@ -138,6 +140,46 @@ def expect_randomized_greedy(f, n, k, order=None, eps=1e-9):
         )
 
     return go((0,) * n, 0)
+
+
+def sample_randomized_greedy(f, n, k, seed, order=None, eps=1e-9):
+    """One seeded run of the randomized greedy, one element and one label at
+    a time.  Per element: the k gains against the running value, clamped at
+    zero and summed left to right into beta; when beta > eps, one draw r
+    from ``default_rng(seed)`` and the first label whose running sum of
+    clamped gains exceeds u = r * beta (label k when none does), otherwise
+    label 1.  Returns the orthant, its value and one (element, clamped
+    gains, beta, label) tuple per step."""
+    rng = np.random.default_rng(seed)
+    s = (0,) * n
+    value = f(s)
+    steps = []
+    for e in range(n) if order is None else order:
+        raw = [f(s[:e] + (i,) + s[e + 1 :]) - value for i in range(1, k + 1)]
+        clamped = [g if g > 0.0 else 0.0 for g in raw]
+        beta = 0.0
+        for g in clamped:
+            beta += g
+        label = 1
+        if beta > eps:
+            u = rng.random() * beta
+            acc, label = 0.0, k
+            for i, g in enumerate(clamped, start=1):
+                acc += g
+                if u < acc:
+                    label = i
+                    break
+        s = s[:e] + (label,) + s[e + 1 :]
+        value += raw[label - 1]
+        steps.append((e, clamped, beta, label))
+    return s, value, steps
+
+
+def sample_random_orthant(f, n, k, seed):
+    """The orthant of labels ``default_rng(seed).integers(1, k + 1, n)`` and
+    its value."""
+    s = tuple(int(v) for v in np.random.default_rng(seed).integers(1, k + 1, size=n))
+    return s, f(s)
 
 
 def violation_margin(f, counterexample):

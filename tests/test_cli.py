@@ -168,6 +168,18 @@ class TestMaximizeCommand:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("algo", ["random", "greedy-rand"])
+    def test_overflowing_trial_mean_exit_2(self, tmp_path, capsys, algo):
+        # every value is finite, but ten of them overflow fsum
+        path = write_instance(tmp_path, {"kind": "tabular", "n": 1, "k": 2,
+                                         "values": [0, 1.5e308, 1.7e308]})
+        code = main(["maximize", path, "--algo", algo, "--trials", "10"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "overflows" in captured.err
+
     def test_exact_with_deterministic_algo_rejected(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 3})
         assert run(capsys, ["maximize", path, "--algo", "greedy-det",

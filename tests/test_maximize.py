@@ -1,6 +1,8 @@
 """Algorithms: worked instances, determinism, traces, and agreement with the
 independent enumeration references."""
 
+import ast
+import hashlib
 import itertools
 import json
 import math
@@ -264,6 +266,16 @@ class TestExactExpectationRandomizedGreedy:
         with pytest.raises(InputError):
             exact_expectation_randomized_greedy(make_coverage_tight(9), max_states=8)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    def test_overflowing_beta_takes_label_k_like_every_run(self):
+        # gains 1.5e308 and 1.7e308 overflow beta to inf, and u = r * inf is
+        # below no partial sum, so every run takes label 2; the tree used to
+        # give both branches probability gain / inf = 0 and return 0.0
+        f = TabularFunction(Dims(1, 2), [0.0, 1.5e308, 1.7e308])
+        runs = {randomized_greedy(f, seed).value for seed in range(20)}
+        assert runs == {1.7e308}
+        assert exact_expectation_randomized_greedy(f) == 1.7e308
+
     @pytest.mark.parametrize("build,order,calls,value", [
         (lambda: make_coverage_tight(5), None, 31, "0x1.aaaaaaaaaaaabp-1"),
         (lambda: make_layer_layout(directed_path(4), 3), (3, 1, 0, 2), 52,
@@ -278,6 +290,18 @@ class TestExactExpectationRandomizedGreedy:
         assert f.calls == calls
 
 
+def single_greedy_rand(f):
+    # some of seeds 0-5 label element 0 with 2, and so evaluate (2, 1)
+    for seed in range(6):
+        randomized_greedy(f, seed)
+
+
+def single_random(f):
+    # seeds 2 and 3 draw (2, 1)
+    for seed in range(6):
+        naive_random_sample(f, seed)
+
+
 def empirical_greedy_rand(f):
     return empirical_expectation(f, "greedy_rand", 50, seed=0)
 
@@ -287,8 +311,9 @@ def empirical_random(f):
 
 
 class TestNonFiniteValues:
-    """The exact enumerations and the sampler refuse a non-finite oracle
-    value and name the assignment, instead of skipping it or returning nan."""
+    """The exact enumerations, the single runs and the sampler refuse a
+    non-finite oracle value and name the assignment, instead of skipping it
+    or returning nan."""
 
     def oracle(self, bad):
         # one point per assigned element: every branch of the greedy tree is live
@@ -301,6 +326,8 @@ class TestNonFiniteValues:
         lambda f: brute_force_max(f, over_orthants_only=True),
         exact_expectation_random_orthant,
         exact_expectation_randomized_greedy,
+        single_greedy_rand,
+        single_random,
         empirical_greedy_rand,
         empirical_random,
     ])
@@ -370,21 +397,30 @@ class TestEmpiricalExpectation:
     )
     def test_trial_t_is_the_run_with_seed_xor_t(self, name, algo, trials, seed, eps,
                                                  data):
-        f, runs = SAMPLER_CASES[name](), SAMPLER_CASES[name]()
+        # the library's trials and single run against the plain-loop reference
+        f, runs, single = (SAMPLER_CASES[name]() for _ in range(3))
+        n, k = f.dims.n, f.dims.k
         if algo == "greedy_rand":
-            order = data.draw(st.permutations(range(f.dims.n)))
+            order = data.draw(st.permutations(range(n)))
             got = empirical_expectation(f, algo, trials, seed, order, eps)
-            values = [randomized_greedy(runs, seed ^ t, order, eps).value
-                      for t in range(trials)]
+            refs = [oracles.sample_randomized_greedy(runs, n, k, seed ^ t, order, eps)
+                    for t in range(trials)]
+            one = randomized_greedy(single, seed, order, eps)
+            steps = [(t.element, list(t.marginals), t.beta, t.chosen) for t in one.trace]
+            assert hexed(steps) == hexed(refs[0][2])
         else:
             got = empirical_expectation(f, algo, trials, seed)
-            values = [naive_random_sample(runs, seed ^ t).value for t in range(trials)]
+            refs = [oracles.sample_random_orthant(runs, n, k, seed ^ t)
+                    for t in range(trials)]
+            one = naive_random_sample(single, seed)
+        assert (one.solution, one.value.hex()) == (refs[0][0], refs[0][1].hex())
+        values = [ref[1] for ref in refs]
         mean = math.fsum(values) / trials
         stderr = 0.0 if trials == 1 else math.sqrt(
             math.fsum((v - mean) ** 2 for v in values) / (trials - 1) / trials
         )
         assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
-        assert f.calls == runs.calls
+        assert f.calls == runs.calls == single.calls * trials == one.evals * trials
 
     @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("overflow", [False, True],
@@ -399,15 +435,23 @@ class TestEmpiricalExpectation:
         # and label k is taken
         gains = [1.5e308, 1.7e308] if overflow else [2 * r, 2 - 2 * r]
         f, g = (TabularFunction(Dims(1, 2), [0.0, *gains]) for _ in range(2))
-        run = randomized_greedy(g, seed)
-        assert run.solution == (2,)
-        assert empirical_expectation(f, "greedy_rand", 1, seed) == (run.value, 0.0)
+        solution, value, _ = oracles.sample_randomized_greedy(g, 1, 2, seed)
+        assert solution == randomized_greedy(g, seed).solution == (2,)
+        assert empirical_expectation(f, "greedy_rand", 1, seed) == (value, 0.0)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
+    def test_overflowing_mean_refused(self, algo):
+        # each value is finite, but ten of them overflow fsum
+        f = TabularFunction(Dims(1, 2), [0.0, 1.5e308, 1.7e308])
+        with pytest.raises(OracleRangeError, match="overflows a float"):
+            empirical_expectation(f, algo, 10, seed=0)
 
     @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
     def test_chunks_match_one_pass(self, algo, monkeypatch):
         f, g = (make_layer_layout(directed_path(4), 3) for _ in range(2))
         whole = empirical_expectation(f, algo, 50, seed=5)
-        name = "_greedy_values" if algo == "greedy_rand" else "_random_values"
+        name = "_greedy_runs" if algo == "greedy_rand" else "_random_runs"
         real, chunks = getattr(ksubmax.maximize, name), []
 
         def spy(oracle, seeds, *rest):
@@ -417,9 +461,66 @@ class TestEmpiricalExpectation:
         monkeypatch.setattr(ksubmax.maximize, name, spy)
         monkeypatch.setattr(ksubmax.maximize, "EVAL_BLOCK", 7)
         chunked = empirical_expectation(g, algo, 50, seed=5)
-        assert chunks == [7] * 7 + [1]
+        assert chunks == [2] * 25  # EVAL_BLOCK // k trials: a step evaluates 6 rows
         assert [v.hex() for v in chunked] == [v.hex() for v in whole]
         assert g.calls == f.calls
+
+
+def hexed(x):
+    """x with every float, inside lists, tuples and dicts too, written by
+    float.hex."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {key: hexed(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [hexed(v) for v in x]
+    return x
+
+
+@pytest.mark.parametrize("build,run,value,calls,digest", [
+    (lambda: make_coverage_tight(5), lambda f: randomized_greedy(f, 3),
+     "0x1.8000000000000p+0", 11,
+     "cfd569be1bfd411eeeb7ac952e5bb25dd716f33223b93f8698d381f6a52c48ef"),
+    (lambda: make_layer_layout(directed_path(4), 3),
+     lambda f: randomized_greedy(f, 3, (3, 1, 0, 2), 0.5),
+     "0x1.0000000000000p+0", 13,
+     "5eee7585a8d23b2356c73b3df0df811fca1f9226e123d27255f0f9b800861288"),
+    (SAMPLER_CASES["long_path"], lambda f: randomized_greedy(f, 2**40 + 3),
+     "0x1.3800000000000p+5", 121,
+     "418b698c405985d323de2903c36b68677931f73b9f64352b281b334bc688f350"),
+    (lambda: make_coverage_tight(5), lambda f: naive_random_sample(f, 3),
+     "0x1.0000000000000p-1", 1,
+     "14ef8b8cc7450da4d553d12db7714d55186c3b32d71edc6d9e01850d9f2abb58"),
+    (lambda: make_layer_layout(directed_path(4), 3),
+     lambda f: naive_random_sample(f, 3),
+     "0x0.0p+0", 1,
+     "e9b5c25978312186658600720e62fb2d2308346d3d26b3b8bf3af0574ef407e2"),
+    (SAMPLER_CASES["long_path"], lambda f: naive_random_sample(f, 2**40 + 3),
+     "0x1.b000000000000p+4", 1,
+     "0ed994a71890ad0116ae95c28a6d3cf9962ad26998a74e0c832f825d3e4e7870"),
+], ids=["greedy-rand-coverage", "greedy-rand-layout-order", "greedy-rand-long-path",
+        "random-coverage", "random-layout", "random-long-path"])
+def test_single_runs_keep_their_recorded_outputs(build, run, value, calls, digest):
+    # recorded from the scalar single runs that the sampler's one-seed case
+    # replaced; the digest is the sha256 of the result's JSON with every
+    # float written by float.hex, so solution, value and trace all count
+    f = build()
+    result = run(f)
+    doc = json.dumps(hexed(result.to_json()), sort_keys=True)
+    assert (result.value.hex(), f.calls) == (value, calls)
+    assert hashlib.sha256(doc.encode()).hexdigest() == digest
+
+
+def test_reference_module_imports_no_library_code():
+    # agreement with tests/oracles.py is evidence only while it shares no code
+    tree = ast.parse(open(oracles.__file__).read())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += ["." * node.level + (node.module or "") for node in ast.walk(tree)
+                if isinstance(node, ast.ImportFrom)]
+    assert "numpy" in modules
+    assert not [m for m in modules if m == "ksubmax" or m.startswith(("ksubmax.", "."))]
 
 
 @pytest.mark.parametrize("bad", [-1, 1.5, True, "3", None])
