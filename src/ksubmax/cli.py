@@ -12,8 +12,6 @@ stdout carries exactly one JSON document per invocation; diagnostics go to
 stderr.  Each flag is checked by its argparse type, so a bad value exits 2
 through argparse's usage message, which names the flag; command bodies
 only dispatch, after ``maximize`` refuses any flag its mode would ignore.
-The environment variable ``KSUB_MAX_STATES`` overrides the default
-enumeration cap; an explicit ``--max-states`` flag wins over both.
 """
 
 from __future__ import annotations
@@ -119,16 +117,6 @@ _k_values = _flag(_int_range, lambda ks: ks and min(ks) >= 2,
 _r_values = _flag(_int_range, bool, "a non-empty range")
 _property = _flag(_checker, bool, "one of ksub, orthant, monotone:<r>, "
                   "characterization, orthant-pairs")
-
-
-def _default_max_states() -> int:
-    env = os.environ.get("KSUB_MAX_STATES")
-    if env is None:
-        return DEFAULT_MAX_STATES
-    try:
-        return _positive_int(env)
-    except argparse.ArgumentTypeError as exc:
-        raise InputError(f"KSUB_MAX_STATES: {exc}") from exc
 
 
 def _emit(doc: dict) -> None:
@@ -315,9 +303,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--eps", type=_eps, default=EPS,
                         help="comparison tolerance, finite and >= 0 (default 1e-9)")
-    parser.add_argument("--max-states", type=_positive_int, default=None,
-                        help="cap on enumerated assignments (default 10^6, "
-                        "or KSUB_MAX_STATES)")
+    parser.add_argument("--max-states", type=_positive_int, default=DEFAULT_MAX_STATES,
+                        help="cap on enumerated assignments (default 10^6)")
 
 
 def _add_run_flags(parser: argparse.ArgumentParser) -> None:
@@ -377,8 +364,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "max_states", None) is None:
-            args.max_states = _default_max_states()
         return args.func(args)
     except (InputError, PreconditionError, OracleRangeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -6,8 +6,9 @@ of the partition.  A vector with no zero entry is an *orthant* (a partition
 of the whole ground set).  Everything downstream (function families,
 property checkers, maximizers) consumes this one representation through
 :class:`ValueOracle`, which counts evaluations so query complexity can be
-audited.  Enumerations name assignments by their mixed-radix index and
-evaluate whole index vectors at once through :meth:`ValueOracle.eval_indices`.
+audited, and refuses every NaN or infinite value.  Enumerations name
+assignments by their mixed-radix index and evaluate whole index vectors at
+once through :meth:`ValueOracle.eval_indices`.
 """
 
 from __future__ import annotations
@@ -220,11 +221,13 @@ class ValueOracle:
     many through :meth:`eval_indices`.  ``batch``, when given, is the same
     map on a matrix of label rows (one assignment per row, as built by
     :func:`digits_of`) returning one value per row; without it
-    :meth:`eval_indices` calls ``fn`` once per index.  Nonnegativity is a
-    contract, not enforced here: consumers that materialize or verify values
-    raise :class:`OracleRangeError` when they meet a negative one.  For
-    parallel use, give each worker its own oracle instance; the counter is
-    not synchronized.
+    :meth:`eval_indices` calls ``fn`` once per index.  This is the one place
+    that refuses NaN and inf: each value returned is checked, and a
+    non-finite one raises :class:`OracleRangeError` naming the assignment.
+    Nonnegativity is a contract, not enforced here: consumers that
+    materialize or verify values raise it when they meet a negative one.
+    For parallel use, give each worker its own oracle instance; the counter
+    is not synchronized.
     """
 
     def __init__(
@@ -247,8 +250,11 @@ class ValueOracle:
         for v in x:
             if not 0 <= v <= k:
                 raise InputError(f"label {v} out of range [0, k={k}]")
-        self.calls += 1
-        return self._fn(tuple(x))
+        x = tuple(x)
+        value = self._unchecked(x)
+        if not math.isfinite(value):
+            raise self._non_finite(x, value)
+        return value
 
     def eval_indices(self, idx) -> np.ndarray:
         """Values at the assignments with mixed-radix indices ``idx``, in the
@@ -263,12 +269,32 @@ class ValueOracle:
         return values
 
     def _eval_rows(self, digits: np.ndarray) -> np.ndarray:
-        """Values at the label rows of ``digits``, counting one call per row;
-        the batched form when there is one, else ``fn`` row by row."""
+        """:meth:`_unchecked_rows`, refusing the first non-finite value.  Rows,
+        unlike indices, name assignments of any (n, k)."""
+        values = self._unchecked_rows(digits)
+        if not np.isfinite(values).all():
+            j = int(np.flatnonzero(~np.isfinite(values))[0])
+            raise self._non_finite(tuple(digits[j].tolist()), values[j])
+        return values
+
+    def _unchecked(self, x: tuple) -> float:
+        """fn at x, counted but unchecked: how a sum or an embedding evaluates
+        its parts, whose combined value the combination's own check covers."""
+        self.calls += 1
+        return self._fn(x)
+
+    def _unchecked_rows(self, digits: np.ndarray) -> np.ndarray:
+        """:meth:`_unchecked` at each label row of ``digits``: the batched form
+        when there is one, else ``fn`` row by row."""
         self.calls += len(digits)
         if self._batch is not None:
             return np.asarray(self._batch(digits), dtype=float)
         return np.array([self._fn(x) for x in map(tuple, digits.tolist())], dtype=float)
+
+    def _non_finite(self, x: tuple, value) -> OracleRangeError:
+        return OracleRangeError(
+            f"oracle {self.name} has a non-finite value at {x}: {float(value)}"
+        )
 
     def __repr__(self) -> str:
         d = self.dims
@@ -279,7 +305,8 @@ class ValueOracle:
 class GreedyTrace:
     """Audit record for one greedy step: the element considered, the k
     marginal values seen, the probability normalizer (randomized variant
-    only, None otherwise), and the chosen label."""
+    only, None otherwise), and the chosen label.  :meth:`to_json` writes an
+    overflowed normalizer (beta = inf, which takes label k) as null."""
 
     element: int
     marginals: tuple
@@ -290,7 +317,7 @@ class GreedyTrace:
         return {
             "element": self.element,
             "marginals": list(self.marginals),
-            "beta": self.beta,
+            "beta": None if self.beta == math.inf else self.beta,
             "chosen": self.chosen,
         }
 

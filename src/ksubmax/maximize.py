@@ -11,7 +11,9 @@ noise.  All randomness is seeded and reproducible within this
 implementation.  Each randomized algorithm has one sampler, which advances
 any number of seeded runs together over a matrix of label rows: a single
 run is its one-seed case and trial t of :func:`empirical_expectation` is
-row t, so both refuse a non-finite oracle value alike.
+row t.  Every value comes from the oracle, which refuses a non-finite one
+with :class:`~ksubmax.core.OracleRangeError`; a sum of finite values that
+overflows a float is refused here.
 """
 
 from __future__ import annotations
@@ -75,29 +77,14 @@ def _orthant_indices(dims: Dims) -> np.ndarray:
     return idx
 
 
-def _finite(f: ValueOracle, values: np.ndarray, assignment) -> np.ndarray:
-    """``values``, unless one is non-finite: then refuse, naming the first
-    through ``assignment(j)``, the assignment of values[j]."""
-    bad = np.flatnonzero(~np.isfinite(values))
-    if bad.size:
-        j = int(bad[0])
+def _fsum(f: ValueOracle, values, what: str) -> float:
+    """math.fsum of ``values``, refusing, as ``what``, a sum that overflows."""
+    try:
+        return math.fsum(values)
+    except OverflowError as exc:
         raise OracleRangeError(
-            f"oracle {f.name} has a non-finite value at {assignment(j)}: "
-            f"{float(values[j])}"
-        )
-    return values
-
-
-def _finite_values(f: ValueOracle, idx: np.ndarray) -> np.ndarray:
-    """f at the indices idx; refuses a non-finite value, naming the first."""
-    return _finite(f, f.eval_indices(idx), lambda j: assignment_of(int(idx[j]), f.dims))
-
-
-def _finite_rows(f: ValueOracle, rows: np.ndarray) -> np.ndarray:
-    """f at the label rows of ``rows``, at most :data:`EVAL_BLOCK` of them;
-    refuses a non-finite value, naming the first.  Rows, unlike indices,
-    name assignments of any (n, k): (k+1)^n need not fit in an int64."""
-    return _finite(f, f._eval_rows(rows), lambda j: tuple(rows[j].tolist()))
+            f"oracle {f.name}: the {what} overflows a float"
+        ) from exc
 
 
 def brute_force_max(
@@ -120,7 +107,7 @@ def brute_force_max(
         idx = _orthant_indices(dims)
     else:
         idx = np.arange(dims.num_assignments)
-    values = _finite_values(f, idx)
+    values = f.eval_indices(idx)
     best = int(np.argmax(values))  # the first maximum: ties go to the smaller index
     x = assignment_of(int(idx[best]), dims)
     return MaximizeResult(x, float(values[best]), evals=idx.size, trace=None)
@@ -128,8 +115,7 @@ def brute_force_max(
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
     """Evaluate one orthant drawn uniformly at random (each element gets an
-    independent uniform label in 1..k); a non-finite value raises
-    :class:`OracleRangeError`."""
+    independent uniform label in 1..k)."""
     check_int("seed", seed, 0)
     labels, values = _random_runs(f, [seed])
     return MaximizeResult(tuple(labels[0].tolist()), float(values[0]), evals=1)
@@ -139,11 +125,12 @@ def exact_expectation_random_orthant(
     f: ValueOracle, max_states: int = DEFAULT_MAX_STATES
 ) -> float:
     """Mean of f over all k^n orthants: the exact expected value of the
-    uniform random draw, computed by enumeration."""
+    uniform random draw, computed by enumeration.  Values whose sum
+    overflows a float raise :class:`OracleRangeError`."""
     dims = f.dims
     dims.check_cap("random-orthant expectation", max_states, dims.k)
-    values = _finite_values(f, _orthant_indices(dims))
-    return math.fsum(values.tolist()) / dims.num_orthants
+    values = f.eval_indices(_orthant_indices(dims)).tolist()
+    return _fsum(f, values, f"sum of {len(values)} orthant values") / dims.num_orthants
 
 
 def deterministic_greedy(
@@ -191,8 +178,7 @@ def randomized_greedy(
     gains in label order from one uniform draw per element, so a run with a
     fixed seed is reproducible and matches the exact decision-tree
     expectation branch for branch.  This is the one-trial case of the
-    sampler behind :func:`empirical_expectation`; a non-finite oracle value
-    raises :class:`OracleRangeError` naming the assignment.
+    sampler behind :func:`empirical_expectation`.
     """
     dims = f.dims
     order = _validated_order(order, dims.n)
@@ -228,23 +214,24 @@ def exact_expectation_randomized_greedy(
     k, base = dims.k, dims.k + 1
     # the frontier: one entry per tree node at the current depth
     idx = np.zeros(1, dtype=np.int64)
-    value = _finite_values(f, idx)
+    value = f.eval_indices(idx)
     prob = np.ones(1)
-    for e in order:
-        children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
-        raw = _finite_values(f, children.ravel()).reshape(-1, k) - value[:, None]
-        clamped, beta = _clamped_beta(raw)
-        branching = beta > eps
-        overflow = np.isinf(beta)
-        split = branching & ~overflow
-        share = np.ones_like(clamped)
-        np.divide(clamped, beta[:, None], out=share, where=split[:, None])
-        take = (clamped > 0.0) & split[:, None]
-        take[~branching, 0] = True  # beta <= eps: label 1, probability kept
-        take[overflow, -1] = True  # u = r * inf is below no partial sum: label k
-        idx = children[take]
-        value = (value[:, None] + raw)[take]
-        prob = (prob[:, None] * share)[take]
+    with np.errstate(over="ignore"):  # beta may overflow to inf: see below
+        for e in order:
+            children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
+            raw = f.eval_indices(children.ravel()).reshape(-1, k) - value[:, None]
+            clamped, beta = _clamped_beta(raw)
+            branching = beta > eps
+            overflow = np.isinf(beta)
+            split = branching & ~overflow
+            share = np.ones_like(clamped)
+            np.divide(clamped, beta[:, None], out=share, where=split[:, None])
+            take = (clamped > 0.0) & split[:, None]
+            take[~branching, 0] = True  # beta <= eps: label 1, probability kept
+            take[overflow, -1] = True  # u = r * inf is below no partial sum: label k
+            idx = children[take]
+            value = (value[:, None] + raw)[take]
+            prob = (prob[:, None] * share)[take]
     return math.fsum((prob * value).tolist())
 
 
@@ -268,28 +255,29 @@ def _greedy_runs(
         np.random.default_rng(seed).random(out=draws[t])
     used = np.zeros(m, dtype=np.int64)  # draws each run has taken
     labels = np.zeros((m, n), dtype=np.int64)
-    value = _finite_rows(f, labels)  # f(0): each run evaluates it once
+    value = f._eval_rows(labels)  # f(0): each run evaluates it once
     child_labels = np.tile(np.arange(1, k + 1), m)
-    for e in order:
-        children = np.repeat(labels, k, axis=0)
-        children[:, e] = child_labels
-        raw = _finite_rows(f, children).reshape(m, k) - value[:, None]
-        clamped, beta = _clamped_beta(raw)
-        branching = beta > eps
-        u = draws[runs, used] * beta
-        used += branching
-        q = np.zeros(m, dtype=np.int64)  # 0: no label hit yet
-        acc = np.zeros(m)
-        for i in range(k):
-            acc += clamped[:, i]
-            q[(q == 0) & (u < acc)] = i + 1
-        q[q == 0] = k
-        q[~branching] = 1
-        labels[:, e] = q
-        value = value + raw[runs, q - 1]
-        if trace is not None:
-            trace.append(GreedyTrace(e, tuple(clamped[0].tolist()), float(beta[0]),
-                                     int(q[0])))
+    with np.errstate(over="ignore"):  # beta and acc may overflow to inf
+        for e in order:
+            children = np.repeat(labels, k, axis=0)
+            children[:, e] = child_labels
+            raw = f._eval_rows(children).reshape(m, k) - value[:, None]
+            clamped, beta = _clamped_beta(raw)
+            branching = beta > eps
+            u = draws[runs, used] * beta
+            used += branching
+            q = np.zeros(m, dtype=np.int64)  # 0: no label hit yet
+            acc = np.zeros(m)
+            for i in range(k):
+                acc += clamped[:, i]
+                q[(q == 0) & (u < acc)] = i + 1
+            q[q == 0] = k
+            q[~branching] = 1
+            labels[:, e] = q
+            value = value + raw[runs, q - 1]
+            if trace is not None:
+                trace.append(GreedyTrace(e, tuple(clamped[0].tolist()),
+                                         float(beta[0]), int(q[0])))
     return labels, value
 
 
@@ -299,7 +287,7 @@ def _random_runs(f: ValueOracle, seeds: list) -> tuple:
     labels = np.empty((len(seeds), f.dims.n), dtype=np.int64)
     for t, seed in enumerate(seeds):
         labels[t] = np.random.default_rng(seed).integers(1, f.dims.k + 1, size=f.dims.n)
-    return labels, _finite_rows(f, labels)
+    return labels, f._eval_rows(labels)
 
 
 def empirical_expectation(
@@ -320,11 +308,10 @@ def empirical_expectation(
     same calls, so any trial can be replayed with its trace.  The trials
     advance together in chunks of EVAL_BLOCK // k, through one batched
     evaluation of every trial's k children per element; building each
-    trial's generator (~10-20 us) is the remaining per-trial cost.  A
-    non-finite oracle value, or values whose mean or variance overflows,
-    raises :class:`OracleRangeError`.  With a single trial the standard
-    error is reported as 0.0.  ``algo`` is "random" (uniform orthant) or
-    "greedy_rand".
+    trial's generator (~10-20 us) is the remaining per-trial cost.  Values
+    whose mean or variance overflows raise :class:`OracleRangeError`.  With
+    a single trial the standard error is reported as 0.0.  ``algo`` is
+    "random" (uniform orthant) or "greedy_rand".
     """
     check_int("trials", trials, 1)
     check_int("seed", seed, 0)
@@ -341,14 +328,9 @@ def empirical_expectation(
             values += _greedy_runs(f, seeds, order, eps)[1].tolist()
         else:
             values += _random_runs(f, seeds)[1].tolist()
-    try:
-        mean = math.fsum(values) / trials
-        var = math.fsum((v - mean) ** 2 for v in values) / max(1, trials - 1)
-    except OverflowError as exc:
-        raise OracleRangeError(
-            f"oracle {f.name}: the mean or variance of {trials} trial values "
-            f"overflows a float"
-        ) from exc
+    what = f"mean or variance of {trials} trial values"
+    mean = _fsum(f, values, what) / trials
+    var = _fsum(f, ((v - mean) ** 2 for v in values), what) / max(1, trials - 1)
     return mean, math.sqrt(var / trials)
 
 

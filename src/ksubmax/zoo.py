@@ -266,7 +266,8 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
 def sum_combine(
     fs: Sequence[ValueOracle], weights: Sequence[float] | None = None
 ) -> ValueOracle:
-    """Pointwise nonnegative combination of oracles over the same (n, k)."""
+    """Pointwise nonnegative combination of oracles over the same (n, k); a
+    non-finite term or an overflowing sum is refused by its own check."""
     if not fs:
         raise InputError("terms: need at least one oracle")
     ws = (1.0,) * len(fs) if weights is None else _weights(weights, len(fs), "terms")
@@ -279,12 +280,13 @@ def sum_combine(
     terms = list(zip(fs, ws))
 
     def fn(x: tuple) -> float:
-        return sum((w * f(x) for f, w in terms), 0.0)
+        return sum((w * f._unchecked(x) for f, w in terms), 0.0)
 
     def batch(digits: np.ndarray) -> np.ndarray:
         values = np.zeros(len(digits))
-        for f, w in terms:
-            values += w * f._eval_rows(digits)
+        with np.errstate(over="ignore"):  # the sum's own check refuses an inf
+            for f, w in terms:
+                values += w * f._unchecked_rows(digits)
         return values
 
     return ValueOracle(dims, fn, name="sum", batch=batch)
@@ -299,24 +301,26 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
     it goes negative, which surfaces as an :class:`OracleRangeError` at
     tabulation or check time rather than being clamped here.  g(U) is
     evaluated once, here; each evaluation then makes exactly two further
-    g-calls.
+    g-calls, unchecked: the embedding's own check covers them.
     """
     if g.dims.k != 1:
         raise InputError(
             f"base.k: embedding needs a set-function oracle (k=1), got k={g.dims.k}"
         )
     n = g.dims.n
-    ground_value = g((1,) * n)
+    ground_value = g._unchecked((1,) * n)
 
     def fn(x: tuple) -> float:
         first = tuple(1 if v == 1 else 0 for v in x)
         co_second = tuple(0 if v == 2 else 1 for v in x)
-        return g(first) + g(co_second) - ground_value
+        return g._unchecked(first) + g._unchecked(co_second) - ground_value
 
     def batch(digits: np.ndarray) -> np.ndarray:
         first = (digits == 1).astype(np.int64)
         co_second = (digits != 2).astype(np.int64)
-        return g._eval_rows(first) + g._eval_rows(co_second) - ground_value
+        with np.errstate(over="ignore"):  # the embedding's own check refuses an inf
+            total = g._unchecked_rows(first) + g._unchecked_rows(co_second)
+            return total - ground_value
 
     return ValueOracle(Dims(n, 2), fn, name=f"embed({g.name})", batch=batch)
 
@@ -375,8 +379,8 @@ def random_table(
 def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFunction:
     """Materialize an oracle into a table by evaluating every assignment in
     index order.  Idempotent: tables pass through unchanged with no calls.
-    Raises :class:`OracleRangeError` naming the first negative value, else
-    the first non-finite one."""
+    Raises :class:`OracleRangeError` naming the first non-finite value (the
+    oracle's own check), else the first negative one."""
     if isinstance(f, TabularFunction):
         return f
     f.dims.check_cap("tabulation", max_states)

@@ -26,6 +26,9 @@ def run(capsys, argv):
 
 HUGE_CUT = {"kind": "max_k_cut", "n": 20000, "k": 3, "edges": [[0, 1]]}
 
+#: Finite values whose sum overflows a float.
+BIG = {"kind": "tabular", "n": 1, "k": 2, "values": [0, 1.5e308, 1.7e308]}
+
 
 def layer_layout_doc(k):
     return {"kind": "layer_layout", "n": 2, "k": k,
@@ -168,17 +171,40 @@ class TestMaximizeCommand:
         assert captured.out == ""
         assert "non-finite" in captured.err
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("algo", ["random", "greedy-rand"])
     def test_overflowing_trial_mean_exit_2(self, tmp_path, capsys, algo):
         # every value is finite, but ten of them overflow fsum
-        path = write_instance(tmp_path, {"kind": "tabular", "n": 1, "k": 2,
-                                         "values": [0, 1.5e308, 1.7e308]})
+        path = write_instance(tmp_path, BIG)
         code = main(["maximize", path, "--algo", algo, "--trials", "10"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "overflows" in captured.err
+
+    def test_overflowing_orthant_sum_exit_2(self, tmp_path, capsys):
+        # both orthant values are finite, but their sum overflows fsum
+        code = main(["maximize", write_instance(tmp_path, BIG), "--algo", "random",
+                     "--exact"])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "overflows a float" in captured.err
+
+    @pytest.mark.parametrize("flags", [["--seed", "2"], ["--exact"]])
+    def test_overflowing_beta_takes_label_k_quietly(self, tmp_path, capsys, flags):
+        # gains 1.5e308 and 1.7e308 overflow beta: label 2 is taken, no
+        # warning reaches stderr, and the trace writes the beta as null
+        path = write_instance(tmp_path, BIG)
+        code = main(["maximize", path, "--algo", "greedy-rand", *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (0, "")
+        doc = json.loads(captured.out)
+        if "--exact" in flags:
+            assert doc["expectation"] == 1.7e308
+        else:
+            assert doc["value"] == 1.7e308
+            assert doc["solution"] == [2]
+            assert doc["trace"][0]["beta"] is None
 
     def test_exact_with_deterministic_algo_rejected(self, tmp_path, capsys):
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 3})
@@ -315,24 +341,25 @@ class TestBenchCommand:
 
 
 class TestEnvironment:
-    def test_max_states_env_override(self, tmp_path, capsys, monkeypatch):
+    def test_max_states_flag(self, tmp_path, capsys):
+        # coverage_tight k=4 has 5^2 = 25 assignments
         path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
-        monkeypatch.setenv("KSUB_MAX_STATES", "4")
-        assert run(capsys, ["check", path, "--property", "ksub"])[0] == 2
-        monkeypatch.setenv("KSUB_MAX_STATES", "not-a-number")
-        assert run(capsys, ["check", path, "--property", "ksub"])[0] == 2
-        monkeypatch.delenv("KSUB_MAX_STATES")
-        assert run(capsys, ["check", path, "--property", "ksub"])[0] == 0
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_non_positive_env_cap_exit_2(self, tmp_path, capsys, monkeypatch, value):
-        path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
-        monkeypatch.setenv("KSUB_MAX_STATES", value)
-        code = main(["check", path, "--property", "ksub"])
+        code = main(["check", path, "--property", "ksub", "--max-states", "4"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
-        assert "KSUB_MAX_STATES" in captured.err
+        assert "5^2 states, cap is 4" in captured.err
+        assert run(capsys, ["check", path, "--property", "ksub"])[0] == 0
+
+    @pytest.mark.parametrize("value", ["4", "0", "not-a-number"])
+    def test_max_states_environment_variable_is_ignored(self, tmp_path, capsys,
+                                                        monkeypatch, value):
+        path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
+        argv = ["maximize", path, "--algo", "greedy-rand", "--exact"]
+        expected = run(capsys, argv)
+        monkeypatch.setenv("KSUB_MAX_STATES", value)
+        assert run(capsys, argv) == expected
+        assert expected[0] == 0
 
     @pytest.mark.parametrize("flag", ["--max-states", "--max-pairs"])
     @pytest.mark.parametrize("value", ["0", "-3"])
@@ -344,13 +371,6 @@ class TestEnvironment:
         assert excinfo.value.code == 2
         assert captured.out == ""
         assert flag in captured.err
-
-    def test_flag_beats_env(self, tmp_path, capsys, monkeypatch):
-        path = write_instance(tmp_path, {"kind": "coverage_tight", "n": 2, "k": 4})
-        monkeypatch.setenv("KSUB_MAX_STATES", "4")
-        code, _ = run(capsys, ["check", path, "--property", "ksub",
-                               "--max-states", "1000"])
-        assert code == 0
 
     def test_usage_error_exits_2(self, tmp_path):
         with pytest.raises(SystemExit) as excinfo:

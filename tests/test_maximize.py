@@ -23,16 +23,19 @@ from ksubmax import (
     coverage_gamma,
     det_greedy_guarantee,
     deterministic_greedy,
+    embed_submodular,
     empirical_expectation,
     exact_expectation_random_orthant,
     exact_expectation_randomized_greedy,
     extend_to_orthant,
+    induced_set_function,
     is_orthant,
     make_coverage_tight,
     make_det_greedy_tight,
     make_indicator,
     make_layer_layout,
     make_max_k_cut,
+    marginal,
     naive_random_sample,
     rand_greedy_guarantee,
     rand_greedy_guarantee_ksub,
@@ -40,6 +43,7 @@ from ksubmax import (
     random_orthant_guarantee,
     randomized_greedy,
     sum_combine,
+    tabulate,
 )
 
 import oracles
@@ -128,6 +132,12 @@ class TestExactExpectationRandomOrthant:
     def test_cap(self):
         with pytest.raises(InputError):
             exact_expectation_random_orthant(make_coverage_tight(9), max_states=8)
+
+    def test_overflowing_sum_refused(self):
+        # each value is finite, but the two orthant values overflow fsum
+        f = TabularFunction(Dims(1, 2), [0.0, 1.5e308, 1.7e308])
+        with pytest.raises(OracleRangeError, match="overflows a float"):
+            exact_expectation_random_orthant(f)
 
 
 class TestDeterministicGreedy:
@@ -266,7 +276,6 @@ class TestExactExpectationRandomizedGreedy:
         with pytest.raises(InputError):
             exact_expectation_randomized_greedy(make_coverage_tight(9), max_states=8)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     def test_overflowing_beta_takes_label_k_like_every_run(self):
         # gains 1.5e308 and 1.7e308 overflow beta to inf, and u = r * inf is
         # below no partial sum, so every run takes label 2; the tree used to
@@ -311,9 +320,10 @@ def empirical_random(f):
 
 
 class TestNonFiniteValues:
-    """The exact enumerations, the single runs and the sampler refuse a
-    non-finite oracle value and name the assignment, instead of skipping it
-    or returning nan."""
+    """Every evaluation path refuses a non-finite oracle value and names the
+    assignment, instead of skipping it or returning nan or inf: the exact
+    enumerations, the sampler, the deterministic greedy and its helpers,
+    tabulation and a direct call."""
 
     def oracle(self, bad):
         # one point per assigned element: every branch of the greedy tree is live
@@ -330,10 +340,42 @@ class TestNonFiniteValues:
         single_random,
         empirical_greedy_rand,
         empirical_random,
+        # ties go to label 1, so element 1 takes it and (2, 1) is a child
+        pytest.param(lambda f: deterministic_greedy(f, order=(1, 0)),
+                     id="deterministic_greedy"),
+        pytest.param(lambda f: extend_to_orthant(f, (0, 1)), id="extend_to_orthant"),
+        pytest.param(lambda f: marginal(f, 2, 0, (0, 1)), id="marginal"),
+        tabulate,
+        pytest.param(lambda f: f((2, 1)), id="call"),
+        pytest.param(lambda f: tabulate(induced_set_function(f, (2, 1))),
+                     id="induced_set_function"),
     ])
     def test_refused_naming_the_assignment(self, run, bad):
         with pytest.raises(OracleRangeError, match=r"non-finite value at \(2, 1\)"):
             run(self.oracle(bad))
+
+    @pytest.mark.parametrize("evaluate", [
+        lambda f: tabulate(f),
+        lambda f: f((1,)),
+        lambda f: randomized_greedy(f, seed=0),
+    ], ids=["tabulate", "call", "sampler"])
+    def test_overflowing_sum_refused_naming_the_sum(self, evaluate):
+        # each term is finite, and the sum's own check, not the terms',
+        # refuses their overflowing sum: each term is charged one call per
+        # evaluation, as for a finite sum
+        terms = [TabularFunction(Dims(1, 1), [1e308, 1e308]) for _ in range(2)]
+        f = sum_combine(terms)
+        refusal = r"^oracle sum has a non-finite value at \((0|1),\): inf$"
+        with pytest.raises(OracleRangeError, match=refusal):
+            evaluate(f)
+        assert [term.calls for term in terms] == [f.calls, f.calls]
+
+    def test_overflowing_embedding_refused_naming_it(self):
+        # g(S) + g(U \ T) overflows at (0,): both sets are the ground set
+        g = TabularFunction(Dims(1, 1), [1e308, 1e308])
+        refusal = r"^oracle embed\(table\) has a non-finite value at \(0,\): inf$"
+        with pytest.raises(OracleRangeError, match=refusal):
+            tabulate(embed_submodular(g))
 
 
 #: The sampler's cases: every zoo family, tables, a plain ValueOracle
@@ -422,7 +464,6 @@ class TestEmpiricalExpectation:
         assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
         assert f.calls == runs.calls == single.calls * trials == one.evals * trials
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("overflow", [False, True],
                              ids=["draw-on-a-partial-sum", "overflowing-beta"])
     def test_inverse_cdf_edges_match_the_single_run(self, overflow):
@@ -439,7 +480,6 @@ class TestEmpiricalExpectation:
         assert solution == randomized_greedy(g, seed).solution == (2,)
         assert empirical_expectation(f, "greedy_rand", 1, seed) == (value, 0.0)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered")
     @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
     def test_overflowing_mean_refused(self, algo):
         # each value is finite, but ten of them overflow fsum
