@@ -1,12 +1,21 @@
-"""Exhaustive, counterexample-producing verifiers for k-set function
-structure.
+"""Counterexample-producing verifiers for k-set function structure.
 
-Each checker examines every relevant inequality of a tabulated function in
+Each checker decides every relevant inequality of a tabulated function in
 a fixed order and returns a :class:`CheckReport`.  ``holds=False`` always
 comes with the first counterexample in that order together with both sides
 of the violated inequality, so the violation can be reproduced
 independently.  Inequalities are tested with one-sided slack: ``A >= B``
 holds when ``A >= B - eps``.
+
+The ``ksub`` and ``orthant`` checks run in two stages.  A sweep over the
+local rows, the pairs whose meet and join are at most two elements apart,
+bounds the shortfall of every pair by a proved multiple of the largest
+local one (see :func:`_certified`).  When that bound, rounding included,
+fits inside eps, the check holds without a pair scan; otherwise the
+exhaustive scan decides.  Either way the report is the one the scan alone
+gives.  :func:`check_characterization` calls the scans directly: the local
+rows are the characterization in local form, and certifying with them
+there would compare the code with itself.
 
 The pair checkers scan assignment pairs in lexicographic order of
 (index(s), index(t)) in row blocks, far below size^2 memory; the orthant
@@ -17,6 +26,9 @@ checker sweeps marginals, one sort per base assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate, chain
+from math import comb
 
 import numpy as np
 
@@ -37,7 +49,7 @@ from .zoo import TabularFunction, digit_matrix
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one exhaustive property check."""
+    """Outcome of one property check."""
 
     property: str
     holds: bool
@@ -124,6 +136,112 @@ def _pair_scan(
     return CheckReport(prop, True, None, evals)
 
 
+def _local_shortfalls(table: TabularFunction, singles: bool):
+    """Yield the largest float shortfall rhs - lhs among the local rows,
+    one block at a time: with ``singles``, per element e, the rows
+
+        (i)  f(s+e:i) + f(s+e:j) >= 2 f(s),              labels i < j,
+
+    then, per element pair a < b, the rows
+
+        (ii) f(s+a:i) + f(s+b:j) >= f(s) + f(s+a:i+b:j),  labels i, j,
+
+    over every s that leaves the named elements unassigned.  A row is the
+    pair (s+e:i, s+e:j) or (s+a:i, s+b:j) of the exhaustive scan, whose meet
+    is s and whose join is s or s+a:i+b:j, and each side is one float sum,
+    as in the scan.  Rounding is monotone, so per s the rows (i) with the
+    largest float shortfall are those with the two smallest f(s+e:i).  No
+    block is larger than the table.
+    """
+    n, k = table.dims.n, table.dims.k
+    cube = table.values.reshape((k + 1,) * n)  # element e on axis n-1-e
+    if singles and k >= 2:
+        for e in range(n):
+            line = np.moveaxis(cube, n - 1 - e, -1)
+            low = np.partition(line[..., 1:], 1, axis=-1)
+            rhs = line[..., 0] + line[..., 0]
+            yield float((rhs - (low[..., 0] + low[..., 1])).max())
+    for a in range(n):
+        for b in range(a + 1, n):
+            square = np.moveaxis(cube, (n - 1 - a, n - 1 - b), (-2, -1))
+            lhs = square[..., 1:, :1] + square[..., :1, 1:]
+            rhs = square[..., :1, :1] + square[..., 1:, 1:]
+            yield float((rhs - lhs).max())
+
+
+_U = Fraction(1, 2**53)  # unit roundoff of float64
+
+
+def _certified(
+    table: TabularFunction, eps: float, max_pairs: int, what: str, singles: bool
+) -> bool:
+    """Whether the local rows prove that the exhaustive scan finds no
+    violating pair: rows (i) and (ii) with ``singles`` (the ``ksub`` check,
+    c = n²), rows (ii) alone without (the ``orthant`` check,
+    c = floor(n²/4)).  Refuses a sweep of more than ``max_pairs`` rows.
+
+    Certified when eps > 0, V = max f <= 2^1022 and
+    c·(δ⁺ + 8uV) + 8uV <= (1 - u)·eps, evaluated exactly in rationals, where
+    δ is the largest float shortfall of a row, δ⁺ = max(0, δ) and
+    u = 2^-53.  The sweep stops at the first block after which that fails.
+
+    Pair bound.  Write D(s, t) = f(M) + f(J) - f(s) - f(t) for the exact
+    shortfall of a pair, M = min0(s, t), J = max0(s, t), and d⁺ for the
+    largest exact row shortfall, or 0.  Where s and t differ, A holds the
+    elements only s assigns, B those only t assigns and C the clashes,
+    assigned by both with different labels; a, b, m are their sizes.  X+C_s
+    is X with s's labels on C, X+C_t with t's, X+B with t's labels on B.
+
+    For S and T below one orthant, D telescopes exactly into |S∖T|·|T∖S|
+    rows (ii), one per element pair across the two differences:
+    D <= |S∖T|·|T∖S|·d⁺ <= floor(n²/4)·d⁺, the orthant bound.
+
+    In general D(s, t) <= |s∖M|·|t∖M|·d⁺ = (a+m)(b+m)·d⁺ <= n²·d⁺, as the
+    sum of three pairs whose D add up to D(s, t):
+
+    1. (s, M+B), both below J+C_s: meet M, join J+C_s, (a+m)·b rows (ii);
+    2. (t, J), both below J+C_t: meet M+B, join J+C_t, a·m rows (ii);
+    3. (J+C_s, J+C_t), which clash on all of C: meet and join J, K(m) rows.
+       With h the hybrid taking t's label on the last clash element e, D
+       splits into (J+C_s, h), one row (i) at e; (h, J+C_t), which clash on
+       m-1 elements, K(m-1); and twice the pair (J+C_s-e, J+e:t_e), both
+       below h, with meet J and join h, m-1 rows (ii) each.  So
+       K(m) = K(m-1) + 1 + 2(m-1) = m², from K(0) = 0.
+
+    (a+m)·b + a·m + m² = (a+m)(b+m), and (a+m) + (b+m) <= 2n.
+
+    Rounding.  Entries are floats in [0, V] and V <= 2^1022, so no sum of
+    two overflows.  A float sum or difference of two floats is the exact
+    one times (1 + θ), |θ| <= u, subnormal results included, which are
+    exact.  A row with exact sides L (lhs) and R (rhs), both <= 2V, has
+    float shortfall δ_row = fl(fl(R) - fl(L)) <= fl(R) <= 2V, and its exact
+    shortfall is R - L <= fl(R) - fl(L) + u(L + R)
+    <= δ_row⁺/(1-u) + 4uV <= δ⁺ + (4 + 2/(1-u))·uV < δ⁺ + 7uV, so
+    d⁺ < δ⁺ + 7uV.  The scan flags a pair when fl(L) < fl(fl(R) - eps).
+    If fl(R) <= eps the right side is at most 0 <= fl(L).  Otherwise it is
+    at most (R(1+u) - eps)(1+u), and fl(L) >= L(1-u), so the pair passes
+    when (1+u)·eps >= R - L + (2u + u²)·R + u·L, which
+    R - L + 7uV <= (1+u)·eps implies.  With D <= c·d⁺, every pair passes
+    when c·(δ⁺ + 7uV) + 7uV <= (1+u)·eps, which the certificate implies:
+    its constant 8 bounds the rounding with room.
+    """
+    n, k = table.dims.n, table.dims.k
+    rows = comb(n, 2) * k * k * (k + 1) ** max(n - 2, 0)
+    if singles:
+        rows += n * comb(k, 2) * (k + 1) ** (n - 1)
+    if rows > max_pairs:
+        raise InputError(f"{what} sweeps {rows} local rows, cap is {max_pairs}")
+    top = float(table.values.max())
+    if not (eps > 0 and top <= 2.0**1022):
+        return False
+    c = n * n if singles else n * n // 4
+    slack = 8 * _U * Fraction(top)
+    bound = (1 - _U) * Fraction(eps)
+    # running δ⁺ after each block; all() stops the sweep at the first misfit
+    running = accumulate(chain([0.0], _local_shortfalls(table, singles)), max)
+    return all(c * (Fraction(delta) + slack) + slack <= bound for delta in running)
+
+
 def check_k_submodular(
     table: TabularFunction,
     eps: float = EPS,
@@ -131,10 +249,23 @@ def check_k_submodular(
 ) -> CheckReport:
     """Verify f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t)) over all pairs.
 
-    Pairs are enumerated lexicographically by (index(s), index(t)); the
-    smallest violating pair is reported.
+    First the local rows: when they certify the table (:func:`_certified`),
+    it holds and no pair is scanned.  Otherwise pairs are enumerated
+    lexicographically by (index(s), index(t)) and the smallest violating
+    pair is reported.  ``max_pairs`` caps the local rows, then the
+    (k+1)^(2n) pairs; a certified table needs only the first.
     """
-    dims = _guard(table, eps)
+    _guard(table, eps)
+    if _certified(table, eps, max_pairs, "k-submodularity check", singles=True):
+        return CheckReport("k_submodular", True, None, 4 * table.values.size**2)
+    return _k_submodular_scan(table, eps, max_pairs)
+
+
+def _k_submodular_scan(
+    table: TabularFunction, eps: float, max_pairs: int
+) -> CheckReport:
+    """The exhaustive pair scan of :func:`check_k_submodular`."""
+    dims = table.dims
     dims.check_cap("k-submodularity check", max_pairs, (dims.k + 1) ** 2, "pairs")
     inequality = "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"
     evals = 4 * table.values.size * table.values.size
@@ -153,13 +284,29 @@ def check_orthant_submodular(
     orthant: over each orthant o and subset pair (A, B),
     f(o|A) + f(o|B) >= f(o|A&B) + f(o|A|B).
 
-    Orthants are visited in increasing index order, subset-mask pairs
-    lexicographically within each orthant.  Both sides are symmetric in
-    (A, B) and equal when A and B are nested, so the first violating pair
-    has A < B incomparable, and only such pairs are scanned: in steps of
-    about _BLOCK, several whole orthants or rows A of one orthant.
+    First the local rows (ii): when they certify the table
+    (:func:`_certified`), it holds and no pair is scanned.  Otherwise
+    orthants are visited in increasing index order, subset-mask pairs
+    lexicographically within each orthant, and the first violating pair is
+    reported.  ``max_pairs`` caps the local rows, then the (4k)^n orthant
+    and subset-pair combinations; a certified table needs only the first.
     """
-    dims = _guard(table, eps)
+    _guard(table, eps)
+    if _certified(table, eps, max_pairs, "orthant check", singles=False):
+        n, k = table.dims.n, table.dims.k
+        return CheckReport("orthant_submodular", True, None, 4 * 4**n * k**n)
+    return _orthant_submodular_scan(table, eps, max_pairs)
+
+
+def _orthant_submodular_scan(
+    table: TabularFunction, eps: float, max_pairs: int
+) -> CheckReport:
+    """The exhaustive scan of :func:`check_orthant_submodular`.  Both sides
+    are symmetric in (A, B) and equal when A and B are nested, so the first
+    violating pair has A < B incomparable, and only such pairs are scanned:
+    in steps of about _BLOCK, several whole orthants or rows A of one
+    orthant."""
+    dims = table.dims
     # k^n orthants times 4^n subset-mask pairs (A, B)
     dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")
     n, k = dims.n, dims.k
@@ -293,11 +440,16 @@ def check_characterization(
     Disagreement indicates an implementation bug in one of the checkers,
     never a mathematical finding, and is reported with both verdicts and
     the witness from whichever side found a violation.
+
+    Both pair checks run their exhaustive scans here, never the local
+    certificate: the local rows restate the characterization, so a
+    certified verdict would not cross-check it.
     """
     if table.dims.k < 2:
         raise InputError("characterization check needs k >= 2")
-    ksub = check_k_submodular(table, eps, max_pairs)
-    orthant = check_orthant_submodular(table, eps, max_pairs)
+    _guard(table, eps)
+    ksub = _k_submodular_scan(table, eps, max_pairs)
+    orthant = _orthant_submodular_scan(table, eps, max_pairs)
     pairwise = check_r_wise_monotone(table, 2, eps)
     right = orthant.holds and pairwise.holds
     evals = ksub.evals_used + orthant.evals_used + pairwise.evals_used

@@ -328,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
                          help="ksub | orthant | monotone:<r> | characterization"
                          " | orthant-pairs")
     p_check.add_argument("--max-pairs", type=_positive_int, default=DEFAULT_MAX_PAIRS,
-                         help="cap on the pairs a checker scans (default 10^8)")
+                         help="cap on the local rows, then the pairs, a checker"
+                         " scans (default 10^8)")
     _add_common(p_check)
     p_check.set_defaults(func=cmd_check)
 

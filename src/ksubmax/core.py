@@ -212,6 +212,15 @@ def all_orthants(dims: Dims) -> Iterator[tuple]:
         yield combo[::-1]
 
 
+def _as_float(value) -> float:
+    """float(value), with an int beyond the float range as an infinity of
+    its sign, where float() raises OverflowError."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
 class ValueOracle:
     """Counted evaluator for a k-set function on label vectors.
 
@@ -223,7 +232,8 @@ class ValueOracle:
     :func:`digits_of`) returning one value per row; without it
     :meth:`eval_indices` calls ``fn`` once per index.  This is the one place
     that refuses NaN and inf: each value returned is checked, and a
-    non-finite one raises :class:`OracleRangeError` naming the assignment.
+    non-finite one, or an int beyond the float range, raises
+    :class:`OracleRangeError` naming the assignment.
     Nonnegativity is a contract, not enforced here: consumers that
     materialize or verify values raise it when they meet a negative one.
     For parallel use, give each worker its own oracle instance; the counter
@@ -252,8 +262,8 @@ class ValueOracle:
                 raise InputError(f"label {v} out of range [0, k={k}]")
         x = tuple(x)
         value = self._unchecked(x)
-        if not math.isfinite(value):
-            raise self._non_finite(x, value)
+        if not math.isfinite(_as_float(value)):
+            raise self._non_finite(x, _as_float(value))
         return value
 
     def eval_indices(self, idx) -> np.ndarray:
@@ -288,8 +298,13 @@ class ValueOracle:
         when there is one, else ``fn`` row by row."""
         self.calls += len(digits)
         if self._batch is not None:
-            return np.asarray(self._batch(digits), dtype=float)
-        return np.array([self._fn(x) for x in map(tuple, digits.tolist())], dtype=float)
+            values = self._batch(digits)
+        else:
+            values = [self._fn(x) for x in map(tuple, digits.tolist())]
+        try:
+            return np.asarray(values, dtype=float)
+        except OverflowError:
+            return np.array([_as_float(v) for v in values])
 
     def _non_finite(self, x: tuple, value) -> OracleRangeError:
         return OracleRangeError(

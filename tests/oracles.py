@@ -108,6 +108,35 @@ def is_r_wise_monotone(f, n, k, r, eps):
     return True
 
 
+def with_labels(x, labels):
+    """x with element e set to label v for each (e, v) in ``labels``."""
+    y = list(x)
+    for e, v in labels:
+        y[e] = v
+    return tuple(y)
+
+
+def local_shortfalls(f, n, k):
+    """Largest shortfalls of the local rows, as (singles, pairs), None when
+    there are no such rows: 2 f(s) - f(s+e:i) - f(s+e:j) over labels i < j,
+    and f(s) + f(s+a:i+b:j) - f(s+a:i) - f(s+b:j) over elements a < b, for
+    every s that leaves the named elements unassigned."""
+    singles = pairs = None
+    for s in every_assignment(n, k):
+        free = [e for e in range(n) if s[e] == 0]
+        for e in free:
+            for i, j in itertools.combinations(range(1, k + 1), 2):
+                d = 2 * f(s) - f(with_labels(s, [(e, i)])) - f(with_labels(s, [(e, j)]))
+                singles = d if singles is None else max(singles, d)
+        for a, b in itertools.combinations(free, 2):
+            for i in range(1, k + 1):
+                for j in range(1, k + 1):
+                    d = (f(s) + f(with_labels(s, [(a, i), (b, j)]))
+                         - f(with_labels(s, [(a, i)])) - f(with_labels(s, [(b, j)])))
+                    pairs = d if pairs is None else max(pairs, d)
+    return singles, pairs
+
+
 def brute_max_value(f, n, k, orthants_only=False):
     states = every_orthant(n, k) if orthants_only else every_assignment(n, k)
     return max(f(x) for x in states)

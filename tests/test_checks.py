@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -32,6 +33,7 @@ from ksubmax import (
     tabulate,
 )
 
+import ksubmax.checks as checks
 import oracles
 from factories import single_edge
 
@@ -151,9 +153,17 @@ class TestKSubmodular:
             check_k_submodular(table)
 
     def test_pair_cap(self):
-        table = random_ksubmodular(Dims(2, 2), atoms=2, seed=1)
-        with pytest.raises(InputError):
+        # the local rows do not certify a random table: its 9^2 pairs are
+        # capped after its 10 local rows
+        table = random_table(Dims(2, 2), seed=1)
+        with pytest.raises(InputError, match="9\\^2 pairs"):
             check_k_submodular(table, max_pairs=10)
+
+    def test_certified_table_needs_only_its_local_rows_under_the_cap(self):
+        table = random_ksubmodular(Dims(2, 2), atoms=2, seed=1)
+        assert check_k_submodular(table, max_pairs=10).holds
+        with pytest.raises(InputError, match="10 local rows"):
+            check_k_submodular(table, max_pairs=9)
 
 
 class TestOrthantSubmodular:
@@ -255,9 +265,17 @@ class TestOrthantSubmodular:
         assert found == first()
 
     def test_pair_cap(self):
-        table = random_ksubmodular(Dims(2, 2), atoms=2, seed=1)
-        with pytest.raises(InputError):
+        # the local rows do not certify a random table: its 8^2 orthant and
+        # subset-pair combinations are capped after its 4 local rows
+        table = random_table(Dims(2, 2), seed=1)
+        with pytest.raises(InputError, match="8\\^2 pairs"):
             check_orthant_submodular(table, max_pairs=10)
+
+    def test_certified_table_needs_only_its_local_rows_under_the_cap(self):
+        table = random_ksubmodular(Dims(2, 2), atoms=2, seed=1)
+        assert check_orthant_submodular(table, max_pairs=10).holds
+        with pytest.raises(InputError, match="4 local rows"):
+            check_orthant_submodular(table, max_pairs=3)
 
 
 class TestInducedSetFunction:
@@ -431,7 +449,7 @@ class TestCharacterization:
         real = check_k_submodular(table)
         assert not real.holds
         fake = checks_mod.CheckReport("k_submodular", True, None, real.evals_used)
-        monkeypatch.setattr(checks_mod, "check_k_submodular", lambda *a, **kw: fake)
+        monkeypatch.setattr(checks_mod, "_k_submodular_scan", lambda *a, **kw: fake)
         report = checks_mod.check_characterization(table)
         assert not report.holds
         cx = report.counterexample
@@ -468,6 +486,124 @@ class TestOrthantPairInequality:
 
         states = list(all_orthants(table.dims))
         assert reported_pair(report) == first_pair_in_index_order(states, violates)
+
+
+def scaled(make, factor):
+    def build():
+        table = make()
+        return TabularFunction(table.dims, table.values * factor, name=table.name)
+    return build
+
+
+def holding_table(n, k):
+    return random_ksubmodular(Dims(n, k), atoms=3 * n, seed=10 * n + k)
+
+
+HOLDING_DIMS = [(1, 3), (2, 2), (2, 4), (3, 3), (4, 2), (3, 4), (4, 3), (5, 3)]
+
+#: Tables on which a certified report must equal the exhaustive one: the
+#: first three fall back to the scan and fail, the holding ones are
+#: certified unless scaled so far up that rounding exceeds eps.
+REPORT_TABLES = {
+    **WITNESS_TABLES,
+    "slack": slack_table,
+    **{f"holds-{n}-{k}": (lambda n=n, k=k: holding_table(n, k)) for n, k in HOLDING_DIMS},
+    **{
+        f"holds-5-3-x{factor:g}": scaled(lambda: holding_table(5, 3), factor)
+        for factor in (2.0**-40, 1e-300, 1e8, 2.0**600)
+    },
+}
+
+PAIR_CHECKS = {
+    "ksub": (check_k_submodular, checks._k_submodular_scan, True),
+    "orthant": (check_orthant_submodular, checks._orthant_submodular_scan, False),
+}
+
+
+def exact_perturbed_table(seed, n, k, noise):
+    """A random_ksubmodular table times 1000, rounded to ints and perturbed
+    by ints in [-noise, noise], as a dict: its shortfalls are exact."""
+    base = random_ksubmodular(Dims(n, k), atoms=3 * n, seed=seed)
+    rng = np.random.default_rng(seed)
+    return {
+        x: round(1000 * base(x)) + int(rng.integers(-noise, noise + 1))
+        for x in oracles.every_assignment(n, k)
+    }
+
+
+class TestLocalCertificate:
+    @settings(max_examples=20, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 4),
+        k=st.integers(1, 4),
+        noise=st.integers(0, 30),
+    )
+    def test_pair_shortfall_within_its_local_bound(self, seed, n, k, noise):
+        # D(s, t) <= |s\M|·|t\M|·d+ over all rows, and, for pairs inside
+        # one orthant, over the element-pair rows alone
+        f = exact_perturbed_table(seed, n, k, noise)
+        singles, pairs = oracles.local_shortfalls(f.__getitem__, n, k)
+        within = max(0, pairs or 0)
+        every = max(within, singles or 0)
+        states = list(oracles.every_assignment(n, k))
+        for first, s in enumerate(states):
+            for t in states[first:]:
+                meet = oracles.vec_min0(s, t)
+                shortfall = f[meet] + f[oracles.vec_max0(s, t)] - f[s] - f[t]
+                only_s = sum(1 for x, y in zip(s, meet) if x != y)
+                only_t = sum(1 for x, y in zip(t, meet) if x != y)
+                assert shortfall <= only_s * only_t * every
+                if all(x == y or 0 in (x, y) for x, y in zip(s, t)):
+                    assert shortfall <= only_s * only_t * within
+
+    @pytest.mark.parametrize("make", REPORT_TABLES.values(), ids=REPORT_TABLES.keys())
+    @pytest.mark.parametrize("name", PAIR_CHECKS)
+    def test_report_equals_the_exhaustive_one(self, make, name):
+        check, scan, _ = PAIR_CHECKS[name]
+        table = make()
+        assert check(table).to_json() == scan(table, 1e-9, 10**8).to_json()
+
+    @pytest.mark.parametrize("n,k", HOLDING_DIMS)
+    @pytest.mark.parametrize("factor", [1.0, 2.0**-40, 1e-300])
+    @pytest.mark.parametrize("name", PAIR_CHECKS)
+    def test_holding_tables_are_certified(self, n, k, factor, name):
+        singles = PAIR_CHECKS[name][2]
+        table = scaled(lambda: holding_table(n, k), factor)()
+        assert checks._certified(table, 1e-9, 10**8, name, singles)
+
+    def test_slack_table_fails_both_checks_and_agrees(self):
+        # each local orthant row falls short by 0.7e-9 < eps; C·δ does not
+        # fit eps, and the subset pair ({0}, {1, 2}) falls short by 1.4e-9
+        table = slack_table()
+        for name, (check, _, singles) in PAIR_CHECKS.items():
+            assert not checks._certified(table, 1e-9, 10**8, name, singles)
+            assert not check(table).holds
+        assert check_characterization(table).holds
+
+    def test_scaled_reproducer_falls_back_to_the_scan(self):
+        # k-submodular by construction, but rounding near 1e8 exceeds the
+        # absolute eps: the scan's false counterexample stands
+        base = random_ksubmodular(Dims(3, 3), atoms=8, seed=3)
+        table = TabularFunction(base.dims, base.values * 1e8)
+        for name, (check, scan, singles) in PAIR_CHECKS.items():
+            assert not checks._certified(table, 1e-9, 10**8, name, singles)
+            report = check(table)
+            assert not report.holds
+            assert report.to_json() == scan(table, 1e-9, 10**8).to_json()
+
+    @pytest.mark.parametrize("eps,scanned", [(0.0, True), (1e-9, False)])
+    def test_nothing_certified_at_eps_0(self, monkeypatch, eps, scanned):
+        # an integer-valued modular table holds exactly, even at eps = 0
+        calls = []
+        for name, (check, scan, _) in PAIR_CHECKS.items():
+            spy = lambda *args, scan=scan, name=name: calls.append(name) or scan(*args)
+            monkeypatch.setattr(checks, scan.__name__, spy)
+        dims = Dims(3, 2)
+        table = TabularFunction(dims, [float(sum(x)) for x in all_assignments(dims)])
+        assert check_k_submodular(table, eps).holds
+        assert check_orthant_submodular(table, eps).holds
+        assert calls == (list(PAIR_CHECKS) if scanned else [])
 
 
 class TestCheckReport:

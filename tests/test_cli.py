@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from ksubmax import Dims, random_ksubmodular
 from ksubmax.cli import main
 
 
@@ -33,6 +34,11 @@ BIG = {"kind": "tabular", "n": 1, "k": 2, "values": [0, 1.5e308, 1.7e308]}
 def layer_layout_doc(k):
     return {"kind": "layer_layout", "n": 2, "k": k,
             "edges": [[0, 1]], "directed": True}
+
+
+def ksubmodular_doc(n, k):
+    table = random_ksubmodular(Dims(n, k), atoms=3 * n, seed=n)
+    return {"kind": "tabular", "n": n, "k": k, "values": table.values.tolist()}
 
 
 class TestCheckCommand:
@@ -124,6 +130,38 @@ class TestCheckCommand:
         assert code == 2
         assert captured.out == ""
         assert "16^7 pairs" in captured.err
+
+    def test_certified_table_past_the_pair_cap_holds(self, tmp_path, capsys):
+        # n=8, k=3: 16^8 (about 4.3e9) pairs, past the default cap, but
+        # about 1.4e6 local rows, which certify a k-submodular table
+        path = write_instance(tmp_path, ksubmodular_doc(8, 3))
+        code, out = run(capsys, ["check", path, "--property", "ksub"])
+        assert code == 0
+        assert json.loads(out) == {"property": "k_submodular", "holds": True,
+                                   "counterexample": None, "evals": 4 * 4**16}
+
+    def test_certified_check_memory_stays_bounded(self, tmp_path):
+        # a (9, 3) table holds 262144 values; the local sweep works per
+        # element and element pair, each block no larger than the table
+        if not sys.platform.startswith("linux"):
+            pytest.skip("ru_maxrss is in KiB on Linux only")
+        path = write_instance(tmp_path, ksubmodular_doc(9, 3))
+        code = (
+            "import resource, sys\n"
+            "from ksubmax.cli import main\n"
+            "code = main(sys.argv[1:])\n"
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\n"
+            "sys.exit(code)\n"
+        )
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        child = subprocess.run(
+            [sys.executable, "-c", code, "check", path, "--property", "ksub"],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout)["holds"] is True
+        assert int(child.stderr) / 1024 < 150
 
     def test_missing_file_exit_2(self, capsys):
         assert run(capsys, ["check", "/no/such/file.json",

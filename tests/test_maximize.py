@@ -330,7 +330,8 @@ class TestNonFiniteValues:
         return ValueOracle(Dims(2, 2), lambda x: bad if x == (2, 1) else
                            float(sum(v != 0 for v in x)))
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, 10**400],
+                             ids=["nan", "inf", "int-beyond-float"])
     @pytest.mark.parametrize("run", [
         brute_force_max,
         lambda f: brute_force_max(f, over_orthants_only=True),
@@ -353,6 +354,14 @@ class TestNonFiniteValues:
     def test_refused_naming_the_assignment(self, run, bad):
         with pytest.raises(OracleRangeError, match=r"non-finite value at \(2, 1\)"):
             run(self.oracle(bad))
+
+    @pytest.mark.parametrize("run", [lambda f: f((0,)), brute_force_max],
+                             ids=["call", "brute_force_max"])
+    def test_int_beyond_float_range_refused_as_inf(self, run):
+        # float() raises OverflowError on such an int; the gate reads it as inf
+        f = ValueOracle(Dims(1, 1), lambda x: 10**400)
+        with pytest.raises(OracleRangeError, match=r"non-finite value at \(0,\): inf$"):
+            run(f)
 
     @pytest.mark.parametrize("evaluate", [
         lambda f: tabulate(f),
