@@ -26,8 +26,7 @@ checker sweeps marginals, one sort per base assignment.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, combinations
 from math import comb
 
 import numpy as np
@@ -138,38 +137,36 @@ def _pair_scan(
 
 def _local_shortfalls(table: TabularFunction, singles: bool):
     """Yield the largest float shortfall rhs - lhs among the local rows,
-    one block at a time: with ``singles``, per element e, the rows
-
-        (i)  f(s+e:i) + f(s+e:j) >= 2 f(s),              labels i < j,
-
-    then, per element pair a < b, the rows
+    one block at a time: per element pair a < b, the rows
 
         (ii) f(s+a:i) + f(s+b:j) >= f(s) + f(s+a:i+b:j),  labels i, j,
 
+    then, with ``singles``, per element e, the rows
+
+        (i)  f(s+e:i) + f(s+e:j) >= 2 f(s),              labels i < j,
+
     over every s that leaves the named elements unassigned.  A row is the
-    pair (s+e:i, s+e:j) or (s+a:i, s+b:j) of the exhaustive scan, whose meet
-    is s and whose join is s or s+a:i+b:j, and each side is one float sum,
-    as in the scan.  Rounding is monotone, so per s the rows (i) with the
-    largest float shortfall are those with the two smallest f(s+e:i).  No
-    block is larger than the table.
+    pair (s+a:i, s+b:j) or (s+e:i, s+e:j) of the exhaustive scan, whose meet
+    is s and whose join is s+a:i+b:j or s, and each side is one float sum,
+    as in the scan.  No block is larger than the table.  Rows (ii) come
+    first: a table raised at one orthant fails only those.
     """
     n, k = table.dims.n, table.dims.k
     cube = table.values.reshape((k + 1,) * n)  # element e on axis n-1-e
-    if singles and k >= 2:
-        for e in range(n):
-            line = np.moveaxis(cube, n - 1 - e, -1)
-            low = np.partition(line[..., 1:], 1, axis=-1)
-            rhs = line[..., 0] + line[..., 0]
-            yield float((rhs - (low[..., 0] + low[..., 1])).max())
     for a in range(n):
         for b in range(a + 1, n):
             square = np.moveaxis(cube, (n - 1 - a, n - 1 - b), (-2, -1))
             lhs = square[..., 1:, :1] + square[..., :1, 1:]
             rhs = square[..., :1, :1] + square[..., 1:, 1:]
             yield float((rhs - lhs).max())
-
-
-_U = Fraction(1, 2**53)  # unit roundoff of float64
+    if singles and k >= 2:
+        for e in range(n):
+            line = np.moveaxis(cube, n - 1 - e, -1)
+            rhs = line[..., 0] + line[..., 0]
+            yield max(
+                float((rhs - (line[..., i] + line[..., j])).max())
+                for i, j in combinations(range(1, k + 1), 2)
+            )
 
 
 def _certified(
@@ -234,9 +231,13 @@ def _certified(
     top = float(table.values.max())
     if not (eps > 0 and top <= 2.0**1022):
         return False
+    # deferred: fractions and decimal would add ~4 ms to every import
+    from fractions import Fraction
+
+    u = Fraction(1, 2**53)  # unit roundoff of float64
     c = n * n if singles else n * n // 4
-    slack = 8 * _U * Fraction(top)
-    bound = (1 - _U) * Fraction(eps)
+    slack = 8 * u * Fraction(top)
+    bound = (1 - u) * Fraction(eps)
     # running δ⁺ after each block; all() stops the sweep at the first misfit
     running = accumulate(chain([0.0], _local_shortfalls(table, singles)), max)
     return all(c * (Fraction(delta) + slack) + slack <= bound for delta in running)

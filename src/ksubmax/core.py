@@ -263,7 +263,7 @@ class ValueOracle:
         x = tuple(x)
         value = self._unchecked(x)
         if not math.isfinite(_as_float(value)):
-            raise self._non_finite(x, _as_float(value))
+            raise self._non_finite(x, value)
         return value
 
     def eval_indices(self, idx) -> np.ndarray:
@@ -308,7 +308,7 @@ class ValueOracle:
 
     def _non_finite(self, x: tuple, value) -> OracleRangeError:
         return OracleRangeError(
-            f"oracle {self.name} has a non-finite value at {x}: {float(value)}"
+            f"oracle {self.name} has a non-finite value at {x}: {_as_float(value)}"
         )
 
     def __repr__(self) -> str:

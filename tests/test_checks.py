@@ -8,7 +8,7 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from ksubmax import (
     Dims,
@@ -541,7 +541,9 @@ class TestLocalCertificate:
     )
     def test_pair_shortfall_within_its_local_bound(self, seed, n, k, noise):
         # D(s, t) <= |s\M|·|t\M|·d+ over all rows, and, for pairs inside
-        # one orthant, over the element-pair rows alone
+        # one orthant, over the element-pair rows alone.  (4, 4), whose
+        # 195,000 pairs take about 3 s in plain loops, is left out.
+        assume((k + 1) ** n <= 256)
         f = exact_perturbed_table(seed, n, k, noise)
         singles, pairs = oracles.local_shortfalls(f.__getitem__, n, k)
         within = max(0, pairs or 0)
