@@ -19,6 +19,18 @@ from ksubmax import (
 )
 
 
+def hexed(x):
+    """x with every float, inside lists, tuples and dicts too, written by
+    float.hex."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, dict):
+        return {key: hexed(v) for key, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [hexed(v) for v in x]
+    return x
+
+
 def single_edge(directed=False):
     return GraphInstance(2, ((0, 1),), directed=directed)
 

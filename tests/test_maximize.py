@@ -47,7 +47,7 @@ from ksubmax import (
 )
 
 import oracles
-from factories import EVAL_CASES, directed_path, single_edge
+from factories import EVAL_CASES, directed_path, hexed, single_edge
 
 
 class TestBruteForce:
@@ -513,18 +513,6 @@ class TestEmpiricalExpectation:
         assert chunks == [2] * 25  # EVAL_BLOCK // k trials: a step evaluates 6 rows
         assert [v.hex() for v in chunked] == [v.hex() for v in whole]
         assert g.calls == f.calls
-
-
-def hexed(x):
-    """x with every float, inside lists, tuples and dicts too, written by
-    float.hex."""
-    if isinstance(x, float):
-        return x.hex()
-    if isinstance(x, dict):
-        return {key: hexed(v) for key, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [hexed(v) for v in x]
-    return x
 
 
 @pytest.mark.parametrize("build,run,value,calls,digest", [

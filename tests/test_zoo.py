@@ -1,5 +1,7 @@
 """Function families: values, structure membership, generators, tabulation."""
 
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -20,7 +22,9 @@ from ksubmax import (
     check_orthant_submodular,
     check_r_wise_monotone,
     coverage_gamma,
+    deterministic_greedy,
     embed_submodular,
+    extend_to_orthant,
     make_coverage_tight,
     make_det_greedy_tight,
     make_indicator,
@@ -33,7 +37,14 @@ from ksubmax import (
 )
 
 import oracles
-from factories import EVAL_CASES, random_submodular_table, single_edge, triangle
+from factories import (
+    EVAL_CASES,
+    directed_path,
+    hexed,
+    random_submodular_table,
+    single_edge,
+    triangle,
+)
 
 
 class TestGraphInstance:
@@ -353,3 +364,40 @@ class TestEvalIndices:
             with pytest.raises(InputError):
                 f.eval_indices(np.array(bad))
         assert f.calls == 0
+
+
+def family_digest(f):
+    """sha256 of everything a family's values feed, every float by float.hex:
+    the tabulated values, two deterministic greedy results, the greedy
+    extensions of three partial assignments and the type of a scalar value."""
+    n, k = f.dims.n, f.dims.k
+    parts = [hexed(tabulate(f).values.tolist())]
+    parts.append(hexed(deterministic_greedy(f).to_json()))
+    parts.append(hexed(deterministic_greedy(f, tuple(range(n))[::-1], 0.5).to_json()))
+    for s in [(0,) * n, (1,) + (0,) * (n - 1), (0,) * (n - 1) + (k,)]:
+        parts.append(list(extend_to_orthant(f, s)))
+    value = f((k,) * n)
+    parts.append([type(value).__name__, value.hex()])
+    return hashlib.sha256(json.dumps(parts).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build,calls,digest", [
+    (lambda: EVAL_CASES["max_k_cut"]()[0], 316,
+     "704302da900f6ad744d71dd687e23972185867ac1e51005d70279231fdacd5fe"),
+    (lambda: make_max_k_cut(triangle(), 2), 59,
+     "162e6ea1cd8aa45899f3a2ca9da550f3e86d40db055b1e4b800903056c81dbaf"),
+    (lambda: EVAL_CASES["layer_layout"]()[0], 703,
+     "fb7b6a3b17737d745810036382e3107057d9754d5b6717765e5a720ab8befd15"),
+    (lambda: make_layer_layout(directed_path(5), 3), 1099,
+     "ceece51a78f9e43f26418b71712db11161e559057757c4356642fffd9b0111cd"),
+    (lambda: EVAL_CASES["nested_sum"]()[0], 316,
+     "6ed3dea483a5ced08b27df053a4ac1938b6a982b3bf00958f18ee89a6fd4b9d2"),
+    (lambda: EVAL_CASES["embedding"]()[0], 123,
+     "48fc0dc66162a3e93851702f21c68cc5318c092df9f506bdca26cb4b5baa7854"),
+], ids=["cut-weighted", "cut-triangle", "layout-weighted", "layout-path",
+        "nested-sum", "embedding"])
+def test_family_outputs_keep_their_recorded_digests(build, calls, digest):
+    # recorded before max-k-cut and the layer layout shared one edge sum;
+    # a changed float, label, value type or call count changes the digest
+    f = build()
+    assert (family_digest(f), f.calls) == (digest, calls)
