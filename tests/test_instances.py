@@ -179,6 +179,10 @@ DIAGNOSTICS = [
      "instance.kind: unknown kind 'mystery'; expected one of ('tabular', "
      "'max_k_cut', 'layer_layout', 'det_greedy_tight', 'coverage_tight', "
      "'indicator', 'sum', 'embedding')"),
+    ('{"kind": ["tabular"], "n": 1, "k": 1}',
+     "instance.kind: unknown kind ['tabular']; expected one of ('tabular', "
+     "'max_k_cut', 'layer_layout', 'det_greedy_tight', 'coverage_tight', "
+     "'indicator', 'sum', 'embedding')"),
     ('{"kind": "indicator", "k": 3, "target": 1}',
      "instance.n: missing required field"),
     ('{"kind": "indicator", "n": true, "k": 3, "target": 1}',
