@@ -1,12 +1,13 @@
-"""JSON instance format: parsing, validation, and oracle construction.
+"""JSON instance format: parsing, type checks, and oracle construction.
 
 An instance is a JSON object with a "kind" field naming the family, common
-fields "n" and "k", and kind-specific payload.  The parser checks JSON
-types only; the family constructors validate everything else, and the
-parser builds the oracle once and prefixes any constructor diagnostic with
-the JSON path of the instance, so diagnostics name the offending field.
+fields "n" and "k", and the kind's own fields listed below.  One reader per
+kind checks the JSON types of its fields and returns the constructor call;
+the family constructors validate everything else.  The parser builds the
+oracle once and prefixes any constructor diagnostic with the JSON path of
+the instance, so diagnostics name the offending field.
 
-kinds and their extra fields:
+kinds and their own fields:
   tabular            values (dense array in index order, finite, nonnegative)
   max_k_cut          edges [[u,v],...], directed (false), weights (optional)
   layer_layout       edges [[u,v],...], directed (true), weights (optional)
@@ -21,6 +22,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
+from typing import Callable
 
 from .core import Dims, InputError, OracleRangeError, ValueOracle
 from .zoo import (
@@ -35,29 +38,19 @@ from .zoo import (
     sum_combine,
 )
 
-KINDS = (
-    "tabular",
-    "max_k_cut",
-    "layer_layout",
-    "det_greedy_tight",
-    "coverage_tight",
-    "indicator",
-    "sum",
-    "embedding",
-)
-
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """Validated description of one function-family instance."""
+    """A checked instance: its kind, its dimensions and the constructor call
+    that builds its oracle."""
 
     kind: str
     dims: Dims
-    payload: dict
+    make: Callable[[], ValueOracle]
 
     def build(self) -> ValueOracle:
         """Construct the value oracle this spec describes."""
-        return _BUILDERS[self.kind](self)
+        return self.make()
 
 
 def parse_instance(text: str) -> InstanceSpec:
@@ -79,13 +72,14 @@ def instance_from_dict(obj, path: str = "instance") -> InstanceSpec:
     if not isinstance(obj, dict):
         raise InputError(f"{path}: expected a JSON object")
     kind = obj.get("kind")
-    if kind not in KINDS:
-        raise InputError(f"{path}.kind: unknown kind {kind!r}; expected one of {KINDS}")
+    kinds = tuple(_READERS)
+    if kind not in kinds:
+        raise InputError(f"{path}.kind: unknown kind {kind!r}; expected one of {kinds}")
     n = _int_field(obj, "n", path)
     k = _int_field(obj, "k", path)
-    payload = _VALIDATORS[kind](obj, n, k, path)
+    make = _READERS[kind](obj, n, k, path)
     try:
-        spec = InstanceSpec(kind, Dims(n, k), payload)
+        spec = InstanceSpec(kind, Dims(n, k), make)
         built = spec.build().dims
     except (InputError, OracleRangeError) as exc:
         raise InputError(f"{path}.{exc}") from exc
@@ -136,23 +130,33 @@ def _weights(obj: dict, path: str) -> list | None:
     return None if obj.get("weights") is None else _numbers(obj, "weights", path)
 
 
-def _validate_tabular(obj: dict, n: int, k: int, path: str) -> dict:
-    return {"values": _numbers(obj, "values", path)}
+def _read_tabular(obj: dict, n: int, k: int, path: str):
+    values = _numbers(obj, "values", path)
+    return lambda: TabularFunction(Dims(n, k), values)
 
 
-def _validate_graph(obj: dict, n: int, k: int, path: str) -> dict:
-    edges = []
-    for i, edge in enumerate(_array(obj, "edges", path)):
-        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
-            raise InputError(f"{path}.edges[{i}]: expected a pair [u, v] of integers")
-        edges.append(tuple(edge))
-    directed = obj.get("directed", False)
-    if not isinstance(directed, bool):
-        raise InputError(f"{path}.directed: expected a boolean")
-    return {"edges": edges, "directed": directed, "weights": _weights(obj, path)}
+def _graph_reader(family):
+    """Reader of an edge-list kind whose oracle is ``family(graph, k)``."""
+
+    def read(obj: dict, n: int, k: int, path: str):
+        edges = []
+        for i, edge in enumerate(_array(obj, "edges", path)):
+            if not (isinstance(edge, list) and len(edge) == 2
+                    and all(map(_is_int, edge))):
+                raise InputError(
+                    f"{path}.edges[{i}]: expected a pair [u, v] of integers"
+                )
+            edges.append(tuple(edge))
+        directed = obj.get("directed", False)
+        if not isinstance(directed, bool):
+            raise InputError(f"{path}.directed: expected a boolean")
+        weights = _weights(obj, path)
+        return lambda: family(GraphInstance(n, tuple(edges), directed, weights), k)
+
+    return read
 
 
-def _validate_sum(obj: dict, n: int, k: int, path: str) -> dict:
+def _read_sum(obj: dict, n: int, k: int, path: str):
     specs = []
     for i, term in enumerate(_array(obj, "terms", path)):
         spec = instance_from_dict(term, f"{path}.terms[{i}]")
@@ -162,53 +166,30 @@ def _validate_sum(obj: dict, n: int, k: int, path: str) -> dict:
                 f"differ from parent (n={n}, k={k})"
             )
         specs.append(spec)
-    return {"terms": specs, "weights": _weights(obj, path)}
+    weights = _weights(obj, path)
+    return lambda: sum_combine([spec.build() for spec in specs], weights)
 
 
-def _validate_embedding(obj: dict, n: int, k: int, path: str) -> dict:
+def _read_embedding(obj: dict, n: int, k: int, path: str):
     spec = instance_from_dict(obj.get("base"), f"{path}.base")
     if spec.kind != "tabular":
         raise InputError(f"{path}.base.kind: expected 'tabular', got {spec.kind!r}")
-    return {"base": spec}
+    return lambda: embed_submodular(spec.build())
 
 
-_VALIDATORS = {
-    "tabular": _validate_tabular,
-    "max_k_cut": _validate_graph,
-    "layer_layout": _validate_graph,
-    "det_greedy_tight": lambda obj, n, k, path: {"r": _int_field(obj, "r", path)},
-    "coverage_tight": lambda obj, n, k, path: {},
-    "indicator": lambda obj, n, k, path: {"target": _int_field(obj, "target", path)},
-    "sum": _validate_sum,
-    "embedding": _validate_embedding,
-}
-
-
-def _build_tabular(spec: InstanceSpec) -> ValueOracle:
-    return TabularFunction(spec.dims, spec.payload["values"])
-
-
-def _build_graph(spec: InstanceSpec) -> GraphInstance:
-    payload = spec.payload
-    return GraphInstance(
-        n_vertices=spec.dims.n,
-        edges=tuple(payload["edges"]),
-        directed=payload["directed"],
-        weights=None if payload["weights"] is None else tuple(payload["weights"]),
-    )
-
-
-_BUILDERS = {
-    "tabular": _build_tabular,
-    "max_k_cut": lambda spec: make_max_k_cut(_build_graph(spec), spec.dims.k),
-    "layer_layout": lambda spec: make_layer_layout(_build_graph(spec), spec.dims.k),
-    "det_greedy_tight": lambda spec: make_det_greedy_tight(
-        spec.dims.k, spec.payload["r"]
+# kind -> reader(obj, n, k, path): type-checks the kind's own fields once
+# and returns the constructor call, which validates everything else
+_READERS = {
+    "tabular": _read_tabular,
+    "max_k_cut": _graph_reader(make_max_k_cut),
+    "layer_layout": _graph_reader(make_layer_layout),
+    "det_greedy_tight": lambda obj, n, k, path: partial(
+        make_det_greedy_tight, k, _int_field(obj, "r", path)
     ),
-    "coverage_tight": lambda spec: make_coverage_tight(spec.dims.k),
-    "indicator": lambda spec: make_indicator(spec.dims.k, spec.payload["target"]),
-    "sum": lambda spec: sum_combine(
-        [term.build() for term in spec.payload["terms"]], spec.payload["weights"]
+    "coverage_tight": lambda obj, n, k, path: partial(make_coverage_tight, k),
+    "indicator": lambda obj, n, k, path: partial(
+        make_indicator, k, _int_field(obj, "target", path)
     ),
-    "embedding": lambda spec: embed_submodular(spec.payload["base"].build()),
+    "sum": _read_sum,
+    "embedding": _read_embedding,
 }

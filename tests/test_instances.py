@@ -22,7 +22,8 @@ class TestValidation:
         spec = parse(
             {"kind": "max_k_cut", "n": 2, "k": 2, "edges": [[0, 1]], "directed": False}
         )
-        assert spec.payload["edges"] == [(0, 1)]
+        f = spec.build()
+        assert (f.name, f((1, 2)), f((1, 1))) == ("max_2_cut", 1.0, 0.0)
 
     def test_det_greedy_tight_r_out_of_range(self):
         with pytest.raises(InputError, match=r"\.r"):
@@ -82,7 +83,7 @@ class TestValidation:
     def test_embedding_requirements(self):
         base = {"kind": "tabular", "n": 2, "k": 1, "values": [0, 1, 1, 0]}
         spec = parse({"kind": "embedding", "n": 2, "k": 2, "base": base})
-        assert spec.payload["base"].kind == "tabular"
+        assert spec.build().name == "embed(table)"
         with pytest.raises(InputError, match=r"base\.k"):
             parse({"kind": "embedding", "n": 2, "k": 2,
                    "base": {"kind": "tabular", "n": 2, "k": 2,
