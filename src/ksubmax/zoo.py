@@ -126,19 +126,7 @@ def make_max_k_cut(graph: GraphInstance, k: int) -> ValueOracle:
     """
     if graph.directed:
         raise InputError("directed: max-k-cut expects an undirected graph")
-    dims = Dims(graph.n_vertices, k)
-    edges, weights = graph.edges, graph.weights
-
-    def fn(x: tuple) -> float:
-        return sum((w for (u, v), w in zip(edges, weights) if x[u] != x[v]), 0.0)
-
-    def batch(digits: np.ndarray) -> np.ndarray:
-        values = np.zeros(len(digits))
-        for (u, v), w in zip(edges, weights):
-            values += np.where(digits[:, u] != digits[:, v], w, 0.0)
-        return values
-
-    return ValueOracle(dims, fn, name=f"max_{k}_cut", batch=batch)
+    return _edge_sum(graph, k, lambda a, b: float(a != b), f"max_{k}_cut")
 
 
 def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
@@ -155,8 +143,6 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
         raise InputError("directed: layer layout expects a directed graph")
     if k < 2:
         raise InputError(f"k: layer layout needs k >= 2, got {k}")
-    dims = Dims(graph.n_vertices, k)
-    edges, weights = graph.edges, graph.weights
 
     def edge_value(xu: int, xv: int) -> float:
         if xu == 0 and xv == 0:
@@ -167,22 +153,29 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
             return (xv - 1) / k
         return 1.0 if xu < xv else 0.0
 
-    def fn(x: tuple) -> float:
-        return sum(
-            (w * edge_value(x[u], x[v]) for (u, v), w in zip(edges, weights)), 0.0
-        )
+    return _edge_sum(graph, k, edge_value, f"layer_layout_{k}")
 
-    # w * edge_value on every label pair: the batched form gathers the terms
-    pairs = np.array([[edge_value(a, b) for b in range(k + 1)] for a in range(k + 1)])
-    terms = [(u, v, w * pairs) for (u, v), w in zip(edges, weights)]
+
+def _edge_sum(graph: GraphInstance, k: int, edge_value, name: str) -> ValueOracle:
+    """The oracle x -> sum over edges (u, v) of w * edge_value(x_u, x_v), the
+    terms added in edge order from 0.0.  edge_value is tabulated once on
+    every label pair; the scalar form reads that list, the batched form
+    takes from each edge's weighted copy, flattened to (k+1)·a + b."""
+    dims = Dims(graph.n_vertices, k)
+    pairs = [[edge_value(a, b) for b in range(k + 1)] for a in range(k + 1)]
+    edges = list(zip(graph.edges, graph.weights))
+    rows = np.multiply.outer(graph.weights, pairs).reshape(len(edges), (k + 1) ** 2)
+
+    def fn(x: tuple) -> float:
+        return sum((w * pairs[x[u]][x[v]] for (u, v), w in edges), 0.0)
 
     def batch(digits: np.ndarray) -> np.ndarray:
         values = np.zeros(len(digits))
-        for u, v, term in terms:
-            values += term[digits[:, u], digits[:, v]]
+        for (u, v), row in zip(graph.edges, rows):
+            values += row.take(digits[:, u] * (k + 1) + digits[:, v])
         return values
 
-    return ValueOracle(dims, fn, name=f"layer_layout_{k}", batch=batch)
+    return ValueOracle(dims, fn, name=name, batch=batch)
 
 
 def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
