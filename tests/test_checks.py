@@ -16,7 +16,6 @@ from ksubmax import (
     OracleRangeError,
     PreconditionError,
     TabularFunction,
-    all_assignments,
     all_orthants,
     check_characterization,
     check_k_submodular,
@@ -34,6 +33,7 @@ from ksubmax import (
 )
 
 import ksubmax.checks as checks
+from ksubmax.core import all_assignments
 import oracles
 from factories import single_edge
 
@@ -136,8 +136,6 @@ class TestKSubmodular:
         report = check_k_submodular(table)
         assert not report.holds
         # scan in index order and stop at the first violation
-        from ksubmax import all_assignments
-
         def violates(s, t):
             lhs = table(s) + table(t)
             rhs = table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t))
@@ -177,8 +175,6 @@ class TestOrthantSubmodular:
     def test_modular_holds(self):
         # additive tables are submodular with equality in every orthant
         import numpy as np
-
-        from ksubmax import all_assignments
 
         rng = np.random.default_rng(3)
         dims = Dims(3, 2)
@@ -336,8 +332,6 @@ class TestRWiseMonotone:
         # element, then base assignment index, then label sets in
         # lexicographic order: the first failing set is the reported one
         import itertools
-
-        from ksubmax import all_assignments
 
         table = random_table(Dims(2, 5), seed=seed)
         report = check_r_wise_monotone(table, r)

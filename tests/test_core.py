@@ -9,12 +9,9 @@ from ksubmax import (
     InputError,
     PreconditionError,
     ValueOracle,
-    all_assignments,
     all_orthants,
-    assignment_of,
     extend_to_orthant,
     id0,
-    index_of,
     is_orthant,
     make_det_greedy_tight,
     make_indicator,
@@ -24,10 +21,15 @@ from ksubmax import (
     min0,
     random_ksubmodular,
     restrict,
+)
+from ksubmax.core import (
+    all_assignments,
+    assignment_of,
+    index_of,
+    smallest_max_label,
     support,
     with_label,
 )
-from ksubmax.core import smallest_max_label
 
 import oracles
 from factories import single_edge

@@ -1,12 +1,15 @@
-"""The README's command-line examples: every ``ksub`` line parses, the
-``check`` lines exit with the code annotated next to them (0 when none is),
-and the ``maximize`` lines exit 0 with one JSON document."""
+"""The README's examples: every name its Python blocks import from
+``ksubmax`` is exported, every ``ksub`` line parses, the ``check`` lines
+exit with the code annotated next to them (0 when none is), and the
+``maximize`` lines exit 0 with one JSON document."""
 
+import ast
 import json
 import re
 import shlex
 from pathlib import Path
 
+import ksubmax
 from ksubmax.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -14,6 +17,15 @@ README = Path(__file__).resolve().parents[1] / "README.md"
 
 def bash_blocks():
     return re.findall(r"```bash\n(.*?)```", README.read_text(), re.S)
+
+
+def test_python_imports_are_exported():
+    blocks = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    names = {alias.name for block in blocks for node in ast.walk(ast.parse(block))
+             if isinstance(node, ast.ImportFrom) and node.module == "ksubmax"
+             for alias in node.names}
+    assert names
+    assert names <= set(ksubmax.__all__), names - set(ksubmax.__all__)
 
 
 def ksub_lines():

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksubmax.core
+from ksubmax.core import all_assignments, assignment_of
 from ksubmax import (
     Dims,
     GraphInstance,
@@ -16,8 +17,6 @@ from ksubmax import (
     OracleRangeError,
     TabularFunction,
     ValueOracle,
-    all_assignments,
-    assignment_of,
     check_k_submodular,
     check_orthant_submodular,
     check_r_wise_monotone,
