@@ -114,7 +114,8 @@ _order = _flag(lambda text: tuple(int(e) for e in text.split(",")), bool,
                "a comma-separated list of element indices")
 _k_values = _flag(_int_range, lambda ks: ks and min(ks) >= 2,
                   "a non-empty range of k >= 2")
-_r_values = _flag(_int_range, bool, "a non-empty range")
+_r_values = _flag(_int_range, lambda rs: rs and min(rs) >= 1,
+                  "a non-empty range of r >= 1")
 _property = _flag(_checker, bool, "one of ksub, orthant, monotone:<r>, "
                   "characterization, orthant-pairs")
 
@@ -215,7 +216,7 @@ def _paper_tight(args: argparse.Namespace) -> Iterator[tuple]:
             ("random", "exact-expectation", value, random_orthant_guarantee(k))
         ]
         for r in args.r or range(1, k + 1):
-            if 1 <= r <= k:
+            if r <= k:
                 oracle = make_det_greedy_tight(k, r)
                 value = deterministic_greedy(oracle, eps=args.eps).value
                 yield "det_greedy_tight", oracle, k, r, None, [
@@ -350,7 +351,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", required=True, type=_k_values,
                          help="k values >= 2, e.g. 2..6 or 3 or 2,4,6")
     p_bench.add_argument("--r", type=_r_values, default=None,
-                         help="restrict the tight greedy family to these arities")
+                         help="restrict the tight greedy family to these arities"
+                       " r >= 1")
     p_bench.add_argument("--trials", type=_positive_int, default=100,
                          help="random tables per k for the random-ksub suite")
     p_bench.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")

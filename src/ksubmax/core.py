@@ -39,6 +39,9 @@ EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
 
+#: The types a label may have: int and numpy's integer types, not bool.
+_LABEL_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
+
 
 class InputError(ValueError):
     """Bad arguments: size mismatch, out-of-range field, exceeded cap."""
@@ -61,10 +64,11 @@ class Dims:
     k: int
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise InputError(f"n: must be >= 1, got {self.n}")
-        if self.k < 1:
-            raise InputError(f"k: must be >= 1, got {self.k}")
+        for name in ("n", "k"):
+            value = getattr(self, name)
+            check_int(name, value, 1)
+            # a numpy integer would compute (k+1)^n in int64, which wraps
+            object.__setattr__(self, name, int(value))
 
     @property
     def num_assignments(self) -> int:
@@ -258,8 +262,12 @@ class ValueOracle:
         if len(x) != n:
             raise InputError(f"assignment has length {len(x)}, expected n={n}")
         for v in x:
-            if not 0 <= v <= k:
-                raise InputError(f"label {v} out of range [0, k={k}]")
+            # int first: the common label type costs one identity test
+            if (type(v) is not int and type(v) not in _LABEL_TYPES) or not 0 <= v <= k:
+                raise InputError(
+                    f"label {v} out of range [0, k={k}]" if type(v) in _LABEL_TYPES
+                    else f"label {v!r} is not an integer"
+                )
         x = tuple(x)
         value = self._unchecked(x)
         if not math.isfinite(_as_float(value)):

@@ -369,6 +369,19 @@ class TestBenchCommand:
                       "--k", ks, "--out", str(tmp_path / "r.json")])
             assert excinfo.value.code == 2
 
+    @pytest.mark.parametrize("rs", ["0", "0..2", "-1", "2,0"])
+    def test_r_below_one_exit_2(self, tmp_path, capsys, rs):
+        # --r 0 exited 0 with every deterministic-greedy row silently dropped
+        out_path = tmp_path / "r.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "paper-tight", "--k", "3",
+                  "--r", rs, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "argument --r:" in captured.err and "usage:" in captured.err
+        assert not out_path.exists()
+
     def test_r_restriction(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         run(capsys, ["bench", "--suite", "paper-tight", "--k", "3..4",

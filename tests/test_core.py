@@ -2,6 +2,7 @@
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ksubmax import (
@@ -15,11 +16,13 @@ from ksubmax import (
     is_orthant,
     make_det_greedy_tight,
     make_indicator,
+    make_layer_layout,
     make_max_k_cut,
     marginal,
     max0,
     min0,
     random_ksubmodular,
+    random_table,
     restrict,
 )
 from ksubmax.core import (
@@ -122,6 +125,22 @@ class TestIndexing:
         with pytest.raises(InputError):
             Dims(2, 0)
 
+    @pytest.mark.parametrize("n,k,name", [(2.0, 3, "n"), (True, 2, "n"), (2, 3.0, "k"),
+                                          (2, False, "k"), ("2", 3, "n")])
+    def test_dims_refuse_non_integers(self, n, k, name):
+        # Dims(2.0, 3) was accepted, and random_table then died in numpy with
+        # "expected a sequence of integers"; Dims(True, 2) was taken as n=1
+        with pytest.raises(InputError, match=rf"^{name}: must be an integer >= 1"):
+            Dims(n, k)
+
+    def test_dims_hold_python_ints(self):
+        # with numpy ints, (k+1)^n wrapped in int64: 4^40 read 0 and passed caps
+        dims = Dims(np.int64(40), np.int32(3))
+        assert (type(dims.n), type(dims.k)) == (int, int)
+        assert dims == Dims(40, 3)
+        with pytest.raises(InputError, match="4\\^40 states"):
+            dims.check_cap("tabulation", 10**6)
+
 
 class TestValueOracle:
     def test_calls_counter_increases(self):
@@ -143,6 +162,21 @@ class TestValueOracle:
     def test_accepts_lists(self):
         f = make_indicator(3, 2)
         assert f([2]) == 1.0
+
+    @pytest.mark.parametrize("x", [(1.5, 2), (1.0, 0), (True, 0), ("1", 0),
+                                   (np.float64(1), 0)])
+    def test_refuses_labels_that_are_not_integers(self, x):
+        # a layout read (1.5, 2) as 1.0, and a table raised IndexError on (1.0, 0)
+        layout = make_layer_layout(single_edge(directed=True), 3)
+        for f in (layout, random_table(Dims(2, 3), seed=1)):
+            with pytest.raises(InputError, match=r"^label .* is not an integer$"):
+                f(x)
+            assert f.calls == 0
+
+    def test_accepts_numpy_integer_labels(self):
+        f = make_layer_layout(single_edge(directed=True), 3)
+        for x in [(np.int64(1), np.int32(2)), (np.uint8(1), 2), np.array([1, 2])]:
+            assert f(x) == f((1, 2)) == 1.0
 
 
 class TestMarginal:

@@ -190,8 +190,10 @@ DIAGNOSTICS = [
      "instance.n: expected an integer, got True"),
     ('{"kind": "indicator", "n": 1, "k": 3.0, "target": 1}',
      "instance.k: expected an integer, got 3.0"),
+    # the one message reworded on purpose: Dims now refuses n and k through
+    # check_int, which also names a float or a bool ("must be >= 1" before)
     ('{"kind": "indicator", "n": 0, "k": 3, "target": 1}',
-     "instance.n: must be >= 1, got 0"),
+     "instance.n: must be an integer >= 1, got 0"),
     ('{"kind": "indicator", "n": 1, "k": 3, "target": 4}',
      "instance.target: label 4 out of range [1, k=3]"),
     ('{"kind": "tabular", "n": 1, "k": 2, "values": {"a": 1}}',
