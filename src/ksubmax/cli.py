@@ -308,14 +308,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         help="cap on enumerated assignments (default 10^6)")
 
 
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=_seed, default=None, help="RNG seed (default 0)")
-    parser.add_argument("--trials", type=_positive_int, default=None,
-                        help="number of seeded runs for empirical expectations")
-    parser.add_argument("--order", type=_order, default=None,
-                        help="element order as a comma-separated permutation")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ksub",
@@ -342,7 +334,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the exact expectation instead of running")
     p_max.add_argument("--orthants-only", action="store_true",
                        help="restrict brute force to full partitions")
-    _add_run_flags(p_max)
+    p_max.add_argument("--seed", type=_seed, default=None, help="RNG seed (default 0)")
+    p_max.add_argument("--trials", type=_positive_int, default=None,
+                       help="number of seeded runs for empirical expectations")
+    p_max.add_argument("--order", type=_order, default=None,
+                       help="element order as a comma-separated permutation")
     _add_common(p_max)
     p_max.set_defaults(func=cmd_maximize)
 
@@ -351,8 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--k", required=True, type=_k_values,
                          help="k values >= 2, e.g. 2..6 or 3 or 2,4,6")
     p_bench.add_argument("--r", type=_r_values, default=None,
-                         help="restrict the tight greedy family to these arities"
-                       " r >= 1")
+                         help="restrict the tight greedy family to arities r >= 1")
     p_bench.add_argument("--trials", type=_positive_int, default=100,
                          help="random tables per k for the random-ksub suite")
     p_bench.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")

@@ -65,10 +65,9 @@ class Dims:
 
     def __post_init__(self) -> None:
         for name in ("n", "k"):
-            value = getattr(self, name)
-            check_int(name, value, 1)
+            check_int(name, getattr(self, name), 1)
             # a numpy integer would compute (k+1)^n in int64, which wraps
-            object.__setattr__(self, name, int(value))
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def num_assignments(self) -> int:

@@ -135,25 +135,18 @@ def _read_tabular(obj: dict, n: int, k: int, path: str):
     return lambda: TabularFunction(Dims(n, k), values)
 
 
-def _graph_reader(family):
+def _read_graph(family, obj: dict, n: int, k: int, path: str):
     """Reader of an edge-list kind whose oracle is ``family(graph, k)``."""
-
-    def read(obj: dict, n: int, k: int, path: str):
-        edges = []
-        for i, edge in enumerate(_array(obj, "edges", path)):
-            if not (isinstance(edge, list) and len(edge) == 2
-                    and all(map(_is_int, edge))):
-                raise InputError(
-                    f"{path}.edges[{i}]: expected a pair [u, v] of integers"
-                )
-            edges.append(tuple(edge))
-        directed = obj.get("directed", False)
-        if not isinstance(directed, bool):
-            raise InputError(f"{path}.directed: expected a boolean")
-        weights = _weights(obj, path)
-        return lambda: family(GraphInstance(n, tuple(edges), directed, weights), k)
-
-    return read
+    edges = []
+    for i, edge in enumerate(_array(obj, "edges", path)):
+        if not (isinstance(edge, list) and len(edge) == 2 and all(map(_is_int, edge))):
+            raise InputError(f"{path}.edges[{i}]: expected a pair [u, v] of integers")
+        edges.append(tuple(edge))
+    directed = obj.get("directed", False)
+    if not isinstance(directed, bool):
+        raise InputError(f"{path}.directed: expected a boolean")
+    weights = _weights(obj, path)
+    return lambda: family(GraphInstance(n, tuple(edges), directed, weights), k)
 
 
 def _read_sum(obj: dict, n: int, k: int, path: str):
@@ -181,8 +174,8 @@ def _read_embedding(obj: dict, n: int, k: int, path: str):
 # and returns the constructor call, which validates everything else
 _READERS = {
     "tabular": _read_tabular,
-    "max_k_cut": _graph_reader(make_max_k_cut),
-    "layer_layout": _graph_reader(make_layer_layout),
+    "max_k_cut": partial(_read_graph, make_max_k_cut),
+    "layer_layout": partial(_read_graph, make_layer_layout),
     "det_greedy_tight": lambda obj, n, k, path: partial(
         make_det_greedy_tight, k, _int_field(obj, "r", path)
     ),
