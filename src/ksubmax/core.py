@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -38,9 +37,6 @@ DEFAULT_MAX_PAIRS = 10**8
 EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
-
-#: The types a label may have: int and numpy's integer types, not bool.
-_LABEL_TYPES = frozenset({int, *(np.dtype(c).type for c in np.typecodes["AllInteger"])})
 
 
 class InputError(ValueError):
@@ -98,7 +94,7 @@ def check_eps(eps: float) -> None:
 def check_int(name: str, value, least: int) -> None:
     """Refuse a ``name`` argument that is not an integer >= least; a bool
     is refused too, although Python counts it as an int."""
-    integral = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    integral = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
     if not (integral and value >= least):
         raise InputError(f"{name}: must be an integer >= {least}, got {value!r}")
 
@@ -261,10 +257,11 @@ class ValueOracle:
         if len(x) != n:
             raise InputError(f"assignment has length {len(x)}, expected n={n}")
         for v in x:
-            # int first: the common label type costs one identity test
-            if (type(v) is not int and type(v) not in _LABEL_TYPES) or not 0 <= v <= k:
+            # int or a numpy integer, not bool; an int label costs one identity test
+            integral = type(v) is int or isinstance(v, np.integer)
+            if not (integral and 0 <= v <= k):
                 raise InputError(
-                    f"label {v} out of range [0, k={k}]" if type(v) in _LABEL_TYPES
+                    f"label {v} out of range [0, k={k}]" if integral
                     else f"label {v!r} is not an integer"
                 )
         x = tuple(x)

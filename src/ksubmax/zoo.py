@@ -159,20 +159,22 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
 def _edge_sum(graph: GraphInstance, k: int, edge_value, name: str) -> ValueOracle:
     """The oracle x -> sum over edges (u, v) of w * edge_value(x_u, x_v), the
     terms added in edge order from 0.0.  edge_value is tabulated once on
-    every label pair, shared by all edges: the scalar form reads the list,
-    the batched form takes from its flat copy at (k+1)·a + b."""
+    every label pair: the scalar form reads that list, the batched form
+    takes from each edge's weighted copy, flattened to (k+1)·a + b."""
     dims = Dims(graph.n_vertices, k)
     pairs = [[edge_value(a, b) for b in range(k + 1)] for a in range(k + 1)]
     flat = np.array(pairs).ravel()
     edges = [(u, v, w) for (u, v), w in zip(graph.edges, graph.weights)]
+    weighted = np.multiply.outer(graph.weights, flat)  # row i: edge i's copy
+    terms = [(u, v, row) for (u, v), row in zip(graph.edges, weighted)]
 
     def fn(x: tuple) -> float:
         return sum((w * pairs[x[u]][x[v]] for u, v, w in edges), 0.0)
 
     def batch(digits: np.ndarray) -> np.ndarray:
         values = np.zeros(len(digits))
-        for u, v, w in edges:
-            values += w * flat.take(digits[:, u] * (k + 1) + digits[:, v])
+        for u, v, term in terms:
+            values += term.take(digits[:, u] * (k + 1) + digits[:, v])
         return values
 
     return ValueOracle(dims, fn, name=name, batch=batch)

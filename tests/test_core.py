@@ -164,7 +164,7 @@ class TestValueOracle:
         assert f([2]) == 1.0
 
     @pytest.mark.parametrize("x", [(1.5, 2), (1.0, 0), (True, 0), ("1", 0),
-                                   (np.float64(1), 0)])
+                                   (np.float64(1), 0), (np.True_, 0)])
     def test_refuses_labels_that_are_not_integers(self, x):
         # a layout read (1.5, 2) as 1.0, and a table raised IndexError on (1.0, 0)
         layout = make_layer_layout(single_edge(directed=True), 3)
