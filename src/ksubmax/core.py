@@ -178,9 +178,10 @@ def assignment_of(idx: int, dims: Dims) -> tuple:
 def digits_of(idx: np.ndarray, n: int, k: int) -> np.ndarray:
     """len(idx) x n int64 matrix whose row j holds the n labels in
     {0, ..., k} of assignment idx[j], element 0 in column 0: the array form
-    of :func:`assignment_of`."""
+    of :func:`assignment_of`.  Column-major, so that a batched form reads
+    each element's labels as one contiguous column."""
     rest = np.array(idx, dtype=np.int64)
-    digits = np.empty((rest.size, n), dtype=np.int64)
+    digits = np.empty((rest.size, n), dtype=np.int64, order="F")
     for e in range(n):
         np.divmod(rest, k + 1, out=(rest, digits[:, e]))
     return digits

@@ -33,8 +33,9 @@ from .core import (
 
 @lru_cache(maxsize=32)
 def digit_matrix(n: int, k: int) -> np.ndarray:
-    """(k+1)^n x n matrix whose row i holds the labels of assignment i."""
-    return digits_of(np.arange((k + 1) ** n), n, k)
+    """(k+1)^n x n matrix whose row i holds the labels of assignment i,
+    row-major: the checkers read it by rows."""
+    return np.ascontiguousarray(digits_of(np.arange((k + 1) ** n), n, k))
 
 
 class TabularFunction(ValueOracle):
