@@ -204,7 +204,11 @@ def _paper_tight(args: argparse.Namespace) -> Iterator[tuple]:
     tight, the deterministic greedy on det_greedy_tight(k, r) for each r of
     --r in [1, k] (default every r), and the randomized greedy on the
     coverage instance.  Yields (instance, oracle, k, r, seed, runs) with
-    runs a list of (algorithm, mode, value, guarantee)."""
+    runs a list of (algorithm, mode, value, guarantee).  An --r value
+    above every --k value would drop its rows unseen, so it is refused."""
+    if args.r and max(args.r) > max(args.k):
+        raise InputError(f"--r {max(args.r)} is above every --k value "
+                         f"(largest {max(args.k)})")
     for k in args.k:
         if k == 2:
             edge = GraphInstance(2, ((0, 1),), directed=True)

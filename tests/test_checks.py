@@ -5,6 +5,10 @@ import json
 import os
 import subprocess
 import sys
+import threading
+import time
+import tracemalloc
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -600,6 +604,192 @@ class TestLocalCertificate:
         assert check_k_submodular(table, eps).holds
         assert check_orthant_submodular(table, eps).holds
         assert calls == (list(PAIR_CHECKS) if scanned else [])
+
+
+#: The three exhaustive scans, each called as scan(table).
+SCANS = {
+    "ksub": lambda table: checks._k_submodular_scan(table, 1e-9, 10**12),
+    "orthant": lambda table: checks._orthant_submodular_scan(table, 1e-9, 10**12),
+    "orthant-pairs": lambda table: check_orthant_pair_inequality(table, max_pairs=10**12),
+}
+
+ONE_WORKER = {"_THREADS": 1}
+TWO_WORKERS = {"_THREADS": 2, "_THREAD_ENTRIES": 0}  # threaded whatever the size
+
+
+def seeded_table(kind, n, k, seed):
+    """A holding, random or raised-last-orthant table on (n, k)."""
+    dims = Dims(n, k)
+    if kind == "random":
+        return random_table(dims, seed=seed)
+    table = random_ksubmodular(dims, atoms=3 * n, seed=seed)
+    if kind == "holds":
+        return table
+    values = table.values.copy()
+    values[-1] += 2.0 * values.max() + 1.0
+    return TabularFunction(dims, values, name="raised")
+
+
+def scan_json(name, table, **constants):
+    """The report of scan ``name`` as JSON text, under patched constants of
+    the checks module."""
+    with patch.multiple(checks, **constants):
+        return json.dumps(SCANS[name](table).to_json())
+
+
+class TestScanWorkers:
+    @pytest.mark.parametrize("name", SCANS)
+    @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 3), (5, 4), (6, 3)])
+    def test_reports_do_not_depend_on_the_thread_count(self, n, k, kind, name):
+        table = seeded_table(kind, n, k, seed=10 * n + k)
+        one = scan_json(name, table, **ONE_WORKER)
+        assert scan_json(name, table, **TWO_WORKERS) == one
+        assert scan_json(name, table, _THREADS=2) == one
+
+    @pytest.mark.parametrize("block", [40, 300])
+    @pytest.mark.parametrize("name", SCANS)
+    @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
+    @pytest.mark.parametrize("n,k", [(3, 4), (4, 3)])
+    def test_reports_do_not_depend_on_the_block(self, n, k, kind, name, block):
+        # a block of (4, 3) at 40 entries holds 2 of its 16 low parts of s;
+        # one of (3, 4) holds 1 high part of t at 40 entries and 12 at 300
+        table = seeded_table(kind, n, k, seed=n + k)
+        one = scan_json(name, table, **ONE_WORKER)
+        for workers in (ONE_WORKER, TWO_WORKERS):
+            assert scan_json(name, table, _BLOCK=block, **workers) == one
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        n=st.integers(1, 4),
+        k=st.integers(1, 4),
+        kind=st.sampled_from(["holds", "random", "raised-last"]),
+        block=st.integers(1, 400),
+    )
+    def test_drawn_tables_match_across_workers_and_blocks(self, seed, n, k, kind, block):
+        assume((k + 1) ** n <= 256)
+        table = seeded_table(kind, n, k, seed)
+        for name in SCANS:
+            one = scan_json(name, table, **ONE_WORKER)
+            assert scan_json(name, table, _BLOCK=block, **TWO_WORKERS) == one
+
+    def test_earliest_row_wins_over_the_row_found_first(self):
+        # n = 3, k = 2: row p holds the pairs whose s has high part (x1, x2)
+        # of index p, against 3 low parts x0; blocks of 18 entries hold 2
+        # high parts of t, so row 0 spans 5 blocks and row 1 spans 4.  The
+        # indicator of these four entries fails in row 0 only in its last
+        # block, where the join (2, 2, 2) is raised, and in row 1 in its
+        # first block and, at a smaller low part of s, in a later one.
+        def indicator(raised):
+            values = np.zeros(27)
+            values[raised] = 1.0
+            return TabularFunction(Dims(3, 2), values)
+
+        def placed(s, t):  # row, block, low part of s, t's high part - row, low of t
+            i, j = (sum(v * 3**e for e, v in enumerate(x)) for x in (s, t))
+            q = j // 3 - i // 3
+            return i // 3, q // 2, i % 3, q, j % 3
+
+        def failing(table):
+            def violates(s, t):
+                lhs = table(s) + table(t)
+                rhs = table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t))
+                return lhs < rhs - 1e-9
+
+            states = list(all_assignments(table.dims))
+            pairs = [(s, t) for i, s in enumerate(states) for t in states[i:]
+                     if violates(s, t)]
+            return pairs, first_pair_in_index_order(states, violates)
+
+        table, held = indicator([1, 7, 22, 26]), indicator([1, 7, 22])
+        pairs, first = failing(table)
+        rows = [placed(s, t) for s, t in pairs]
+        assert [place[:2] for place in rows if place[0] == 0] == [(0, 4)]
+        row_one = [place for place in rows if place[0] == 1]
+        assert any(place[1] == 0 for place in row_one)
+        least = min(row_one, key=lambda place: place[2:])
+        assert least[1] > 0
+        assert placed(*first) == rows[0] and first == ((2, 0, 0), (0, 2, 2))
+        # without the raised join row 0 holds, and row 1's least pair stays
+        held_pairs, later = failing(held)
+        assert placed(*later) == least
+        for workers in (ONE_WORKER, TWO_WORKERS):
+            with patch.multiple(checks, _BLOCK=18, **workers):
+                assert reported_pair(check_k_submodular(table)) == first
+                assert reported_pair(check_k_submodular(held)) == later
+
+    @pytest.mark.parametrize("slow_hits", [True, False])
+    def test_a_worker_stops_past_the_earliest_hit(self, slow_hits):
+        # step 0 runs alone and misses; then worker 0 hits step 2 at once
+        # while worker 1 is still on step 1.  The report is step 1's when it
+        # hits too, and step 3 never runs.
+        ran = []
+
+        def make_step():
+            def step(i):
+                ran.append(i)
+                if i == 1:
+                    time.sleep(0.05)
+                    return "step 1" if slow_hits else None
+                return f"step {i}" if i else None
+            return step
+
+        expected = (1, "step 1") if slow_hits else (2, "step 2")
+        assert checks._first_hit(6, 2, make_step) == expected
+        assert sorted(ran) == [0, 1, 2]
+
+    def test_earliest_hit_under_contention(self):
+        # four workers on two CPUs with a short switch interval: a lost
+        # update of the earliest hit would report a later step
+        def make_step():
+            return lambda i: i if i >= 50 and i % 7 == 3 else None
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(50):
+                assert checks._first_hit(400, 4, make_step) == (52, 52)
+            table = seeded_table("random", 4, 4, seed=3)
+            one = scan_json("ksub", table, **ONE_WORKER)
+            assert scan_json("ksub", table, _THREADS=4, _THREAD_ENTRIES=0) == one
+        finally:
+            sys.setswitchinterval(interval)
+
+    @pytest.mark.parametrize("name", ["ksub", "orthant-pairs"])
+    def test_second_worker_exception_surfaces(self, monkeypatch, name):
+        caller, real = threading.current_thread(), checks._meet_join
+
+        def failing(*args):
+            if threading.current_thread() is not caller:
+                raise RuntimeError("second worker failed")
+            return real(*args)
+
+        monkeypatch.setattr(checks, "_meet_join", failing)
+        table = seeded_table("holds", 5, 3, seed=1)
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="second worker failed"):
+            scan_json(name, table, **TWO_WORKERS)
+        assert threading.active_count() == before
+
+    def test_threads_end_with_the_check(self):
+        table = seeded_table("holds", 5, 3, seed=1)
+        before = threading.active_count()
+        with patch.multiple(checks, **TWO_WORKERS):
+            assert check_characterization(table).holds
+        assert threading.active_count() == before
+
+    def test_failing_scan_memory_stays_flat(self):
+        # row 0 of a failing (8, 3) table fails; its one block of
+        # 256 x 256^2 entries peaked at 402 MB before blocks were bounded
+        table = random_table(Dims(8, 3), seed=1)
+        tracemalloc.start()
+        try:
+            assert not check_k_submodular(table, max_pairs=10**12).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestCheckReport:

@@ -382,6 +382,18 @@ class TestBenchCommand:
         assert "argument --r:" in captured.err and "usage:" in captured.err
         assert not out_path.exists()
 
+    @pytest.mark.parametrize("ks,rs", [("3", "5"), ("2..3", "2..4"), ("2,4", "5")])
+    def test_r_above_every_k_exit_2(self, tmp_path, capsys, ks, rs):
+        # --k 3 --r 5 exited 0 with no deterministic-greedy row in the report
+        out_path = tmp_path / "r.json"
+        code = main(["bench", "--suite", "paper-tight", "--k", ks,
+                     "--r", rs, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert "--r" in captured.err and "--k" in captured.err
+        assert not out_path.exists()
+
     def test_r_restriction(self, tmp_path, capsys):
         out_path = tmp_path / "report.json"
         run(capsys, ["bench", "--suite", "paper-tight", "--k", "3..4",
