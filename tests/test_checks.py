@@ -674,7 +674,7 @@ class TestScanWorkers:
             one = scan_json(name, table, **ONE_WORKER)
             assert scan_json(name, table, _BLOCK=block, **TWO_WORKERS) == one
 
-    def test_earliest_row_wins_over_the_row_found_first(self):
+    def test_constructed_table_reports_its_earliest_row_and_least_pair(self):
         # n = 3, k = 2: row p holds the pairs whose s has high part (x1, x2)
         # of index p, against 3 low parts x0; blocks of 18 entries hold 2
         # high parts of t, so row 0 spans 5 blocks and row 1 spans 4.  The
