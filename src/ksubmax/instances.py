@@ -23,7 +23,6 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
 
 from .core import Dims, InputError, OracleRangeError, ValueOracle
 from .zoo import (
@@ -41,16 +40,16 @@ from .zoo import (
 
 @dataclass(frozen=True)
 class InstanceSpec:
-    """A checked instance: its kind, its dimensions and the constructor call
-    that builds its oracle."""
+    """A checked instance: its kind, its dimensions and the oracle that
+    checking it built."""
 
     kind: str
     dims: Dims
-    make: Callable[[], ValueOracle]
+    oracle: ValueOracle
 
     def build(self) -> ValueOracle:
-        """Construct the value oracle this spec describes."""
-        return self.make()
+        """The value oracle this spec describes, built once when it was read."""
+        return self.oracle
 
 
 def parse_instance(text: str) -> InstanceSpec:
@@ -79,17 +78,17 @@ def instance_from_dict(obj, path: str = "instance") -> InstanceSpec:
     k = _int_field(obj, "k", path)
     make = _READERS[kind](obj, n, k, path)
     try:
-        spec = InstanceSpec(kind, Dims(n, k), make)
-        built = spec.build().dims
+        dims = Dims(n, k)
+        oracle = make()
     except (InputError, OracleRangeError) as exc:
         raise InputError(f"{path}.{exc}") from exc
-    for field, declared, actual in (("n", n, built.n), ("k", k, built.k)):
+    for field, declared, actual in (("n", n, oracle.dims.n), ("k", k, oracle.dims.k)):
         if declared != actual:
             raise InputError(
                 f"{path}.{field}: declared {declared}, but this {kind} "
                 f"payload builds {field}={actual}"
             )
-    return spec
+    return InstanceSpec(kind, dims, oracle)
 
 
 def _is_int(value) -> bool:

@@ -24,7 +24,6 @@ from .core import (
     InputError,
     OracleRangeError,
     ValueOracle,
-    _checked_indices,
     assignment_of,
     digits_of,
     index_of,
@@ -71,11 +70,7 @@ class TabularFunction(ValueOracle):
             return values[digits @ radix]
 
         super().__init__(dims, lookup, name, batch=gather)
-
-    def eval_indices(self, idx) -> np.ndarray:
-        idx = _checked_indices(idx, self.dims)
-        self.calls += idx.size
-        return self.values[idx]
+        self._kept = values  # the same array, so writes to values show
 
 
 def _weights(weights: Sequence[float], count: int, of: str) -> tuple:
@@ -375,12 +370,13 @@ def random_table(
 def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFunction:
     """Materialize an oracle into a table by evaluating every assignment in
     index order.  Idempotent: tables pass through unchanged with no calls.
+    The oracle keeps a copy of the values; the table owns its own.
     Raises :class:`OracleRangeError` naming the first non-finite value (the
     oracle's own check), else the first negative one."""
     if isinstance(f, TabularFunction):
         return f
     f.dims.check_cap("tabulation", max_states)
-    values = f.eval_indices(np.arange(f.dims.num_assignments))
+    values = f._all_values()
     negative = np.flatnonzero(values < 0)
     if negative.size:
         i = int(negative[0])

@@ -4,7 +4,8 @@ import json
 
 import pytest
 
-from ksubmax import InputError, parse_instance, tabulate
+import ksubmax.instances
+from ksubmax import InputError, make_indicator, parse_instance, tabulate
 from ksubmax.instances import instance_from_dict
 
 
@@ -138,6 +139,24 @@ class TestBuild:
         }
         f = parse(doc).build()
         assert f((1, 2)) == 2.0
+
+    def test_nested_sum_builds_each_term_once(self, monkeypatch):
+        # reading checks each term by building it; the sum, and the spec's
+        # build(), use that oracle rather than building the term again
+        built = []
+
+        def counted(*args):
+            built.append(args)
+            return make_indicator(*args)
+
+        monkeypatch.setattr(ksubmax.instances, "make_indicator", counted)
+        doc = {"kind": "indicator", "n": 1, "k": 2, "target": 2}
+        for _ in range(8):
+            doc = {"kind": "sum", "n": 1, "k": 2, "terms": [doc]}
+        spec = parse(doc)
+        f = spec.build()
+        assert (len(built), f((2,)), f((1,))) == (1, 1.0, 0.0)
+        assert spec.build() is f
 
 
 INDICATOR = {"kind": "indicator", "n": 1, "k": 2, "target": 1}

@@ -6,6 +6,7 @@ import hashlib
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -619,3 +620,95 @@ def test_unusable_eps_rejected(run, eps):
     # greedy fell through to label k and returned (5, 5) instead of (1, 1)
     with pytest.raises(InputError, match="eps"):
         run(make_coverage_tight(5), eps)
+
+
+
+#: One oracle per family the audit reads, and a plain ValueOracle.
+KEPT_CASES = ("max_k_cut", "layer_layout", "nested_sum", "embedding", "coverage_tight",
+              "fallback")
+
+#: The audit's passes after tabulation.
+AUDIT_PASSES = (
+    lambda f: brute_force_max(f).to_json(),
+    exact_expectation_random_orthant,
+    exact_expectation_randomized_greedy,
+    lambda f: deterministic_greedy(f).to_json(),
+)
+
+
+def audit_answers(f):
+    """The audit's answers on f, every float written by float.hex."""
+    return hexed([run(f) for run in AUDIT_PASSES])
+
+
+class TestKeptEnumeration:
+    """An oracle keeps the values of its first enumeration of every
+    assignment, and later index evaluations gather from them: the answers
+    and the calls charged are those of evaluating again."""
+
+    def test_each_state_is_evaluated_once(self):
+        evaluated = []
+
+        def fn(x):
+            evaluated.append(x)
+            return 0.1 * x[0] + x[1] * x[2] / 3 + (x[0] == x[2]) * 0.5
+
+        f = ValueOracle(Dims(3, 2), fn)
+        tabulate(f)
+        brute_force_max(f)
+        exact_expectation_random_orthant(f)
+        exact_expectation_randomized_greedy(f)
+        deterministic_greedy(f)
+        # the 27 states once, then the greedy's 1 + n*k scalar calls; calls
+        # counts every index asked, as when each pass evaluated anew
+        assert len(evaluated) == 27 + 1 + 3 * 2
+        assert sorted(evaluated[:27]) == sorted(itertools.product(range(3), repeat=3))
+        assert f.calls == 76
+
+    @pytest.mark.parametrize("name", KEPT_CASES)
+    @pytest.mark.parametrize("first", [tabulate, brute_force_max, None],
+                             ids=["tabulate", "brute-force", "nothing"])
+    def test_answers_and_calls_match_a_fresh_oracle_per_pass(self, name, first):
+        fresh = [EVAL_CASES[name]()[0] for _ in AUDIT_PASSES]
+        want = hexed([run(g) for run, g in zip(AUDIT_PASSES, fresh)])
+        f = EVAL_CASES[name]()[0]
+        if first is not None:
+            first(f)
+        calls = f.calls
+        assert audit_answers(f) == want
+        assert f.calls - calls == sum(g.calls for g in fresh)
+
+    @pytest.mark.parametrize("name", KEPT_CASES)
+    def test_writing_into_the_table_leaves_the_oracle_unchanged(self, name):
+        want = audit_answers(EVAL_CASES[name]()[0])
+        f, subs = EVAL_CASES[name]()
+        table = tabulate(f)
+        values = table.values.copy()
+        table.values[:] = 2.0 * values + 1.0
+        sub_calls = [g.calls for g, _ in subs]
+        assert np.array_equal(f.eval_indices(np.arange(values.size)), values)
+        assert audit_answers(f) == want
+        # a gather from the kept values consults no sub-oracle; only the
+        # deterministic greedy's 1 + n*k scalar calls reach them
+        greedy_calls = 1 + f.dims.n * f.dims.k
+        assert [g.calls - before for (g, _), before in zip(subs, sub_calls)] == [
+            per_row * greedy_calls for _, per_row in subs]
+
+    @pytest.mark.parametrize("build", [
+        lambda: ValueOracle(Dims(2, 2), lambda x: math.nan if x == (2, 1) else 1.0),
+        lambda: sum_combine([TabularFunction(Dims(1, 1), [1.0, 1e308])] * 2),
+        lambda: embed_submodular(TabularFunction(Dims(1, 1), [1e308, 1e308])),
+    ], ids=["hand-built", "sum", "embedding"])
+    @pytest.mark.parametrize("first,second", [
+        (tabulate, tabulate),
+        (brute_force_max, brute_force_max),
+        (tabulate, brute_force_max),
+    ], ids=["tabulate-twice", "brute-force-twice", "tabulate-then-brute-force"])
+    def test_a_refused_enumeration_keeps_nothing(self, build, first, second):
+        f = build()
+        with pytest.raises(OracleRangeError) as refused:
+            first(f)
+        calls = f.calls
+        with pytest.raises(OracleRangeError, match=f"^{re.escape(str(refused.value))}$"):
+            second(f)
+        assert f.calls > calls  # evaluated again, not read from a kept vector
