@@ -226,16 +226,15 @@ class ValueOracle:
 
     Wraps a deterministic map from assignments to nonnegative reals.  The
     ``calls`` counter rises by one per index asked, through ``__call__`` or
-    :meth:`eval_indices`.  The oracle keeps the values of its first
-    enumeration of every assignment (``tabulate``, brute force), which the
-    state cap bounds (8 MB at 10^6 states); later :meth:`eval_indices`
-    calls gather from them and consult no sub-oracle.  ``batch``, when
-    given, is the same map on a matrix of label rows (one assignment per
-    row, as built by :func:`digits_of`) returning one value per row; without
-    it :meth:`eval_indices` calls ``fn`` once per index.  This is the one
-    place that refuses NaN and inf: each value returned is checked, and a
-    non-finite one, or an int beyond the float range, raises
-    :class:`OracleRangeError` naming the assignment.
+    :meth:`eval_indices`.  ``tabulate`` leaves the oracle a copy of every
+    assignment's value, bounded by the state cap (8 MB at 10^6 states);
+    later :meth:`eval_indices` calls gather from it and consult no
+    sub-oracle.  ``batch``, when given, is the same map on a matrix of label
+    rows (one per assignment, as built by :func:`digits_of`) returning one
+    value per row; without it :meth:`eval_indices` calls ``fn`` once per
+    index.  This is the one place that refuses NaN and inf: each value
+    returned is checked, and a non-finite one, or an int beyond the float
+    range, raises :class:`OracleRangeError` naming the assignment.
     Nonnegativity is a contract, not enforced here: consumers that
     materialize or verify values raise it when they meet a negative one.
     For parallel use, give each worker its own oracle instance; the counter
@@ -254,7 +253,7 @@ class ValueOracle:
         self.calls = 0
         self._fn = fn
         self._batch = batch
-        self._kept = None  # the value vector of the first full enumeration
+        self._kept = None  # the value vector tabulate leaves
 
     def __call__(self, x: Assignment) -> float:
         n, k = self.dims.n, self.dims.k
@@ -275,10 +274,9 @@ class ValueOracle:
         return value
 
     def eval_indices(self, idx) -> np.ndarray:
-        """Values at the assignments with mixed-radix indices ``idx``, in the
-        order given (repeats allowed), as a float array.  Counts one call per
-        index; gathers from the kept vector when there is one, else evaluates
-        in blocks of :data:`EVAL_BLOCK` indices."""
+        """Values at the mixed-radix indices ``idx``, in the order given
+        (repeats allowed), as a float array.  Counts one call per index; gathers
+        from the kept vector if any, else evaluates in :data:`EVAL_BLOCK` blocks."""
         idx = _checked_indices(idx, self.dims)
         if self._kept is not None:
             self.calls += idx.size
@@ -288,15 +286,6 @@ class ValueOracle:
         for lo in range(0, idx.size, EVAL_BLOCK):
             block = idx[lo : lo + EVAL_BLOCK]
             values[lo : lo + block.size] = self._eval_rows(digits_of(block, n, k))
-        return values
-
-    def _all_values(self) -> np.ndarray:
-        """:meth:`eval_indices` of every assignment in index order.  The first
-        call keeps a copy, which later calls gather from; one that raises
-        keeps nothing."""
-        values = self.eval_indices(np.arange(self.dims.num_assignments))
-        if self._kept is None:
-            self._kept = values.copy()
         return values
 
     def _eval_rows(self, digits: np.ndarray) -> np.ndarray:

@@ -48,7 +48,8 @@ class InstanceSpec:
     oracle: ValueOracle
 
     def build(self) -> ValueOracle:
-        """The value oracle this spec describes, built once when it was read."""
+        """The value oracle built when the spec was read: one object, calls and kept
+        values shared by every caller.  Parse again for a fresh oracle."""
         return self.oracle
 
 

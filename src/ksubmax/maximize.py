@@ -103,8 +103,11 @@ def brute_force_max(
     """
     dims = f.dims
     dims.check_cap("brute force", max_states, dims.k if over_orthants_only else None)
-    idx = _orthant_indices(dims) if over_orthants_only else np.arange(dims.num_assignments)
-    values = f.eval_indices(idx) if over_orthants_only else f._all_values()  # f keeps these
+    if over_orthants_only:
+        idx = _orthant_indices(dims)
+    else:
+        idx = np.arange(dims.num_assignments)
+    values = f.eval_indices(idx)
     best = int(np.argmax(values))  # the first maximum: ties go to the smaller index
     x = assignment_of(int(idx[best]), dims)
     return MaximizeResult(x, float(values[best]), evals=idx.size, trace=None)

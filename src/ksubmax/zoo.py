@@ -254,6 +254,13 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
     return ValueOracle(dims, fn, name=f"indicator_k{k}_t{target_label}", batch=batch)
 
 
+def _read_live(f: ValueOracle) -> ValueOracle:
+    """f, a table's values made read-only: a composite's kept values miss writes."""
+    if isinstance(f, TabularFunction):
+        f.values.flags.writeable = False
+    return f
+
+
 def sum_combine(
     fs: Sequence[ValueOracle], weights: Sequence[float] | None = None
 ) -> ValueOracle:
@@ -268,7 +275,7 @@ def sum_combine(
             raise InputError(
                 f"terms[{i}]: dims {f.dims} differ from {dims} (need equal n and k)"
             )
-    terms = list(zip(fs, ws))
+    terms = list(zip(map(_read_live, fs), ws))
 
     def fn(x: tuple) -> float:
         return sum((w * f._unchecked(x) for f, w in terms), 0.0)
@@ -298,7 +305,7 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
         raise InputError(
             f"base.k: embedding needs a set-function oracle (k=1), got k={g.dims.k}"
         )
-    n = g.dims.n
+    n = _read_live(g).dims.n
     ground_value = g._unchecked((1,) * n)
 
     def fn(x: tuple) -> float:
@@ -376,7 +383,9 @@ def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFun
     if isinstance(f, TabularFunction):
         return f
     f.dims.check_cap("tabulation", max_states)
-    values = f._all_values()
+    values = f.eval_indices(np.arange(f.dims.num_assignments))
+    if f._kept is None:  # a refused enumeration keeps nothing
+        f._kept = values.copy()
     negative = np.flatnonzero(values < 0)
     if negative.size:
         i = int(negative[0])

@@ -42,6 +42,7 @@ from ksubmax import (
     rand_greedy_guarantee_ksub,
     random_ksubmodular,
     random_orthant_guarantee,
+    random_table,
     randomized_greedy,
     sum_combine,
     tabulate,
@@ -666,14 +667,13 @@ class TestKeptEnumeration:
         assert f.calls == 76
 
     @pytest.mark.parametrize("name", KEPT_CASES)
-    @pytest.mark.parametrize("first", [tabulate, brute_force_max, None],
-                             ids=["tabulate", "brute-force", "nothing"])
-    def test_answers_and_calls_match_a_fresh_oracle_per_pass(self, name, first):
+    @pytest.mark.parametrize("tabulated", [True, False], ids=["tabulated", "not-tabulated"])
+    def test_answers_and_calls_match_a_fresh_oracle_per_pass(self, name, tabulated):
         fresh = [EVAL_CASES[name]()[0] for _ in AUDIT_PASSES]
         want = hexed([run(g) for run, g in zip(AUDIT_PASSES, fresh)])
         f = EVAL_CASES[name]()[0]
-        if first is not None:
-            first(f)
+        if tabulated:
+            tabulate(f)
         calls = f.calls
         assert audit_answers(f) == want
         assert f.calls - calls == sum(g.calls for g in fresh)
@@ -699,16 +699,33 @@ class TestKeptEnumeration:
         lambda: sum_combine([TabularFunction(Dims(1, 1), [1.0, 1e308])] * 2),
         lambda: embed_submodular(TabularFunction(Dims(1, 1), [1e308, 1e308])),
     ], ids=["hand-built", "sum", "embedding"])
-    @pytest.mark.parametrize("first,second", [
-        (tabulate, tabulate),
-        (brute_force_max, brute_force_max),
-        (tabulate, brute_force_max),
-    ], ids=["tabulate-twice", "brute-force-twice", "tabulate-then-brute-force"])
-    def test_a_refused_enumeration_keeps_nothing(self, build, first, second):
+    @pytest.mark.parametrize("second", [tabulate, brute_force_max],
+                             ids=["tabulate-again", "then-brute-force"])
+    def test_a_refused_enumeration_keeps_nothing(self, build, second):
         f = build()
         with pytest.raises(OracleRangeError) as refused:
-            first(f)
+            tabulate(f)
         calls = f.calls
         with pytest.raises(OracleRangeError, match=f"^{re.escape(str(refused.value))}$"):
             second(f)
         assert f.calls > calls  # evaluated again, not read from a kept vector
+
+    @pytest.mark.parametrize("name,table_at", [("nested_sum", 3), ("embedding", 0)])
+    def test_a_table_inside_a_composite_is_read_only(self, name, table_at):
+        # the composite keeps its tabulated values, which a write into the
+        # table would not reach; the write is refused, so every path agrees
+        want = audit_answers(EVAL_CASES[name]()[0])
+        f, subs = EVAL_CASES[name]()
+        table = subs[table_at][0]
+        tabulate(f)
+        with pytest.raises(ValueError, match="read-only"):
+            table.values[1] += 0.5
+        assert audit_answers(f) == want
+        x = (1,) + (0,) * (f.dims.n - 1)  # index 1
+        assert f(x) == f.eval_indices([1])[0]
+
+    def test_a_table_alone_stays_writable(self):
+        table = random_table(Dims(2, 2), seed=5)
+        tabulate(table)
+        table.values[1] += 0.5
+        assert table.eval_indices([1])[0] == table((1, 0)) == table.values[1]
