@@ -8,7 +8,7 @@ property checkers, maximizers) consumes this one representation through
 :class:`ValueOracle`, which counts evaluations so query complexity can be
 audited, and refuses every NaN or infinite value.  Enumerations name
 assignments by their mixed-radix index and evaluate whole index vectors at
-once through :meth:`ValueOracle.eval_indices`.
+once through :meth:`ValueOracle.eval_indices` or :meth:`ValueOracle.eval_all`.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ DEFAULT_MAX_STATES = 10**6
 #: Default cap on the number of enumerated assignment pairs (checkers).
 DEFAULT_MAX_PAIRS = 10**8
 
-#: Indices per block in :meth:`ValueOracle.eval_indices` and, divided by
-#: k, trials per chunk in ``maximize.empirical_expectation``; bounds the
-#: label matrix a batched oracle sees at 2^14 rows.
+#: Indices per block in :meth:`ValueOracle.eval_indices`, bound on the
+#: (k+1)^m rows per block in :meth:`ValueOracle.eval_all` and, divided by
+#: k, trials per chunk in ``maximize.empirical_expectation``.
 EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
@@ -182,9 +182,22 @@ def digits_of(idx: np.ndarray, n: int, k: int) -> np.ndarray:
     each element's labels as one contiguous column."""
     rest = np.array(idx, dtype=np.int64)
     digits = np.empty((rest.size, n), dtype=np.int64, order="F")
-    for e in range(n):
-        np.divmod(rest, k + 1, out=(rest, digits[:, e]))
+    for e in range(n):  # np.divmod takes about twice as long
+        quot = rest // (k + 1)
+        np.subtract(rest, quot * (k + 1), out=digits[:, e])
+        rest = quot
     return digits
+
+
+def label_rows(n: int, k: int, m: int) -> np.ndarray:
+    """``digits_of(np.arange((k+1)**m), n, k)`` for m <= n, by broadcasting:
+    column e < m repeats each label 0..k (k+1)^e times in turn; the rest
+    are 0."""
+    base = k + 1
+    rows = np.zeros((base**m, n), dtype=np.int64, order="F")
+    for e in range(m):
+        rows[:, e].reshape(-1, base, base**e)[...] = np.arange(base)[:, None]
+    return rows
 
 
 def _checked_indices(idx, dims: Dims) -> np.ndarray:
@@ -225,16 +238,16 @@ class ValueOracle:
     """Counted evaluator for a k-set function on label vectors.
 
     Wraps a deterministic map from assignments to nonnegative reals.  The
-    ``calls`` counter rises by one per index asked, through ``__call__`` or
-    :meth:`eval_indices`.  ``tabulate`` leaves the oracle a copy of every
-    assignment's value, bounded by the state cap (8 MB at 10^6 states);
-    later :meth:`eval_indices` calls gather from it and consult no
-    sub-oracle.  ``batch``, when given, is the same map on a matrix of label
-    rows (one per assignment, as built by :func:`digits_of`) returning one
-    value per row; without it :meth:`eval_indices` calls ``fn`` once per
-    index.  This is the one place that refuses NaN and inf: each value
-    returned is checked, and a non-finite one, or an int beyond the float
-    range, raises :class:`OracleRangeError` naming the assignment.
+    ``calls`` counter rises by one per index asked, through ``__call__``,
+    :meth:`eval_indices` or :meth:`eval_all`.  ``tabulate`` leaves the
+    oracle a copy of every assignment's value, bounded by the state cap
+    (8 MB at 10^6 states); later batched calls gather from it and consult
+    no sub-oracle.  ``batch``, when given, is the same map on a matrix of
+    label rows (one per assignment; :meth:`eval_all` builds them without
+    division) returning one value per row; without it ``fn`` is called
+    once per row.  This is the one place that refuses NaN and inf: each
+    value returned is checked, and a non-finite one, or an int beyond the
+    float range, raises :class:`OracleRangeError` naming the assignment.
     Nonnegativity is a contract, not enforced here: consumers that
     materialize or verify values raise it when they meet a negative one.
     For parallel use, give each worker its own oracle instance; the counter
@@ -286,6 +299,30 @@ class ValueOracle:
         for lo in range(0, idx.size, EVAL_BLOCK):
             block = idx[lo : lo + EVAL_BLOCK]
             values[lo : lo + block.size] = self._eval_rows(digits_of(block, n, k))
+        return values
+
+    def eval_all(self) -> np.ndarray:
+        """``eval_indices(np.arange((k+1)**n))``: the same values, calls and
+        first refusal.  Unless it gathers from the kept vector, it walks
+        blocks of (k+1)^m rows, m in 1..n the largest with (k+1)^m <=
+        :data:`EVAL_BLOCK` (else 1); block j's high n - m labels are j's."""
+        n, k = self.dims.n, self.dims.k
+        size = self.dims.num_assignments
+        if self._kept is not None:
+            self.calls += size
+            return self._kept.copy()
+        m = 1
+        while m < n and (k + 1) ** (m + 1) <= EVAL_BLOCK:
+            m += 1
+        first = label_rows(n, k, m)
+        width = len(first)
+        highs = digits_of(np.arange(size // width), n - m, k)
+        values = np.empty(size)
+        for j, high in enumerate(highs):
+            # fresh, as a batch may keep its input; no block copies the last
+            rows = first.copy(order="F") if j + 1 < len(highs) else first
+            rows[:, m:] = high
+            values[j * width : (j + 1) * width] = self._eval_rows(rows)
         return values
 
     def _eval_rows(self, digits: np.ndarray) -> np.ndarray:

@@ -105,12 +105,12 @@ def brute_force_max(
     dims.check_cap("brute force", max_states, dims.k if over_orthants_only else None)
     if over_orthants_only:
         idx = _orthant_indices(dims)
+        values = f.eval_indices(idx)
     else:
-        idx = np.arange(dims.num_assignments)
-    values = f.eval_indices(idx)
+        idx, values = None, f.eval_all()
     best = int(np.argmax(values))  # the first maximum: ties go to the smaller index
-    x = assignment_of(int(idx[best]), dims)
-    return MaximizeResult(x, float(values[best]), evals=idx.size, trace=None)
+    x = assignment_of(best if idx is None else int(idx[best]), dims)
+    return MaximizeResult(x, float(values[best]), evals=values.size, trace=None)
 
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:

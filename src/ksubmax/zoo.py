@@ -25,16 +25,16 @@ from .core import (
     OracleRangeError,
     ValueOracle,
     assignment_of,
-    digits_of,
     index_of,
+    label_rows,
 )
 
 
 @lru_cache(maxsize=32)
 def digit_matrix(n: int, k: int) -> np.ndarray:
     """(k+1)^n x n matrix whose row i holds the labels of assignment i,
-    row-major: the checkers read it by rows."""
-    return np.ascontiguousarray(digits_of(np.arange((k + 1) ** n), n, k))
+    row-major, built by broadcasting: the checkers read it by rows."""
+    return np.ascontiguousarray(label_rows(n, k, n))
 
 
 class TabularFunction(ValueOracle):
@@ -169,8 +169,12 @@ def _edge_sum(graph: GraphInstance, k: int, edge_value, name: str) -> ValueOracl
 
     def batch(digits: np.ndarray) -> np.ndarray:
         values = np.zeros(len(digits))
-        for u, v, term in terms:
-            values += term.take(digits[:, u] * (k + 1) + digits[:, v])
+        pair = np.empty(len(digits), dtype=np.int64)
+        with np.errstate(over="ignore"):  # the oracle's own check refuses an inf
+            for u, v, term in terms:
+                np.multiply(digits[:, u], k + 1, out=pair)
+                pair += digits[:, v]
+                values += term.take(pair)
         return values
 
     return ValueOracle(dims, fn, name=name, batch=batch)
@@ -376,19 +380,20 @@ def random_table(
 
 def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFunction:
     """Materialize an oracle into a table by evaluating every assignment in
-    index order.  Idempotent: tables pass through unchanged with no calls.
+    index order, in blocks of label rows built by broadcasting, not
+    division.  Idempotent: tables pass through unchanged with no calls.
     The oracle keeps a copy of the values; the table owns its own.
     Raises :class:`OracleRangeError` naming the first non-finite value (the
     oracle's own check), else the first negative one."""
     if isinstance(f, TabularFunction):
         return f
     f.dims.check_cap("tabulation", max_states)
-    values = f.eval_indices(np.arange(f.dims.num_assignments))
-    if f._kept is None:  # a refused enumeration keeps nothing
-        f._kept = values.copy()
+    values = f.eval_all()
     negative = np.flatnonzero(values < 0)
     if negative.size:
         i = int(negative[0])
         x, v = assignment_of(i, f.dims), float(values[i])
         raise OracleRangeError(f"oracle {f.name} is negative at {x}: {v}")
+    if f._kept is None:  # a refused enumeration keeps nothing
+        f._kept = values.copy()
     return TabularFunction(f.dims, values, name=f.name)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from ksubmax import Dims, random_ksubmodular
+from ksubmax import Dims, OracleRangeError, parse_instance, random_ksubmodular, tabulate
 from ksubmax.cli import main
 
 
@@ -208,6 +208,25 @@ class TestMaximizeCommand:
         assert code == 2
         assert captured.out == ""
         assert "non-finite" in captured.err
+
+    def test_overflowing_edge_sum_exit_2_quietly(self, tmp_path):
+        # two finite weighted edges whose sum overflows: the oracle refuses
+        # the inf, and no numpy overflow warning reaches stderr first
+        doc = {"kind": "max_k_cut", "n": 3, "k": 2, "edges": [[0, 1], [1, 2]],
+               "weights": [1e308, 1e308]}
+        with pytest.raises(OracleRangeError, match="non-finite"):
+            tabulate(parse_instance(json.dumps(doc)).build())
+        src = Path(__file__).resolve().parents[1] / "src"
+        path_var = os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])
+        child = subprocess.run(
+            [sys.executable, "-m", "ksubmax.cli", "maximize",
+             write_instance(tmp_path, doc), "--algo", "brute"],
+            capture_output=True, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": path_var},
+        )
+        assert (child.returncode, child.stdout) == (2, "")
+        assert child.stderr.count("\n") == 1, child.stderr
+        assert child.stderr.startswith("error: oracle max_2_cut has a non-finite value")
 
     @pytest.mark.parametrize("algo", ["random", "greedy-rand"])
     def test_overflowing_trial_mean_exit_2(self, tmp_path, capsys, algo):

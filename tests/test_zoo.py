@@ -3,13 +3,15 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksubmax.core
-from ksubmax.core import all_assignments, assignment_of
+from ksubmax.core import all_assignments, assignment_of, digits_of
+from ksubmax.zoo import digit_matrix
 from ksubmax import (
     Dims,
     GraphInstance,
@@ -363,6 +365,114 @@ class TestEvalIndices:
             with pytest.raises(InputError):
                 f.eval_indices(np.array(bad))
         assert f.calls == 0
+
+
+def block_width(n, k, block):
+    """(k+1)^m for the largest m in 1..n with (k+1)^m <= block, else k+1."""
+    return max([(k + 1) ** m for m in range(1, n + 1) if (k + 1) ** m <= block],
+               default=k + 1)
+
+
+class TestEvalAll:
+    # k = 9 takes the floor m = 1 at a block bound of 7: 10 rows a block
+    CASES = {**EVAL_CASES, "coverage_k9": lambda: (make_coverage_tight(9), [])}
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_matches_eval_indices_in_aligned_blocks(self, name, monkeypatch):
+        monkeypatch.setattr(ksubmax.core, "EVAL_BLOCK", 7)
+        f, subs = self.CASES[name]()
+        g, g_subs = self.CASES[name]()
+        n, k = g.dims.n, g.dims.k
+        size = g.dims.num_assignments
+        blocks = []
+
+        def keep_rows(rows, evaluate=g._eval_rows):
+            blocks.append(rows)  # kept: a later block must not overwrite it
+            return evaluate(rows)
+
+        monkeypatch.setattr(g, "_eval_rows", keep_rows)
+        want = f.eval_indices(np.arange(size))
+        got = g.eval_all()
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+        assert g.calls == f.calls == size
+        assert [h.calls for h, _ in g_subs] == [h.calls for h, _ in subs]
+        if isinstance(g, TabularFunction):  # gathered from its values
+            assert blocks == []
+            return
+        width = block_width(n, k, 7)
+        assert len(blocks) == size // width and (len(blocks) > 1 or n == 1)
+        assert all(rows.shape == (width, n) for rows in blocks)
+        radix = (k + 1) ** np.arange(n)
+        indices = np.concatenate([rows @ radix for rows in blocks])
+        assert np.array_equal(indices, np.arange(size))
+
+    @pytest.mark.parametrize("name", ["nested_sum", "fallback"])
+    def test_a_kept_vector_is_gathered(self, name):
+        f, subs = self.CASES[name]()
+        table = tabulate(f)
+        calls, sub_calls = f.calls, [h.calls for h, _ in subs]
+        got = f.eval_all()
+        assert np.array_equal(got, table.values)
+        assert f.calls == calls + got.size
+        assert [h.calls for h, _ in subs] == sub_calls
+        got[0] += 1.0  # a copy: the kept vector is unchanged
+        assert np.array_equal(f.eval_all(), table.values)
+
+    @pytest.mark.parametrize("bad,message", [(math.inf, "non-finite value"),
+                                             (-1.0, "negative")])
+    def test_a_later_block_refusal_names_its_assignment(self, bad, message,
+                                                        monkeypatch):
+        # 27 states in blocks of 3; index 22 lies in the eighth block, and
+        # the later bad value at index 25 is not the one named
+        monkeypatch.setattr(ksubmax.core, "EVAL_BLOCK", 7)
+        dims = Dims(3, 2)
+        first, later = assignment_of(22, dims), assignment_of(25, dims)
+        radix = 3 ** np.arange(3)
+
+        def batch(rows):
+            return np.where(np.isin(rows @ radix, [22, 25]), bad, 1.0)
+
+        f = ValueOracle(dims, lambda x: bad if x in (first, later) else 1.0,
+                        batch=batch)
+        for _ in range(2):
+            with pytest.raises(OracleRangeError,
+                               match=f"{message} at {re.escape(str(first))}: "):
+                tabulate(f)
+            assert f._kept is None
+
+
+@pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (7, 3), (9, 3), (19, 1), (6, 9),
+                                 (2, 999), (1, 10**6)])
+def test_digits_of_matches_assignment_of(n, k):
+    # (2, 999) holds the largest index the 10^6 state cap admits, 999999
+    dims = Dims(n, k)
+    top = dims.num_assignments - 1
+    rng = np.random.default_rng(1000 * n + k)
+    idx = np.concatenate([rng.integers(0, top + 1, size=300), [0, top]])
+    got = digits_of(idx, n, k)
+    assert got.dtype == np.int64 and got.flags.f_contiguous
+    assert list(map(tuple, got.tolist())) == [assignment_of(int(i), dims) for i in idx]
+
+
+def divmod_digit_matrix(n, k):
+    """The digit matrix by repeated divmod of every index, one column per
+    element: the reference the broadcast one must equal."""
+    rest = np.arange((k + 1) ** n, dtype=np.int64)
+    digits = np.empty((rest.size, n), dtype=np.int64)
+    for e in range(n):
+        rest, digits[:, e] = np.divmod(rest, k + 1)
+    return digits
+
+
+def test_digit_matrix_matches_divmod():
+    # the checkers ask for (n//2, k), (n - n//2, k), (n, k-1) and (n, k) of
+    # tables up to the state cap; every (n, k) up to 2^15 rows covers them
+    sizes = [(n, k) for n in range(12) for k in range(40) if (k + 1) ** n <= 2**15]
+    sizes += [(9, 3), (19, 1)]
+    for n, k in sizes:
+        got = digit_matrix(n, k)
+        assert got.dtype == np.int64 and got.flags.c_contiguous, (n, k)
+        assert np.array_equal(got, divmod_digit_matrix(n, k)), (n, k)
 
 
 def family_digest(f):
