@@ -302,10 +302,11 @@ class ValueOracle:
         return values
 
     def eval_all(self) -> np.ndarray:
-        """``eval_indices(np.arange((k+1)**n))``: the same values, calls and
-        first refusal.  Unless it gathers from the kept vector, it walks
-        blocks of (k+1)^m rows, m in 1..n the largest with (k+1)^m <=
-        :data:`EVAL_BLOCK` (else 1); block j's high n - m labels are j's."""
+        """``eval_indices(np.arange((k+1)**n))``: the same values and calls,
+        and the same first value refused.  Unless it gathers from the kept
+        vector, it walks blocks of (k+1)^m rows, m in 1..n the largest with
+        (k+1)^m <= :data:`EVAL_BLOCK` (else 1); block j's low m labels are
+        one broadcast pattern, its high n - m labels the digits of j."""
         n, k = self.dims.n, self.dims.k
         size = self.dims.num_assignments
         if self._kept is not None:
