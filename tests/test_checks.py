@@ -1,6 +1,7 @@
 """Property checkers: worked instances, counterexample soundness, and
 agreement with the independent loop-based references."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -21,11 +22,15 @@ from ksubmax import (
     PreconditionError,
     TabularFunction,
     all_orthants,
+    brute_force_max,
     check_characterization,
     check_k_submodular,
     check_orthant_pair_inequality,
     check_orthant_submodular,
     check_r_wise_monotone,
+    empirical_expectation,
+    exact_expectation_random_orthant,
+    exact_expectation_randomized_greedy,
     induced_set_function,
     make_coverage_tight,
     make_det_greedy_tight,
@@ -33,13 +38,14 @@ from ksubmax import (
     make_max_k_cut,
     random_ksubmodular,
     random_table,
+    randomized_greedy,
     tabulate,
 )
 
 import ksubmax.checks as checks
 from ksubmax.core import all_assignments
 import oracles
-from factories import single_edge
+from factories import hexed, single_edge
 
 
 def layout_table(k):
@@ -842,3 +848,46 @@ def test_unusable_eps_rejected(check, eps):
     table = random_table(Dims(3, 3), seed=5)
     with pytest.raises(InputError, match="eps"):
         check(table, eps)
+
+
+def audit_digest(n, k, seeds):
+    """sha256 of every checker report, brute force over orthants, both exact
+    expectations, a 50-trial empirical expectation of each algorithm, one
+    randomized greedy run and the calls each table was charged, on the
+    holding, random and raised-last tables of every seed, floats by
+    float.hex."""
+    parts = []
+    for seed in seeds:
+        for kind in ("holds", "random", "raised-last"):
+            table = seeded_table(kind, n, k, seed)
+            reports = [check_k_submodular(table), check_orthant_submodular(table),
+                       check_orthant_pair_inequality(table)]
+            reports += [check_r_wise_monotone(table, r) for r in range(1, k + 1)]
+            if k >= 2:
+                reports.append(check_characterization(table))
+            parts.append([report.to_json() for report in reports])
+            parts.append(brute_force_max(table, over_orthants_only=True).to_json())
+            parts.append(exact_expectation_random_orthant(table))
+            parts.append(exact_expectation_randomized_greedy(table))
+            parts.append(empirical_expectation(table, "greedy_rand", 50, seed))
+            parts.append(empirical_expectation(table, "random", 50, seed))
+            parts.append(randomized_greedy(table, seed).to_json())
+            parts.append(table.calls)
+    return hashlib.sha256(json.dumps(hexed(parts)).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("n,k,digest", [
+    (1, 1, "cc4024d3f7bd13ea62344a61e706689ee3064b089e5b30853519ce9f15ace43c"),
+    (2, 2, "697da2edf248850602304c48f14bec34f50a6ad5ccf6b2b594c728abfa93132f"),
+    (3, 2, "c5b4591c2dbcab9473070fdce481aca05631065a8d8826a2e218e808a81c12b2"),
+    (3, 3, "6aa8f511f30bebf15ba3fbc427debc8a695a8bd4afafbb1482db9b3692d316f4"),
+    (4, 3, "e0a8b8958855679069d4b6b6f5824001d52278db7e9833ecd4e0fd211fcb74a7"),
+    (5, 3, "6e38efd0d805a343694d04d412e78394e2c1fe0eab45634f1791d65eabc9bd4b"),
+    (4, 4, "509eb60574b8941f07174871b289e5a4e84c7b104ea8b37d00ad2ea38f97f4b5"),
+    (2, 6, "796de7631ecfd9645ce5c15285605a7f5604e361f8d44df7cce294bda78d40cf"),
+    (6, 2, "1459e9b6ea1d8f7c1bbfd5ff3c495dc7323ac7a3688456919b46f703c993c5cc"),
+])
+def test_audit_outputs_keep_their_recorded_digests(n, k, digest):
+    # recorded before the index layout moved behind core: a changed report,
+    # float, label or call count on any of the 36 tables changes the digest
+    assert audit_digest(n, k, range(12)) == digest
