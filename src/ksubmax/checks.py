@@ -48,9 +48,12 @@ from .core import (
     ValueOracle,
     assignment_of,
     check_eps,
+    check_int,
+    index_rows,
     is_orthant,
+    label_rows,
 )
-from .zoo import TabularFunction, digit_matrix
+from .zoo import TabularFunction
 
 _BLOCK = 1 << 16  # entries per block of an exhaustive scan
 # workers of a pair scan of at least _THREAD_ENTRIES entries: two, or one CPU
@@ -89,18 +92,13 @@ def _guard(table: TabularFunction, eps: float) -> Dims:
     return table.dims
 
 
-def _index(labels: np.ndarray, k: int) -> np.ndarray:
-    """Mixed-radix indices of label arrays, elements along the last axis."""
-    return labels @ ((k + 1) ** np.arange(labels.shape[-1], dtype=np.int64))
-
-
 def _meet_join(a: np.ndarray, b: np.ndarray, k: int) -> tuple:
     """Indices of min0(a, b) and max0(a, b) for label arrays broadcast
     against each other, elements along the last axis."""
     clash = (a != b) & (a != 0) & (b != 0)
     meet = np.where(clash, 0, np.minimum(a, b))
     join = np.where(clash, 0, np.maximum(a, b))
-    return _index(meet, k), _index(join, k)
+    return index_rows(meet, k), index_rows(join, k)
 
 
 def _first_hit(steps: int, workers: int, make_step):
@@ -178,11 +176,11 @@ def _pair_scan(
     n, k = table.dims.n, table.dims.k
     values = table.values
     span = (k + 1) ** (n // 2)
-    lo, hi = digit_matrix(n // 2, k), digit_matrix(n - n // 2, k)
+    lo, hi = (label_rows(m, k, m) for m in (n // 2, n - n // 2))
     if orthants:
         lo, hi = lo[(lo != 0).all(axis=1)], hi[(hi != 0).all(axis=1)]
     lo_meet, lo_join = _meet_join(lo[:, None], lo[None, :], k)
-    rows = _index(hi, k)[:, None] * span + _index(lo, k)[None, :]
+    rows = index_rows(hi, k)[:, None] * span + index_rows(lo, k)[None, :]
     row_values, grid = values[rows], values.reshape(-1, span)
     heights, width = rows.shape
     a_step = max(1, min(width, _BLOCK // width))  # low parts of s per block
@@ -417,7 +415,7 @@ def _orthant_submodular_scan(
     n, k = dims.n, dims.k
     masks = np.arange(2**n, dtype=np.int64)
     member = (masks[:, None] >> np.arange(n)) & 1
-    orthants = digit_matrix(n, k - 1) + 1  # in index order
+    orthants = label_rows(n, k - 1, n) + 1  # in index order
     evals = 4 * masks.size**2  # per orthant visited
     rows = min(masks.size, max(1, _BLOCK // masks.size))  # sets A per step
     chunks = -(-masks.size // rows)
@@ -439,7 +437,7 @@ def _orthant_submodular_scan(
             if gathered[0] != o:
                 # axes: subset, orthant (innermost, so gathers copy whole rows)
                 labels = member[:, None] * orthants[o : o + per]
-                gathered[:] = o, table.values[_index(labels, k)]
+                gathered[:] = o, table.values[index_rows(labels, k)]
             if paired[0] != a:
                 sets = masks[a : a + rows, None]
                 apart = (sets & masks != sets) & (sets & masks != masks) & (masks > sets)
@@ -535,16 +533,17 @@ def check_r_wise_monotone(
     marginals does, so label sets are searched only on the first failing
     one, to name the lexicographically first failing set.
     """
-    if not 1 <= r <= table.dims.k:
+    check_int("r", r, 1)
+    if r > table.dims.k:
         raise InputError(f"r must be in [1, k={table.dims.k}], got {r}")
     dims = _guard(table, eps)
     values = table.values
-    digits = digit_matrix(dims.n, dims.k)
+    every = np.arange(values.size)
     labels = np.arange(1, dims.k + 1)
     evals = 0
     for e in range(dims.n):
-        rows = np.flatnonzero(digits[:, e] == 0)
         step = (dims.k + 1) ** e
+        rows = every.reshape(-1, dims.k + 1, step)[:, 0].ravel()  # e unassigned
         margs = values[rows[:, None] + labels * step] - values[rows][:, None]
         evals += (dims.k + 1) * rows.size
         low = np.take_along_axis(margs, _low_set(margs, r), axis=-1)

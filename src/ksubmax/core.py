@@ -147,11 +147,6 @@ def is_orthant(x: Assignment) -> bool:
     return all(v != 0 for v in x)
 
 
-def support(x: Assignment) -> tuple:
-    """Indices of the elements that carry a nonzero label."""
-    return tuple(e for e, v in enumerate(x) if v != 0)
-
-
 def with_label(x: Assignment, e: int, label: int) -> tuple:
     """Copy of x with element e set to ``label``."""
     return tuple(x[:e]) + (label,) + tuple(x[e + 1 :])
@@ -187,6 +182,12 @@ def digits_of(idx: np.ndarray, n: int, k: int) -> np.ndarray:
         np.subtract(rest, quot * (k + 1), out=digits[:, e])
         rest = quot
     return digits
+
+
+def index_rows(rows: np.ndarray, k: int) -> np.ndarray:
+    """Mixed-radix indices of label rows, elements along the last axis: the
+    array form of :func:`index_of`, and the inverse of :func:`digits_of`."""
+    return rows @ ((k + 1) ** np.arange(rows.shape[-1], dtype=np.int64))
 
 
 def label_rows(n: int, k: int, m: int) -> np.ndarray:
@@ -239,17 +240,19 @@ class ValueOracle:
 
     Wraps a deterministic map from assignments to nonnegative reals.  The
     ``calls`` counter rises by one per index asked, through ``__call__``,
-    :meth:`eval_indices` or :meth:`eval_all`.  ``tabulate`` leaves the
-    oracle a copy of every assignment's value, bounded by the state cap
-    (8 MB at 10^6 states); later batched calls gather from it and consult
-    no sub-oracle.  ``batch``, when given, is the same map on a matrix of
-    label rows (one per assignment; :meth:`eval_all` builds them without
-    division) returning one value per row; without it ``fn`` is called
-    once per row.  This is the one place that refuses NaN and inf: each
-    value returned is checked, and a non-finite one, or an int beyond the
-    float range, raises :class:`OracleRangeError` naming the assignment.
-    Nonnegativity is a contract, not enforced here: consumers that
-    materialize or verify values raise it when they meet a negative one.
+    :meth:`eval_indices`, :meth:`eval_all` or the label rows of a sampler.
+    ``tabulate`` leaves the oracle a copy of every assignment's value,
+    bounded by the state cap (8 MB at 10^6 states); later batched calls,
+    by index or by label row, gather from it and consult no sub-oracle,
+    while ``f(x)`` still calls ``fn``.  ``batch``, when given, is the same
+    map on a matrix of label rows (one per assignment; :meth:`eval_all`
+    builds them without division) returning one value per row; without it
+    ``fn`` is called once per row.  This is the one place that refuses NaN
+    and inf: each value returned is checked, and a non-finite one, or an
+    int beyond the float range, raises :class:`OracleRangeError` naming the
+    assignment.  Nonnegativity is a contract, not enforced here:
+    consumers that materialize or verify values raise it when they meet a
+    negative one.
     For parallel use, give each worker its own oracle instance; the counter
     is not synchronized.
     """
@@ -317,7 +320,7 @@ class ValueOracle:
             m += 1
         first = label_rows(n, k, m)
         width = len(first)
-        highs = digits_of(np.arange(size // width), n - m, k)
+        highs = label_rows(n - m, k, n - m)
         values = np.empty(size)
         for j, high in enumerate(highs):
             # fresh, as a batch may keep its input; no block copies the last
@@ -342,9 +345,12 @@ class ValueOracle:
         return self._fn(x)
 
     def _unchecked_rows(self, digits: np.ndarray) -> np.ndarray:
-        """:meth:`_unchecked` at each label row of ``digits``: the batched form
-        when there is one, else ``fn`` row by row."""
+        """:meth:`_unchecked` at each label row of ``digits``: a gather from
+        the kept vector when there is one, else the batched form when there
+        is one, else ``fn`` row by row."""
         self.calls += len(digits)
+        if self._kept is not None:
+            return self._kept[index_rows(digits, self.dims.k)]
         if self._batch is not None:
             values = self._batch(digits)
         else:

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -25,16 +24,10 @@ from .core import (
     OracleRangeError,
     ValueOracle,
     assignment_of,
+    check_int,
     index_of,
     label_rows,
 )
-
-
-@lru_cache(maxsize=32)
-def digit_matrix(n: int, k: int) -> np.ndarray:
-    """(k+1)^n x n matrix whose row i holds the labels of assignment i,
-    row-major, built by broadcasting: the checkers read it by rows."""
-    return np.ascontiguousarray(label_rows(n, k, n))
 
 
 class TabularFunction(ValueOracle):
@@ -42,7 +35,9 @@ class TabularFunction(ValueOracle):
     in mixed-radix index order (element 0 least significant).
 
     This is the ground truth the checkers and brute-force oracles operate
-    on.  Construction validates shape, finiteness and nonnegativity.
+    on.  Construction validates shape, finiteness and nonnegativity.  The
+    table keeps ``values`` itself as its kept vector, so batched calls
+    gather from it and see a write into it, as ``f(x)`` does.
     """
 
     def __init__(self, dims: Dims, values, name: str = "table") -> None:
@@ -59,17 +54,13 @@ class TabularFunction(ValueOracle):
             )
         self.values = values
         k = dims.k
-        radix = (k + 1) ** np.arange(dims.n, dtype=np.int64)
 
-        # closures over the array, not methods: a table that referenced
+        # a closure over the array, not a method: a table that referenced
         # itself would wait for the cycle collector to free its values
         def lookup(x: tuple) -> float:
             return float(values[index_of(x, k)])
 
-        def gather(digits: np.ndarray) -> np.ndarray:
-            return values[digits @ radix]
-
-        super().__init__(dims, lookup, name, batch=gather)
+        super().__init__(dims, lookup, name)
         self._kept = values  # the same array, so writes to values show
 
 
@@ -190,7 +181,8 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
     """
     if k < 2:
         raise InputError(f"k: need k >= 2, got {k}")
-    if not 1 <= r <= k:
+    check_int("r", r, 1)
+    if r > k:
         raise InputError(f"r: must be in [1, k={k}], got {r}")
     dims = Dims(2, k)
     lo = 1.0 / (r + 1)
@@ -343,12 +335,11 @@ def random_ksubmodular(
     to more elements and under nonnegative combination, so the output is
     k-submodular by construction rather than by rejection sampling.
     """
-    if atoms < 0:
-        raise InputError(f"atoms must be >= 0, got {atoms}")
+    check_int("atoms", atoms, 0)
     dims.check_cap("random table", max_states)
     size = dims.num_assignments
     rng = np.random.default_rng(seed)
-    digits = digit_matrix(dims.n, dims.k)
+    digits = label_rows(dims.n, dims.k, dims.n)
     values = np.zeros(size)
     for _ in range(atoms):
         weight = rng.random()
@@ -382,7 +373,9 @@ def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFun
     """Materialize an oracle into a table by evaluating every assignment in
     index order, in blocks of label rows built by broadcasting, not
     division.  Idempotent: tables pass through unchanged with no calls.
-    The oracle keeps a copy of the values; the table owns its own.
+    The oracle keeps a copy of the values, from which every later batched
+    call on it gathers, the sampler's label rows included; the table owns
+    its own.
     Raises :class:`OracleRangeError` naming the first non-finite value (the
     oracle's own check), else the first negative one."""
     if isinstance(f, TabularFunction):

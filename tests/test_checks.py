@@ -383,6 +383,13 @@ class TestRWiseMonotone:
         with pytest.raises(InputError):
             check_r_wise_monotone(table, 0)
 
+    @pytest.mark.parametrize("r", [True, 2.0, 1.5])
+    def test_r_must_be_an_integer(self, r):
+        # True reported "True_wise_monotone"; 2.0 raised numpy's TypeError
+        table = random_ksubmodular(Dims(2, 2), atoms=2, seed=0)
+        with pytest.raises(InputError, match=r"^r: must be an integer >= 1"):
+            check_r_wise_monotone(table, r)
+
     @settings(max_examples=30)
     @given(
         seed=st.integers(0, 10**6),

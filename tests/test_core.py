@@ -30,7 +30,6 @@ from ksubmax.core import (
     assignment_of,
     index_of,
     smallest_max_label,
-    support,
     with_label,
 )
 
@@ -98,9 +97,6 @@ class TestRestrictAndOrthant:
     def test_is_orthant(self):
         assert is_orthant((1, 2))
         assert not is_orthant((1, 0))
-
-    def test_support(self):
-        assert support((0, 2, 0, 1)) == (1, 3)
 
 
 class TestIndexing:

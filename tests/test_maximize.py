@@ -725,7 +725,24 @@ class TestKeptEnumeration:
         assert f(x) == f.eval_indices([1])[0]
 
     def test_a_table_alone_stays_writable(self):
+        # a table's kept vector is its values array, so every path sees a write
         table = random_table(Dims(2, 2), seed=5)
         tabulate(table)
         table.values[1] += 0.5
         assert table.eval_indices([1])[0] == table((1, 0)) == table.values[1]
+        assert table._eval_rows(np.array([[1, 0]]))[0] == table.values[1]
+
+    @pytest.mark.parametrize("name", ["nested_sum", "embedding"])
+    def test_the_sampler_gathers_from_the_kept_vector(self, name):
+        runs = (lambda g: randomized_greedy(g, 7).to_json(),
+                lambda g: empirical_expectation(g, "greedy_rand", 200, 3),
+                lambda g: empirical_expectation(g, "random", 200, 3))
+        fresh = [EVAL_CASES[name]()[0] for _ in runs]
+        want = hexed([run(g) for run, g in zip(runs, fresh)])
+        f, subs = EVAL_CASES[name]()
+        tabulate(f)
+        calls, sub_calls = f.calls, [g.calls for g, _ in subs]
+        assert hexed([run(f) for run in runs]) == want
+        assert f.calls - calls == sum(g.calls for g in fresh)
+        # the sampler's label rows gather too: no sub-oracle is consulted
+        assert [g.calls for g, _ in subs] == sub_calls

@@ -10,8 +10,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import ksubmax.core
-from ksubmax.core import all_assignments, assignment_of, digits_of
-from ksubmax.zoo import digit_matrix
+from ksubmax.core import (
+    all_assignments,
+    assignment_of,
+    digits_of,
+    index_rows,
+    label_rows,
+)
 from ksubmax import (
     Dims,
     GraphInstance,
@@ -132,6 +137,12 @@ class TestDetGreedyTight:
             make_det_greedy_tight(2, 3)
         with pytest.raises(InputError):
             make_det_greedy_tight(2, 0)
+
+    @pytest.mark.parametrize("r", [1.5, 2.0, True])
+    def test_rejects_non_integer_r(self, r):
+        # 1.5 built det_greedy_tight_k3_r1.5
+        with pytest.raises(InputError, match=r"^r: must be an integer >= 1"):
+            make_det_greedy_tight(3, r)
 
     @pytest.mark.parametrize("k,r", [(2, 1), (2, 2), (3, 2), (4, 4)])
     def test_declared_structure(self, k, r):
@@ -289,6 +300,12 @@ class TestRandomGenerators:
         with pytest.raises(InputError):
             random_ksubmodular(Dims(4, 4), atoms=2, seed=0, max_states=100)
 
+    @pytest.mark.parametrize("atoms", [2.5, True, -1])
+    def test_rejects_atoms_but_an_integer_at_least_0(self, atoms):
+        # 2.5 raised numpy's TypeError, and True was taken as one atom
+        with pytest.raises(InputError, match=r"^atoms: must be an integer >= 0"):
+            random_ksubmodular(Dims(2, 2), atoms=atoms, seed=0)
+
     def test_random_table_nonnegative(self):
         table = random_table(Dims(2, 3), seed=5)
         assert table.values.min() >= 0.0
@@ -444,7 +461,8 @@ class TestEvalAll:
 @pytest.mark.parametrize("n,k", [(1, 1), (3, 2), (7, 3), (9, 3), (19, 1), (6, 9),
                                  (2, 999), (1, 10**6)])
 def test_digits_of_matches_assignment_of(n, k):
-    # (2, 999) holds the largest index the 10^6 state cap admits, 999999
+    # (2, 999) holds the largest index the 10^6 state cap admits, 999999;
+    # index_rows must map the rows back to the indices
     dims = Dims(n, k)
     top = dims.num_assignments - 1
     rng = np.random.default_rng(1000 * n + k)
@@ -452,27 +470,31 @@ def test_digits_of_matches_assignment_of(n, k):
     got = digits_of(idx, n, k)
     assert got.dtype == np.int64 and got.flags.f_contiguous
     assert list(map(tuple, got.tolist())) == [assignment_of(int(i), dims) for i in idx]
+    back = index_rows(got, k)
+    assert back.dtype == np.int64 and np.array_equal(back, idx)
 
 
-def divmod_digit_matrix(n, k):
-    """The digit matrix by repeated divmod of every index, one column per
-    element: the reference the broadcast one must equal."""
-    rest = np.arange((k + 1) ** n, dtype=np.int64)
+def divmod_label_rows(n, k, m):
+    """The labels of assignments 0..(k+1)^m - 1 by repeated divmod of every
+    index, one column per element: the reference the broadcast rows must
+    equal."""
+    rest = np.arange((k + 1) ** m, dtype=np.int64)
     digits = np.empty((rest.size, n), dtype=np.int64)
     for e in range(n):
         rest, digits[:, e] = np.divmod(rest, k + 1)
     return digits
 
 
-def test_digit_matrix_matches_divmod():
+def test_label_rows_match_divmod():
     # the checkers ask for (n//2, k), (n - n//2, k), (n, k-1) and (n, k) of
-    # the tables they check: every (n, k) up to 2^15 rows, and (9, 3);
-    # unwrapped, so the cache keeps none of them
+    # the tables they check, eval_all for its low and high blocks: every
+    # (n, k) up to 2^15 rows, and (9, 3), at every m <= n
     sizes = [(n, k) for n in range(12) for k in range(40) if (k + 1) ** n <= 2**15]
     for n, k in sizes + [(9, 3)]:
-        got = digit_matrix.__wrapped__(n, k)
-        assert got.dtype == np.int64 and got.flags.c_contiguous, (n, k)
-        assert np.array_equal(got, divmod_digit_matrix(n, k)), (n, k)
+        for m in range(n + 1):
+            got = label_rows(n, k, m)
+            assert got.dtype == np.int64 and got.flags.f_contiguous, (n, k, m)
+            assert np.array_equal(got, divmod_label_rows(n, k, m)), (n, k, m)
 
 
 def family_digest(f):
