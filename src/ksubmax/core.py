@@ -241,18 +241,18 @@ class ValueOracle:
     Wraps a deterministic map from assignments to nonnegative reals.  The
     ``calls`` counter rises by one per index asked, through ``__call__``,
     :meth:`eval_indices`, :meth:`eval_all` or the label rows of a sampler.
-    ``tabulate`` leaves the oracle a copy of every assignment's value,
-    bounded by the state cap (8 MB at 10^6 states); later batched calls,
-    by index or by label row, gather from it and consult no sub-oracle,
-    while ``f(x)`` still calls ``fn``.  ``batch``, when given, is the same
-    map on a matrix of label rows (one per assignment; :meth:`eval_all`
-    builds them without division) returning one value per row; without it
-    ``fn`` is called once per row.  This is the one place that refuses NaN
-    and inf: each value returned is checked, and a non-finite one, or an
-    int beyond the float range, raises :class:`OracleRangeError` naming the
-    assignment.  Nonnegativity is a contract, not enforced here:
-    consumers that materialize or verify values raise it when they meet a
-    negative one.
+    ``tabulate`` leaves the oracle its table's read-only value vector,
+    bounded by the state cap (8 MB at 10^6 states); every later call,
+    ``f(x)`` or batched, by index or by label row, reads from it and
+    consults neither ``fn`` nor any sub-oracle.  ``batch``, when given, is
+    the same map on a matrix of label rows (one per assignment;
+    :meth:`eval_all` builds them without division) returning one value per
+    row; without it ``fn`` is called once per row.  This is the one place
+    that refuses NaN and inf: each value returned is checked, and a
+    non-finite one, or an int beyond the float range, raises
+    :class:`OracleRangeError` naming the assignment.  Nonnegativity is a
+    contract, not enforced here: consumers that materialize or verify
+    values raise it when they meet a negative one.
     For parallel use, give each worker its own oracle instance; the counter
     is not synchronized.
     """
@@ -269,7 +269,7 @@ class ValueOracle:
         self.calls = 0
         self._fn = fn
         self._batch = batch
-        self._kept = None  # the value vector tabulate leaves
+        self._kept = None  # the read-only value vector tabulate leaves
 
     def __call__(self, x: Assignment) -> float:
         n, k = self.dims.n, self.dims.k
@@ -339,9 +339,12 @@ class ValueOracle:
         return values
 
     def _unchecked(self, x: tuple) -> float:
-        """fn at x, counted but unchecked: how a sum or an embedding evaluates
-        its parts, whose combined value the combination's own check covers."""
+        """The value at x, counted but unchecked: how a sum or an embedding
+        evaluates its parts, whose combined value the combination's own check
+        covers.  Read from the kept vector when there is one, else fn at x."""
         self.calls += 1
+        if self._kept is not None:
+            return self._kept.item(index_of(x, self.dims.k))
         return self._fn(x)
 
     def _unchecked_rows(self, digits: np.ndarray) -> np.ndarray:

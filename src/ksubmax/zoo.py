@@ -25,7 +25,6 @@ from .core import (
     ValueOracle,
     assignment_of,
     check_int,
-    index_of,
     label_rows,
 )
 
@@ -35,13 +34,13 @@ class TabularFunction(ValueOracle):
     in mixed-radix index order (element 0 least significant).
 
     This is the ground truth the checkers and brute-force oracles operate
-    on.  Construction validates shape, finiteness and nonnegativity.  The
-    table keeps ``values`` itself as its kept vector, so batched calls
-    gather from it and see a write into it, as ``f(x)`` does.
+    on.  Construction copies ``values``, validates shape, finiteness and
+    nonnegativity, and makes the copy read-only; that one array is the
+    table's kept vector, so every call, ``f(x)`` or batched, reads from it.
     """
 
     def __init__(self, dims: Dims, values, name: str = "table") -> None:
-        values = np.ascontiguousarray(values, dtype=float)
+        values = np.array(values, dtype=float)
         if values.shape != (dims.num_assignments,):
             raise InputError(
                 f"values: need (k+1)^n = {dims.k + 1}^{dims.n} entries for "
@@ -52,16 +51,10 @@ class TabularFunction(ValueOracle):
             raise OracleRangeError(
                 f"values[{bad[0]}]: must be finite and >= 0, got {values[bad[0]]}"
             )
+        values.flags.writeable = False
         self.values = values
-        k = dims.k
-
-        # a closure over the array, not a method: a table that referenced
-        # itself would wait for the cycle collector to free its values
-        def lookup(x: tuple) -> float:
-            return float(values[index_of(x, k)])
-
-        super().__init__(dims, lookup, name)
-        self._kept = values  # the same array, so writes to values show
+        super().__init__(dims, None, name)  # no fn: the kept vector answers
+        self._kept = values
 
 
 def _weights(weights: Sequence[float], count: int, of: str) -> tuple:
@@ -250,13 +243,6 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
     return ValueOracle(dims, fn, name=f"indicator_k{k}_t{target_label}", batch=batch)
 
 
-def _read_live(f: ValueOracle) -> ValueOracle:
-    """f, a table's values made read-only: a composite's kept values miss writes."""
-    if isinstance(f, TabularFunction):
-        f.values.flags.writeable = False
-    return f
-
-
 def sum_combine(
     fs: Sequence[ValueOracle], weights: Sequence[float] | None = None
 ) -> ValueOracle:
@@ -271,7 +257,7 @@ def sum_combine(
             raise InputError(
                 f"terms[{i}]: dims {f.dims} differ from {dims} (need equal n and k)"
             )
-    terms = list(zip(map(_read_live, fs), ws))
+    terms = list(zip(fs, ws))
 
     def fn(x: tuple) -> float:
         return sum((w * f._unchecked(x) for f, w in terms), 0.0)
@@ -301,7 +287,7 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
         raise InputError(
             f"base.k: embedding needs a set-function oracle (k=1), got k={g.dims.k}"
         )
-    n = _read_live(g).dims.n
+    n = g.dims.n
     ground_value = g._unchecked((1,) * n)
 
     def fn(x: tuple) -> float:
@@ -336,6 +322,7 @@ def random_ksubmodular(
     k-submodular by construction rather than by rejection sampling.
     """
     check_int("atoms", atoms, 0)
+    check_int("seed", seed, 0)
     dims.check_cap("random table", max_states)
     size = dims.num_assignments
     rng = np.random.default_rng(seed)
@@ -363,6 +350,7 @@ def random_table(
 ) -> TabularFunction:
     """Uniform random nonnegative table, with no structure imposed.  Almost
     surely not k-submodular; useful as checker fodder."""
+    check_int("seed", seed, 0)
     dims.check_cap("random table", max_states)
     size = dims.num_assignments
     rng = np.random.default_rng(seed)
@@ -373,11 +361,11 @@ def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFun
     """Materialize an oracle into a table by evaluating every assignment in
     index order, in blocks of label rows built by broadcasting, not
     division.  Idempotent: tables pass through unchanged with no calls.
-    The oracle keeps a copy of the values, from which every later batched
-    call on it gathers, the sampler's label rows included; the table owns
-    its own.
+    The oracle keeps the table's read-only values, from which every later
+    call on it reads, ``f(x)`` and the sampler's label rows included.
     Raises :class:`OracleRangeError` naming the first non-finite value (the
-    oracle's own check), else the first negative one."""
+    oracle's own check), else the first negative one; a refused
+    enumeration keeps nothing."""
     if isinstance(f, TabularFunction):
         return f
     f.dims.check_cap("tabulation", max_states)
@@ -387,6 +375,6 @@ def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFun
         i = int(negative[0])
         x, v = assignment_of(i, f.dims), float(values[i])
         raise OracleRangeError(f"oracle {f.name} is negative at {x}: {v}")
-    if f._kept is None:  # a refused enumeration keeps nothing
-        f._kept = values.copy()
-    return TabularFunction(f.dims, values, name=f.name)
+    table = TabularFunction(f.dims, values, name=f.name)
+    f._kept = table.values
+    return table

@@ -80,8 +80,9 @@ def test_criterion_01_characterization_agreement():
         base = passing[i]
         rng = np.random.default_rng(10_000 + i)
         idx = int(rng.integers(1, base.values.size - 1))
-        mutated = TabularFunction(base.dims, base.values.copy())
-        mutated.values[idx] += 0.5
+        values = base.values.copy()
+        values[idx] += 0.5
+        mutated = TabularFunction(base.dims, values)
         assert check_characterization(mutated, eps=EPS).holds, f"mutation {i}"
         if not check_k_submodular(mutated, eps=EPS).holds:
             flipped += 1

@@ -637,6 +637,15 @@ AUDIT_PASSES = (
 )
 
 
+#: KEPT_CASES and lone tables from each table constructor.
+ONE_VECTOR_CASES = {
+    **{name: EVAL_CASES[name] for name in KEPT_CASES},
+    "tabular": lambda: (TabularFunction(Dims(2, 3), np.linspace(0.0, 2.0, 16)), []),
+    "random_table": lambda: (random_table(Dims(3, 2), seed=5), []),
+    "random_ksubmodular": EVAL_CASES["table"],
+}
+
+
 def audit_answers(f):
     """The audit's answers on f, every float written by float.hex."""
     return hexed([run(f) for run in AUDIT_PASSES])
@@ -644,8 +653,8 @@ def audit_answers(f):
 
 class TestKeptEnumeration:
     """An oracle keeps the values of its first enumeration of every
-    assignment, and later index evaluations gather from them: the answers
-    and the calls charged are those of evaluating again."""
+    assignment, and every later call reads from them: the answers and the
+    calls charged are those of evaluating again."""
 
     def test_each_state_is_evaluated_once(self):
         evaluated = []
@@ -660,9 +669,10 @@ class TestKeptEnumeration:
         exact_expectation_random_orthant(f)
         exact_expectation_randomized_greedy(f)
         deterministic_greedy(f)
-        # the 27 states once, then the greedy's 1 + n*k scalar calls; calls
-        # counts every index asked, as when each pass evaluated anew
-        assert len(evaluated) == 27 + 1 + 3 * 2
+        # the 27 states once; the greedy's 1 + n*k scalar calls read the kept
+        # vector too, and calls counts every index asked, as when each pass
+        # evaluated anew
+        assert len(evaluated) == 27
         assert sorted(evaluated[:27]) == sorted(itertools.product(range(3), repeat=3))
         assert f.calls == 76
 
@@ -678,21 +688,32 @@ class TestKeptEnumeration:
         assert audit_answers(f) == want
         assert f.calls - calls == sum(g.calls for g in fresh)
 
-    @pytest.mark.parametrize("name", KEPT_CASES)
-    def test_writing_into_the_table_leaves_the_oracle_unchanged(self, name):
-        want = audit_answers(EVAL_CASES[name]()[0])
-        f, subs = EVAL_CASES[name]()
+    @pytest.mark.parametrize("name", ONE_VECTOR_CASES)
+    def test_one_read_only_vector_answers_every_call(self, name):
+        fresh = [ONE_VECTOR_CASES[name]()[0] for _ in AUDIT_PASSES]
+        want = hexed([run(g) for run, g in zip(AUDIT_PASSES, fresh)])
+        f, subs = ONE_VECTOR_CASES[name]()
         table = tabulate(f)
-        values = table.values.copy()
-        table.values[:] = 2.0 * values + 1.0
-        sub_calls = [g.calls for g, _ in subs]
-        assert np.array_equal(f.eval_indices(np.arange(values.size)), values)
+        assert table.values is f._kept
+        for g in [table] + [g for g, _ in subs if isinstance(g, TabularFunction)]:
+            assert not g.values.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                g.values[1] += 0.5
+        calls, sub_calls = f.calls, [g.calls for g, _ in subs]
         assert audit_answers(f) == want
-        # a gather from the kept values consults no sub-oracle; only the
-        # deterministic greedy's 1 + n*k scalar calls reach them
-        greedy_calls = 1 + f.dims.n * f.dims.k
-        assert [g.calls - before for (g, _), before in zip(subs, sub_calls)] == [
-            per_row * greedy_calls for _, per_row in subs]
+        assert f.calls - calls == sum(g.calls for g in fresh)
+        # the deterministic greedy's scalar calls read the kept vector too,
+        # so no sub-oracle is consulted
+        assert [g.calls for g, _ in subs] == sub_calls
+
+    def test_the_callers_array_is_copied(self):
+        values = np.linspace(0.0, 1.0, 9)
+        table = TabularFunction(Dims(2, 2), values)
+        values[1] = 7.0  # the caller's array stays writable
+        want = np.linspace(0.0, 1.0, 9)
+        assert np.array_equal(table.values, want)
+        assert np.array_equal(table.eval_all(), want)
+        assert table((1, 0)) == table._eval_rows(np.array([[1, 0]]))[0] == want[1]
 
     @pytest.mark.parametrize("build", [
         lambda: ValueOracle(Dims(2, 2), lambda x: math.nan if x == (2, 1) else 1.0),
@@ -709,28 +730,6 @@ class TestKeptEnumeration:
         with pytest.raises(OracleRangeError, match=f"^{re.escape(str(refused.value))}$"):
             second(f)
         assert f.calls > calls  # evaluated again, not read from a kept vector
-
-    @pytest.mark.parametrize("name,table_at", [("nested_sum", 3), ("embedding", 0)])
-    def test_a_table_inside_a_composite_is_read_only(self, name, table_at):
-        # the composite keeps its tabulated values, which a write into the
-        # table would not reach; the write is refused, so every path agrees
-        want = audit_answers(EVAL_CASES[name]()[0])
-        f, subs = EVAL_CASES[name]()
-        table = subs[table_at][0]
-        tabulate(f)
-        with pytest.raises(ValueError, match="read-only"):
-            table.values[1] += 0.5
-        assert audit_answers(f) == want
-        x = (1,) + (0,) * (f.dims.n - 1)  # index 1
-        assert f(x) == f.eval_indices([1])[0]
-
-    def test_a_table_alone_stays_writable(self):
-        # a table's kept vector is its values array, so every path sees a write
-        table = random_table(Dims(2, 2), seed=5)
-        tabulate(table)
-        table.values[1] += 0.5
-        assert table.eval_indices([1])[0] == table((1, 0)) == table.values[1]
-        assert table._eval_rows(np.array([[1, 0]]))[0] == table.values[1]
 
     @pytest.mark.parametrize("name", ["nested_sum", "embedding"])
     def test_the_sampler_gathers_from_the_kept_vector(self, name):
