@@ -419,7 +419,7 @@ def _orthant_submodular_scan(
     orthants = label_rows(n, k - 1, n) + 1  # in index order
     evals = 4 * masks.size**2  # per orthant visited
     rows = min(masks.size, max(1, _BLOCK // masks.size))  # sets A per step
-    per = max(1, _BLOCK // masks.size**2)  # orthants per step; 1 unless rows is all
+    per = max(1, _BLOCK // masks.size**2)  # orthants per step; 1 unless rows == masks.size
     # no larger than a step needs: allocating the whole block made a scan
     # that stops at its first step twice as slow
     count = (4**n - 2 * 3**n + 2**n) // 2  # incomparable pairs A < B

@@ -274,6 +274,14 @@ class TestEmbedding:
             tabulate(f)
 
 
+#: The seeded table generators, each as seed -> table.
+SEEDED = [
+    lambda seed: random_table(Dims(2, 2), seed=seed),
+    lambda seed: random_ksubmodular(Dims(2, 2), atoms=3, seed=seed),
+]
+SEEDED_IDS = ["random-table", "random-ksub"]
+
+
 class TestRandomGenerators:
     def test_atoms_zero_gives_zero_table(self):
         table = random_ksubmodular(Dims(2, 2), atoms=0, seed=9)
@@ -307,20 +315,14 @@ class TestRandomGenerators:
             random_ksubmodular(Dims(2, 2), atoms=atoms, seed=0)
 
     @pytest.mark.parametrize("seed", [1.5, -1, True])
-    @pytest.mark.parametrize("build", [
-        lambda seed: random_table(Dims(2, 2), seed=seed),
-        lambda seed: random_ksubmodular(Dims(2, 2), atoms=3, seed=seed),
-    ], ids=["random-table", "random-ksub"])
+    @pytest.mark.parametrize("build", SEEDED, ids=SEEDED_IDS)
     def test_rejects_seed_but_an_integer_at_least_0(self, build, seed):
         # 1.5 raised numpy's TypeError, -1 numpy's ValueError naming no
         # argument, and True built random_table_sTrue
         with pytest.raises(InputError, match=r"^seed: must be an integer >= 0"):
             build(seed)
 
-    @pytest.mark.parametrize("build", [
-        lambda seed: random_table(Dims(2, 2), seed=seed),
-        lambda seed: random_ksubmodular(Dims(2, 2), atoms=3, seed=seed),
-    ], ids=["random-table", "random-ksub"])
+    @pytest.mark.parametrize("build", SEEDED, ids=SEEDED_IDS)
     def test_a_numpy_integer_seed_is_the_int_seed(self, build):
         a, b = build(3), build(np.int64(3))
         assert a.name == b.name
