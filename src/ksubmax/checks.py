@@ -20,9 +20,11 @@ there would compare the code with itself.
 The pair checkers scan assignment pairs in lexicographic order of
 (index(s), index(t)) row by row, and the orthant checker scans subset
 pairs orthant by orthant, both in blocks of at most _BLOCK entries that
-reuse their buffers, so memory stays flat whatever the table.  A pair
-scan of at least _THREAD_ENTRIES entries runs on two threads, or one when
-the process may use a single CPU: each takes every other row, and the
+reuse their buffers, so memory stays flat whatever the table.  A pair scan
+computes f(min0) + f(max0) - eps once per block and (meet, join) pattern of
+the low digits, and no table it builds per scan exceeds _BLOCK entries.  A
+pair scan of at least _THREAD_ENTRIES entries runs on two threads, or one
+when the process may use a single CPU: each takes every other row, and the
 earliest row with a violation is reported, so the report is the same for
 any thread count (see :func:`_first_hit`).  The r-wise checker sweeps
 marginals, one sort per base assignment.
@@ -33,8 +35,8 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations, product
-from math import comb
+from itertools import accumulate, chain, combinations
+from math import comb, prod
 
 import numpy as np
 
@@ -92,15 +94,6 @@ def _guard(table: TabularFunction, eps: float) -> Dims:
     return table.dims
 
 
-def _meet_join(a: np.ndarray, b: np.ndarray, k: int) -> tuple:
-    """Indices of min0(a, b) and max0(a, b) for label arrays broadcast
-    against each other, elements along the last axis."""
-    clash = (a != b) & (a != 0) & (b != 0)
-    meet = np.where(clash, 0, np.minimum(a, b))
-    join = np.where(clash, 0, np.maximum(a, b))
-    return index_rows(meet, k), index_rows(join, k)
-
-
 def _first_hit(steps: int, workers: int, make_step):
     """The smallest step i in range(steps) whose step(i) returns a hit,
     as (i, hit), or None; step is made by ``make_step``, once per worker.
@@ -152,6 +145,16 @@ def _first_hit(steps: int, workers: int, make_step):
     return min(hits.items()) if hits else None
 
 
+def _fold(tables, radix: int) -> np.ndarray:
+    """out[a, b] = sum_d tables[d][a_d, b_d] * radix^(D-1-d) over the rows a, b
+    of D digits, the first most significant: one broadcast per digit."""
+    out = np.zeros((1, 1), dtype=np.intp)
+    for table in tables:
+        out = out[:, None, :, None] * radix + table[:, None]
+        out = out.reshape(out.shape[0] * out.shape[1], -1)
+    return out
+
+
 def _pair_scan(
     table: TabularFunction, prop: str, inequality: str, orthants: bool,
     eps: float, evals: int,
@@ -161,54 +164,67 @@ def _pair_scan(
     all assignments or the orthants only (where min0 = max0 = id0).
 
     Both sides are symmetric in (s, t), so the first violating pair has
-    index(s) <= index(t).  An index is hi * L + lo with L = (k+1)^(n//2).
-    Row p holds the pairs whose s has high part p and t a high part at or
-    past p; a pair within one high part with index(s) > index(t) mirrors
-    one at a smaller low part of s, so it is never the least.  A row takes
-    meets and joins from the high parts and a low-half table of L^2
-    entries, in blocks of at most _BLOCK entries that cover several high
-    parts of t (or, when L^2 is larger, some low parts of s) and reuse one
-    set of buffers per worker.  A row reports its least (low part of s,
-    high part of t, low part of t) over its blocks, and :func:`_first_hit`
-    the earliest row that has one, so the order is the same whatever the
-    blocks and workers.
+    index(s) <= index(t).  An index is hi * (k+1)^m + lo, m = ceil(n/2) when
+    the W x W pairs of low parts fit in _BLOCK, else the most that fit.  Row
+    p pairs s of high part p with t of high part p or later; a pair within
+    a high part with index(s) > index(t) mirrors one at a smaller low part
+    of s, so it is never the least.  Row 0 runs as two steps, its first
+    W/(k+1) low parts of s (W/k on orthants) alone, so an early violation
+    ends a short step.  A digit pair has one of 2k+1 (meet, join) states, k+1
+    on orthants.  Per scan, digit by digit, come the W x W code table of the
+    low pairs' patterns, each pattern's meet and join, and the high parts'
+    meets and joins over their last min(m, n-m) digits: no table exceeds
+    _BLOCK entries.  Per block of high parts of t, at most _BLOCK pairs,
+    fl(fl(f(M) + f(J)) - eps) is computed once per high part and pattern,
+    and one gather through the code table gives each pair that same float.
+    A step reports its least (low part of s, high part of t, low part of
+    t), and :func:`_first_hit` the earliest step.
     """
     n, k = table.dims.n, table.dims.k
-    values = table.values
-    span = (k + 1) ** (n // 2)
-    lo, hi = (label_rows(m, k, m) for m in (n // 2, n - n // 2))
-    if orthants:
-        lo, hi = lo[(lo != 0).all(axis=1)], hi[(hi != 0).all(axis=1)]
-    lo_meet, lo_join = _meet_join(lo[:, None], lo[None, :], k)
-    rows = index_rows(hi, k)[:, None] * span + index_rows(lo, k)[None, :]
-    row_values, grid = values[rows], values.reshape(-1, span)
+    m = next(m for m in range(n - n // 2, -1, -1) if (k + 1) ** (2 * m) <= _BLOCK)
+    span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
+    labels = np.arange(int(orthants), k + 1)
+    x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
+    state = np.where(x == y, x, np.where(x * y == 0, k + x + y, 0))
+    c = np.arange(int(state.max()) + 1)
+    meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
+    code = _fold([state] * m, c.size)  # W x W
+    lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
+    packed = (meet * high + join)[state]  # high meets and joins, per label pair
+    tail = _fold([packed] * low, k + 1)
+    rows = _fold([labels[None]] * n, k + 1).reshape(-1, labels.size**m)
+    row_values, grid = table.values[rows], table.values.reshape(-1, span)
     heights, width = rows.shape
-    a_step = max(1, min(width, _BLOCK // width))  # low parts of s per block
-    q_step = max(1, _BLOCK // (a_step * width))  # high parts of t per block
-    size = a_step * min(q_step, heights) * width
+    q_step = min(heights, max(1, _BLOCK // (width * width)))  # high parts of t
+    first = max(1, width // labels.size)  # steps: (row, low parts a0:a1 of s)
+    steps = [(0, 0, first), (0, first, width)][: 1 + (first < width)]
+    steps += [(p, 0, width) for p in range(1, heights)]
 
     def make_step():
-        lhs, rhs, bad = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+        held = (np.empty(0),) * 3  # lhs, rhs, bad: grown to the largest block so far
 
-        def step(p: int):
-            hi_meet, hi_join = _meet_join(hi[p], hi[p:], k)
+        def step(i: int):
+            nonlocal held
+            p, a0, a1 = steps[i]
+            size = min(q_step, heights - p) * (a1 - a0) * width
+            if held[0].size < size:
+                held = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
+            head = np.unravel_index(p, (labels.size,) * (n - m))[: n - m - low]
+            hi = _fold([packed[e, None] for e in head], k + 1).T * (k + 1) ** low
+            hi_meet, hi_join = divmod((hi + tail[p % labels.size**low]).ravel()[p:], high)
             best = None  # the least (a, q, b) so far
-            blocks = product(range(0, width, a_step), range(0, heights - p, q_step))
-            for a0, q0 in blocks:
-                limit = width if best is None else best[0]  # no later a can win
-                if a0 >= limit:
+            for q0 in range(0, heights - p, q_step):
+                limit = a1 if best is None else best[0]  # no later a >= limit wins
+                if limit <= a0:
                     break
-                a1, q1 = min(a0 + a_step, limit), min(q0 + q_step, heights - p)
-                shape = (q1 - q0, a1 - a0, width)  # t's high, s's low, t's low
-                m = shape[0] * shape[1] * width
-                left, right = lhs[:m].reshape(shape), rhs[:m].reshape(shape)
-                below = bad[:m].reshape(shape)
+                q1 = min(q0 + q_step, heights - p)
+                shape = (q1 - q0, limit - a0, width)  # t's high, s's low, t's low
+                left, right, below = (x[: prod(shape)].reshape(shape) for x in held)
+                rs = (grid[hi_meet[q0:q1]].take(lo_meet, 1)
+                      + grid[hi_join[q0:q1]].take(lo_join, 1) - eps)
                 # mode="clip" writes into out directly; "raise" buffers it
-                grid[hi_meet[q0:q1]].take(lo_meet[a0:a1], 1, right, "clip")
-                grid[hi_join[q0:q1]].take(lo_join[a0:a1], 1, left, "clip")
-                right += left
-                right -= eps
-                np.add(row_values[p, a0:a1, None], row_values[p + q0 : p + q1, None],
+                rs.take(code[a0:limit], 1, right, "clip")
+                np.add(row_values[p, a0:limit, None], row_values[p + q0 : p + q1, None],
                        out=left)
                 np.less(left, right, out=below)
                 if below.any():
@@ -223,15 +239,15 @@ def _pair_scan(
                 "s": list(assignment_of(int(rows[p, a]), table.dims)),
                 "t": list(assignment_of(int(rows[p + q, b]), table.dims)),
                 "lhs": float(row_values[p, a] + row_values[p + q, b]),
-                "rhs": float(grid[hi_meet[q], lo_meet[a, b]]
-                             + grid[hi_join[q], lo_join[a, b]]),
+                "rhs": float(grid[hi_meet[q], lo_meet[code[a, b]]]
+                             + grid[hi_join[q], lo_join[code[a, b]]]),
             }
 
         return step
 
     entries = heights * (heights + 1) // 2 * width * width
     workers = _THREADS if entries >= _THREAD_ENTRIES else 1
-    found = _first_hit(heights, workers, make_step)
+    found = _first_hit(len(steps), workers, make_step)
     if found is None:
         return CheckReport(prop, True, None, evals)
     return CheckReport(prop, False, found[1], evals)

@@ -214,12 +214,6 @@ def _checked_indices(idx, dims: Dims) -> np.ndarray:
     return idx
 
 
-def all_assignments(dims: Dims) -> Iterator[tuple]:
-    """All (k+1)^n assignments in increasing index order."""
-    for combo in itertools.product(range(dims.k + 1), repeat=dims.n):
-        yield combo[::-1]
-
-
 def all_orthants(dims: Dims) -> Iterator[tuple]:
     """All k^n orthants in increasing index order."""
     for combo in itertools.product(range(1, dims.k + 1), repeat=dims.n):

@@ -1,5 +1,7 @@
 """Instance generators shared across the test modules."""
 
+import itertools
+
 import numpy as np
 
 from ksubmax import (
@@ -29,6 +31,12 @@ def hexed(x):
     if isinstance(x, (list, tuple)):
         return [hexed(v) for v in x]
     return x
+
+
+def all_assignments(dims):
+    """All (k+1)^n assignments in increasing index order."""
+    for combo in itertools.product(range(dims.k + 1), repeat=dims.n):
+        yield combo[::-1]
 
 
 def single_edge(directed=False):

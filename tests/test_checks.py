@@ -43,9 +43,8 @@ from ksubmax import (
 )
 
 import ksubmax.checks as checks
-from ksubmax.core import all_assignments
 import oracles
-from factories import hexed, single_edge
+from factories import all_assignments, hexed, single_edge
 
 
 def layout_table(k):
@@ -652,6 +651,85 @@ def scan_json(name, table, **constants):
         return json.dumps(SCANS[name](table).to_json())
 
 
+def boundary_table(n, k, scan, shortfall, unit):
+    """A dyadic table whose violating pairs for ``scan`` fall short by
+    exactly ``shortfall``, every sum computed exactly.  The modular base
+    f(x) = sum_e (e + 2 x_e) * unit over the assigned elements holds every
+    inequality, with equality on every pair without a clash.  For "ksub"
+    the all-k entry is raised by ``shortfall``: a pair whose join it is, and
+    which holds neither it nor a clash, falls short by exactly that.  For
+    "orthant-pairs" element 0 weighs nothing and the id0 (0, k, ..., k) of
+    the orthants that differ at element 0 alone is raised by half of it."""
+    dims = Dims(n, k)
+    values = np.array([
+        sum((e + 2 * v) * unit for e, v in enumerate(x) if v and (scan == "ksub" or e))
+        for x in all_assignments(dims)
+    ])
+    if scan == "ksub":
+        values[-1] += shortfall
+    else:
+        values[-1 - k] += shortfall / 2
+    return TabularFunction(dims, values)
+
+
+def first_violation_json(table, scan, eps):
+    """The report of ``scan`` on ``table`` from the independent reference:
+    the first violating pair in index order, by plain loops over
+    tests/oracles.py, with the scan's float operations."""
+    dims = table.dims
+    states = list(all_assignments(dims))
+    if scan == "ksub":
+        prop, inequality = "k_submodular", "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"
+        meet_join = (oracles.vec_min0, oracles.vec_max0)
+        evals = 4 * len(states) ** 2
+    else:
+        states = [x for x in states if all(x)]
+        prop, inequality = "orthant_pair_inequality", "f(s) + f(t) >= 2 f(id0(s,t))"
+        meet_join = (oracles.vec_id0, oracles.vec_id0)
+        evals = 3 * len(states) ** 2
+
+    def sides(s, t):
+        return table(s) + table(t), table(meet_join[0](s, t)) + table(meet_join[1](s, t))
+
+    def violates(s, t):
+        lhs, rhs = sides(s, t)
+        return lhs < rhs - eps
+
+    pair = first_pair_in_index_order(states, violates)
+    counterexample = None
+    if pair is not None:
+        lhs, rhs = sides(*pair)
+        counterexample = {"inequality": inequality, "s": list(pair[0]),
+                          "t": list(pair[1]), "lhs": lhs, "rhs": rhs}
+    return json.dumps({"property": prop, "holds": pair is None,
+                       "counterexample": counterexample, "evals": evals})
+
+
+class TestScanBoundary:
+    @pytest.mark.parametrize("block", [40, 300, 1 << 16])
+    @pytest.mark.parametrize("scan", ["ksub", "orthant-pairs"])
+    @pytest.mark.parametrize("n,k", [(3, 2), (2, 3), (4, 3)])
+    @pytest.mark.parametrize("eps", [2.0**-20, 0.0])
+    def test_a_pair_short_by_eps_holds_and_by_the_next_float_fails(
+        self, eps, n, k, scan, block
+    ):
+        # an orthant pair falls short by twice a raise, at least 2^-1073; a
+        # shortfall of 2^-1074 or 2^-1073 is exact only on a zero base
+        above = np.nextafter(eps, 1.0) * (2 if eps == 0 and scan == "orthant-pairs" else 1)
+        cases = [(eps, 2.0**-40, True), (above, 2.0**-40 if eps else 0.0, False)]
+        for shortfall, unit, holds in cases:
+            table = boundary_table(n, k, scan, shortfall, unit)
+            expected = first_violation_json(table, scan, eps)
+            assert json.loads(expected)["holds"] is holds
+            for workers in (ONE_WORKER, TWO_WORKERS):
+                with patch.multiple(checks, _BLOCK=block, **workers):
+                    if scan == "ksub":
+                        report = checks._k_submodular_scan(table, eps, 10**12)
+                    else:
+                        report = check_orthant_pair_inequality(table, eps, 10**12)
+                assert json.dumps(report.to_json()) == expected
+
+
 class TestScanWorkers:
     @pytest.mark.parametrize("name", SCANS)
     @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
@@ -689,50 +767,82 @@ class TestScanWorkers:
             one = scan_json(name, table, **ONE_WORKER)
             assert scan_json(name, table, _BLOCK=block, **TWO_WORKERS) == one
 
+    @pytest.mark.parametrize("name", SCANS)
+    @pytest.mark.parametrize("n,k", [(5, 4), (7, 2), (1, 3), (7, 1)])
+    def test_wider_low_half_matches_across_workers_and_blocks(self, n, k, name):
+        # odd n takes ceil(n/2) low digits when their W x W pairs fit in a
+        # block, and n = 1 takes its one digit; blocks of W^2 and of W^2 - 1
+        # entries give one high part of t per block with that low half, or a
+        # low half one digit narrower
+        low = (n + 1) // 2
+        fit = (k + 1) ** (2 * low)
+        for kind in ("holds", "random", "raised-last"):
+            table = seeded_table(kind, n, k, seed=n + k)
+            one = scan_json(name, table, **ONE_WORKER)
+            assert scan_json(name, table, **TWO_WORKERS) == one
+            for block in (fit, fit - 1, 3 * fit):
+                for workers in (ONE_WORKER, TWO_WORKERS):
+                    assert scan_json(name, table, _BLOCK=block, **workers) == one
+
     def test_constructed_table_reports_its_earliest_row_and_least_pair(self):
-        # n = 3, k = 2: row p holds the pairs whose s has high part (x1, x2)
-        # of index p, against 3 low parts x0; blocks of 18 entries hold 2
-        # high parts of t, so row 0 spans 5 blocks and row 1 spans 4.  The
-        # indicator of these four entries fails in row 0 only in its last
-        # block, where the join (2, 2, 2) is raised, and in row 1 in its
-        # first block and, at a smaller low part of s, in a later one.
+        # n = 3, k = 2 in two layouts.  Wide: blocks of 81 entries give the
+        # low part two digits (x0, x1), so row p holds the pairs whose s has
+        # x2 = p, each block holds one high part of t, and row 0 runs as two
+        # steps, low parts of s below 3 and from 3.  Narrow: blocks of 18
+        # entries leave the low part x0 alone, and each block holds two high
+        # parts (x1, x2) of t.  In both, the table fails in row 0 only in
+        # its last block, and in row 1 in its first block and, at a smaller
+        # low part of s, in a later one.
+        wide = [0, 4, 9, 5, 4, 14, 5, 9, 13, 4, 5, 12, 4, 0, 13, 8, 10, 12, 7, 11, 13,
+                12, 10, 18, 7, 11, 8]
+        raised_wide = list(wide)
+        raised_wide[6] += 1  # row 0 fails at (1, 2, 0), in its second step
+
         def indicator(raised):
             values = np.zeros(27)
             values[raised] = 1.0
-            return TabularFunction(Dims(3, 2), values)
+            return values
 
-        def placed(s, t):  # row, block, low part of s, t's high part - row, low of t
-            i, j = (sum(v * 3**e for e, v in enumerate(x)) for x in (s, t))
-            q = j // 3 - i // 3
-            return i // 3, q // 2, i % 3, q, j % 3
+        layouts = [  # block, low part width, high parts of t per block, tables, first
+            (81, 9, 1, raised_wide, wide, ((1, 2, 0), (0, 2, 2))),
+            (18, 3, 2, indicator([1, 7, 22, 26]), indicator([1, 7, 22]),
+             ((2, 0, 0), (0, 2, 2))),
+        ]
+        for block, width, per_block, failing_values, held_values, expected in layouts:
+            def placed(s, t):  # row, block, low part of s, t's high part - row, low of t
+                i, j = (sum(v * 3**e for e, v in enumerate(x)) for x in (s, t))
+                q = j // width - i // width
+                return i // width, q // per_block, i % width, q, j % width
 
-        def failing(table):
-            def violates(s, t):
-                lhs = table(s) + table(t)
-                rhs = table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t))
-                return lhs < rhs - 1e-9
+            def failing(table):
+                def violates(s, t):
+                    lhs = table(s) + table(t)
+                    rhs = table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t))
+                    return lhs < rhs - 1e-9
 
-            states = list(all_assignments(table.dims))
-            pairs = [(s, t) for i, s in enumerate(states) for t in states[i:]
-                     if violates(s, t)]
-            return pairs, first_pair_in_index_order(states, violates)
+                states = list(all_assignments(table.dims))
+                pairs = [(s, t) for i, s in enumerate(states) for t in states[i:]
+                         if violates(s, t)]
+                return pairs, first_pair_in_index_order(states, violates)
 
-        table, held = indicator([1, 7, 22, 26]), indicator([1, 7, 22])
-        pairs, first = failing(table)
-        rows = [placed(s, t) for s, t in pairs]
-        assert [place[:2] for place in rows if place[0] == 0] == [(0, 4)]
-        row_one = [place for place in rows if place[0] == 1]
-        assert any(place[1] == 0 for place in row_one)
-        least = min(row_one, key=lambda place: place[2:])
-        assert least[1] > 0
-        assert placed(*first) == rows[0] and first == ((2, 0, 0), (0, 2, 2))
-        # without the raised join row 0 holds, and row 1's least pair stays
-        held_pairs, later = failing(held)
-        assert placed(*later) == least
-        for workers in (ONE_WORKER, TWO_WORKERS):
-            with patch.multiple(checks, _BLOCK=18, **workers):
-                assert reported_pair(check_k_submodular(table)) == first
-                assert reported_pair(check_k_submodular(held)) == later
+            table = TabularFunction(Dims(3, 2), failing_values)
+            held = TabularFunction(Dims(3, 2), held_values)
+            pairs, first = failing(table)
+            rows = [placed(s, t) for s, t in pairs]
+            last = (27 // width - 1) // per_block
+            assert {place[1] for place in rows if place[0] == 0} == {last}
+            row_one = [place for place in rows if place[0] == 1]
+            assert any(place[1] == 0 for place in row_one)
+            least = min(row_one, key=lambda place: place[2:])
+            assert least[1] > 0
+            assert placed(*first) == min(rows) and first == expected
+            # without the raised entry row 0 holds, and row 1's least pair stays
+            _, later = failing(held)
+            assert placed(*later) == least
+            for workers in (ONE_WORKER, TWO_WORKERS):
+                with patch.multiple(checks, _BLOCK=block, **workers):
+                    assert reported_pair(check_k_submodular(table)) == first
+                    assert reported_pair(check_k_submodular(held)) == later
 
     @pytest.mark.parametrize("slow_hits", [True, False])
     def test_a_worker_stops_past_the_earliest_hit(self, slow_hits):
@@ -773,14 +883,16 @@ class TestScanWorkers:
 
     @pytest.mark.parametrize("name", ["ksub", "orthant-pairs"])
     def test_second_worker_exception_surfaces(self, monkeypatch, name):
-        caller, real = threading.current_thread(), checks._meet_join
+        # every step folds its high part's meets and joins; step 1, the rest
+        # of row 0, runs in the second worker
+        caller, real = threading.current_thread(), checks._fold
 
         def failing(*args):
             if threading.current_thread() is not caller:
                 raise RuntimeError("second worker failed")
             return real(*args)
 
-        monkeypatch.setattr(checks, "_meet_join", failing)
+        monkeypatch.setattr(checks, "_fold", failing)
         table = seeded_table("holds", 5, 3, seed=1)
         before = threading.active_count()
         with pytest.raises(RuntimeError, match="second worker failed"):

@@ -26,7 +26,6 @@ from ksubmax import (
     restrict,
 )
 from ksubmax.core import (
-    all_assignments,
     assignment_of,
     index_of,
     smallest_max_label,
@@ -34,7 +33,7 @@ from ksubmax.core import (
 )
 
 import oracles
-from factories import single_edge
+from factories import all_assignments, single_edge
 
 
 class TestLatticeOps:

@@ -11,7 +11,6 @@ from hypothesis import given, settings, strategies as st
 
 import ksubmax.core
 from ksubmax.core import (
-    all_assignments,
     assignment_of,
     digits_of,
     index_rows,
@@ -45,6 +44,7 @@ from ksubmax import (
 import oracles
 from factories import (
     EVAL_CASES,
+    all_assignments,
     directed_path,
     hexed,
     random_submodular_table,
