@@ -148,8 +148,8 @@ def _first_hit(steps: int, workers: int, make_step):
 def _fold(tables, radix: int) -> np.ndarray:
     """out[a, b] = sum_d tables[d][a_d, b_d] * radix^(D-1-d) over the rows a, b
     of D digits, the first most significant: one broadcast per digit."""
-    out = np.zeros((1, 1), dtype=np.intp)
-    for table in tables:
+    out = tables[0] if tables else np.zeros((1, 1), dtype=np.intp)
+    for table in tables[1:]:
         out = out[:, None, :, None] * radix + table[:, None]
         out = out.reshape(out.shape[0] * out.shape[1], -1)
     return out
@@ -171,10 +171,10 @@ def _pair_scan(
     of s, so it is never the least.  Row 0 runs as two steps, its first
     W/(k+1) low parts of s (W/k on orthants) alone, so an early violation
     ends a short step.  A digit pair has one of 2k+1 (meet, join) states, k+1
-    on orthants.  Per scan, digit by digit, come the W x W code table of the
+    on orthants.  Each scan builds digit by digit the W x W code table of the
     low pairs' patterns, each pattern's meet and join, and the high parts'
-    meets and joins over their last min(m, n-m) digits: no table exceeds
-    _BLOCK entries.  Per block of high parts of t, at most _BLOCK pairs,
+    meets and joins over their last min(m, n-m) digits, none over _BLOCK
+    entries.  Per block of high parts of t, at most _BLOCK pairs,
     fl(fl(f(M) + f(J)) - eps) is computed once per high part and pattern,
     and one gather through the code table gives each pair that same float.
     A step reports its least (low part of s, high part of t, low part of
@@ -185,16 +185,16 @@ def _pair_scan(
     span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
     labels = np.arange(int(orthants), k + 1)
     x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
-    state = np.where(x == y, x, np.where(x * y == 0, k + x + y, 0))
-    c = np.arange(int(state.max()) + 1)
+    state = np.where(x == y, x, np.where(x * y, 0, k + x + y))
+    c = np.arange(k + 1 if orthants else 2 * k + 1)
     meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
     code = _fold([state] * m, c.size)  # W x W
     lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
     packed = (meet * high + join)[state]  # high meets and joins, per label pair
     tail = _fold([packed] * low, k + 1)
-    rows = _fold([labels[None]] * n, k + 1).reshape(-1, labels.size**m)
-    row_values, grid = table.values[rows], table.values.reshape(-1, span)
-    heights, width = rows.shape
+    lows = lo_meet[code.diagonal()]  # each low part's index: the meet of (a, a) is a
+    highs, grid = _fold([labels[None]] * (n - m), k + 1)[0], table.values.reshape(-1, span)
+    row_values, heights, width = grid[highs[:, None], lows], highs.size, lows.size
     q_step = min(heights, max(1, _BLOCK // (width * width)))  # high parts of t
     first = max(1, width // labels.size)  # steps: (row, low parts a0:a1 of s)
     steps = [(0, 0, first), (0, first, width)][: 1 + (first < width)]
@@ -236,8 +236,8 @@ def _pair_scan(
             a, q, b = best
             return {
                 "inequality": inequality,
-                "s": list(assignment_of(int(rows[p, a]), table.dims)),
-                "t": list(assignment_of(int(rows[p + q, b]), table.dims)),
+                "s": list(assignment_of(int(highs[p] * span + lows[a]), table.dims)),
+                "t": list(assignment_of(int(highs[p + q] * span + lows[b]), table.dims)),
                 "lhs": float(row_values[p, a] + row_values[p + q, b]),
                 "rhs": float(grid[hi_meet[q], lo_meet[code[a, b]]]
                              + grid[hi_join[q], lo_join[code[a, b]]]),
