@@ -219,7 +219,7 @@ def _pair_scan(
                     break
                 q1 = min(q0 + q_step, heights - p)
                 shape = (q1 - q0, limit - a0, width)  # t's high, s's low, t's low
-                left, right, below = (x[: prod(shape)].reshape(shape) for x in held)
+                left, right, below = (buf[: prod(shape)].reshape(shape) for buf in held)
                 rs = (grid[hi_meet[q0:q1]].take(lo_meet, 1)
                       + grid[hi_join[q0:q1]].take(lo_join, 1) - eps)
                 # mode="clip" writes into out directly; "raise" buffers it
