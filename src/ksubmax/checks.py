@@ -22,12 +22,12 @@ The pair checkers scan assignment pairs in lexicographic order of
 pairs orthant by orthant, both in blocks of at most _BLOCK entries that
 reuse their buffers, so memory stays flat whatever the table.  A pair scan
 computes f(min0) + f(max0) - eps once per block and (meet, join) pattern of
-the low digits, and no table it builds per scan exceeds _BLOCK entries.  A
+the low digits; its code and meet-join tables stay within _BLOCK entries.  A
 pair scan of at least _THREAD_ENTRIES entries runs on two threads, or one
-when the process may use a single CPU: each takes every other row, and the
-earliest row with a violation is reported, so the report is the same for
-any thread count (see :func:`_first_hit`).  The r-wise checker sweeps
-marginals, one sort per base assignment.
+when the process may use a single CPU: each takes every other step of
+rows, and the earliest step with a violation is reported, so the report is
+the same for any thread count (see :func:`_first_hit`).  The r-wise
+checker sweeps marginals, one sort per base assignment.
 """
 
 from __future__ import annotations
