@@ -19,15 +19,22 @@ there would compare the code with itself.
 
 The pair checkers scan assignment pairs in lexicographic order of
 (index(s), index(t)) row by row, and the orthant checker scans subset
-pairs orthant by orthant, both in blocks of at most _BLOCK entries that
-reuse their buffers, so memory stays flat whatever the table.  A pair scan
-computes f(min0) + f(max0) - eps once per block and (meet, join) pattern of
-the low digits; its code and meet-join tables stay within _BLOCK entries.  A
-pair scan of at least _THREAD_ENTRIES entries runs on two threads, or one
-when the process may use a single CPU: each takes every other step of
-rows, and the earliest step with a violation is reported, so the report is
-the same for any thread count (see :func:`_first_hit`).  The r-wise
-checker sweeps marginals, one sort per base assignment.
+pairs orthant by orthant, both in blocks of at most _BLOCK entries, so
+memory stays flat whatever the table.  A pair scan computes f(min0) +
+f(max0) - eps once per block and (meet, join) pattern of the low digits.
+What a scan needs of the table's shape alone, its plan, is built once per
+shape and block and kept read-only: at most 16 pair-scan plans (code and
+meet-join tables, steps; :func:`_scan_plan`) and 8 orthant-scan plans
+(subset bits, the first step's subset pairs; :func:`_orthant_plan`), each
+array within _BLOCK entries but the n·2^n subset bits.  What grows with
+the table (its values, rows and orthants) is built per call.  Each thread
+keeps its block buffers for its next scan, at most 1.6 MB
+(:func:`_buffers`).  A pair scan of at least _THREAD_ENTRIES entries runs
+on two threads, or one when the process may use a single CPU: each takes
+every other step of rows, and the earliest step with a violation is
+reported, so the report is the same for any thread count (see
+:func:`_first_hit`).  The r-wise checker sweeps marginals, one sort per
+base assignment, none when r = k.
 """
 
 from __future__ import annotations
@@ -35,8 +42,9 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from itertools import accumulate, chain, combinations
-from math import comb, prod
+from functools import lru_cache
+from itertools import combinations
+from math import comb, inf, nextafter, prod
 
 import numpy as np
 
@@ -94,9 +102,9 @@ def _guard(table: TabularFunction, eps: float) -> Dims:
     return table.dims
 
 
-def _first_hit(steps: int, workers: int, make_step):
-    """The smallest step i in range(steps) whose step(i) returns a hit,
-    as (i, hit), or None; step is made by ``make_step``, once per worker.
+def _first_hit(steps: int, workers: int, step):
+    """The smallest i in range(steps) whose step(i) returns a hit, as
+    (i, hit), or None; ``step`` must be safe to call from several threads.
 
     Step 0 runs first and alone, so a scan that fails there starts no
     thread.  Then worker w of ``workers`` takes the steps i = w (mod
@@ -106,7 +114,6 @@ def _first_hit(steps: int, workers: int, make_step):
     run when the scan ends and the hit does not depend on timing.  A
     worker's exception stops the others and is raised here.
     """
-    step = make_step()
     hit = step(0) if steps else None
     if hit is not None:
         return 0, hit
@@ -115,9 +122,8 @@ def _first_hit(steps: int, workers: int, make_step):
     earliest = [steps]  # the smallest step with a hit so far, -1 on error
     errors: list = []
 
-    def work(todo: range, step=None) -> None:
+    def work(todo: range) -> None:
         try:
-            step = step or make_step()
             for i in todo:
                 with lock:
                     if i > earliest[0]:
@@ -137,12 +143,27 @@ def _first_hit(steps: int, workers: int, make_step):
                for w in range(1, workers)]
     for helper in helpers:
         helper.start()
-    work(range(workers, steps, workers), step)
+    work(range(workers, steps, workers))
     for helper in helpers:
         helper.join()
     if errors:
         raise errors[0]
     return min(hits.items()) if hits else None
+
+
+_local = threading.local()  # each thread's block buffers, kept between scans
+
+
+def _buffers(size: int) -> tuple:
+    """This thread's block buffers, three float arrays and one bool array of
+    at least ``size`` entries.  They grow to the largest block the thread
+    has scanned and are kept, so a repeated scan does not fault them in
+    again: at most 25 bytes per entry of a block, 1.6 MB, per thread."""
+    held = getattr(_local, "held", None)
+    if held is None or held[0].size < size:
+        held = (*(np.empty(size) for _ in range(3)), np.empty(size, dtype=bool))
+        _local.held = held
+    return held
 
 
 def _fold(tables, radix: int) -> np.ndarray:
@@ -153,6 +174,33 @@ def _fold(tables, radix: int) -> np.ndarray:
         out = out[:, None, :, None] * radix + table[:, None]
         out = out.reshape(out.shape[0] * out.shape[1], -1)
     return out
+
+
+@lru_cache(maxsize=16)
+def _scan_plan(n: int, k: int, orthants: bool, block: int) -> tuple:
+    """What :func:`_pair_scan` needs of an (n, k) table's shape, built once
+    per (n, k, orthants, block) and read-only: (m, code, lo_meet, lo_join,
+    packed, tail, q_step, steps).  No array has more than ``block`` entries,
+    or (k+1)^2 when a block is smaller."""
+    m = next(m for m in range(n - n // 2, -1, -1) if (k + 1) ** (2 * m) <= block)
+    span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
+    labels = np.arange(int(orthants), k + 1)
+    x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
+    state = np.where(x == y, x, np.where(x * y, 0, k + x + y))
+    c = np.arange(k + 1 if orthants else 2 * k + 1)
+    meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
+    code = _fold([state] * m, c.size)  # W x W
+    lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
+    packed = (meet * high + join)[state]  # high meets and joins, per label pair
+    tail = _fold([packed] * low, k + 1)
+    heights, width = labels.size ** (n - m), code.shape[0]
+    q_step = min(heights, max(1, block // (width * width)))  # high parts of t
+    first = max(1, width // labels.size)  # steps: (row, low parts a0:a1 of s)
+    steps = [(0, 0, first), (0, first, width)][: 1 + (first < width)]
+    steps += [(p, 0, width) for p in range(1, heights)]
+    for array in (code, lo_meet, lo_join, packed, tail):
+        array.flags.writeable = False
+    return m, code, lo_meet, lo_join, packed, tail, q_step, tuple(steps)
 
 
 def _pair_scan(
@@ -171,83 +219,68 @@ def _pair_scan(
     of s, so it is never the least.  Row 0 runs as two steps, its first
     W/(k+1) low parts of s (W/k on orthants) alone, so an early violation
     ends a short step.  A digit pair has one of 2k+1 (meet, join) states, k+1
-    on orthants.  Each scan builds digit by digit the W x W code table of the
-    low pairs' patterns, each pattern's meet and join, and the high parts'
-    meets and joins over their last min(m, n-m) digits, none over _BLOCK
-    entries.  Per block of high parts of t, at most _BLOCK pairs,
-    fl(fl(f(M) + f(J)) - eps) is computed once per high part and pattern,
-    and one gather through the code table gives each pair that same float.
-    A step reports its least (low part of s, high part of t, low part of
-    t), and :func:`_first_hit` the earliest step.
+    on orthants.  The scan's plan (:func:`_scan_plan`), built digit by digit
+    once per shape and block, holds the W x W code table of the low pairs'
+    patterns, each pattern's meet and join, and the high parts' meets and
+    joins over their last min(m, n-m) digits.  Per block of high parts of t,
+    at most _BLOCK pairs, fl(fl(f(M) + f(J)) - eps) is computed once per high
+    part and pattern, and one gather through the code table gives each pair
+    that same float.  A step reports its least (low part of s, high part of
+    t, low part of t), and :func:`_first_hit` the earliest step.
     """
     n, k = table.dims.n, table.dims.k
-    m = next(m for m in range(n - n // 2, -1, -1) if (k + 1) ** (2 * m) <= _BLOCK)
+    m, code, lo_meet, lo_join, packed, tail, q_step, steps = _scan_plan(
+        n, k, orthants, _BLOCK)
     span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
-    labels = np.arange(int(orthants), k + 1)
-    x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
-    state = np.where(x == y, x, np.where(x * y, 0, k + x + y))
-    c = np.arange(k + 1 if orthants else 2 * k + 1)
-    meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
-    code = _fold([state] * m, c.size)  # W x W
-    lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
-    packed = (meet * high + join)[state]  # high meets and joins, per label pair
-    tail = _fold([packed] * low, k + 1)
-    lows = lo_meet[code.diagonal()]  # each low part's index: the meet of (a, a) is a
-    highs, grid = _fold([labels[None]] * (n - m), k + 1)[0], table.values.reshape(-1, span)
-    row_values, heights, width = grid[highs[:, None], lows], highs.size, lows.size
-    q_step = min(heights, max(1, _BLOCK // (width * width)))  # high parts of t
-    first = max(1, width // labels.size)  # steps: (row, low parts a0:a1 of s)
-    steps = [(0, 0, first), (0, first, width)][: 1 + (first < width)]
-    steps += [(p, 0, width) for p in range(1, heights)]
+    labels, width = k + 1 - int(orthants), code.shape[0]
+    heights, grid = labels ** (n - m), table.values.reshape(-1, span)
+    # row p: the entries of high part p that the scan pairs, low parts in order
+    rows = table.values.reshape((k + 1,) * n)[(slice(int(orthants), None),) * n]
+    rows = rows.reshape(heights, width)
 
-    def make_step():
-        held = (np.empty(0),) * 3  # lhs, rhs, bad: grown to the largest block so far
+    def assignment(r: int) -> list:  # of rows.flat[r]: element e's digit weighs labels^e
+        return [r // labels**e % labels + int(orthants) for e in range(n)]
 
-        def step(i: int):
-            nonlocal held
-            p, a0, a1 = steps[i]
-            size = min(q_step, heights - p) * (a1 - a0) * width
-            if held[0].size < size:
-                held = np.empty(size), np.empty(size), np.empty(size, dtype=bool)
-            head = np.unravel_index(p, (labels.size,) * (n - m))[: n - m - low]
-            hi = _fold([packed[e, None] for e in head], k + 1).T * (k + 1) ** low
-            hi_meet, hi_join = divmod((hi + tail[p % labels.size**low]).ravel()[p:], high)
-            best = None  # the least (a, q, b) so far
-            for q0 in range(0, heights - p, q_step):
-                limit = a1 if best is None else best[0]  # no later a >= limit wins
-                if limit <= a0:
-                    break
-                q1 = min(q0 + q_step, heights - p)
-                shape = (q1 - q0, limit - a0, width)  # t's high, s's low, t's low
-                left, right, below = (buf[: prod(shape)].reshape(shape) for buf in held)
-                rs = (grid[hi_meet[q0:q1]].take(lo_meet, 1)
-                      + grid[hi_join[q0:q1]].take(lo_join, 1) - eps)
-                # mode="clip" writes into out directly; "raise" buffers it
-                rs.take(code[a0:limit], 1, right, "clip")
-                np.add(row_values[p, a0:limit, None], row_values[p + q0 : p + q1, None],
-                       out=left)
-                np.less(left, right, out=below)
-                if below.any():
-                    below = below.transpose(1, 0, 2)
-                    a, q, b = np.unravel_index(int(np.argmax(below)), below.shape)
-                    best = (a0 + int(a), q0 + int(q), int(b))
-            if best is None:
-                return None
-            a, q, b = best
-            return {
-                "inequality": inequality,
-                "s": list(assignment_of(int(highs[p] * span + lows[a]), table.dims)),
-                "t": list(assignment_of(int(highs[p + q] * span + lows[b]), table.dims)),
-                "lhs": float(row_values[p, a] + row_values[p + q, b]),
-                "rhs": float(grid[hi_meet[q], lo_meet[code[a, b]]]
-                             + grid[hi_join[q], lo_join[code[a, b]]]),
-            }
-
-        return step
+    def step(i: int):
+        p, a0, a1 = steps[i]
+        lhs, rhs, _, bad = _buffers(min(q_step, heights - p) * (a1 - a0) * width)
+        head = np.unravel_index(p, (labels,) * (n - m))[: n - m - low]
+        hi = _fold([packed[e, None] for e in head], k + 1).T * (k + 1) ** low
+        hi_meet, hi_join = divmod((hi + tail[p % labels**low]).ravel()[p:], high)
+        best = None  # the least (a, q, b) so far
+        for q0 in range(0, heights - p, q_step):
+            limit = a1 if best is None else best[0]  # no later a >= limit wins
+            if limit <= a0:
+                break
+            q1 = min(q0 + q_step, heights - p)
+            shape = (q1 - q0, limit - a0, width)  # t's high, s's low, t's low
+            left, right, below = (buf[: prod(shape)].reshape(shape)
+                                  for buf in (lhs, rhs, bad))
+            rs = (grid[hi_meet[q0:q1]].take(lo_meet, 1)
+                  + grid[hi_join[q0:q1]].take(lo_join, 1) - eps)
+            # mode="clip" writes into out directly; "raise" buffers it
+            rs.take(code[a0:limit], 1, right, "clip")
+            np.add(rows[p, a0:limit, None], rows[p + q0 : p + q1, None], out=left)
+            np.less(left, right, out=below)
+            if below.any():
+                below = below.transpose(1, 0, 2)
+                a, q, b = np.unravel_index(int(np.argmax(below)), below.shape)
+                best = (a0 + int(a), q0 + int(q), int(b))
+        if best is None:
+            return None
+        a, q, b = best
+        return {
+            "inequality": inequality,
+            "s": assignment(p * width + a),
+            "t": assignment((p + q) * width + b),
+            "lhs": float(rows[p, a] + rows[p + q, b]),
+            "rhs": float(grid[hi_meet[q], lo_meet[code[a, b]]]
+                         + grid[hi_join[q], lo_join[code[a, b]]]),
+        }
 
     entries = heights * (heights + 1) // 2 * width * width
     workers = _THREADS if entries >= _THREAD_ENTRIES else 1
-    found = _first_hit(len(steps), workers, make_step)
+    found = _first_hit(len(steps), workers, step)
     if found is None:
         return CheckReport(prop, True, None, evals)
     return CheckReport(prop, False, found[1], evals)
@@ -296,9 +329,14 @@ def _certified(
     c = floor(n²/4)).  Refuses a sweep of more than ``max_pairs`` rows.
 
     Certified when eps > 0, V = max f <= 2^1022 and
-    c·(δ⁺ + 8uV) + 8uV <= (1 - u)·eps, evaluated exactly in rationals, where
-    δ is the largest float shortfall of a row, δ⁺ = max(0, δ) and
-    u = 2^-53.  The sweep stops at the first block after which that fails.
+    c·(δ⁺ + 8uV) + 8uV <= (1 - u)·eps, exactly in rationals, where δ is the
+    largest float shortfall of a row, δ⁺ = max(0, δ) and u = 2^-53.  Once
+    per call, in rationals, it takes room = (1 - u)·eps - (c + 1)·8uV and
+    the largest float θ with c·θ <= room (θ = inf when c = 0); nothing is
+    kept between calls.  As δ⁺ is a float, the inequality holds exactly when
+    room >= 0 and δ⁺ <= θ, so each block of rows costs one float comparison
+    of its largest shortfall with θ, and the sweep stops at the first block
+    over it.
 
     Pair bound.  Write D(s, t) = f(M) + f(J) - f(s) - f(t) for the exact
     shortfall of a pair, M = min0(s, t), J = max0(s, t), and d⁺ for the
@@ -337,8 +375,10 @@ def _certified(
     at most (R(1+u) - eps)(1+u), and fl(L) >= L(1-u), so the pair passes
     when (1+u)·eps >= R - L + (2u + u²)·R + u·L, which
     R - L + 7uV <= (1+u)·eps implies.  With D <= c·d⁺, every pair passes
-    when c·(δ⁺ + 7uV) + 7uV <= (1+u)·eps, which the certificate implies:
-    its constant 8 bounds the rounding with room.
+    when c·(δ⁺ + 7uV) + 7uV <= (1+u)·eps.  The certificate's inequality
+    implies it (its constant 8 bounds the rounding with room), and the code
+    decides that inequality exactly: room >= 0 and every block's float
+    shortfall at most the float θ, which is c·δ⁺ <= room for δ⁺ >= 0.
     """
     n, k = table.dims.n, table.dims.k
     rows = comb(n, 2) * k * k * (k + 1) ** max(n - 2, 0)
@@ -355,10 +395,16 @@ def _certified(
     u = Fraction(1, 2**53)  # unit roundoff of float64
     c = n * n if singles else n * n // 4
     slack = 8 * u * Fraction(top)
-    bound = (1 - u) * Fraction(eps)
-    # running δ⁺ after each block; all() stops the sweep at the first misfit
-    running = accumulate(chain([0.0], _local_shortfalls(table, singles)), max)
-    return all(c * (Fraction(delta) + slack) + slack <= bound for delta in running)
+    room = (1 - u) * Fraction(eps) - (c + 1) * slack  # what c·δ⁺ may take
+    if room < 0:
+        return False
+    limit = inf  # the largest float θ with c·θ <= room
+    if c:
+        limit = float(room / c)  # the nearest float: one below it if above
+        if Fraction(limit) > room / c:
+            limit = nextafter(limit, 0.0)
+    # all() stops the sweep at the first block over the limit
+    return all(delta <= limit for delta in _local_shortfalls(table, singles))
 
 
 def check_k_submodular(
@@ -414,6 +460,33 @@ def check_orthant_submodular(
     return _orthant_submodular_scan(table, eps, max_pairs)
 
 
+def _incomparable(n: int, a: int, rows: int) -> tuple:
+    """The incomparable subset pairs A < B of n elements with A in a:a+rows,
+    in lexicographic order, as four arrays of masks: A, B, A&B and A|B."""
+    masks = np.arange(2**n, dtype=np.int64)
+    sets = masks[a : a + rows, None]
+    apart = (sets & masks != sets) & (sets & masks != masks) & (masks > sets)
+    first, second = np.nonzero(apart)
+    first += a
+    return first, second, first & second, first | second
+
+
+@lru_cache(maxsize=8)
+def _orthant_plan(n: int, block: int) -> tuple:
+    """What :func:`_orthant_submodular_scan` needs of n, built once per
+    (n, block) and read-only: (member, rows, per, pairs), with member[A] the
+    n bits of mask A, ``rows`` sets A per step, ``per`` orthants per step and
+    the pairs of the first step's rows A (:func:`_incomparable`).  A pairs
+    array has at most ``block`` entries, and member n·2^n."""
+    member = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
+    rows = min(2**n, max(1, block // 2**n))
+    per = max(1, block // 4**n)  # 1 unless rows == 2^n
+    pairs = _incomparable(n, 0, rows)
+    for array in (member, *pairs):
+        array.flags.writeable = False
+    return member, rows, per, pairs
+
+
 def _orthant_submodular_scan(
     table: TabularFunction, eps: float, max_pairs: int
 ) -> CheckReport:
@@ -422,42 +495,28 @@ def _orthant_submodular_scan(
     violating pair has A < B incomparable, and only such pairs are scanned,
     in steps of at most _BLOCK entries: several whole orthants, or rows A
     of one orthant.  Two plain loops run the steps in order, blocks of
-    orthants outside and chunks of rows A inside, over one set of buffers;
-    the pairs are recomputed only when the chunk changes.  The steps stay
-    on one thread: they are too small for two to gain, and on a holding
-    (7, 3) table two took 101 ms against 75 ms for one (2-CPU Xeon)."""
+    orthants outside and chunks of rows A inside, over this thread's
+    buffers; the pairs of the first chunk come from the scan's plan
+    (:func:`_orthant_plan`), and the others, when there are more, are
+    recomputed per block.  The steps stay on one thread: they are too small
+    for two to gain, and on a holding (7, 3) table two took 101 ms against
+    75 ms for one (2-CPU Xeon)."""
     dims = table.dims
     # k^n orthants times 4^n subset-mask pairs (A, B)
     dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")
     n, k = dims.n, dims.k
-    masks = np.arange(2**n, dtype=np.int64)
-    member = (masks[:, None] >> np.arange(n)) & 1
+    member, rows, per, pairs = _orthant_plan(n, _BLOCK)
     orthants = label_rows(n, k - 1, n) + 1  # in index order
-    evals = 4 * masks.size**2  # per orthant visited
-    rows = min(masks.size, max(1, _BLOCK // masks.size))  # sets A per step
-    per = max(1, _BLOCK // masks.size**2)  # orthants per step; 1 unless rows == masks.size
-    # no larger than a step needs: allocating the whole block made a scan
-    # that stops at its first step twice as slow
-    count = (4**n - 2 * 3**n + 2**n) // 2  # incomparable pairs A < B
-    size = per * min(count, rows * masks.size)
-    lhs, rhs, tmp = (np.empty(size) for _ in range(3))
-    bad = np.empty(size, dtype=bool)
-    paired = -1  # the first row A of the pairs last computed
+    evals = 4 * 4**n  # per orthant visited
     for o in range(0, len(orthants), per):
         # axes: subset, orthant (innermost, so gathers copy whole rows)
         labels = member[:, None] * orthants[o : o + per]
         vals = table.values[index_rows(labels, k)]
-        for a in range(0, masks.size, rows):
-            if paired != a:
-                sets = masks[a : a + rows, None]
-                apart = (sets & masks != sets) & (sets & masks != masks) & (masks > sets)
-                first, second = np.nonzero(apart)
-                first += a
-                meet, join, paired = first & second, first | second, a
+        for a in range(0, 2**n, rows):
+            first, second, meet, join = pairs if a == 0 else _incomparable(n, a, rows)
             shape = (first.size, vals.shape[1])
             m = shape[0] * shape[1]
-            left, right, other = (x[:m].reshape(shape) for x in (lhs, rhs, tmp))
-            below = bad[:m].reshape(shape)
+            left, right, other, below = (x[:m].reshape(shape) for x in _buffers(m))
             vals.take(meet, 0, right, "clip")
             vals.take(join, 0, other, "clip")
             right += other
@@ -537,10 +596,10 @@ def check_r_wise_monotone(
     marginals does, so label sets are searched only on the first failing
     one, to name the lexicographically first failing set.
     """
-    check_int("r", r, 1)
-    if r > table.dims.k:
-        raise InputError(f"r must be in [1, k={table.dims.k}], got {r}")
     dims = _guard(table, eps)
+    check_int("r", r, 1)
+    if r > dims.k:
+        raise InputError(f"r must be in [1, k={dims.k}], got {r}")
     values = table.values
     every = np.arange(values.size)
     labels = np.arange(1, dims.k + 1)
@@ -550,7 +609,8 @@ def check_r_wise_monotone(
         rows = every.reshape(-1, dims.k + 1, step)[:, 0].ravel()  # e unassigned
         margs = values[rows[:, None] + labels * step] - values[rows][:, None]
         evals += (dims.k + 1) * rows.size
-        low = np.take_along_axis(margs, _low_set(margs, r), axis=-1)
+        # r = k keeps every label: the r smallest in label order are all
+        low = margs if r == dims.k else np.take_along_axis(margs, _low_set(margs, r), -1)
         bad = low.sum(axis=-1) < -eps
         if bad.any():
             pos = int(np.argmax(bad))
@@ -587,9 +647,8 @@ def check_characterization(
     certificate: the local rows restate the characterization, so a
     certified verdict would not cross-check it.
     """
-    if table.dims.k < 2:
+    if _guard(table, eps).k < 2:
         raise InputError("characterization check needs k >= 2")
-    _guard(table, eps)
     ksub = _k_submodular_scan(table, eps, max_pairs)
     orthant = _orthant_submodular_scan(table, eps, max_pairs)
     pairwise = check_r_wise_monotone(table, 2, eps)

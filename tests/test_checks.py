@@ -9,6 +9,8 @@ import sys
 import threading
 import time
 import tracemalloc
+from fractions import Fraction
+from itertools import accumulate, chain
 from unittest.mock import patch
 
 import numpy as np
@@ -543,6 +545,42 @@ def exact_perturbed_table(seed, n, k, noise):
     }
 
 
+def blockwise_certified(table, eps, singles):
+    """The certificate's verdict by its per-block rule: after each block of
+    local rows, c·(δ⁺ + 8uV) + 8uV <= (1 - u)·eps in rationals, for the
+    running largest shortfall δ⁺."""
+    n = table.dims.n
+    top = float(table.values.max())
+    if not (eps > 0 and top <= 2.0**1022):
+        return False
+    u = Fraction(1, 2**53)
+    c = n * n if singles else n * n // 4
+    slack = 8 * u * Fraction(top)
+    bound = (1 - u) * Fraction(eps)
+    running = accumulate(chain([0.0], checks._local_shortfalls(table, singles)), max)
+    return all(c * (Fraction(delta) + slack) + slack <= bound for delta in running)
+
+
+def bump_table(top, bump):
+    """f = top·x_0 on n = 3, k = 1, with f(0, 1, 1) raised to ``bump``:
+    for 0 <= bump <= top its largest local shortfall is exactly ``bump``,
+    the row of elements 1 and 2 at s = 0."""
+    values = np.array([top * (i & 1) for i in range(8)])
+    values[6] = bump
+    return TabularFunction(Dims(3, 1), values)
+
+
+def last_float(holds, low, high):
+    """The largest float x in [low, high], 0 <= low < high, with holds(x),
+    for a predicate that holds at low, fails at high and changes once:
+    bisection on the bits, which order nonnegative floats."""
+    lo, hi = (int(np.float64(x).view(np.int64)) for x in (low, high))
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if holds(float(np.int64(mid).view(np.float64))) else (lo, mid)
+    return float(np.int64(lo).view(np.float64))
+
+
 class TestLocalCertificate:
     @settings(max_examples=20, deadline=None)
     @given(
@@ -605,6 +643,43 @@ class TestLocalCertificate:
             report = check(table)
             assert not report.holds
             assert report.to_json() == scan(table, 1e-9, 10**8).to_json()
+
+    @pytest.mark.parametrize("eps", [1e-9, 2.0**-20])
+    @pytest.mark.parametrize("top", [1.0, 1e5])
+    @pytest.mark.parametrize("name", PAIR_CHECKS)
+    def test_float_threshold_matches_the_blockwise_rule(self, name, top, eps):
+        # a largest local shortfall exactly at the last float the rule
+        # admits is certified, and one ulp above it is not; at eps = 0
+        # neither is
+        singles = PAIR_CHECKS[name][2]
+        at = last_float(lambda bump: blockwise_certified(bump_table(top, bump), eps, singles),
+                        0.0, eps)
+        for bump, certified in ((at, True), (np.nextafter(at, np.inf), False)):
+            table = bump_table(top, bump)
+            assert max(checks._local_shortfalls(table, singles)) == bump
+            assert blockwise_certified(table, eps, singles) is certified
+            assert checks._certified(table, eps, 10**8, name, singles) is certified
+            assert not checks._certified(table, 0.0, 10**8, name, singles)
+            assert not blockwise_certified(table, 0.0, singles)
+
+    @pytest.mark.parametrize("eps", [1e-9, 2.0**-20, 0.0])
+    def test_no_rows_at_n_1_certify_up_to_the_rounding_allowance(self, eps):
+        # the orthant check at n = 1 has c = 0 and no local rows: only the
+        # rounding allowance 8uV against eps decides, at the last float V
+        # the rule admits and one ulp above it
+        def table(top):
+            return TabularFunction(Dims(1, 1), [0.0, top])
+
+        if eps == 0:
+            tops = [(1.0, False), (0.0, False)]
+        else:
+            at = last_float(lambda top: blockwise_certified(table(top), eps, False),
+                            0.0, 2.0**1000)
+            tops = [(at, True), (np.nextafter(at, np.inf), False)]
+        for top, certified in tops:
+            assert blockwise_certified(table(top), eps, False) is certified
+            assert checks._certified(table(top), eps, 10**8, "orthant", False) is certified
+            assert check_orthant_submodular(table(top), eps).holds
 
     @pytest.mark.parametrize("eps,scanned", [(0.0, True), (1e-9, False)])
     def test_nothing_certified_at_eps_0(self, monkeypatch, eps, scanned):
@@ -861,7 +936,7 @@ class TestScanWorkers:
             return step
 
         expected = (1, "step 1") if slow_hits else (2, "step 2")
-        assert checks._first_hit(6, 2, make_step) == expected
+        assert checks._first_hit(6, 2, make_step()) == expected
         assert sorted(ran) == [0, 1, 2]
 
     def test_earliest_hit_under_contention(self):
@@ -874,7 +949,7 @@ class TestScanWorkers:
         sys.setswitchinterval(1e-6)
         try:
             for _ in range(50):
-                assert checks._first_hit(400, 4, make_step) == (52, 52)
+                assert checks._first_hit(400, 4, make_step()) == (52, 52)
             table = seeded_table("random", 4, 4, seed=3)
             one = scan_json("ksub", table, **ONE_WORKER)
             assert scan_json("ksub", table, _THREADS=4, _THREAD_ENTRIES=0) == one
@@ -919,6 +994,99 @@ class TestScanWorkers:
         assert peak < 32 * 2**20
 
 
+def cold_plans():
+    checks._scan_plan.cache_clear()
+    checks._orthant_plan.cache_clear()
+
+
+KINDS = ("holds", "random", "raised-last")
+
+
+class TestScanPlans:
+    def test_patched_block_matches_a_cold_run(self):
+        tables = [seeded_table(kind, 4, 3, seed=7) for kind in KINDS]
+
+        def reports(block):
+            return [scan_json(name, table, _BLOCK=block) for table in tables
+                    for name in SCANS]
+
+        blocks = [40, 300, checks._BLOCK, 81]
+        cold = {}
+        for block in blocks:
+            cold_plans()
+            cold[block] = reports(block)
+        cold_plans()
+        for block in blocks + blocks[::-1]:  # each plan built once, then kept
+            assert reports(block) == cold[block]
+
+    @pytest.mark.parametrize("n,k,orthants,block", [
+        (5, 3, False, 1 << 16), (5, 4, True, 1 << 16), (6, 3, False, 300),
+        (4, 4, False, 40), (7, 2, True, 81),
+    ])
+    def test_plan_arrays_are_read_only_and_within_a_block(self, n, k, orthants, block):
+        plan = checks._scan_plan(n, k, orthants, block)
+        arrays = [part for part in plan if isinstance(part, np.ndarray)]
+        assert len(arrays) == 5 and isinstance(plan[-1], tuple)
+        member, _, _, pairs = checks._orthant_plan(n, block)
+        assert member.shape == (2**n, n)
+        for array in arrays + [*pairs]:
+            assert array.size <= block
+        for array in arrays + [member, *pairs]:
+            with pytest.raises(ValueError, match="read-only"):
+                array[...] = 0
+
+    def test_threads_scanning_different_shapes_get_the_sequential_reports(self):
+        # each user thread scans its own shape with two workers, from cold
+        # plans, under a short switch interval
+        tables = {shape: [seeded_table(kind, *shape, seed=3) for kind in KINDS]
+                  for shape in [(5, 3), (4, 4)]}
+
+        def reports(shape):
+            return [json.dumps(SCANS[name](table).to_json()) for table in tables[shape]
+                    for name in SCANS]
+
+        expected = {shape: reports(shape) for shape in tables}
+        got = {shape: [] for shape in tables}
+        threads = [threading.Thread(target=lambda shape=shape: got[shape].extend(
+                       reports(shape) for _ in range(3)))
+                   for shape in tables]
+        cold_plans()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with patch.multiple(checks, **TWO_WORKERS):
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == {shape: [expected[shape]] * 3 for shape in tables}
+
+    def test_small_scan_after_a_large_one_reports_identically(self):
+        small = [seeded_table(kind, 3, 3, seed=2) for kind in KINDS]
+
+        def reports():
+            return [json.dumps(SCANS[name](table).to_json()) for table in small
+                    for name in SCANS]
+
+        fresh = []  # from a new thread, whose buffers start empty
+        thread = threading.Thread(target=lambda: fresh.extend(reports()))
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive() and fresh
+        # a full block of a holding (6, 3) scan grows this thread's buffers;
+        # then poison them, so a read of anything not written shows
+        scan_json("ksub", seeded_table("holds", 6, 3, seed=1), **ONE_WORKER)
+        held = checks._buffers(0)
+        assert held[0].size == checks._BLOCK
+        for buffer in held[:3]:
+            buffer.fill(np.nan)
+        held[3].fill(True)
+        assert reports() == fresh
+
+
 class TestCheckReport:
     def test_json_shape(self):
         report = check_k_submodular(layout_table(3))
@@ -956,19 +1124,33 @@ def test_characterization_memory_stays_bounded():
     assert int(out.stdout) / 1024 < 150
 
 
+#: The five checkers, each called as check(table, eps).
+CHECKERS = {
+    "ksub": check_k_submodular,
+    "orthant": check_orthant_submodular,
+    "orthant-pairs": check_orthant_pair_inequality,
+    "characterization": check_characterization,
+    "monotone:2": lambda table, eps: check_r_wise_monotone(table, 2, eps),
+}
+
+
 @pytest.mark.parametrize("eps", [float("nan"), float("inf"), -1e-9])
-@pytest.mark.parametrize(
-    "check",
-    [check_k_submodular, check_orthant_submodular, check_orthant_pair_inequality,
-     check_characterization, lambda table, eps: check_r_wise_monotone(table, 2, eps)],
-    ids=["ksub", "orthant", "orthant-pairs", "characterization", "monotone:2"],
-)
+@pytest.mark.parametrize("check", CHECKERS.values(), ids=CHECKERS.keys())
 def test_unusable_eps_rejected(check, eps):
     # NaN or infinite slack would pass every inequality: under eps=nan the
     # ksub check reported `holds` on this violating table
     table = random_table(Dims(3, 3), seed=5)
     with pytest.raises(InputError, match="eps"):
         check(table, eps)
+
+
+@pytest.mark.parametrize("value", [None, np.zeros(8), [0.0] * 8], ids=["None", "array", "list"])
+@pytest.mark.parametrize("check", CHECKERS.values(), ids=CHECKERS.keys())
+def test_non_table_input_rejected(check, value):
+    # monotone and characterization read the dims before the guard, and
+    # raised AttributeError
+    with pytest.raises(InputError, match="checkers operate on tabulated functions"):
+        check(value, 1e-9)
 
 
 def audit_digest(n, k, seeds):
@@ -997,7 +1179,9 @@ def audit_digest(n, k, seeds):
     return hashlib.sha256(json.dumps(hexed(parts)).encode()).hexdigest()
 
 
-@pytest.mark.parametrize("n,k,digest", [
+#: Recorded before the index layout moved behind core: a changed report,
+#: float, label or call count on any of the 36 tables changes the digest.
+AUDIT_DIGESTS = [
     (1, 1, "cc4024d3f7bd13ea62344a61e706689ee3064b089e5b30853519ce9f15ace43c"),
     (2, 2, "697da2edf248850602304c48f14bec34f50a6ad5ccf6b2b594c728abfa93132f"),
     (3, 2, "c5b4591c2dbcab9473070fdce481aca05631065a8d8826a2e218e808a81c12b2"),
@@ -1007,8 +1191,22 @@ def audit_digest(n, k, seeds):
     (4, 4, "509eb60574b8941f07174871b289e5a4e84c7b104ea8b37d00ad2ea38f97f4b5"),
     (2, 6, "796de7631ecfd9645ce5c15285605a7f5604e361f8d44df7cce294bda78d40cf"),
     (6, 2, "1459e9b6ea1d8f7c1bbfd5ff3c495dc7323ac7a3688456919b46f703c993c5cc"),
-])
+]
+
+
+@pytest.mark.parametrize("n,k,digest", AUDIT_DIGESTS)
 def test_audit_outputs_keep_their_recorded_digests(n, k, digest):
-    # recorded before the index layout moved behind core: a changed report,
-    # float, label or call count on any of the 36 tables changes the digest
     assert audit_digest(n, k, range(12)) == digest
+
+
+@pytest.mark.parametrize("n,k,digest", [
+    entry for entry in AUDIT_DIGESTS if entry[:2] in {(3, 3), (4, 4), (6, 2)}
+])
+def test_digests_with_cold_then_warm_plans(n, k, digest):
+    # the second pass builds no plan: every scan takes the kept ones
+    cold_plans()
+    assert audit_digest(n, k, range(12)) == digest
+    misses = checks._scan_plan.cache_info().misses, checks._orthant_plan.cache_info().misses
+    assert audit_digest(n, k, range(12)) == digest
+    assert (checks._scan_plan.cache_info().misses,
+            checks._orthant_plan.cache_info().misses) == misses
