@@ -26,15 +26,15 @@ What a scan needs of the table's shape alone, its plan, is built once per
 shape and block and kept read-only: at most 16 pair-scan plans (code and
 meet-join tables, steps; :func:`_scan_plan`) and 8 orthant-scan plans
 (subset bits, the first step's subset pairs; :func:`_orthant_plan`), each
-array within _BLOCK entries but the n·2^n subset bits.  What grows with
-the table (its values, rows and orthants) is built per call.  Each thread
-keeps its block buffers for its next scan, at most 1.6 MB
-(:func:`_buffers`).  A pair scan of at least _THREAD_ENTRIES entries runs
-on two threads, or one when the process may use a single CPU: each takes
-every other step of rows, and the earliest step with a violation is
-reported, so the report is the same for any thread count (see
-:func:`_first_hit`).  The r-wise checker sweeps marginals, one sort per
-base assignment, none when r = k.
+array within max(_BLOCK, (k+1)^2) entries but the n·2^n subset bits.
+What grows with the table (its values, rows and orthants) is built per
+call.  Each thread keeps its block buffers for its next scan, at most
+1.6 MB (:func:`_buffers`).  A pair scan of at least _THREAD_ENTRIES
+entries runs on two threads, or one when the process may use a single
+CPU: each takes every other step of rows, and the earliest step with a
+violation is reported, so the report is the same for any thread count
+(see :func:`_first_hit`).  The r-wise checker sweeps marginals, one sort
+per base assignment, none when r = k.
 """
 
 from __future__ import annotations
