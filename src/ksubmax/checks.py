@@ -231,6 +231,8 @@ def _pair_scan(
     n, k = table.dims.n, table.dims.k
     m, code, lo_meet, lo_join, packed, tail, q_step, steps = _scan_plan(
         n, k, orthants, _BLOCK)
+    # take() copies a read-only index array on every call: copy once per scan
+    code, lo_meet, lo_join = (np.array(x) for x in (code, lo_meet, lo_join))
     span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
     labels, width = k + 1 - int(orthants), code.shape[0]
     heights, grid = labels ** (n - m), table.values.reshape(-1, span)
@@ -506,6 +508,7 @@ def _orthant_submodular_scan(
     dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")
     n, k = dims.n, dims.k
     member, rows, per, pairs = _orthant_plan(n, _BLOCK)
+    pairs = tuple(np.array(x) for x in pairs)  # as in _pair_scan, for take()
     orthants = label_rows(n, k - 1, n) + 1  # in index order
     evals = 4 * 4**n  # per orthant visited
     for o in range(0, len(orthants), per):
