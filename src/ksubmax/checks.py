@@ -508,7 +508,8 @@ def _orthant_submodular_scan(
     dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")
     n, k = dims.n, dims.k
     member, rows, per, pairs = _orthant_plan(n, _BLOCK)
-    pairs = tuple(np.array(x) for x in pairs)  # as in _pair_scan, for take()
+    # take() copies a read-only index array on every call: copy once per scan
+    pairs = tuple(np.array(x) for x in pairs)
     orthants = label_rows(n, k - 1, n) + 1  # in index order
     evals = 4 * 4**n  # per orthant visited
     for o in range(0, len(orthants), per):
