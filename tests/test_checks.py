@@ -1080,7 +1080,7 @@ class TestScanPlans:
         # then poison them, so a read of anything not written shows
         scan_json("ksub", seeded_table("holds", 6, 3, seed=1), **ONE_WORKER)
         held = checks._buffers(0)
-        assert held[0].size == checks._BLOCK
+        assert held[0].size >= checks._BLOCK
         for buffer in held[:3]:
             buffer.fill(np.nan)
         held[3].fill(True)
