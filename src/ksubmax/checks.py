@@ -21,20 +21,24 @@ The pair checkers scan assignment pairs in lexicographic order of
 (index(s), index(t)) row by row, and the orthant checker scans subset
 pairs orthant by orthant, both in blocks of at most _BLOCK entries, so
 memory stays flat whatever the table.  A pair scan computes f(min0) +
-f(max0) - eps once per block and (meet, join) pattern of the low digits.
-What a scan needs of the table's shape alone, its plan, is built once per
-shape and block and kept read-only: at most 16 pair-scan plans (code and
-meet-join tables, steps; :func:`_scan_plan`) and 8 orthant-scan plans
-(subset bits, the first step's subset pairs; :func:`_orthant_plan`), each
-array within max(_BLOCK, (k+1)^2) entries but the n·2^n subset bits.
-What grows with the table (its values, rows and orthants) is built per
-call.  Each thread keeps its block buffers for its next scan, at most
-1.6 MB (:func:`_buffers`).  A pair scan of at least _THREAD_ENTRIES
-entries runs on two threads, or one when the process may use a single
-CPU: each takes every other step of rows, and the earliest step with a
-violation is reported, so the report is the same for any thread count
-(see :func:`_first_hit`).  The r-wise checker sweeps marginals, one sort
-per base assignment, none when r = k.
+f(max0) - eps once per block and (meet, join) pattern of the low digits,
+and tests each s against the least f over each group of t that clashes
+with it on the same low digits, whose pairs share one right side: (4k+1)^m
+low pairs instead of (k+1)^(2m), and the same first pair (see
+:func:`_pair_scan`).  What a scan needs of the table's shape alone, its
+plan, is built once per shape and block and kept read-only: at most 16
+pair-scan plans (code and meet-join tables, pair lists, steps;
+:func:`_scan_plan`) and 8 orthant-scan plans (subset bits, the first
+step's subset pairs; :func:`_orthant_plan`), each array within
+max(_BLOCK, (k+1)^2) entries but the n·2^n subset bits.  What grows with
+the table (its values, rows, least f over the groups and orthants) is
+built per call.  Each thread keeps its block buffers for its next scan, at
+most 1.6 MB (:func:`_buffers`).  A pair scan of at least _THREAD_ENTRIES
+grouped pairs runs on two threads, or one when the process may use a
+single CPU: each takes every other step of rows, and the earliest step
+with a violation is reported, so the report is the same for any thread
+count (see :func:`_first_hit`).  The r-wise checker sweeps marginals, one
+sort per base assignment, none when r = k.
 """
 
 from __future__ import annotations
@@ -66,10 +70,11 @@ from .core import (
 from .zoo import TabularFunction
 
 _BLOCK = 1 << 16  # entries per block of an exhaustive scan
-# workers of a pair scan of at least _THREAD_ENTRIES entries: two, or one CPU
+# workers of a pair scan of at least _THREAD_ENTRIES grouped pairs: two, or one CPU
 _THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                else os.cpu_count() or 1)
-_THREAD_ENTRIES = 1 << 20
+_THREAD_ENTRIES = 1 << 27  # above a holding (7, 3) scan, which two did not speed up
+_RUN = 8  # high parts of t per block, where a row has as many, so gathers copy runs
 
 
 @dataclass(frozen=True)
@@ -176,31 +181,98 @@ def _fold(tables, radix: int) -> np.ndarray:
     return out
 
 
+def _digits(values: np.ndarray, radix: int, m: int) -> np.ndarray:
+    """sum_d values[i_d] * radix^(m-1-d) over every (i_0, ..., i_{m-1}) in
+    lexicographic order: the m-digit numbers whose digits take ``values``."""
+    out = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        out = (out[:, None] * radix + values).ravel()
+    return out
+
+
 @lru_cache(maxsize=16)
 def _scan_plan(n: int, k: int, orthants: bool, block: int) -> tuple:
     """What :func:`_pair_scan` needs of an (n, k) table's shape, built once
     per (n, k, orthants, block) and read-only: (m, code, lo_meet, lo_join,
-    packed, tail, q_step, steps).  No array has more than ``block`` entries,
+    packed, tail, others, tables, steps).  m is the most low digits whose W
+    x W code table and patterns fit in a block with room for _RUN high
+    parts of t per block of valid pairs, or for every one.  ``tables`` holds
+    the first step's pairs (low part of s, low part of t, pattern) and the
+    valid pairs (low part of s, grouped low part of t, pattern), each in
+    order of s, with start[a] the first pair of low part a and the meet and
+    join of the patterns it numbers; a step is (row, low parts a0:a1 of s,
+    high parts of t per block).  No array has more than ``block`` entries,
     or (k+1)^2 when a block is smaller."""
-    m = next(m for m in range(n - n // 2, -1, -1) if (k + 1) ** (2 * m) <= block)
-    span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
     labels = np.arange(int(orthants), k + 1)
     x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
     state = np.where(x == y, x, np.where(x * y, 0, k + x + y))
     c = np.arange(k + 1 if orthants else 2 * k + 1)
+    # others[g]: the nonzero labels but the g-th; none when k = 1
+    others = ((np.arange(k)[:, None] + np.arange(1, k)) % k if k > 1
+              else np.zeros((0, 0), dtype=np.intp))
+    # one digit's valid pairs (label of s, label of t, state): every label of
+    # t but the clashes, which fold into one group per nonzero label of s,
+    # label labels + g of t for the g-th (:func:`_min_extended`)
+    s, t = np.nonzero((x == y) | (x * y == 0))
+    g = np.arange(others.shape[0])
+    digit = (np.append(s, g + labels.size - k), np.append(t, g + labels.size),
+             np.append(state[s, t], 0 * g))
+
+    def fits(m: int) -> bool:  # W x W codes, patterns, _RUN high parts of t
+        run = min(_RUN, labels.size ** (n - m))
+        return max(labels.size ** (2 * m), c.size**m, run * digit[0].size**m) <= block
+
+    m = next((m for m in range(n, 0, -1) if fits(m)), 0)
+    span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
     meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
-    code = _fold([state] * m, c.size)  # W x W
+    code = _fold([state] * m, c.size)  # W x W, in the least unsigned type
+    code = code.astype(np.min_scalar_type(c.size**m - 1))
     lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
     packed = (meet * high + join)[state]  # high meets and joins, per label pair
     tail = _fold([packed] * low, k + 1)
-    heights, width = labels.size ** (n - m), code.shape[0]
-    q_step = min(heights, max(1, block // (width * width)))  # high parts of t
-    first = max(1, width // labels.size)  # steps: (row, low parts a0:a1 of s)
-    steps = [(0, 0, first), (0, first, width)][: 1 + (first < width)]
-    steps += [(p, 0, width) for p in range(1, heights)]
-    for array in (code, lo_meet, lo_join, packed, tail):
+    radices = (labels.size, labels.size + g.size, c.size)
+    valid = [_digits(d, r, m) for d, r in zip(digit, radices)]
+    order = np.argsort(valid[0], kind="stable")
+    width, heights = code.shape[0], labels.size ** (n - m)
+    # the first step pairs the s whose low digits but element 0's hold their
+    # first label with every t, without groups
+    first = min(width, labels.size)
+    used, pc = np.unique(code[:first], return_inverse=True)  # the patterns it meets
+    tables = (
+        (np.arange(first).repeat(width), np.tile(np.arange(width), first), pc.ravel(),
+         lo_meet[used], lo_join[used]),
+        (*(d[order] for d in valid), lo_meet, lo_join),
+    )
+    tables = tuple((*t[:3], np.searchsorted(t[0], np.arange(width + 1)), *t[3:])
+                   for t in tables)
+
+    def per_block(table, a0, a1):  # high parts of t per block of a step
+        count = max(1, table[3][a1] - table[3][a0])
+        return min(heights, max(1, block // count))
+
+    # on all assignments s = 0 meets and joins every t at 0 and t: it never
+    # violates, so row 0 starts at low part 1
+    lowest = int(not orthants)
+    steps = [(0, lowest, first, per_block(tables[0], lowest, first))]
+    steps += [(0, first, width, per_block(tables[1], first, width))] * (first < width)
+    steps += [(p, 0, width, per_block(tables[1], 0, width)) for p in range(1, heights)]
+    for array in (code, lo_meet, lo_join, packed, tail, others, *sum(tables, ())):
         array.flags.writeable = False
-    return m, code, lo_meet, lo_join, packed, tail, q_step, tuple(steps)
+    return m, code, lo_meet, lo_join, packed, tail, others, tables, tuple(steps)
+
+
+def _min_extended(rows: np.ndarray, m: int, labels: int, others: np.ndarray):
+    """Rows of t, (q, labels^m) by high part and low part, as f over the
+    grouped low parts of t, (R^m, q) with R = labels + k (labels when
+    k = 1).  Digit labels + g of a grouped part stands for every nonzero
+    label but the g-th, ``others[g]``, and its entry is the least f over the
+    t it stands for: one take and one min per digit."""
+    out = rows.T.reshape((labels,) * m + (rows.shape[0],))
+    k = others.shape[0]
+    for d in range(m - 1, -1, -1) if k else ():  # the small axes first
+        nonzero = out[(slice(None),) * d + (slice(labels - k, None),)]
+        out = np.concatenate([out, nonzero.take(others, d).min(d + 1)], d)
+    return out.reshape(-1, rows.shape[0])
 
 
 def _pair_scan(
@@ -212,40 +284,79 @@ def _pair_scan(
     all assignments or the orthants only (where min0 = max0 = id0).
 
     Both sides are symmetric in (s, t), so the first violating pair has
-    index(s) <= index(t).  An index is hi * (k+1)^m + lo, m = ceil(n/2) when
-    the W x W pairs of low parts fit in _BLOCK, else the most that fit.  Row
-    p pairs s of high part p with t of high part p or later; a pair within
-    a high part with index(s) > index(t) mirrors one at a smaller low part
-    of s, so it is never the least.  Row 0 runs as two steps, its first
-    W/(k+1) low parts of s (W/k on orthants) alone, so an early violation
-    ends a short step.  A digit pair has one of 2k+1 (meet, join) states, k+1
-    on orthants.  The scan's plan (:func:`_scan_plan`), built digit by digit
-    once per shape and block, holds the W x W code table of the low pairs'
-    patterns, each pattern's meet and join, and the high parts' meets and
-    joins over their last min(m, n-m) digits.  Per block of high parts of t,
-    at most _BLOCK pairs, fl(fl(f(M) + f(J)) - eps) is computed once per high
-    part and pattern, and one gather through the code table gives each pair
-    that same float.  A step reports its least (low part of s, high part of
-    t, low part of t), and :func:`_first_hit` the earliest step.
+    index(s) <= index(t).  Over the L scanned labels (k+1, or k on
+    orthants) an index is hi * L^m + lo, with m low digits and W = L^m low
+    parts (:func:`_scan_plan`).  Row p pairs s of high part p with t of
+    high part p or later; a pair within a high part with index(s) >
+    index(t) mirrors one at a smaller low part of s, so it is never the
+    least.  A digit pair has one of 2k+1 (meet, join) states, k+1 on
+    orthants, and the low digits' states make the pair's pattern.
+
+    Groups.  Where s has label x != 0 on a low digit and t another nonzero
+    label, the digit clashes: its meet and join are 0 whatever t's label
+    there.  So every t that differs only in such labels has the same right
+    side, the float R = fl(fl(f(M) + f(J)) - eps), and as rounding is
+    monotone, fl(f(s) + f(t)) < R for one of them exactly when
+    fl(f(s) + min f(t)) < R.  The scan pairs each low part of s with the
+    grouped low parts of t, each digit a label or "every nonzero label but
+    x": (4k+1)^m valid pairs instead of W^2 = (k+1)^(2m), (2k)^m instead of
+    k^(2m) on orthants, and reads min f(t) from the grouped rows of t
+    (:func:`_min_extended`), built once per scan when they fit in a block
+    and per block otherwise.  A block's least (low part of s, high part of
+    t) with a violating group is its least with a violating pair, and
+    there every t of that high part is tested with the same floats, so the
+    report is the pair-by-pair scan's.
+
+    Steps and blocks.  A block holds at most _BLOCK entries (valid pair,
+    high part of t), high parts innermost, so that both gathers copy runs:
+    R once per high part and pattern, then one gather for each pair's R,
+    one for its min f(t), and f(s) added per pair.  On all assignments row
+    0 starts at low part 1, as s = 0 meets and joins every t at 0 and t.
+    Its first step, the low parts of s whose other low digits hold their
+    first label, pairs them with every t, without groups, by broadcasting,
+    so an early violation costs no grouped rows.  A step reports its least
+    (low part of s, high part of t, low part of t), and :func:`_first_hit`
+    the earliest step.
     """
     n, k = table.dims.n, table.dims.k
-    m, code, lo_meet, lo_join, packed, tail, q_step, steps = _scan_plan(
+    m, code, lo_meet, lo_join, packed, tail, others, tables, steps = _scan_plan(
         n, k, orthants, _BLOCK)
-    # take() copies a read-only index array on every call: copy once per scan
-    code, lo_meet, lo_join = (np.array(x) for x in (code, lo_meet, lo_join))
     span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
     labels, width = k + 1 - int(orthants), code.shape[0]
     heights, grid = labels ** (n - m), table.values.reshape(-1, span)
     # row p: the entries of high part p that the scan pairs, low parts in order
     rows = table.values.reshape((k + 1,) * n)[(slice(int(orthants), None),) * n]
     rows = rows.reshape(heights, width)
+    # take() copies a read-only index array on every call: copy once per scan
+    pa, pb, pc, start, meet, join = tables[0]
+    exact = (pa, pb, np.array(pc), start, *(np.array(x) for x in (meet, join)), None)
+    lock, kept = threading.Lock(), []
+
+    def grouped() -> tuple:
+        """The valid pairs, as the first step's, and the grouped rows of
+        every t when they fit in a block: built once, by the first step
+        that needs them."""
+        with lock:
+            if not kept:
+                pa, pb, pc, start, meet, join = tables[1]
+                fit = heights * (labels + others.shape[0]) ** m <= _BLOCK
+                whole = _min_extended(rows, m, labels, others) if fit else None
+                kept.append((pa, *(np.array(x) for x in (pb, pc)), start,
+                             *(np.array(x) for x in (meet, join)), whole))
+        return kept[0]
+
+    def patterns(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
+        # grid[hi[q], lo[c]] as (c, q), transposing the smaller of the two
+        return grid[hi].take(lo, 1).T if lo.size < span else grid[hi].T.take(lo, 0)
 
     def assignment(r: int) -> list:  # of rows.flat[r]: element e's digit weighs labels^e
         return [r // labels**e % labels + int(orthants) for e in range(n)]
 
     def step(i: int):
-        p, a0, a1 = steps[i]
-        lhs, rhs, _, bad = _buffers(min(q_step, heights - p) * (a1 - a0) * width)
+        p, a0, a1, q_step = steps[i]
+        pa, pb, pc, start, meet, join, whole = grouped() if i else exact
+        i0 = int(start[a0])
+        lhs, rhs, _, bad = _buffers(min(q_step, heights - p) * int(start[a1] - i0))
         head = np.unravel_index(p, (labels,) * (n - m))[: n - m - low]
         hi = _fold([packed[e, None] for e in head], k + 1).T * (k + 1) ** low
         hi_meet, hi_join = divmod((hi + tail[p % labels**low]).ravel()[p:], high)
@@ -255,19 +366,34 @@ def _pair_scan(
             if limit <= a0:
                 break
             q1 = min(q0 + q_step, heights - p)
-            shape = (q1 - q0, limit - a0, width)  # t's high, s's low, t's low
+            i1 = int(start[limit])
+            shape = (i1 - i0, q1 - q0)  # low pair, t's high part
             left, right, below = (buf[: prod(shape)].reshape(shape)
                                   for buf in (lhs, rhs, bad))
-            rs = (grid[hi_meet[q0:q1]].take(lo_meet, 1)
-                  + grid[hi_join[q0:q1]].take(lo_join, 1) - eps)
+            rs = patterns(hi_meet[q0:q1], meet) + patterns(hi_join[q0:q1], join) - eps
             # mode="clip" writes into out directly; "raise" buffers it
-            rs.take(code[a0:limit], 1, right, "clip")
-            np.add(rows[p, a0:limit, None], rows[p + q0 : p + q1, None], out=left)
+            rs.take(pc[i0:i1], 0, right, "clip")
+            if i:  # the least f over each pair's group of t, then f(s) added
+                t_rows = (whole[:, p + q0 : p + q1] if whole is not None
+                          else _min_extended(rows[p + q0 : p + q1], m, labels, others))
+                t_rows.take(pb[i0:i1], 0, left, "clip")
+                left += rows[p, pa[i0:i1], None]
+            else:  # f(s) + f(t) for each low part of s and every t
+                np.add(rows[p, a0:limit, None, None], rows.T[None, :, p + q0 : p + q1],
+                       out=left.reshape(limit - a0, width, q1 - q0))
             np.less(left, right, out=below)
-            if below.any():
-                below = below.transpose(1, 0, 2)
-                a, q, b = np.unravel_index(int(np.argmax(below)), below.shape)
-                best = (a0 + int(a), q0 + int(q), int(b))
+            hit = int(below.argmax())
+            if below.flat[hit]:
+                # the least a with a violating pair and its least q, then
+                # the least t of that high part that violates
+                a = int(pa[i0 + hit // shape[1]])
+                hits = below[hit // shape[1] : start[a + 1] - i0]
+                q = int(hits.any(0).argmax())
+                if i:  # the least t of a violating group's high part
+                    b = (rows[p, a] + rows[p + q0 + q] < rs[code[a], q]).argmax()
+                else:  # the first step's pairs of s are in order of t
+                    b = pb[i0 + hit // shape[1] + hits[:, q].argmax()]
+                best = (a, q0 + q, int(b))
         if best is None:
             return None
         a, q, b = best
@@ -280,7 +406,7 @@ def _pair_scan(
                          + grid[hi_join[q], lo_join[code[a, b]]]),
         }
 
-    entries = heights * (heights + 1) // 2 * width * width
+    entries = heights * (heights + 1) // 2 * tables[1][0].size
     workers = _THREADS if entries >= _THREAD_ENTRIES else 1
     found = _first_hit(len(steps), workers, step)
     if found is None:

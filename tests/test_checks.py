@@ -2,6 +2,7 @@
 agreement with the independent loop-based references."""
 
 import hashlib
+import itertools
 import json
 import os
 import subprocess
@@ -805,6 +806,75 @@ class TestScanBoundary:
                 assert json.dumps(report.to_json()) == expected
 
 
+def clash_group_table(k, members, top=8.0):
+    """A table on n = 3 whose first violating pair is (s, t_y) with s = e1:1
+    and t_y = e2:1 + e1:y, y >= 2: t_y clashes with s at element 1, so the
+    t_y form one group of the pair scan, and f(t_y) = members.get(y, 2 top).
+    A pair (s, t_y) falls short by 2 top - f(t_y), so t_y violates when
+    f(t_y) < 2 top - eps and not when f(t_y) >= 2 top.  Every other entry
+    keeps every earlier pair within its inequality: f(0) = 0, f = top on
+    every other assignment but f(e2:1) = f(e2:1 + e0:w) = 3 top and
+    f(e2:1 + e0:w + e1:y) = 2 top."""
+    dims = Dims(3, k)
+    values = np.full((k + 1) ** 3, top)
+    values[0] = 0.0
+    base = (k + 1) ** 2  # e2:1
+    for w in range(k + 1):
+        values[base + w] = 3 * top
+        for y in range(2, k + 1):
+            values[base + y * (k + 1) + w] = 2 * top if w else members.get(y, 2 * top)
+    return TabularFunction(dims, values)
+
+
+#: members' values per case, with top = 8: 15 violates, 16 holds
+CLASH_CASES = {
+    "least-violating-member-is-not-the-minimizer": lambda k: {2: 15.0, k: 8.0},
+    "minimizer-violates-a-smaller-member-does-not": lambda k: {2: 16.0, k: 8.0},
+    "tied-members": lambda k: {2: 9.0, k: 9.0},
+}
+
+
+class TestClashGroups:
+    @pytest.mark.parametrize("case", CLASH_CASES)
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    @pytest.mark.parametrize("eps", [0.0, 1e-9])
+    def test_group_reports_its_least_violating_member(self, eps, k, case):
+        members = CLASH_CASES[case](k)
+        table = clash_group_table(k, members)
+        expected = first_violation_json(table, "ksub", eps)
+        # the reference's first violation is the least violating member
+        y = min(y for y, value in members.items() if value < 16.0)
+        assert json.loads(expected)["counterexample"]["t"] == [0, y, 1]
+        assert json.loads(expected)["counterexample"]["s"] == [0, 1, 0]
+        expected_pairs = first_violation_json(table, "orthant-pairs", eps)
+        for block in (checks._BLOCK, 300, 40, 7):
+            for workers in (ONE_WORKER, TWO_WORKERS):
+                with patch.multiple(checks, _BLOCK=block, **workers):
+                    report = checks._k_submodular_scan(table, eps, 10**12)
+                    pairs = check_orthant_pair_inequality(table, eps, 10**12)
+                assert json.dumps(report.to_json()) == expected
+                assert json.dumps(pairs.to_json()) == expected_pairs
+
+    @pytest.mark.parametrize("n,k,orthants", [
+        (3, 3, False), (2, 4, False), (3, 4, True), (4, 2, False)])
+    def test_min_extended_rows_are_the_least_f_over_each_group(self, n, k, orthants):
+        labels = k + 1 - orthants
+        rows = np.random.default_rng(n + k).random((labels, labels ** (n - 1)))
+        plan = checks._scan_plan(n, k, orthants, checks._BLOCK)
+        others = plan[6]
+        got = checks._min_extended(rows, n - 1, labels, others)
+        # digit r of a grouped part: label r, or from labels on, every
+        # nonzero label but the (r - labels)-th
+        nonzero = list(range(labels - k, labels))
+        choices = [[r] for r in range(labels)] + [
+            [x for x in nonzero if x != nonzero[g]] for g in range(k)]
+        for index, part in enumerate(np.ndindex(*(len(choices),) * (n - 1))):
+            for q in range(labels):
+                members = [rows[q, sum(d * labels ** (n - 2 - i) for i, d in enumerate(t))]
+                           for t in itertools.product(*(choices[r] for r in part))]
+                assert got[index, q] == min(members)
+
+
 class TestScanWorkers:
     @pytest.mark.parametrize("name", SCANS)
     @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
@@ -1026,12 +1096,23 @@ class TestScanPlans:
     def test_plan_arrays_are_read_only_and_within_a_block(self, n, k, orthants, block):
         plan = checks._scan_plan(n, k, orthants, block)
         arrays = [part for part in plan if isinstance(part, np.ndarray)]
-        assert len(arrays) == 5 and isinstance(plan[-1], tuple)
-        member, _, _, pairs = checks._orthant_plan(n, block)
+        assert len(arrays) == 6 and isinstance(plan[-1], tuple)
+        # the first step's pairs and the valid pairs, each (s, t, pattern,
+        # start, meet, join)
+        first, valid = plan[7]
+        m, width = plan[0], plan[1].shape[0]
+        assert valid[0].size == (2 * k if orthants else 4 * k + 1) ** m
+        assert first[0].size == min(width, k + 1 - orthants) * width
+        for pairs in (first, valid):
+            assert len(pairs) == 6 and np.all(np.diff(pairs[0]) >= 0)
+            assert pairs[3].size == width + 1
+        member, _, _, subsets = checks._orthant_plan(n, block)
         assert member.shape == (2**n, n)
-        for array in arrays + [*pairs]:
+        for array in arrays + [*first, *valid]:
+            assert array.size <= max(block, (k + 1) ** 2)
+        for array in subsets:
             assert array.size <= block
-        for array in arrays + [member, *pairs]:
+        for array in arrays + [*first, *valid, member, *subsets]:
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
 
@@ -1080,7 +1161,9 @@ class TestScanPlans:
         # then poison them, so a read of anything not written shows
         scan_json("ksub", seeded_table("holds", 6, 3, seed=1), **ONE_WORKER)
         held = checks._buffers(0)
-        assert held[0].size >= checks._BLOCK
+        plan = checks._scan_plan(6, 3, False, checks._BLOCK)
+        *_, q_step = plan[-1][-1]  # a full row's block: q_step high parts, every valid pair
+        assert held[0].size >= q_step * plan[7][1][0].size > checks._BLOCK // 2
         for buffer in held[:3]:
             buffer.fill(np.nan)
         held[3].fill(True)
