@@ -238,16 +238,16 @@ def _scan_plan(n: int, k: int, orthants: bool, block: int) -> tuple:
     # first label with every t, without groups
     first = min(width, labels.size)
     used, pc = np.unique(code[:first], return_inverse=True)  # the patterns it meets
-    tables = (
-        (np.arange(first).repeat(width), np.tile(np.arange(width), first), pc.ravel(),
-         lo_meet[used], lo_join[used]),
-        (*(d[order] for d in valid), lo_meet, lo_join),
-    )
-    tables = tuple((*t[:3], np.searchsorted(t[0], np.arange(width + 1)), *t[3:])
-                   for t in tables)
 
-    def per_block(table, a0, a1):  # high parts of t per block of a step
-        count = max(1, table[3][a1] - table[3][a0])
+    def table(pa, pb, pc, meet, join):  # with start[a], the first pair of low part a
+        return pa, pb, pc, np.searchsorted(pa, np.arange(width + 1)), meet, join
+
+    tables = (table(np.arange(first).repeat(width), np.tile(np.arange(width), first),
+                    pc.ravel(), lo_meet[used], lo_join[used]),
+              table(*(d[order] for d in valid), lo_meet, lo_join))
+
+    def per_block(pairs, a0, a1):  # high parts of t per block of a step
+        count = max(1, pairs[3][a1] - pairs[3][a0])
         return min(heights, max(1, block // count))
 
     # on all assignments s = 0 meets and joins every t at 0 and t: it never
@@ -327,10 +327,13 @@ def _pair_scan(
     # row p: the entries of high part p that the scan pairs, low parts in order
     rows = table.values.reshape((k + 1,) * n)[(slice(int(orthants), None),) * n]
     rows = rows.reshape(heights, width)
-    # take() copies a read-only index array on every call: copy once per scan
-    pa, pb, pc, start, meet, join = tables[0]
-    exact = (pa, pb, np.array(pc), start, *(np.array(x) for x in (meet, join)), None)
-    lock, kept = threading.Lock(), []
+
+    def prepared(pairs: tuple, whole) -> tuple:
+        # take() copies a read-only index array on every call: copy once per scan
+        pa, pb, pc, start, meet, join = pairs
+        return pa, *map(np.array, (pb, pc)), start, *map(np.array, (meet, join)), whole
+
+    exact, lock, kept = prepared(tables[0], None), threading.Lock(), []
 
     def grouped() -> tuple:
         """The valid pairs, as the first step's, and the grouped rows of
@@ -338,11 +341,9 @@ def _pair_scan(
         that needs them."""
         with lock:
             if not kept:
-                pa, pb, pc, start, meet, join = tables[1]
                 fit = heights * (labels + others.shape[0]) ** m <= _BLOCK
                 whole = _min_extended(rows, m, labels, others) if fit else None
-                kept.append((pa, *(np.array(x) for x in (pb, pc)), start,
-                             *(np.array(x) for x in (meet, join)), whole))
+                kept.append(prepared(tables[1], whole))
         return kept[0]
 
     def patterns(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
