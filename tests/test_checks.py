@@ -2,7 +2,6 @@
 agreement with the independent loop-based references."""
 
 import hashlib
-import itertools
 import json
 import os
 import subprocess
@@ -11,7 +10,7 @@ import threading
 import time
 import tracemalloc
 from fractions import Fraction
-from itertools import accumulate, chain
+from itertools import accumulate, chain, product
 from unittest.mock import patch
 
 import numpy as np
@@ -871,7 +870,7 @@ class TestClashGroups:
         for index, part in enumerate(np.ndindex(*(len(choices),) * (n - 1))):
             for q in range(labels):
                 members = [rows[q, sum(d * labels ** (n - 2 - i) for i, d in enumerate(t))]
-                           for t in itertools.product(*(choices[r] for r in part))]
+                           for t in product(*(choices[r] for r in part))]
                 assert got[index, q] == min(members)
 
 
@@ -1160,7 +1159,7 @@ class TestScanPlans:
         scan_json("ksub", seeded_table("holds", 6, 3, seed=1), **ONE_WORKER)
         held = checks._buffers(0)
         plan = checks._scan_plan(6, 3, False, checks._BLOCK)
-        *_, q_step = plan[-1][-1]  # a full row's block: q_step high parts, every valid pair
+        *_, q_step = plan[-1][-1]  # high parts of t per block past row 0, every valid pair
         assert held[0].size >= q_step * plan[7][1][0].size > checks._BLOCK // 2
         for buffer in held[:3]:
             buffer.fill(np.nan)
