@@ -32,18 +32,14 @@ pair-scan plans (code and meet-join tables, pair lists, steps;
 step's subset pairs; :func:`_orthant_plan`), each array within
 max(_BLOCK, (k+1)^2) entries but the n·2^n subset bits.  What grows with
 the table (its values, rows, least f over the groups and orthants) is
-built per call.  Each thread keeps its block buffers for its next scan, at
-most 1.6 MB (:func:`_buffers`).  A pair scan of at least _THREAD_ENTRIES
-grouped pairs runs on two threads, or one when the process may use a
-single CPU: each takes every other step of rows, and the earliest step
-with a violation is reported, so the report is the same for any thread
-count (see :func:`_first_hit`).  The r-wise checker sweeps marginals, one
+built per call.  Every scan runs its steps in order on the caller's thread,
+and each calling thread keeps its own block buffers for its next scan, at
+most 1.6 MB (:func:`_buffers`).  The r-wise checker sweeps marginals, one
 sort per base assignment, none when r = k.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,10 +66,6 @@ from .core import (
 from .zoo import TabularFunction
 
 _BLOCK = 1 << 16  # entries per block of an exhaustive scan
-# workers of a pair scan of at least _THREAD_ENTRIES grouped pairs: two, or one CPU
-_THREADS = min(2, len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-               else os.cpu_count() or 1)
-_THREAD_ENTRIES = 1 << 27  # above a holding (7, 3) scan, which two did not speed up
 _RUN = 8  # high parts of t per block, where a row has as many, so gathers copy runs
 
 
@@ -105,55 +97,6 @@ def _guard(table: TabularFunction, eps: float) -> Dims:
         bad = int(np.argmin(table.values))
         raise OracleRangeError(f"negative table entry at index {bad}")
     return table.dims
-
-
-def _first_hit(steps: int, workers: int, step):
-    """The smallest i in range(steps) whose step(i) returns a hit, as
-    (i, hit), or None; ``step`` must be safe to call from several threads.
-
-    Step 0 runs first and alone, so a scan that fails there starts no
-    thread.  Then worker w of ``workers`` takes the steps i = w (mod
-    workers), worker 0 in the calling thread and each other in a thread of
-    its own.  The earliest step with a hit is shared under a lock, and a
-    worker stops once its next step is past it, so every earlier step has
-    run when the scan ends and the hit does not depend on timing.  A
-    worker's exception stops the others and is raised here.
-    """
-    hit = step(0) if steps else None
-    if hit is not None:
-        return 0, hit
-    lock = threading.Lock()
-    hits: dict = {}
-    earliest = [steps]  # the smallest step with a hit so far, -1 on error
-    errors: list = []
-
-    def work(todo: range) -> None:
-        try:
-            for i in todo:
-                with lock:
-                    if i > earliest[0]:
-                        return
-                hit = step(i)
-                if hit is not None:
-                    with lock:
-                        hits[i] = hit
-                        earliest[0] = min(earliest[0], i)
-                    return
-        except BaseException as exc:
-            with lock:
-                errors.append(exc)
-                earliest[0] = -1
-
-    helpers = [threading.Thread(target=work, args=(range(w, steps, workers),))
-               for w in range(1, workers)]
-    for helper in helpers:
-        helper.start()
-    work(range(workers, steps, workers))
-    for helper in helpers:
-        helper.join()
-    if errors:
-        raise errors[0]
-    return min(hits.items()) if hits else None
 
 
 _local = threading.local()  # each thread's block buffers, kept between scans
@@ -301,11 +244,11 @@ def _pair_scan(
     grouped low parts of t, each digit a label or "every nonzero label but
     x": (4k+1)^m valid pairs instead of W^2 = (k+1)^(2m), (2k)^m instead of
     k^(2m) on orthants, and reads min f(t) from the grouped rows of t
-    (:func:`_min_extended`), built once per scan when they fit in a block
-    and per block otherwise.  A block's least (low part of s, high part of
-    t) with a violating group is its least with a violating pair, and
-    there every t of that high part is tested with the same floats, so the
-    report is the pair-by-pair scan's.
+    (:func:`_min_extended`), built once per scan, at its first grouped
+    step, when they fit in a block and per block otherwise.  A block's
+    least (low part of s, high part of t) with a violating group is its
+    least with a violating pair, and there every t of that high part is
+    tested with the same floats, so the report is the pair-by-pair scan's.
 
     Steps and blocks.  A block holds at most _BLOCK entries (valid pair,
     high part of t), high parts innermost, so that both gathers copy runs:
@@ -314,9 +257,9 @@ def _pair_scan(
     0 starts at low part 1, as s = 0 meets and joins every t at 0 and t.
     Its first step, the low parts of s whose other low digits hold their
     first label, pairs them with every t, without groups, by broadcasting,
-    so an early violation costs no grouped rows.  A step reports its least
-    (low part of s, high part of t, low part of t), and :func:`_first_hit`
-    the earliest step.
+    so an early violation costs no grouped rows.  The steps run in order on
+    the caller's thread, and the first step with a violation reports its
+    least (low part of s, high part of t, low part of t).
     """
     n, k = table.dims.n, table.dims.k
     m, code, lo_meet, lo_join, packed, tail, others, tables, steps = _scan_plan(
@@ -333,19 +276,6 @@ def _pair_scan(
         pa, pb, pc, start, meet, join = pairs
         return pa, *map(np.array, (pb, pc)), start, *map(np.array, (meet, join)), whole
 
-    exact, lock, kept = prepared(tables[0], None), threading.Lock(), []
-
-    def grouped() -> tuple:
-        """The valid pairs, as the first step's, and the grouped rows of
-        every t when they fit in a block: built once, by the first step
-        that needs them."""
-        with lock:
-            if not kept:
-                fit = heights * (labels + others.shape[0]) ** m <= _BLOCK
-                whole = _min_extended(rows, m, labels, others) if fit else None
-                kept.append(prepared(tables[1], whole))
-        return kept[0]
-
     def patterns(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         # grid[hi[q], lo[c]] as (c, q), transposing the smaller of the two
         return grid[hi].take(lo, 1).T if lo.size < span else grid[hi].T.take(lo, 0)
@@ -353,9 +283,9 @@ def _pair_scan(
     def assignment(r: int) -> list:  # of rows.flat[r]: element e's digit weighs labels^e
         return [r // labels**e % labels + int(orthants) for e in range(n)]
 
-    def step(i: int):
+    def step(i: int, pairs: tuple):
         p, a0, a1, q_step = steps[i]
-        pa, pb, pc, start, meet, join, whole = grouped() if i else exact
+        pa, pb, pc, start, meet, join, whole = pairs
         i0 = int(start[a0])
         lhs, rhs, _, bad = _buffers(min(q_step, heights - p) * int(start[a1] - i0))
         head = np.unravel_index(p, (labels,) * (n - m))[: n - m - low]
@@ -407,12 +337,16 @@ def _pair_scan(
                          + grid[hi_join[q], lo_join[code[a, b]]]),
         }
 
-    entries = heights * (heights + 1) // 2 * tables[1][0].size
-    workers = _THREADS if entries >= _THREAD_ENTRIES else 1
-    found = _first_hit(len(steps), workers, step)
-    if found is None:
-        return CheckReport(prop, True, None, evals)
-    return CheckReport(prop, False, found[1], evals)
+    pairs = prepared(tables[0], None)
+    for i in range(len(steps)):
+        if i == 1:  # the valid pairs, and every t's grouped rows if they fit a block
+            fit = heights * (labels + others.shape[0]) ** m <= _BLOCK
+            whole = _min_extended(rows, m, labels, others) if fit else None
+            pairs = prepared(tables[1], whole)
+        found = step(i, pairs)
+        if found is not None:
+            return CheckReport(prop, False, found, evals)
+    return CheckReport(prop, True, None, evals)
 
 
 def _local_shortfalls(table: TabularFunction, singles: bool):
@@ -623,13 +557,11 @@ def _orthant_submodular_scan(
     are symmetric in (A, B) and equal when A and B are nested, so the first
     violating pair has A < B incomparable, and only such pairs are scanned,
     in steps of at most _BLOCK entries: several whole orthants, or rows A
-    of one orthant.  Two plain loops run the steps in order, blocks of
-    orthants outside and chunks of rows A inside, over this thread's
-    buffers; the pairs of the first chunk come from the scan's plan
-    (:func:`_orthant_plan`), and the others, when there are more, are
-    recomputed per block.  The steps stay on one thread: they are too small
-    for two to gain, and on a holding (7, 3) table two took 101 ms against
-    75 ms for one (2-CPU Xeon)."""
+    of one orthant.  Two plain loops run the steps in order on the caller's
+    thread, blocks of orthants outside and chunks of rows A inside, over
+    that thread's own buffers; the pairs of the first chunk come from the
+    scan's plan (:func:`_orthant_plan`), and the others, when there are
+    more, are recomputed per block."""
     dims = table.dims
     # k^n orthants times 4^n subset-mask pairs (A, B)
     dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")

@@ -7,7 +7,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, chain, product
@@ -702,10 +701,6 @@ SCANS = {
     "orthant-pairs": lambda table: check_orthant_pair_inequality(table, max_pairs=10**12),
 }
 
-ONE_WORKER = {"_THREADS": 1}
-TWO_WORKERS = {"_THREADS": 2, "_THREAD_ENTRIES": 0}  # threaded whatever the size
-
-
 def seeded_table(kind, n, k, seed):
     """A holding, random or raised-last-orthant table on (n, k)."""
     dims = Dims(n, k)
@@ -719,10 +714,10 @@ def seeded_table(kind, n, k, seed):
     return TabularFunction(dims, values, name="raised")
 
 
-def scan_json(name, table, **constants):
-    """The report of scan ``name`` as JSON text, under patched constants of
-    the checks module."""
-    with patch.multiple(checks, **constants):
+def scan_json(name, table, block=checks._BLOCK):
+    """The report of scan ``name`` as JSON text, in blocks of at most
+    ``block`` entries."""
+    with patch.object(checks, "_BLOCK", block):
         return json.dumps(SCANS[name](table).to_json())
 
 
@@ -796,13 +791,12 @@ class TestScanBoundary:
             table = boundary_table(n, k, scan, shortfall, unit)
             expected = first_violation_json(table, scan, eps)
             assert json.loads(expected)["holds"] is holds
-            for workers in (ONE_WORKER, TWO_WORKERS):
-                with patch.multiple(checks, _BLOCK=block, **workers):
-                    if scan == "ksub":
-                        report = checks._k_submodular_scan(table, eps, 10**12)
-                    else:
-                        report = check_orthant_pair_inequality(table, eps, 10**12)
-                assert json.dumps(report.to_json()) == expected
+            with patch.object(checks, "_BLOCK", block):
+                if scan == "ksub":
+                    report = checks._k_submodular_scan(table, eps, 10**12)
+                else:
+                    report = check_orthant_pair_inequality(table, eps, 10**12)
+            assert json.dumps(report.to_json()) == expected
 
 
 def clash_group_table(k, members, top=8.0):
@@ -847,12 +841,11 @@ class TestClashGroups:
         assert json.loads(expected)["counterexample"]["s"] == [0, 1, 0]
         expected_pairs = first_violation_json(table, "orthant-pairs", eps)
         for block in (checks._BLOCK, 300, 40, 7):
-            for workers in (ONE_WORKER, TWO_WORKERS):
-                with patch.multiple(checks, _BLOCK=block, **workers):
-                    report = checks._k_submodular_scan(table, eps, 10**12)
-                    pairs = check_orthant_pair_inequality(table, eps, 10**12)
-                assert json.dumps(report.to_json()) == expected
-                assert json.dumps(pairs.to_json()) == expected_pairs
+            with patch.object(checks, "_BLOCK", block):
+                report = checks._k_submodular_scan(table, eps, 10**12)
+                pairs = check_orthant_pair_inequality(table, eps, 10**12)
+            assert json.dumps(report.to_json()) == expected
+            assert json.dumps(pairs.to_json()) == expected_pairs
 
     @pytest.mark.parametrize("n,k,orthants", [
         (3, 3, False), (2, 4, False), (3, 4, True), (4, 2, False)])
@@ -873,17 +866,52 @@ class TestClashGroups:
                            for t in product(*(choices[r] for r in part))]
                 assert got[index, q] == min(members)
 
+    @pytest.mark.parametrize("scan", ["ksub", "orthant-pairs"])
+    @pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (4, 4)])
+    def test_a_violation_in_the_first_step_builds_no_grouped_rows(
+        self, monkeypatch, n, k, scan
+    ):
+        # f = 10 at 0 and at (0, 1, ..., 1), in [1, 2) elsewhere: the first
+        # violating pair is (e0:1, e0:2), meeting and joining at 0, or on
+        # orthants ((1, ..., 1), (2, 1, ..., 1)), whose id0 is (0, 1, ..., 1);
+        # both lie in row 0's first step, which pairs without groups
+        dims = Dims(n, k)
+        values = 1.0 + np.random.default_rng(n + k).random((k + 1) ** n)
+        values[0] = values[sum((k + 1) ** e for e in range(1, n))] = 10.0
+        table = TabularFunction(dims, values)
+        expected = first_violation_json(table, scan, 1e-9)
+        pair = json.loads(expected)["counterexample"]
+        assert [pair["s"][0], pair["t"][0]] == [1, 2] and pair["s"][1:] == pair["t"][1:]
 
-class TestScanWorkers:
-    @pytest.mark.parametrize("name", SCANS)
-    @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
-    @pytest.mark.parametrize("n,k", [(4, 4), (5, 3), (5, 4), (6, 3)])
-    def test_reports_do_not_depend_on_the_thread_count(self, n, k, kind, name):
-        table = seeded_table(kind, n, k, seed=10 * n + k)
-        one = scan_json(name, table, **ONE_WORKER)
-        assert scan_json(name, table, **TWO_WORKERS) == one
-        assert scan_json(name, table, _THREADS=2) == one
+        def refused(*args):
+            raise AssertionError("grouped rows built")
 
+        monkeypatch.setattr(checks, "_min_extended", refused)
+        if scan == "ksub":
+            report = checks._k_submodular_scan(table, 1e-9, 10**12)
+        else:
+            report = check_orthant_pair_inequality(table, 1e-9, 10**12)
+        assert json.dumps(report.to_json()) == expected
+
+    @pytest.mark.parametrize("name", ["ksub", "orthant-pairs"])
+    @pytest.mark.parametrize("n,k", [(5, 4), (6, 3)])
+    def test_grouped_rows_that_fit_a_block_are_built_once(self, monkeypatch, n, k, name):
+        orthants = name == "orthant-pairs"
+        m, *_, steps = checks._scan_plan(n, k, orthants, checks._BLOCK)
+        labels = k + 1 - orthants
+        assert labels ** (n - m) * (labels + k) ** m <= checks._BLOCK and len(steps) > 2
+        calls, real = [], checks._min_extended
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(checks, "_min_extended", counted)
+        report = SCANS[name](seeded_table("holds", n, k, seed=n + k))
+        assert report.holds and len(calls) == 1
+
+
+class TestScanBlocks:
     @pytest.mark.parametrize("block", [40, 300])
     @pytest.mark.parametrize("name", SCANS)
     @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
@@ -892,9 +920,7 @@ class TestScanWorkers:
         # a block of (4, 3) at 40 entries holds 2 of its 16 low parts of s;
         # one of (3, 4) holds 1 high part of t at 40 entries and 12 at 300
         table = seeded_table(kind, n, k, seed=n + k)
-        one = scan_json(name, table, **ONE_WORKER)
-        for workers in (ONE_WORKER, TWO_WORKERS):
-            assert scan_json(name, table, _BLOCK=block, **workers) == one
+        assert scan_json(name, table, block) == scan_json(name, table)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -904,16 +930,15 @@ class TestScanWorkers:
         kind=st.sampled_from(["holds", "random", "raised-last"]),
         block=st.integers(1, 400),
     )
-    def test_drawn_tables_match_across_workers_and_blocks(self, seed, n, k, kind, block):
+    def test_drawn_tables_match_across_blocks(self, seed, n, k, kind, block):
         assume((k + 1) ** n <= 256)
         table = seeded_table(kind, n, k, seed)
         for name in SCANS:
-            one = scan_json(name, table, **ONE_WORKER)
-            assert scan_json(name, table, _BLOCK=block, **TWO_WORKERS) == one
+            assert scan_json(name, table, block) == scan_json(name, table)
 
     @pytest.mark.parametrize("name", SCANS)
     @pytest.mark.parametrize("n,k", [(5, 4), (7, 2), (1, 3), (7, 1)])
-    def test_wider_low_half_matches_across_workers_and_blocks(self, n, k, name):
+    def test_wider_low_half_matches_across_blocks(self, n, k, name):
         # odd n takes ceil(n/2) low digits when their W x W pairs fit in a
         # block, and n = 1 takes its one digit; blocks of W^2 and of W^2 - 1
         # entries give one high part of t per block with that low half, or a
@@ -922,11 +947,9 @@ class TestScanWorkers:
         fit = (k + 1) ** (2 * low)
         for kind in ("holds", "random", "raised-last"):
             table = seeded_table(kind, n, k, seed=n + k)
-            one = scan_json(name, table, **ONE_WORKER)
-            assert scan_json(name, table, **TWO_WORKERS) == one
+            one = scan_json(name, table)
             for block in (fit, fit - 1, 3 * fit):
-                for workers in (ONE_WORKER, TWO_WORKERS):
-                    assert scan_json(name, table, _BLOCK=block, **workers) == one
+                assert scan_json(name, table, block) == one
 
     def test_constructed_table_reports_its_earliest_row_and_least_pair(self):
         # n = 3, k = 2 in two layouts.  Wide: blocks of 81 entries give the
@@ -983,72 +1006,9 @@ class TestScanWorkers:
             # without the raised entry row 0 holds, and row 1's least pair stays
             _, later = failing(held)
             assert placed(*later) == least
-            for workers in (ONE_WORKER, TWO_WORKERS):
-                with patch.multiple(checks, _BLOCK=block, **workers):
-                    assert reported_pair(check_k_submodular(table)) == first
-                    assert reported_pair(check_k_submodular(held)) == later
-
-    @pytest.mark.parametrize("slow_hits", [True, False])
-    def test_a_worker_stops_past_the_earliest_hit(self, slow_hits):
-        # step 0 runs alone and misses; then worker 0 hits step 2 at once
-        # while worker 1 is still on step 1.  The report is step 1's when it
-        # hits too, and step 3 never runs.
-        ran = []
-
-        def make_step():
-            def step(i):
-                ran.append(i)
-                if i == 1:
-                    time.sleep(0.05)
-                    return "step 1" if slow_hits else None
-                return f"step {i}" if i else None
-            return step
-
-        expected = (1, "step 1") if slow_hits else (2, "step 2")
-        assert checks._first_hit(6, 2, make_step()) == expected
-        assert sorted(ran) == [0, 1, 2]
-
-    def test_earliest_hit_under_contention(self):
-        # four workers on two CPUs with a short switch interval: a lost
-        # update of the earliest hit would report a later step
-        def make_step():
-            return lambda i: i if i >= 50 and i % 7 == 3 else None
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            for _ in range(50):
-                assert checks._first_hit(400, 4, make_step()) == (52, 52)
-            table = seeded_table("random", 4, 4, seed=3)
-            one = scan_json("ksub", table, **ONE_WORKER)
-            assert scan_json("ksub", table, _THREADS=4, _THREAD_ENTRIES=0) == one
-        finally:
-            sys.setswitchinterval(interval)
-
-    @pytest.mark.parametrize("name", ["ksub", "orthant-pairs"])
-    def test_second_worker_exception_surfaces(self, monkeypatch, name):
-        # every step folds its high part's meets and joins; step 1, the rest
-        # of row 0, runs in the second worker
-        caller, real = threading.current_thread(), checks._fold
-
-        def failing(*args):
-            if threading.current_thread() is not caller:
-                raise RuntimeError("second worker failed")
-            return real(*args)
-
-        monkeypatch.setattr(checks, "_fold", failing)
-        table = seeded_table("holds", 5, 3, seed=1)
-        before = threading.active_count()
-        with pytest.raises(RuntimeError, match="second worker failed"):
-            scan_json(name, table, **TWO_WORKERS)
-        assert threading.active_count() == before
-
-    def test_threads_end_with_the_check(self):
-        table = seeded_table("holds", 5, 3, seed=1)
-        before = threading.active_count()
-        with patch.multiple(checks, **TWO_WORKERS):
-            assert check_characterization(table).holds
-        assert threading.active_count() == before
+            with patch.object(checks, "_BLOCK", block):
+                assert reported_pair(check_k_submodular(table)) == first
+                assert reported_pair(check_k_submodular(held)) == later
 
     def test_failing_scan_memory_stays_flat(self):
         # row 0 of a failing (8, 3) table fails; its one block of
@@ -1076,7 +1036,7 @@ class TestScanPlans:
         tables = [seeded_table(kind, 4, 3, seed=7) for kind in KINDS]
 
         def reports(block):
-            return [scan_json(name, table, _BLOCK=block) for table in tables
+            return [scan_json(name, table, block) for table in tables
                     for name in SCANS]
 
         blocks = [40, 300, checks._BLOCK, 81]
@@ -1114,8 +1074,9 @@ class TestScanPlans:
                 array[...] = 0
 
     def test_threads_scanning_different_shapes_get_the_sequential_reports(self):
-        # each user thread scans its own shape with two workers, from cold
-        # plans, under a short switch interval
+        # each user thread scans its own shape from cold plans, under a short
+        # switch interval, sharing the plan caches and each with its own
+        # block buffers
         tables = {shape: [seeded_table(kind, *shape, seed=3) for kind in KINDS]
                   for shape in [(5, 3), (4, 4)]}
 
@@ -1132,11 +1093,10 @@ class TestScanPlans:
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with patch.multiple(checks, **TWO_WORKERS):
-                for thread in threads:
-                    thread.start()
-                for thread in threads:
-                    thread.join(timeout=120)
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
@@ -1156,7 +1116,7 @@ class TestScanPlans:
         assert not thread.is_alive() and fresh
         # a full block of a holding (6, 3) scan grows this thread's buffers;
         # then poison them, so a read of anything not written shows
-        scan_json("ksub", seeded_table("holds", 6, 3, seed=1), **ONE_WORKER)
+        scan_json("ksub", seeded_table("holds", 6, 3, seed=1))
         held = checks._buffers(0)
         plan = checks._scan_plan(6, 3, False, checks._BLOCK)
         *_, q_step = plan[-1][-1]  # high parts of t per block past row 0, every valid pair
