@@ -1102,6 +1102,37 @@ class TestScanPlans:
         assert not any(thread.is_alive() for thread in threads)
         assert got == {shape: [expected[shape]] * 3 for shape in tables}
 
+    @pytest.mark.parametrize("name", SCANS)
+    @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
+    @pytest.mark.parametrize("n,k", [(4, 4), (5, 3), (5, 4), (6, 3)])
+    def test_reports_do_not_depend_on_the_thread_count(self, n, k, kind, name):
+        # the same scan from one calling thread and from two user threads at
+        # once, each of those with fresh block buffers
+        table = seeded_table(kind, n, k, seed=10 * n + k)
+        one = json.dumps(SCANS[name](table).to_json())
+        got = [[], []]
+        threads = [threading.Thread(target=lambda out=out: out.append(
+                       json.dumps(SCANS[name](table).to_json())))
+                   for out in got]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [[one], [one]]
+
+    def test_threads_end_with_the_check(self, monkeypatch):
+        # every scan runs on the caller's thread: none is started, and the
+        # thread count after the check is the one before it
+        def refused(self):
+            raise AssertionError("a check started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refused)
+        before = threading.active_count()
+        for kind in KINDS:
+            check_characterization(seeded_table(kind, 5, 3, seed=1))
+        assert threading.active_count() == before
+
     def test_small_scan_after_a_large_one_reports_identically(self):
         small = [seeded_table(kind, 3, 3, seed=2) for kind in KINDS]
 
