@@ -384,8 +384,22 @@ class TestEvalIndices:
         assert f.calls == calls + len(idx)
         for (g, per_row), before in zip(subs, sub_calls):
             assert g.calls == before + per_row * len(idx)
-        want = [f(assignment_of(i, f.dims)) for i in idx]
-        assert [v.hex() for v in got.tolist()] == [float(v).hex() for v in want]
+        want = []
+        for i in idx:  # untabulated f(x): one call, a float, sub-oracles per row
+            calls, sub_calls = f.calls, [g.calls for g, _ in subs]
+            want.append(f(assignment_of(i, f.dims)))
+            assert type(want[-1]) is float
+            assert f.calls == calls + 1
+            for (g, per_row), before in zip(subs, sub_calls):
+                assert g.calls == before + per_row
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want]
+
+    @pytest.mark.parametrize("name", sorted(set(EVAL_CASES) - {"fallback"}))
+    def test_families_have_no_scalar_form(self, name):
+        # one form per family: an untabulated f(x) evaluates one label row
+        f, subs = EVAL_CASES[name]()
+        assert f._fn is None
+        assert all(g._fn is None for g, _ in subs)
 
     @pytest.mark.parametrize("name", sorted(EVAL_CASES))
     def test_blocks_and_empty_input(self, name, monkeypatch):
@@ -547,10 +561,19 @@ def family_digest(f):
      "6ed3dea483a5ced08b27df053a4ac1938b6a982b3bf00958f18ee89a6fd4b9d2"),
     (lambda: EVAL_CASES["embedding"]()[0], 123,
      "48fc0dc66162a3e93851702f21c68cc5318c092df9f506bdca26cb4b5baa7854"),
+    (lambda: make_det_greedy_tight(4, 2), 63,
+     "ecb8deb41a262fad77fbf37c66a0247141b3d0107e4ac8c51052b2ab074b2f9a"),
+    (lambda: make_coverage_tight(5), 82,
+     "4fcd74a30945bcc6b0b7d1f7ad9643012be5cab2bdc237b75b892863ea50550e"),
+    (lambda: make_indicator(4, 2), 21,
+     "1b2eca0509b0b68f767676ef78f157375f9746d6930a0dd41bb450e0748cea50"),
 ], ids=["cut-weighted", "cut-triangle", "layout-weighted", "layout-path",
-        "nested-sum", "embedding"])
+        "nested-sum", "embedding", "det-greedy-tight", "coverage-tight",
+        "indicator"])
 def test_family_outputs_keep_their_recorded_digests(build, calls, digest):
-    # recorded before max-k-cut and the layer layout shared one edge sum;
-    # a changed float, label, value type or call count changes the digest
+    # recorded before max-k-cut and the layer layout shared one edge sum, and
+    # for the tight instances and the indicator before the families lost
+    # their scalar forms; a changed float, label, value type or call count
+    # changes the digest
     f = build()
     assert (family_digest(f), f.calls) == (digest, calls)
