@@ -56,6 +56,7 @@ from .core import (
     OracleRangeError,
     PreconditionError,
     ValueOracle,
+    _digits,
     assignment_of,
     check_eps,
     check_int,
@@ -121,15 +122,6 @@ def _fold(tables, radix: int) -> np.ndarray:
     for table in tables[1:]:
         out = out[:, None, :, None] * radix + table[:, None]
         out = out.reshape(out.shape[0] * out.shape[1], -1)
-    return out
-
-
-def _digits(values: np.ndarray, radix: int, m: int) -> np.ndarray:
-    """sum_d values[i_d] * radix^(m-1-d) over every (i_0, ..., i_{m-1}) in
-    lexicographic order: the m-digit numbers whose digits take ``values``."""
-    out = np.zeros(1, dtype=np.intp)
-    for _ in range(m):
-        out = (out[:, None] * radix + values).ravel()
     return out
 
 

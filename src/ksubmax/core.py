@@ -201,6 +201,17 @@ def label_rows(n: int, k: int, m: int) -> np.ndarray:
     return rows
 
 
+def _digits(values: np.ndarray, radix: int, m: int) -> np.ndarray:
+    """sum_d values[i_d] * radix^(m-1-d) over every (i_0, ..., i_{m-1}) in
+    lexicographic order: the m-digit numbers whose digits take ``values``.
+    Labels 1..k in radix k+1 with m = n give the k^n orthants' indices in
+    increasing order."""
+    out = np.zeros(1, dtype=np.intp)
+    for _ in range(m):
+        out = (out[:, None] * radix + values).ravel()
+    return out
+
+
 def _checked_indices(idx, dims: Dims) -> np.ndarray:
     """``idx`` as a 1-D int64 array of assignment indices in [0, (k+1)^n)."""
     idx = np.asarray(idx)
@@ -238,10 +249,13 @@ class ValueOracle:
     ``tabulate`` leaves the oracle its table's read-only value vector,
     bounded by the state cap (8 MB at 10^6 states); every later call,
     ``f(x)`` or batched, by index or by label row, reads from it and
-    consults neither ``fn`` nor any sub-oracle.  ``batch``, when given, is
-    the same map on a matrix of label rows (one per assignment;
-    :meth:`eval_all` builds them without division) returning one value per
-    row; without it ``fn`` is called once per row.  This is the one place
+    consults no form of the map nor any sub-oracle.  The map comes in one
+    of two forms.  ``batch`` maps a matrix of label rows (one per
+    assignment; :meth:`eval_all` builds them without division) to one value
+    per row; the zoo families have only this form, and an untabulated
+    ``f(x)`` evaluates it on one label row.  A hand-built ``fn``, the
+    scalar fallback, maps one assignment tuple to its value: it answers
+    ``f(x)``, and every row when there is no ``batch``.  This is the one place
     that refuses NaN and inf: each value returned is checked, and a
     non-finite one, or an int beyond the float range, raises
     :class:`OracleRangeError` naming the assignment.  Nonnegativity is a
@@ -254,7 +268,7 @@ class ValueOracle:
     def __init__(
         self,
         dims: Dims,
-        fn: Callable[[tuple], float],
+        fn: Callable[[tuple], float] | None,
         name: str = "f",
         batch: Callable[[np.ndarray], np.ndarray] | None = None,
     ) -> None:
@@ -333,9 +347,13 @@ class ValueOracle:
         return values
 
     def _unchecked(self, x: tuple) -> float:
-        """The value at x, counted but unchecked: how a sum or an embedding
-        evaluates its parts, whose combined value the combination's own check
-        covers.  Read from the kept vector when there is one, else fn at x."""
+        """The value at x, counted once but unchecked: ``f(x)`` before its
+        check, and an embedding's g(U), which the embedding's own check
+        covers.  Read from the kept vector when there is one, else fn at x,
+        else, for a batch-only oracle, the batched form on x as one label
+        row, a Python float whose sub-oracles count that one row."""
+        if self._kept is None and self._fn is None:
+            return self._unchecked_rows(np.array([x], dtype=np.int64)).item()
         self.calls += 1
         if self._kept is not None:
             return self._kept.item(index_of(x, self.dims.k))

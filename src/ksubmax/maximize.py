@@ -33,6 +33,7 @@ from .core import (
     InputError,
     OracleRangeError,
     ValueOracle,
+    _digits,
     assignment_of,
     check_eps,
     check_int,
@@ -68,15 +69,6 @@ def _validated_order(order: Sequence[int] | None, n: int) -> tuple:
     return order
 
 
-def _orthant_indices(dims: Dims) -> np.ndarray:
-    """Indices of the k^n orthants, in increasing order."""
-    base = dims.k + 1
-    idx = np.zeros(1, dtype=np.int64)
-    for e in reversed(range(dims.n)):
-        idx = (idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e).ravel()
-    return idx
-
-
 def _fsum(f: ValueOracle, values, what: str) -> float:
     """math.fsum of ``values``, refusing, as ``what``, a sum that overflows."""
     try:
@@ -104,7 +96,7 @@ def brute_force_max(
     dims = f.dims
     dims.check_cap("brute force", max_states, dims.k if over_orthants_only else None)
     if over_orthants_only:
-        idx = _orthant_indices(dims)
+        idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)
         values = f.eval_indices(idx)
     else:
         idx, values = None, f.eval_all()
@@ -129,7 +121,8 @@ def exact_expectation_random_orthant(
     overflows a float raise :class:`OracleRangeError`."""
     dims = f.dims
     dims.check_cap("random-orthant expectation", max_states, dims.k)
-    values = f.eval_indices(_orthant_indices(dims)).tolist()
+    idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)  # the orthants
+    values = f.eval_indices(idx).tolist()
     return _fsum(f, values, f"sum of {len(values)} orthant values") / dims.num_orthants
 
 

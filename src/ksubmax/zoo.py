@@ -4,9 +4,9 @@ Graph objectives (max-k-cut, layered layout), the two-element instances on
 which the greedy guarantees are met with equality, nonnegative combinations,
 the embedding of set functions into the k=2 world, and seeded random
 generators.  Every constructor returns a :class:`~ksubmax.core.ValueOracle`
-with both a per-assignment form and a batched form over label-row matrices;
-:func:`tabulate` materializes any oracle into a :class:`TabularFunction` for
-exhaustive checking.
+with one form, batched over label-row matrices: an untabulated ``f(x)``
+evaluates it on one label row.  :func:`tabulate` materializes any oracle
+into a :class:`TabularFunction` for exhaustive checking.
 """
 
 from __future__ import annotations
@@ -139,17 +139,12 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
 def _edge_sum(graph: GraphInstance, k: int, edge_value, name: str) -> ValueOracle:
     """The oracle x -> sum over edges (u, v) of w * edge_value(x_u, x_v), the
     terms added in edge order from 0.0.  edge_value is tabulated once on
-    every label pair: the scalar form reads that list, the batched form
-    takes from each edge's weighted copy, flattened to (k+1)·a + b."""
+    every label pair, flattened to (k+1)·a + b, and each edge takes its
+    terms from its own weighted copy of that table."""
     dims = Dims(graph.n_vertices, k)
-    pairs = [[edge_value(a, b) for b in range(k + 1)] for a in range(k + 1)]
-    flat = np.array(pairs).ravel()
-    edges = [(u, v, w) for (u, v), w in zip(graph.edges, graph.weights)]
+    flat = np.array([edge_value(a, b) for a in range(k + 1) for b in range(k + 1)])
     weighted = np.multiply.outer(graph.weights, flat)  # row i: edge i's copy
     terms = [(u, v, row) for (u, v), row in zip(graph.edges, weighted)]
-
-    def fn(x: tuple) -> float:
-        return sum((w * pairs[x[u]][x[v]] for u, v, w in edges), 0.0)
 
     def batch(digits: np.ndarray) -> np.ndarray:
         values = np.zeros(len(digits))
@@ -161,7 +156,7 @@ def _edge_sum(graph: GraphInstance, k: int, edge_value, name: str) -> ValueOracl
                 values += term.take(pair)
         return values
 
-    return ValueOracle(dims, fn, name=name, batch=batch)
+    return ValueOracle(dims, None, name=name, batch=batch)
 
 
 def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
@@ -181,18 +176,11 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
     lo = 1.0 / (r + 1)
     hi = r / (r + 1)
 
-    def fn(x: tuple) -> float:
-        xu, xv = x
-        value = lo if xu != 0 else 0.0
-        if xu != 1 and xv == 2:
-            value += hi
-        return value
-
     def batch(digits: np.ndarray) -> np.ndarray:
         xu, xv = digits[:, 0], digits[:, 1]
         return np.where(xu != 0, lo, 0.0) + np.where((xu != 1) & (xv == 2), hi, 0.0)
 
-    return ValueOracle(dims, fn, name=f"det_greedy_tight_k{k}_r{r}", batch=batch)
+    return ValueOracle(dims, None, name=f"det_greedy_tight_k{k}_r{r}", batch=batch)
 
 
 def coverage_gamma(k: int) -> float:
@@ -214,17 +202,11 @@ def make_coverage_tight(k: int) -> ValueOracle:
     gamma = coverage_gamma(k)
     dims = Dims(2, k)
 
-    def fn(x: tuple) -> float:
-        xu, xv = x
-        covers_a = xu == 1
-        covers_b = xu >= 2 or xv >= 1
-        return (1.0 if covers_a else 0.0) + (gamma if covers_b else 0.0)
-
     def batch(digits: np.ndarray) -> np.ndarray:
         xu, xv = digits[:, 0], digits[:, 1]
         return np.where(xu == 1, 1.0, 0.0) + np.where((xu >= 2) | (xv >= 1), gamma, 0.0)
 
-    return ValueOracle(dims, fn, name=f"coverage_tight_k{k}", batch=batch)
+    return ValueOracle(dims, None, name=f"coverage_tight_k{k}", batch=batch)
 
 
 def make_indicator(k: int, target_label: int) -> ValueOracle:
@@ -234,13 +216,10 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
         raise InputError(f"target: label {target_label} out of range [1, k={k}]")
     dims = Dims(1, k)
 
-    def fn(x: tuple) -> float:
-        return 1.0 if x[0] == target_label else 0.0
-
     def batch(digits: np.ndarray) -> np.ndarray:
         return np.where(digits[:, 0] == target_label, 1.0, 0.0)
 
-    return ValueOracle(dims, fn, name=f"indicator_k{k}_t{target_label}", batch=batch)
+    return ValueOracle(dims, None, name=f"indicator_k{k}_t{target_label}", batch=batch)
 
 
 def sum_combine(
@@ -259,9 +238,6 @@ def sum_combine(
             )
     terms = list(zip(fs, ws))
 
-    def fn(x: tuple) -> float:
-        return sum((w * f._unchecked(x) for f, w in terms), 0.0)
-
     def batch(digits: np.ndarray) -> np.ndarray:
         values = np.zeros(len(digits))
         with np.errstate(over="ignore"):  # the sum's own check refuses an inf
@@ -269,7 +245,7 @@ def sum_combine(
                 values += w * f._unchecked_rows(digits)
         return values
 
-    return ValueOracle(dims, fn, name="sum", batch=batch)
+    return ValueOracle(dims, None, name="sum", batch=batch)
 
 
 def embed_submodular(g: ValueOracle) -> ValueOracle:
@@ -290,11 +266,6 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
     n = g.dims.n
     ground_value = g._unchecked((1,) * n)
 
-    def fn(x: tuple) -> float:
-        first = tuple(1 if v == 1 else 0 for v in x)
-        co_second = tuple(0 if v == 2 else 1 for v in x)
-        return g._unchecked(first) + g._unchecked(co_second) - ground_value
-
     def batch(digits: np.ndarray) -> np.ndarray:
         first = (digits == 1).astype(np.int64)
         co_second = (digits != 2).astype(np.int64)
@@ -302,7 +273,7 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
             total = g._unchecked_rows(first) + g._unchecked_rows(co_second)
             return total - ground_value
 
-    return ValueOracle(Dims(n, 2), fn, name=f"embed({g.name})", batch=batch)
+    return ValueOracle(Dims(n, 2), None, name=f"embed({g.name})", batch=batch)
 
 
 def random_ksubmodular(
