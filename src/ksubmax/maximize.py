@@ -121,7 +121,7 @@ def exact_expectation_random_orthant(
     overflows a float raise :class:`OracleRangeError`."""
     dims = f.dims
     dims.check_cap("random-orthant expectation", max_states, dims.k)
-    idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)  # the orthants
+    idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)
     values = f.eval_indices(idx).tolist()
     return _fsum(f, values, f"sum of {len(values)} orthant values") / dims.num_orthants
 
