@@ -17,25 +17,26 @@ gives.  :func:`check_characterization` calls the scans directly: the local
 rows are the characterization in local form, and certifying with them
 there would compare the code with itself.
 
-The pair checkers scan assignment pairs in lexicographic order of
-(index(s), index(t)) row by row, and the orthant checker scans subset
-pairs orthant by orthant, both in blocks of at most _BLOCK entries, so
-memory stays flat whatever the table.  A pair scan computes f(min0) +
-f(max0) - eps once per block and (meet, join) pattern of the low digits,
-and tests each s against the least f over each group of t that clashes
-with it on the same low digits, whose pairs share one right side: (4k+1)^m
-low pairs instead of (k+1)^(2m), and the same first pair (see
-:func:`_pair_scan`).  What a scan needs of the table's shape alone, its
-plan, is built once per shape and block and kept read-only: at most 16
-pair-scan plans (code and meet-join tables, pair lists, steps;
-:func:`_scan_plan`) and 8 orthant-scan plans (subset bits, the first
-step's subset pairs; :func:`_orthant_plan`), each array within
-max(_BLOCK, (k+1)^2) entries but the n·2^n subset bits.  What grows with
-the table (its values, rows, least f over the groups and orthants) is
-built per call.  Every scan runs its steps in order on the caller's thread,
-and each calling thread keeps its own block buffers for its next scan, at
-most 1.6 MB (:func:`_buffers`).  The r-wise checker sweeps marginals, one
-sort per base assignment, none when r = k.
+One pair scan serves the ``ksub``, ``orthant`` and ``orthant-pairs``
+checks and both sides of the characterization: it visits all assignment
+pairs, the pairs without a clash (the orthant inequality, see
+:func:`check_orthant_submodular`) or the orthant pairs, in lexicographic
+order of (index(s), index(t)) row by row, in blocks of at most _BLOCK
+entries, so memory stays flat whatever the table.  It computes f(min0) +
+f(max0) - eps once per block and (meet, join) pattern of the low digits;
+on all assignments and on orthants it tests each s against the least f
+over each group of t that clashes with it on the same low digits, whose
+pairs share one right side: (4k+1)^m low pairs instead of (k+1)^(2m), and
+the same first pair (see :func:`_pair_scan`).  What a scan needs of the
+table's shape alone, its plan, is built once per shape, check and block
+and kept read-only: at most 16 plans (code, meet-join and clash tables,
+pair lists, steps; :func:`_scan_plan`), each array within max(_BLOCK,
+(k+1)^2) entries.  What grows with the table (its values, rows, least f
+over the groups) is built per call.  Every scan runs its steps in order
+on the caller's thread, and each calling thread keeps its own block
+buffers for its next scan, at most 1.6 MB (:func:`_buffers`).  The
+r-wise checker sweeps marginals, one sort per base assignment, none when
+r = k.
 """
 
 from __future__ import annotations
@@ -60,9 +61,7 @@ from .core import (
     assignment_of,
     check_eps,
     check_int,
-    index_rows,
     is_orthant,
-    label_rows,
 )
 from .zoo import TabularFunction
 
@@ -126,29 +125,36 @@ def _fold(tables, radix: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=16)
-def _scan_plan(n: int, k: int, orthants: bool, block: int) -> tuple:
-    """What :func:`_pair_scan` needs of an (n, k) table's shape, built once
-    per (n, k, orthants, block) and read-only: (m, code, lo_meet, lo_join,
-    packed, tail, others, tables, steps).  m is the most low digits whose W
-    x W code table and patterns fit in a block with room for _RUN high
-    parts of t per block of valid pairs, or for every one.  ``tables`` holds
-    the first step's pairs (low part of s, low part of t, pattern) and the
-    valid pairs (low part of s, grouped low part of t, pattern), each in
-    order of s, with start[a] the first pair of low part a and the meet and
-    join of the patterns it numbers; a step is (row, low parts a0:a1 of s,
-    high parts of t per block).  No array has more than ``block`` entries,
-    or (k+1)^2 when a block is smaller."""
+def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
+    """What :func:`_pair_scan` needs of an (n, k) table's shape in ``mode``,
+    built once per (n, k, mode, block) and read-only: (m, code, lo_meet,
+    lo_join, packed, tail, clash, apart, others, tables, steps).  m is the
+    most low digits whose W x W code table and patterns fit in a block with
+    room for _RUN high parts of t per block of valid pairs, or for every
+    one.  ``tables`` holds the first step's pairs (low part of s, low part
+    of t, pattern) and the valid pairs (low part of s, low part of t or
+    grouped low part, pattern), each in order of s and then of t, with
+    start[a] the first pair of low part a and the meet and join of the
+    patterns it numbers; a step is (row, low parts a0:a1 of s, high parts of
+    t per block, whether it gathers from t's rows).  ``clash`` marks one
+    digit's clashing label pairs and ``apart`` counts the clashes on the
+    high digits that ``tail`` folds.  No array has more than ``block`` entries, or (k+1)^2
+    when a block is smaller."""
+    orthants = mode == "orthant-pairs"
     labels = np.arange(int(orthants), k + 1)
     x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
     state = np.where(x == y, x, np.where(x * y, 0, k + x + y))
+    clash = ((x != y) & (x * y != 0)).astype(np.intp)
     c = np.arange(k + 1 if orthants else 2 * k + 1)
-    # others[g]: the nonzero labels but the g-th; none when k = 1
-    others = ((np.arange(k)[:, None] + np.arange(1, k)) % k if k > 1
+    # others[g]: the nonzero labels but the g-th; none when k = 1 or when
+    # no pair may clash ("orthant")
+    others = ((np.arange(k)[:, None] + np.arange(1, k)) % k if k > 1 and mode != "orthant"
               else np.zeros((0, 0), dtype=np.intp))
     # one digit's valid pairs (label of s, label of t, state): every label of
-    # t but the clashes, which fold into one group per nonzero label of s,
-    # label labels + g of t for the g-th (:func:`_min_extended`)
-    s, t = np.nonzero((x == y) | (x * y == 0))
+    # t but the clashes, which, but in "orthant", fold into one group per
+    # nonzero label of s, label labels + g of t for the g-th
+    # (:func:`_min_extended`)
+    s, t = np.nonzero(clash == 0)
     g = np.arange(others.shape[0])
     digit = (np.append(s, g + labels.size - k), np.append(t, g + labels.size),
              np.append(state[s, t], 0 * g))
@@ -164,44 +170,52 @@ def _scan_plan(n: int, k: int, orthants: bool, block: int) -> tuple:
     code = code.astype(np.min_scalar_type(c.size**m - 1))
     lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
     packed = (meet * high + join)[state]  # high meets and joins, per label pair
-    tail = _fold([packed] * low, k + 1)
+    tail, apart = _fold([packed] * low, k + 1), _fold([clash] * low, 1)
     radices = (labels.size, labels.size + g.size, c.size)
     valid = [_digits(d, r, m) for d, r in zip(digit, radices)]
-    order = np.argsort(valid[0], kind="stable")
+    order = np.argsort(valid[0], kind="stable")  # in order of s, then of t
     width, heights = code.shape[0], labels.size ** (n - m)
-    # the first step pairs the s whose low digits but element 0's hold their
-    # first label with every t, without groups
+    # on all assignments s = 0 meets and joins every t at 0 and t: it never
+    # violates, so row 0 starts at low part 1.  Its first step takes the s
+    # whose low digits but element 0's hold their first label and pairs them
+    # with every t by broadcasting, without groups, but in "orthant", where
+    # that would pair clashing s and t, with their valid pairs
+    lowest, gathers = int(not orthants), mode == "orthant"
     first = min(width, labels.size)
-    used, pc = np.unique(code[:first], return_inverse=True)  # the patterns it meets
+    valid = [d[order] for d in valid]
+    cut = int(np.searchsorted(valid[0], first))
+    head = [d[:cut] for d in valid] if gathers else [
+        np.arange(first).repeat(width), np.tile(np.arange(width), first), code[:first]]
+    used, pc = np.unique(head[2], return_inverse=True)  # the patterns it meets
 
     def table(pa, pb, pc, meet, join):  # with start[a], the first pair of low part a
         return pa, pb, pc, np.searchsorted(pa, np.arange(width + 1)), meet, join
 
-    tables = (table(np.arange(first).repeat(width), np.tile(np.arange(width), first),
-                    pc.ravel(), lo_meet[used], lo_join[used]),
-              table(*(d[order] for d in valid), lo_meet, lo_join))
+    tables = (table(*head[:2], pc.ravel(), lo_meet[used], lo_join[used]),
+              table(*valid, lo_meet, lo_join))
 
     def per_block(pairs, a0, a1):  # high parts of t per block of a step
         count = max(1, pairs[3][a1] - pairs[3][a0])
         return min(heights, max(1, block // count))
 
-    # on all assignments s = 0 meets and joins every t at 0 and t: it never
-    # violates, so row 0 starts at low part 1
-    lowest = int(not orthants)
-    steps = [(0, lowest, first, per_block(tables[0], lowest, first))]
-    steps += [(0, first, width, per_block(tables[1], first, width))] * (first < width)
-    steps += [(p, 0, width, per_block(tables[1], 0, width)) for p in range(1, heights)]
-    for array in (code, lo_meet, lo_join, packed, tail, others, *sum(tables, ())):
+    rest = [(0, first, width)] * (first < width)
+    rest += [(p, 0, width) for p in range(1, heights)]
+    steps = [(0, lowest, first, per_block(tables[0], lowest, first), gathers)]
+    steps += [(p, a0, a1, per_block(tables[1], a0, a1), True) for p, a0, a1 in rest]
+    for array in (code, lo_meet, lo_join, packed, tail, clash, apart, others,
+                  *sum(tables, ())):
         array.flags.writeable = False
-    return m, code, lo_meet, lo_join, packed, tail, others, tables, tuple(steps)
+    return (m, code, lo_meet, lo_join, packed, tail, clash, apart, others, tables,
+            tuple(steps))
 
 
 def _min_extended(rows: np.ndarray, m: int, labels: int, others: np.ndarray):
     """Rows of t, (q, labels^m) by high part and low part, as f over the
-    grouped low parts of t, (R^m, q) with R = labels + k (labels when
-    k = 1).  Digit labels + g of a grouped part stands for every nonzero
-    label but the g-th, ``others[g]``, and its entry is the least f over the
-    t it stands for: one take and one min per digit."""
+    grouped low parts of t, (R^m, q) with R = labels + G for the G rows of
+    ``others`` (none when k = 1 or no pair may clash: then the rows of t
+    themselves, transposed).  Digit labels + g of a grouped part stands for
+    every nonzero label but the g-th, ``others[g]``, and its entry is the
+    least f over the t it stands for: one take and one min per digit."""
     out = rows.T.reshape((labels,) * m + (rows.shape[0],))
     k = others.shape[0]
     for d in range(m - 1, -1, -1) if k else ():  # the small axes first
@@ -211,99 +225,113 @@ def _min_extended(rows: np.ndarray, m: int, labels: int, others: np.ndarray):
 
 
 def _pair_scan(
-    table: TabularFunction, prop: str, inequality: str, orthants: bool,
+    table: TabularFunction, prop: str, inequality: str, mode: str,
     eps: float, evals: int,
 ) -> CheckReport:
     """Report the first pair (s, t), in lexicographic order of (index(s),
     index(t)), with f(s) + f(t) < f(min0(s,t)) + f(max0(s,t)) - eps, over
-    all assignments or the orthants only (where min0 = max0 = id0).
+    ``mode``'s pairs: "ksub" all assignment pairs, "orthant" the pairs that
+    never clash (no element with two different nonzero labels) and
+    "orthant-pairs" the orthant pairs (where min0 = max0 = id0).
 
     Both sides are symmetric in (s, t), so the first violating pair has
     index(s) <= index(t).  Over the L scanned labels (k+1, or k on
     orthants) an index is hi * L^m + lo, with m low digits and W = L^m low
     parts (:func:`_scan_plan`).  Row p pairs s of high part p with t of
-    high part p or later; a pair within a high part with index(s) >
+    high part p or later, in "orthant" only those that do not clash with p
+    on a high digit, a list folded from one digit's clashes as the high
+    meets and joins are; a pair within a high part with index(s) >
     index(t) mirrors one at a smaller low part of s, so it is never the
     least.  A digit pair has one of 2k+1 (meet, join) states, k+1 on
-    orthants, and the low digits' states make the pair's pattern.
+    orthants, and the low digits' states make the pair's pattern.  The
+    valid low pairs are (3k+1)^m in "orthant", the pairs without a clash.
 
     Groups.  Where s has label x != 0 on a low digit and t another nonzero
     label, the digit clashes: its meet and join are 0 whatever t's label
     there.  So every t that differs only in such labels has the same right
     side, the float R = fl(fl(f(M) + f(J)) - eps), and as rounding is
     monotone, fl(f(s) + f(t)) < R for one of them exactly when
-    fl(f(s) + min f(t)) < R.  The scan pairs each low part of s with the
-    grouped low parts of t, each digit a label or "every nonzero label but
-    x": (4k+1)^m valid pairs instead of W^2 = (k+1)^(2m), (2k)^m instead of
-    k^(2m) on orthants, and reads min f(t) from the grouped rows of t
-    (:func:`_min_extended`), built once per scan, at its first grouped
-    step, when they fit in a block and per block otherwise.  A block's
-    least (low part of s, high part of t) with a violating group is its
-    least with a violating pair, and there every t of that high part is
-    tested with the same floats, so the report is the pair-by-pair scan's.
+    fl(f(s) + min f(t)) < R.  The "ksub" and "orthant-pairs" scans pair
+    each low part of s with the grouped low parts of t, each digit a label
+    or "every nonzero label but x": (4k+1)^m valid pairs instead of W^2 =
+    (k+1)^(2m), (2k)^m instead of k^(2m) on orthants, and read min f(t)
+    from the grouped rows of t (:func:`_min_extended`), built once per
+    scan, at its first gathering step: about (R/L)^m times the scanned
+    entries, R = 2k+1 on all assignments (under 2^m times) and 2k on
+    orthants.  A block's least (low part of s, high part of t) with a
+    violating group is its least with a violating pair, and there every t
+    of that high part is tested with the same floats, so the report is the
+    pair-by-pair scan's.  In "orthant" t's rows are the table's rows.
 
     Steps and blocks.  A block holds at most _BLOCK entries (valid pair,
     high part of t), high parts innermost, so that both gathers copy runs:
     R once per high part and pattern, then one gather for each pair's R,
-    one for its min f(t), and f(s) added per pair.  On all assignments row
-    0 starts at low part 1, as s = 0 meets and joins every t at 0 and t.
-    Its first step, the low parts of s whose other low digits hold their
-    first label, pairs them with every t, without groups, by broadcasting,
-    so an early violation costs no grouped rows.  The steps run in order on
-    the caller's thread, and the first step with a violation reports its
-    least (low part of s, high part of t, low part of t).
+    one for its f(t) or min f(t), and f(s) added per pair.  Outside
+    "orthant-pairs" row 0 starts at low part 1, as s = 0 meets and joins
+    every t at 0 and t.  Row 0's first step, the low parts of s whose other
+    low digits hold their first label, pairs them with every t, without
+    groups, by broadcasting, or in "orthant" with their valid pairs, so an
+    early violation costs one small step and no grouped rows.  The steps
+    run in order on the caller's thread, and the first step with a
+    violation reports its least (low part of s, high part of t, low part
+    of t).
     """
     n, k = table.dims.n, table.dims.k
-    m, code, lo_meet, lo_join, packed, tail, others, tables, steps = _scan_plan(
-        n, k, orthants, _BLOCK)
+    m, code, lo_meet, lo_join, packed, tail, clash, apart, others, tables, steps = (
+        _scan_plan(n, k, mode, _BLOCK))
+    orthants = int(mode == "orthant-pairs")
     span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
-    labels, width = k + 1 - int(orthants), code.shape[0]
+    labels, width = k + 1 - orthants, code.shape[0]
     heights, grid = labels ** (n - m), table.values.reshape(-1, span)
     # row p: the entries of high part p that the scan pairs, low parts in order
-    rows = table.values.reshape((k + 1,) * n)[(slice(int(orthants), None),) * n]
+    rows = table.values.reshape((k + 1,) * n)[(slice(orthants, None),) * n]
     rows = rows.reshape(heights, width)
 
-    def prepared(pairs: tuple, whole) -> tuple:
+    def prepared(pairs: tuple) -> tuple:
         # take() copies a read-only index array on every call: copy once per scan
         pa, pb, pc, start, meet, join = pairs
-        return pa, *map(np.array, (pb, pc)), start, *map(np.array, (meet, join)), whole
+        return pa, *map(np.array, (pb, pc)), start, *map(np.array, (meet, join))
 
     def patterns(hi: np.ndarray, lo: np.ndarray) -> np.ndarray:
         # grid[hi[q], lo[c]] as (c, q), transposing the smaller of the two
         return grid[hi].take(lo, 1).T if lo.size < span else grid[hi].T.take(lo, 0)
 
     def assignment(r: int) -> list:  # of rows.flat[r]: element e's digit weighs labels^e
-        return [r // labels**e % labels + int(orthants) for e in range(n)]
+        return [r // labels**e % labels + orthants for e in range(n)]
 
-    def step(i: int, pairs: tuple):
-        p, a0, a1, q_step = steps[i]
-        pa, pb, pc, start, meet, join, whole = pairs
+    def step(p: int, a0: int, a1: int, q_step: int, pairs: tuple, whole):
+        pa, pb, pc, start, meet, join = pairs
         i0 = int(start[a0])
-        lhs, rhs, _, bad = _buffers(min(q_step, heights - p) * int(start[a1] - i0))
         head = np.unravel_index(p, (labels,) * (n - m))[: n - m - low]
         hi = _fold([packed[e, None] for e in head], k + 1).T * (k + 1) ** low
         hi_meet, hi_join = divmod((hi + tail[p % labels**low]).ravel()[p:], high)
+        near = None  # the high parts of t from p on that the row visits, if not all
+        if mode == "orthant":
+            clashes = _fold([clash[e, None] for e in head], 1).T + apart[p % labels**low]
+            near = np.flatnonzero(clashes.ravel()[p:] == 0)
+        count = heights - p if near is None else near.size
+        lhs, rhs, _, bad = _buffers(min(q_step, count) * int(start[a1] - i0))
+        t_rows = (rows.T if whole is None else whole)[:, p:]
         best = None  # the least (a, q, b) so far
-        for q0 in range(0, heights - p, q_step):
+        for j0 in range(0, count, q_step):
             limit = a1 if best is None else best[0]  # no later a >= limit wins
             if limit <= a0:
                 break
-            q1 = min(q0 + q_step, heights - p)
+            j1 = min(j0 + q_step, count)
+            cols = slice(j0, j1) if near is None else near[j0:j1]
             i1 = int(start[limit])
-            shape = (i1 - i0, q1 - q0)  # low pair, t's high part
+            shape = (i1 - i0, j1 - j0)  # low pair, t's high part
             left, right, below = (buf[: prod(shape)].reshape(shape)
                                   for buf in (lhs, rhs, bad))
-            rs = patterns(hi_meet[q0:q1], meet) + patterns(hi_join[q0:q1], join) - eps
+            rs = patterns(hi_meet[cols], meet) + patterns(hi_join[cols], join) - eps
             # mode="clip" writes into out directly; "raise" buffers it
             rs.take(pc[i0:i1], 0, right, "clip")
-            if i:  # the least f over each pair's group of t, then f(s) added
-                t_rows = (whole[:, p + q0 : p + q1] if whole is not None
-                          else _min_extended(rows[p + q0 : p + q1], m, labels, others))
-                t_rows.take(pb[i0:i1], 0, left, "clip")
+            if whole is None:  # f(s) + f(t) for each low part of s and every t
+                np.add(rows[p, a0:limit, None, None], t_rows[None, :, cols],
+                       out=left.reshape(limit - a0, width, shape[1]))
+            else:  # f(t), or the least f over each pair's group of t, then f(s) added
+                t_rows[:, cols].take(pb[i0:i1], 0, left, "clip")
                 left += rows[p, pa[i0:i1], None]
-            else:  # f(s) + f(t) for each low part of s and every t
-                np.add(rows[p, a0:limit, None, None], rows.T[None, :, p + q0 : p + q1],
-                       out=left.reshape(limit - a0, width, q1 - q0))
             np.less(left, right, out=below)
             hit = int(below.argmax())
             if below.flat[hit]:
@@ -311,12 +339,13 @@ def _pair_scan(
                 # the least t of that high part that violates
                 a = int(pa[i0 + hit // shape[1]])
                 hits = below[hit // shape[1] : start[a + 1] - i0]
-                q = int(hits.any(0).argmax())
-                if i:  # the least t of a violating group's high part
-                    b = (rows[p, a] + rows[p + q0 + q] < rs[code[a], q]).argmax()
-                else:  # the first step's pairs of s are in order of t
-                    b = pb[i0 + hit // shape[1] + hits[:, q].argmax()]
-                best = (a, q0 + q, int(b))
+                j = int(hits.any(0).argmax())
+                q = j0 + j if near is None else int(near[j0 + j])
+                if whole is not None and others.size:  # every t of a group's high part
+                    b = (rows[p, a] + rows[p + q] < rs[code[a], j]).argmax()
+                else:  # a's pairs are in order of t
+                    b = pb[i0 + hit // shape[1] + hits[:, j].argmax()]
+                best = (a, q, int(b))
         if best is None:
             return None
         a, q, b = best
@@ -329,13 +358,13 @@ def _pair_scan(
                          + grid[hi_join[q], lo_join[code[a, b]]]),
         }
 
-    pairs = prepared(tables[0], None)
-    for i in range(len(steps)):
-        if i == 1:  # the valid pairs, and every t's grouped rows if they fit a block
-            fit = heights * (labels + others.shape[0]) ** m <= _BLOCK
-            whole = _min_extended(rows, m, labels, others) if fit else None
-            pairs = prepared(tables[1], whole)
-        found = step(i, pairs)
+    pairs, whole = prepared(tables[0]), None
+    for i, (p, a0, a1, q_step, gathers) in enumerate(steps):
+        if gathers and whole is None:  # t's rows, grouped where pairs group
+            whole = np.ascontiguousarray(_min_extended(rows, m, labels, others))
+        if i == 1:  # every later step pairs the valid pairs
+            pairs = prepared(tables[1])
+        found = step(p, a0, a1, q_step, pairs, whole)
         if found is not None:
             return CheckReport(prop, False, found, evals)
     return CheckReport(prop, True, None, evals)
@@ -489,7 +518,7 @@ def _k_submodular_scan(
     dims.check_cap("k-submodularity check", max_pairs, (dims.k + 1) ** 2, "pairs")
     inequality = "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"
     evals = 4 * table.values.size * table.values.size
-    return _pair_scan(table, "k_submodular", inequality, False, eps, evals)
+    return _pair_scan(table, "k_submodular", inequality, "ksub", eps, evals)
 
 
 def check_orthant_submodular(
@@ -501,102 +530,36 @@ def check_orthant_submodular(
     orthant: over each orthant o and subset pair (A, B),
     f(o|A) + f(o|B) >= f(o|A&B) + f(o|A|B).
 
-    First the local rows (ii): when they certify the table
-    (:func:`_certified`), it holds and no pair is scanned.  Otherwise
-    orthants are visited in increasing index order, subset-mask pairs
-    lexicographically within each orthant, and the first violating pair is
-    reported.  ``max_pairs`` caps the local rows, then the (4k)^n orthant
-    and subset-pair combinations; a certified table needs only the first.
+    The pairs (o|A, o|B) are exactly the pairs (s, t) that never clash, no
+    element holding two different nonzero labels, and their meet and join
+    are o|A&B and o|A|B.  First the local rows (ii): when they certify the
+    table (:func:`_certified`), it holds and no pair is scanned.  Otherwise
+    the pairs without a clash are enumerated lexicographically by
+    (index(s), index(t)) and the smallest violating pair is reported with
+    the least orthant above both (s's label on each element, else t's,
+    else 1).  ``max_pairs`` caps the local rows, then the (3k+1)^n pairs
+    without a clash; a certified table needs only the first.
     """
-    _guard(table, eps)
+    dims = _guard(table, eps)
     if _certified(table, eps, max_pairs, "orthant check", singles=False):
-        n, k = table.dims.n, table.dims.k
-        return CheckReport("orthant_submodular", True, None, 4 * 4**n * k**n)
-    return _orthant_submodular_scan(table, eps, max_pairs)
+        evals = 4 * (3 * dims.k + 1) ** dims.n  # as the scan charges
+        return CheckReport("orthant_submodular", True, None, evals)
+    return _nonclash_scan(table, eps, max_pairs)
 
 
-def _incomparable(n: int, a: int, rows: int) -> tuple:
-    """The incomparable subset pairs A < B of n elements with A in a:a+rows,
-    in lexicographic order, as four arrays of masks: A, B, A&B and A|B."""
-    masks = np.arange(2**n, dtype=np.int64)
-    sets = masks[a : a + rows, None]
-    apart = (sets & masks != sets) & (sets & masks != masks) & (masks > sets)
-    first, second = np.nonzero(apart)
-    first += a
-    return first, second, first & second, first | second
-
-
-@lru_cache(maxsize=8)
-def _orthant_plan(n: int, block: int) -> tuple:
-    """What :func:`_orthant_submodular_scan` needs of n, built once per
-    (n, block) and read-only: (member, rows, per, pairs), with member[A] the
-    n bits of mask A, ``rows`` sets A per step, ``per`` orthants per step and
-    the pairs of the first step's rows A (:func:`_incomparable`).  A pairs
-    array has at most ``block`` entries, and member n·2^n."""
-    member = (np.arange(2**n, dtype=np.int64)[:, None] >> np.arange(n)) & 1
-    rows = min(2**n, max(1, block // 2**n))
-    per = max(1, block // 4**n)  # 1 unless rows == 2^n
-    pairs = _incomparable(n, 0, rows)
-    for array in (member, *pairs):
-        array.flags.writeable = False
-    return member, rows, per, pairs
-
-
-def _orthant_submodular_scan(
-    table: TabularFunction, eps: float, max_pairs: int
-) -> CheckReport:
-    """The exhaustive scan of :func:`check_orthant_submodular`.  Both sides
-    are symmetric in (A, B) and equal when A and B are nested, so the first
-    violating pair has A < B incomparable, and only such pairs are scanned,
-    in steps of at most _BLOCK entries: several whole orthants, or rows A
-    of one orthant.  Two plain loops run the steps in order on the caller's
-    thread, blocks of orthants outside and chunks of rows A inside, over
-    that thread's own buffers; the pairs of the first chunk come from the
-    scan's plan (:func:`_orthant_plan`), and the others, when there are
-    more, are recomputed per block."""
+def _nonclash_scan(table: TabularFunction, eps: float, max_pairs: int) -> CheckReport:
+    """The exhaustive pair scan of :func:`check_orthant_submodular`."""
     dims = table.dims
-    # k^n orthants times 4^n subset-mask pairs (A, B)
-    dims.check_cap("orthant check", max_pairs, 4 * dims.k, "pairs")
-    n, k = dims.n, dims.k
-    member, rows, per, pairs = _orthant_plan(n, _BLOCK)
-    # take() copies a read-only index array on every call: copy once per scan
-    pairs = tuple(np.array(x) for x in pairs)
-    orthants = label_rows(n, k - 1, n) + 1  # in index order
-    evals = 4 * 4**n  # per orthant visited
-    for o in range(0, len(orthants), per):
-        # axes: subset, orthant (innermost, so gathers copy whole rows)
-        labels = member[:, None] * orthants[o : o + per]
-        vals = table.values[index_rows(labels, k)]
-        for a in range(0, 2**n, rows):
-            first, second, meet, join = pairs if a == 0 else _incomparable(n, a, rows)
-            shape = (first.size, vals.shape[1])
-            m = shape[0] * shape[1]
-            left, right, other, below = (x[:m].reshape(shape) for x in _buffers(m))
-            vals.take(meet, 0, right, "clip")
-            vals.take(join, 0, other, "clip")
-            right += other
-            right -= eps
-            vals.take(first, 0, left, "clip")
-            vals.take(second, 0, other, "clip")
-            left += other
-            np.less(left, right, out=below)
-            if not below.any():
-                continue
-            q, p = divmod(int(np.argmax(below.T)), shape[0])
-            orthant = orthants[o + q]
-            counterexample = {
-                "inequality": "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b))"
-                " within one orthant",
-                "orthant": orthant.tolist(),
-                "s": (orthant * member[first[p]]).tolist(),
-                "t": (orthant * member[second[p]]).tolist(),
-                "lhs": float(left[p, q]),
-                "rhs": float(vals[meet[p], q] + vals[join[p], q]),
-            }
-            return CheckReport(
-                "orthant_submodular", False, counterexample, evals * (o + q + 1)
-            )
-    return CheckReport("orthant_submodular", True, None, evals * len(orthants))
+    dims.check_cap("orthant check", max_pairs, 3 * dims.k + 1, "pairs")
+    inequality = "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b)) within one orthant"
+    evals = 4 * (3 * dims.k + 1) ** dims.n
+    report = _pair_scan(table, "orthant_submodular", inequality, "orthant", eps, evals)
+    if report.holds:
+        return report
+    found = report.counterexample
+    orthant = [x or y or 1 for x, y in zip(found["s"], found["t"])]
+    counterexample = {"inequality": inequality, "orthant": orthant, **found}
+    return CheckReport("orthant_submodular", False, counterexample, evals)
 
 
 def induced_set_function(f: ValueOracle, x) -> ValueOracle:
@@ -700,12 +663,17 @@ def check_characterization(
 
     Both pair checks run their exhaustive scans here, never the local
     certificate: the local rows restate the characterization, so a
-    certified verdict would not cross-check it.
+    certified verdict would not cross-check it.  The two scans share one
+    engine (:func:`_pair_scan`), the k-submodular side over all pairs and
+    the orthant side over the pairs without a clash, so a fault in that
+    engine can move both sides alike; the plain loops of
+    tests/oracles.py, which share no code with it, are the independent
+    side that the tests hold both scans to.
     """
     if _guard(table, eps).k < 2:
         raise InputError("characterization check needs k >= 2")
     ksub = _k_submodular_scan(table, eps, max_pairs)
-    orthant = _orthant_submodular_scan(table, eps, max_pairs)
+    orthant = _nonclash_scan(table, eps, max_pairs)
     pairwise = check_r_wise_monotone(table, 2, eps)
     right = orthant.holds and pairwise.holds
     evals = ksub.evals_used + orthant.evals_used + pairwise.evals_used
@@ -738,4 +706,5 @@ def check_orthant_pair_inequality(
     dims.check_cap("orthant-pair check", max_pairs, dims.k**2, "pairs")
     inequality = "f(s) + f(t) >= 2 f(id0(s,t))"
     evals = 3 * table.dims.num_orthants * table.dims.num_orthants
-    return _pair_scan(table, "orthant_pair_inequality", inequality, True, eps, evals)
+    return _pair_scan(table, "orthant_pair_inequality", inequality, "orthant-pairs", eps,
+                      evals)

@@ -93,6 +93,37 @@ def is_orthant_submodular(f, n, k, eps):
     return True
 
 
+def clashes(s, t):
+    """Whether some element holds two different nonzero labels in s and t."""
+    return any(a != b and a != 0 and b != 0 for a, b in zip(s, t))
+
+
+def assignment_at(index, n, k):
+    """The assignment of index sum_e x_e (k+1)^e, element 0 least significant."""
+    x = []
+    for _ in range(n):
+        x.append(index % (k + 1))
+        index //= k + 1
+    return tuple(x)
+
+
+def first_nonclash_violation(f, n, k, eps):
+    """The first pair (s, t) without a clash, in lexicographic order of
+    (index(s), index(t)), with f(s) + f(t) < f(min0(s,t)) + f(max0(s,t)) - eps,
+    or None: the orthant inequality f(o|A) + f(o|B) >= f(o|A&B) + f(o|A|B),
+    since the pairs (o|A, o|B) are exactly the pairs without a clash."""
+    size = (k + 1) ** n
+    for i in range(size):
+        s = assignment_at(i, n, k)
+        for j in range(size):
+            t = assignment_at(j, n, k)
+            if clashes(s, t):
+                continue
+            if f(s) + f(t) < f(vec_min0(s, t)) + f(vec_max0(s, t)) - eps:
+                return s, t
+    return None
+
+
 def is_r_wise_monotone(f, n, k, r, eps):
     for e in range(n):
         for s in every_assignment(n, k):
