@@ -184,14 +184,14 @@ def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
     first = min(width, labels.size)
     valid = [d[order] for d in valid]
     cut = int(np.searchsorted(valid[0], first))
-    head = [d[:cut] for d in valid] if gathers else [
+    opening = [d[:cut] for d in valid] if gathers else [
         np.arange(first).repeat(width), np.tile(np.arange(width), first), code[:first]]
-    used, pc = np.unique(head[2], return_inverse=True)  # the patterns it meets
+    used, pc = np.unique(opening[2], return_inverse=True)  # the patterns it meets
 
     def table(pa, pb, pc, meet, join):  # with start[a], the first pair of low part a
         return pa, pb, pc, np.searchsorted(pa, np.arange(width + 1)), meet, join
 
-    tables = (table(*head[:2], pc.ravel(), lo_meet[used], lo_join[used]),
+    tables = (table(*opening[:2], pc.ravel(), lo_meet[used], lo_join[used]),
               table(*valid, lo_meet, lo_join))
 
     def per_block(pairs, a0, a1):  # high parts of t per block of a step

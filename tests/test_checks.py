@@ -273,8 +273,8 @@ class TestOrthantSubmodular:
         # layouts hold in every orthant but fail on clashing pairs
         table = make()
         n, k = table.dims.n, table.dims.k
+        assert block == 1 << 16 or checks._scan_plan(n, k, "orthant", block)[0] < n
         with patch.object(checks, "_BLOCK", block):
-            assert checks._scan_plan(n, k, "orthant", block)[0] < n or block == 1 << 16
             report = checks._nonclash_scan(table, 1e-9, 10**12)
         # the reference's pair, its least orthant above both, sides and evals
         assert report.to_json() == json.loads(first_violation_json(table, "orthant", 1e-9))
@@ -290,7 +290,7 @@ class TestOrthantSubmodular:
     def test_scan_verdict_agrees_with_the_loop_reference(self, seed, n, k, kind, block):
         # the exhaustive scan itself, without the local certificate
         assume((k + 1) ** n <= 256 and (kind != "layout" or min(n, k) >= 2))
-        table = (path_layout(n, k) if kind == "layout" else seeded_table(kind, n, k, seed))
+        table = path_layout(n, k) if kind == "layout" else seeded_table(kind, n, k, seed)
         with patch.object(checks, "_BLOCK", block):
             report = checks._nonclash_scan(table, 1e-9, 10**12)
         assert report.holds == oracles.is_orthant_submodular(table, n, k, 1e-9)
