@@ -437,12 +437,16 @@ def greedy_fill(
     gain, ties within eps going to the smallest label.
 
     ``value`` is f(s); the running value is tracked incrementally, so this
-    makes k oracle calls per element.  Returns the final assignment, its
-    value and the per-element :class:`GreedyTrace` list.
+    makes k oracle calls per element, one batched call of its k children.
+    Returns the final assignment, its value and the per-element
+    :class:`GreedyTrace` list.
     """
     trace = []
+    labels = np.arange(1, f.dims.k + 1)
     for e in elements:
-        gains = [f(with_label(s, e, i)) - value for i in range(1, f.dims.k + 1)]
+        children = np.array([s] * f.dims.k, dtype=np.int64)
+        children[:, e] = labels
+        gains = (f._eval_rows(children) - value).tolist()
         q = smallest_max_label(gains, eps)
         s = with_label(s, e, q)
         value += gains[q - 1]

@@ -7,6 +7,8 @@ import itertools
 import json
 import math
 import re
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -401,6 +403,23 @@ SAMPLER_CASES = {
 }
 
 
+# the edges of SeedSequence's 32-bit entropy words and its four-word pool
+BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 7]
+
+
+@settings(max_examples=200)
+@given(seed=st.one_of(st.integers(0, 2**200), st.sampled_from(BOUNDARY_SEEDS)))
+def test_seeded_generators_start_in_numpys_pcg64_states(seed):
+    # the vectorized SeedSequence port against numpy's own seeding, for a
+    # seed alone and among seeds of other word counts; a numpy integer seed
+    # is taken by value
+    seeds = [seed, 2**128 + 5, 0, np.uint64(seed % 2**64), seed ^ 1]
+    states = [gen.bit_generator.state for gen in ksubmax.maximize._seeded(seeds)]
+    alone = next(ksubmax.maximize._seeded([seed])).bit_generator.state
+    assert states == [np.random.PCG64(int(s)).state for s in seeds]
+    assert alone == states[0]
+
+
 class TestEmpiricalExpectation:
     def test_agrees_with_exact_on_coverage(self):
         f = make_coverage_tight(5)
@@ -444,7 +463,7 @@ class TestEmpiricalExpectation:
         name=st.sampled_from(sorted(SAMPLER_CASES)),
         algo=st.sampled_from(["greedy_rand", "random"]),
         trials=st.integers(1, 40),
-        seed=st.integers(0, 2**40),
+        seed=st.integers(0, 2**200),
         eps=st.sampled_from([0.0, 1e-9, 0.5]),
         data=st.data(),
     )
@@ -474,6 +493,53 @@ class TestEmpiricalExpectation:
         )
         assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
         assert f.calls == runs.calls == single.calls * trials == one.evals * trials
+
+    @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+    @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
+    def test_boundary_seeds_match_the_reference_runs(self, algo, seed):
+        # seeds at the edges of SeedSequence's 32-bit words and of its
+        # four-word pool; trial t runs with seed ^ t, so the low word moves
+        f, runs, single = (SAMPLER_CASES["long_path"]() for _ in range(3))
+        n, k, trials = f.dims.n, f.dims.k, 5
+        if algo == "greedy_rand":
+            refs = [oracles.sample_randomized_greedy(runs, n, k, seed ^ t)
+                    for t in range(trials)]
+            one = randomized_greedy(single, seed)
+            steps = [(t.element, list(t.marginals), t.beta, t.chosen) for t in one.trace]
+            assert hexed(steps) == hexed(refs[0][2])
+        else:
+            refs = [oracles.sample_random_orthant(runs, n, k, seed ^ t)
+                    for t in range(trials)]
+            one = naive_random_sample(single, seed)
+        assert (one.solution, one.value.hex()) == (refs[0][0], refs[0][1].hex())
+        values = [ref[1] for ref in refs]
+        mean = math.fsum(values) / trials
+        stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (trials - 1) / trials)
+        got = empirical_expectation(f, algo, trials, seed)
+        assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
+        assert f.calls == runs.calls
+
+    def test_threads_get_the_single_thread_values(self):
+        # each thread samples with its own generators: none is shared
+        f = make_layer_layout(directed_path(4), 3)
+        cases = [(algo, seed) for algo in ["greedy_rand", "random"] for seed in (7, 2**130)]
+        expected = [empirical_expectation(f, algo, 300, seed) for algo, seed in cases]
+        got = [[], []]
+        threads = [threading.Thread(target=lambda out=out: out.extend(
+                       empirical_expectation(f, algo, 300, seed)
+                       for _ in range(3) for algo, seed in cases))
+                   for out in got]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert got == [expected * 3] * 2
 
     @pytest.mark.parametrize("overflow", [False, True],
                              ids=["draw-on-a-partial-sum", "overflowing-beta"])
