@@ -443,11 +443,12 @@ def greedy_fill(
     """
     trace = []
     labels = np.arange(1, f.dims.k + 1)
+    children = np.array([s] * f.dims.k, dtype=np.int64)  # rows of s, column e varied
     for e in elements:
-        children = np.array([s] * f.dims.k, dtype=np.int64)
         children[:, e] = labels
         gains = (f._eval_rows(children) - value).tolist()
         q = smallest_max_label(gains, eps)
+        children[:, e] = q
         s = with_label(s, e, q)
         value += gains[q - 1]
         trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))

@@ -410,9 +410,9 @@ BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 7
 @settings(max_examples=200)
 @given(seed=st.one_of(st.integers(0, 2**200), st.sampled_from(BOUNDARY_SEEDS)))
 def test_seeded_generators_start_in_numpys_pcg64_states(seed):
-    # the vectorized SeedSequence port against numpy's own seeding, for a
-    # seed alone and among seeds of other word counts; a numpy integer seed
-    # is taken by value
+    # the vectorized SeedSequence port against numpy's own seeding, among
+    # seeds of other word counts; a numpy integer seed is taken by value,
+    # and a seed alone gets the same state
     seeds = [seed, 2**128 + 5, 0, np.uint64(seed % 2**64), seed ^ 1]
     states = [gen.bit_generator.state for gen in ksubmax.maximize._seeded(seeds)]
     alone = next(ksubmax.maximize._seeded([seed])).bit_generator.state
@@ -520,14 +520,17 @@ class TestEmpiricalExpectation:
         assert f.calls == runs.calls
 
     def test_threads_get_the_single_thread_values(self):
-        # each thread samples with its own generators: none is shared
-        f = make_layer_layout(directed_path(4), 3)
+        # each thread, with its own oracle, samples with its own generators:
+        # no generator state is shared between calls
         cases = [(algo, seed) for algo in ["greedy_rand", "random"] for seed in (7, 2**130)]
-        expected = [empirical_expectation(f, algo, 300, seed) for algo, seed in cases]
+
+        def run(f):
+            return [empirical_expectation(f, algo, 300, seed) for algo, seed in cases]
+
+        expected = run(make_layer_layout(directed_path(4), 3))
         got = [[], []]
         threads = [threading.Thread(target=lambda out=out: out.extend(
-                       empirical_expectation(f, algo, 300, seed)
-                       for _ in range(3) for algo, seed in cases))
+                       run(make_layer_layout(directed_path(4), 3)) for _ in range(3)))
                    for out in got]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -539,7 +542,7 @@ class TestEmpiricalExpectation:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        assert got == [expected * 3] * 2
+        assert got == [[expected] * 3] * 2
 
     @pytest.mark.parametrize("overflow", [False, True],
                              ids=["draw-on-a-partial-sum", "overflowing-beta"])
