@@ -254,7 +254,7 @@ def _seeded(seeds: list):
     before each yield.  A single seed gets ``default_rng(seed)`` itself:
     the pass costs ~0.3 ms whatever the number of seeds."""
     seeds = [int(s) for s in seeds]
-    if len(seeds) == 1:  # a single run: numpy's seeding costs less than the pass
+    if len(seeds) == 1:
         yield np.random.default_rng(seeds[0])
         return
     sizes = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds])  # in words
@@ -296,9 +296,9 @@ def _greedy_runs(
     Run t draws from a generator in the state of ``default_rng(seeds[t])``
     (see :func:`_seeded`), one uniform r per branching step (beta > eps),
     and takes the first label whose running sum of clamped gains exceeds
-    u = r * beta, else label k.  Each run evaluates
-    f(0) once, then at each element the k children of its assignment: one
-    batched call over all runs' children, so len(seeds) * k rows."""
+    u = r * beta, else label k.  Each run evaluates f(0) once, then at each
+    element the k children of its assignment: one batched call over all
+    runs' children, so len(seeds) * k rows."""
     m, n, k = len(seeds), f.dims.n, f.dims.k
     runs = np.arange(m)
     draws = np.empty((m, n))
@@ -362,15 +362,15 @@ def empirical_expectation(
     same calls, so any trial can be replayed with its trace.  The trials
     advance together in chunks of EVAL_BLOCK // k, through one batched
     evaluation of every trial's k children per element.  Each chunk seeds
-    its trials' generators in one pass (:func:`_seeded`), so trial t's
-    stream is still ``default_rng(seed ^ t)``'s, bit for bit.  What remains
-    per trial, measured on a 2-CPU Xeon, is setting its generator's state
+    its trials' generators in one pass (:func:`_seeded`), and trial t's
+    stream is ``default_rng(seed ^ t)``'s, bit for bit.  What remains per
+    trial, measured on a 2-CPU Xeon, is setting its generator's state
     (~4 us, against ~10 us to build a ``default_rng``) and numpy's own
     draws: ~1 us of uniforms for the greedy, ~5 us of labels for the
-    random orthant.  Values
-    whose mean or variance overflows raise :class:`OracleRangeError`.  With
-    a single trial the standard error is reported as 0.0.  ``algo`` is
-    "random" (uniform orthant) or "greedy_rand".
+    random orthant.  Values whose mean or variance overflows raise
+    :class:`OracleRangeError`.  With a single trial the standard error is
+    reported as 0.0.  ``algo`` is "random" (uniform orthant) or
+    "greedy_rand".
     """
     check_int("trials", trials, 1)
     check_int("seed", seed, 0)

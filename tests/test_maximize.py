@@ -403,6 +403,32 @@ SAMPLER_CASES = {
 }
 
 
+def check_trials_against_the_reference(name, algo, trials, seed, order=None, eps=1e-9):
+    """The library's trials and single run against the plain-loop reference."""
+    f, runs, single = (SAMPLER_CASES[name]() for _ in range(3))
+    n, k = f.dims.n, f.dims.k
+    if algo == "greedy_rand":
+        got = empirical_expectation(f, algo, trials, seed, order, eps)
+        refs = [oracles.sample_randomized_greedy(runs, n, k, seed ^ t, order, eps)
+                for t in range(trials)]
+        one = randomized_greedy(single, seed, order, eps)
+        steps = [(t.element, list(t.marginals), t.beta, t.chosen) for t in one.trace]
+        assert hexed(steps) == hexed(refs[0][2])
+    else:
+        got = empirical_expectation(f, algo, trials, seed)
+        refs = [oracles.sample_random_orthant(runs, n, k, seed ^ t)
+                for t in range(trials)]
+        one = naive_random_sample(single, seed)
+    assert (one.solution, one.value.hex()) == (refs[0][0], refs[0][1].hex())
+    values = [ref[1] for ref in refs]
+    mean = math.fsum(values) / trials
+    stderr = 0.0 if trials == 1 else math.sqrt(
+        math.fsum((v - mean) ** 2 for v in values) / (trials - 1) / trials
+    )
+    assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
+    assert f.calls == runs.calls == single.calls * trials == one.evals * trials
+
+
 # the edges of SeedSequence's 32-bit entropy words and its four-word pool
 BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 7]
 
@@ -469,55 +495,16 @@ class TestEmpiricalExpectation:
     )
     def test_trial_t_is_the_run_with_seed_xor_t(self, name, algo, trials, seed, eps,
                                                  data):
-        # the library's trials and single run against the plain-loop reference
-        f, runs, single = (SAMPLER_CASES[name]() for _ in range(3))
-        n, k = f.dims.n, f.dims.k
+        order = None
         if algo == "greedy_rand":
-            order = data.draw(st.permutations(range(n)))
-            got = empirical_expectation(f, algo, trials, seed, order, eps)
-            refs = [oracles.sample_randomized_greedy(runs, n, k, seed ^ t, order, eps)
-                    for t in range(trials)]
-            one = randomized_greedy(single, seed, order, eps)
-            steps = [(t.element, list(t.marginals), t.beta, t.chosen) for t in one.trace]
-            assert hexed(steps) == hexed(refs[0][2])
-        else:
-            got = empirical_expectation(f, algo, trials, seed)
-            refs = [oracles.sample_random_orthant(runs, n, k, seed ^ t)
-                    for t in range(trials)]
-            one = naive_random_sample(single, seed)
-        assert (one.solution, one.value.hex()) == (refs[0][0], refs[0][1].hex())
-        values = [ref[1] for ref in refs]
-        mean = math.fsum(values) / trials
-        stderr = 0.0 if trials == 1 else math.sqrt(
-            math.fsum((v - mean) ** 2 for v in values) / (trials - 1) / trials
-        )
-        assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
-        assert f.calls == runs.calls == single.calls * trials == one.evals * trials
+            order = data.draw(st.permutations(range(SAMPLER_CASES[name]().dims.n)))
+        check_trials_against_the_reference(name, algo, trials, seed, order, eps)
 
     @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
     @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
     def test_boundary_seeds_match_the_reference_runs(self, algo, seed):
-        # seeds at the edges of SeedSequence's 32-bit words and of its
-        # four-word pool; trial t runs with seed ^ t, so the low word moves
-        f, runs, single = (SAMPLER_CASES["long_path"]() for _ in range(3))
-        n, k, trials = f.dims.n, f.dims.k, 5
-        if algo == "greedy_rand":
-            refs = [oracles.sample_randomized_greedy(runs, n, k, seed ^ t)
-                    for t in range(trials)]
-            one = randomized_greedy(single, seed)
-            steps = [(t.element, list(t.marginals), t.beta, t.chosen) for t in one.trace]
-            assert hexed(steps) == hexed(refs[0][2])
-        else:
-            refs = [oracles.sample_random_orthant(runs, n, k, seed ^ t)
-                    for t in range(trials)]
-            one = naive_random_sample(single, seed)
-        assert (one.solution, one.value.hex()) == (refs[0][0], refs[0][1].hex())
-        values = [ref[1] for ref in refs]
-        mean = math.fsum(values) / trials
-        stderr = math.sqrt(math.fsum((v - mean) ** 2 for v in values) / (trials - 1) / trials)
-        got = empirical_expectation(f, algo, trials, seed)
-        assert [v.hex() for v in got] == [mean.hex(), stderr.hex()]
-        assert f.calls == runs.calls
+        # trial t runs with seed ^ t, so the low word moves
+        check_trials_against_the_reference("long_path", algo, 5, seed)
 
     def test_threads_get_the_single_thread_values(self):
         # each thread, with its own oracle, samples with its own generators:
