@@ -16,6 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
@@ -187,7 +188,16 @@ def digits_of(idx: np.ndarray, n: int, k: int) -> np.ndarray:
 def index_rows(rows: np.ndarray, k: int) -> np.ndarray:
     """Mixed-radix indices of label rows, elements along the last axis: the
     array form of :func:`index_of`, and the inverse of :func:`digits_of`."""
-    return rows @ ((k + 1) ** np.arange(rows.shape[-1], dtype=np.int64))
+    return rows @ _place_values(rows.shape[-1], k)
+
+
+@lru_cache(maxsize=16)
+def _place_values(n: int, k: int) -> np.ndarray:
+    """(k+1)^e for e < n, read-only and built once per shape: on the few
+    rows of a greedy or sampler step, building it cost as much as the gather."""
+    powers = (k + 1) ** np.arange(n, dtype=np.int64)
+    powers.flags.writeable = False
+    return powers
 
 
 def label_rows(n: int, k: int, m: int) -> np.ndarray:
@@ -255,10 +265,12 @@ class ValueOracle:
     per row; the zoo families have only this form, and an untabulated
     ``f(x)`` evaluates it on one label row.  A hand-built ``fn``, the
     scalar fallback, maps one assignment tuple to its value: it answers
-    ``f(x)``, and every row when there is no ``batch``.  This is the one place
-    that refuses NaN and inf: each value returned is checked, and a
-    non-finite one, or an int beyond the float range, raises
-    :class:`OracleRangeError` naming the assignment.  Nonnegativity is a
+    ``f(x)``, and every row when there is no ``batch``.  ``f(x)`` returns
+    the value as the map gives it; batched reads return float64.  This is
+    the one place that refuses NaN and inf: each value returned is checked
+    (a kept vector once, when it is made), and a non-finite one, or an int
+    beyond the float range, raises :class:`OracleRangeError` naming the
+    assignment.  Nonnegativity is a
     contract, not enforced here: consumers that materialize or verify
     values raise it when they meet a negative one.
     For parallel use, give each worker its own oracle instance; the counter
@@ -338,10 +350,11 @@ class ValueOracle:
         return values
 
     def _eval_rows(self, digits: np.ndarray) -> np.ndarray:
-        """:meth:`_unchecked_rows`, refusing the first non-finite value.  Rows,
+        """:meth:`_unchecked_rows`, refusing the first non-finite value; the
+        kept vector, checked when it was made, is not checked again.  Rows,
         unlike indices, name assignments of any (n, k)."""
         values = self._unchecked_rows(digits)
-        if not np.isfinite(values).all():
+        if self._kept is None and not np.isfinite(values).all():
             j = int(np.flatnonzero(~np.isfinite(values))[0])
             raise self._non_finite(tuple(digits[j].tolist()), values[j])
         return values
@@ -437,9 +450,9 @@ def greedy_fill(
     gain, ties within eps going to the smallest label.
 
     ``value`` is f(s); the running value is tracked incrementally, so this
-    makes k oracle calls per element, one batched call of its k children.
-    Returns the final assignment, its value and the per-element
-    :class:`GreedyTrace` list.
+    makes k oracle calls per element, one batched call of its k children,
+    whose values, as every batched read, are float64.  Returns the final
+    assignment, its value and the per-element :class:`GreedyTrace` list.
     """
     trace = []
     labels = np.arange(1, f.dims.k + 1)

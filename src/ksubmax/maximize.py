@@ -18,7 +18,6 @@ overflows a float is refused here.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -138,6 +137,8 @@ def deterministic_greedy(
     Achieves at least 1/(1+r) of the optimum on functions submodular in
     every orthant and r-wise monotone, hence 1/3 on k-submodular functions.
     Uses 1 + n*k evaluations: the running value is tracked incrementally.
+    Gains, value and trace are float64 whatever type f returns: an int
+    ``fn``'s values above 2^53 are rounded before they are compared.
     """
     dims = f.dims
     order = _validated_order(order, dims.n)
@@ -229,55 +230,54 @@ def exact_expectation_randomized_greedy(
     return math.fsum((prob * value).tolist())
 
 
-def _hashed(words: np.ndarray, const: int, mult: int) -> tuple:
-    """SeedSequence's uint32 hash of ``words`` under the hash constant
-    ``const``, and the next constant: Python ints, so no numpy scalar overflows."""
-    after = const * mult & 0xFFFFFFFF
-    words = (words ^ const) * after
-    return words ^ words >> 16, after
+def _consts(init: int, mult: int, count: int) -> np.ndarray:
+    """SeedSequence's first count + 1 hash constants from ``init``, one per
+    row: taken on Python ints, so no numpy scalar overflows."""
+    consts = [init * pow(mult, i, 1 << 32) & 0xFFFFFFFF for i in range(count + 1)]
+    return np.array(consts, dtype=np.uint32)[:, None]
 
 
-def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """SeedSequence's uint32 mix of the pool words x with hashed words y."""
-    x = x * 0xCA01F9DD - y * 0x4973F715
+def _hashmix(words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's uint32 hashmix of ``words`` by each row of ``consts``
+    but the last: xored with that constant, times the next."""
+    words = (words ^ consts[:-1]) * consts[1:]
+    return words ^ words >> 16
+
+
+def _mixed(x: np.ndarray, words: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """SeedSequence's uint32 mix of the pool words x with hashmixed words."""
+    x = x * 0xCA01F9DD - _hashmix(words, consts) * 0x4973F715
     return x ^ x >> 16
 
 
 def _seeded(seeds: list):
     """Yield, for each of ``seeds`` in turn, a Generator in the state of
-    ``default_rng(seed)``.  numpy's SeedSequence (hashmix and mix into a
-    pool of four words, then ``generate_state(4, uint64)``) runs over all
-    seeds at once on uint32 arrays, and PCG64's seeding step follows on
-    Python ints; numpy keeps the output of both stable across versions.
-    Its Generator methods are not kept stable, so the draws are numpy's
-    own: one PCG64 and one Generator serve every seed, their state set
-    before each yield.  A single seed gets ``default_rng(seed)`` itself:
-    the pass costs ~0.3 ms whatever the number of seeds."""
+    ``default_rng(seed)``.  From 16 seeds on (fewer do not repay the fixed
+    cost), numpy's SeedSequence runs over all of them at once on uint32
+    arrays, and PCG64's seeding step follows on Python ints: numpy keeps
+    the output of both stable across versions, but not that of its
+    Generator methods, so the draws are numpy's own, from one PCG64 and
+    one Generator whose state is set before each yield."""
     seeds = [int(s) for s in seeds]
-    if len(seeds) == 1:
-        yield np.random.default_rng(seeds[0])
+    if len(seeds) < 16:
+        yield from map(np.random.default_rng, seeds)
         return
     sizes = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds])  # in words
-    entropy = [np.array([s >> 32 * i & 0xFFFFFFFF for s in seeds], dtype=np.uint32)
-               for i in range(max(4, sizes.max()))]  # a seed's missing words are 0
-    const, pool = 0x43B0D7E5, []
-    for word in entropy[:4]:
-        hashed, const = _hashed(word, const, 0x931E8875)
-        pool.append(hashed)
-    for src, dst in itertools.permutations(range(4), 2):
-        hashed, const = _hashed(pool[src], const, 0x931E8875)
-        pool[dst] = _mixed(pool[dst], hashed)
+    entropy = np.array([[s >> 32 * i & 0xFFFFFFFF for s in seeds]
+                        for i in range(max(4, sizes.max()))], dtype=np.uint32)
+    consts = _consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy))  # 4 per word
+    pool = _hashmix(entropy[:4], consts[:5])  # a seed's missing words are 0
+    for src in range(4):  # each pool word into the other three, in one step
+        dst = [d for d in range(4) if d != src]
+        pool[dst] = _mixed(pool[dst], pool[src], consts[4 + 3 * src : 8 + 3 * src])
     for src in range(4, len(entropy)):  # the words of seeds >= 2**128 come last
-        for dst in range(4):
-            hashed, const = _hashed(entropy[src], const, 0x931E8875)
-            pool[dst] = np.where(sizes > src, _mixed(pool[dst], hashed), pool[dst])
-    const, words = 0x8B51F9DD, []
-    for i in range(8):  # four uint64 words, as eight uint32 words, low word first
-        hashed, const = _hashed(pool[i % 4], const, 0x58F38DED)
-        words.append(hashed.tolist())
+        mixed = _mixed(pool, entropy[src], consts[4 * src : 4 * src + 5])
+        pool = np.where(sizes > src, mixed, pool)
+    # four uint64 words, as eight uint32 words, low word first
+    words = _hashmix(pool[[0, 1, 2, 3] * 2], _consts(0x8B51F9DD, 0x58F38DED, 8))
     bits, mask = np.random.PCG64(0), (1 << 128) - 1
     gen = np.random.Generator(bits)
-    for w in zip(*words):  # PCG64's srandom: two LCG steps from 0, start added between
+    for w in words.T.tolist():  # PCG64's srandom: two LCG steps, the start added between
         start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
         inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & mask | 1
         state = ((inc + start) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask
@@ -293,12 +293,12 @@ def _greedy_runs(
     of ``seeds``, all runs advancing together one element at a time; the
     first run's steps are appended to ``trace`` when one is given.
 
-    Run t draws from a generator in the state of ``default_rng(seeds[t])``
-    (see :func:`_seeded`), one uniform r per branching step (beta > eps),
-    and takes the first label whose running sum of clamped gains exceeds
-    u = r * beta, else label k.  Each run evaluates f(0) once, then at each
-    element the k children of its assignment: one batched call over all
-    runs' children, so len(seeds) * k rows."""
+    Run t draws from ``default_rng(seeds[t])``'s stream (:func:`_seeded`),
+    one uniform r per branching step (beta > eps), and takes the first
+    label whose running sum of clamped gains exceeds u = r * beta, else
+    label k.  Each run evaluates f(0) once, then at each element the k
+    children of its assignment: one batched call over all runs'
+    children, so len(seeds) * k rows."""
     m, n, k = len(seeds), f.dims.n, f.dims.k
     runs = np.arange(m)
     draws = np.empty((m, n))
@@ -335,9 +335,8 @@ def _greedy_runs(
 
 def _random_runs(f: ValueOracle, seeds: list) -> tuple:
     """Label rows and values of the uniform random orthant drawn with each
-    of ``seeds``, all scored in one batched call.  Row t holds the labels
-    ``default_rng(seeds[t]).integers(1, k + 1, size=n)``, drawn by a
-    generator of :func:`_seeded`."""
+    of ``seeds``, drawn from :func:`_seeded`'s generators and all scored
+    in one batched call."""
     labels = np.empty((len(seeds), f.dims.n), dtype=np.int64)
     for t, gen in enumerate(_seeded(seeds)):
         labels[t] = gen.integers(1, f.dims.k + 1, size=f.dims.n)
@@ -363,14 +362,11 @@ def empirical_expectation(
     advance together in chunks of EVAL_BLOCK // k, through one batched
     evaluation of every trial's k children per element.  Each chunk seeds
     its trials' generators in one pass (:func:`_seeded`), and trial t's
-    stream is ``default_rng(seed ^ t)``'s, bit for bit.  What remains per
-    trial, measured on a 2-CPU Xeon, is setting its generator's state
-    (~4 us, against ~10 us to build a ``default_rng``) and numpy's own
-    draws: ~1 us of uniforms for the greedy, ~5 us of labels for the
-    random orthant.  Values whose mean or variance overflows raise
-    :class:`OracleRangeError`.  With a single trial the standard error is
-    reported as 0.0.  ``algo`` is "random" (uniform orthant) or
-    "greedy_rand".
+    stream is ``default_rng(seed ^ t)``'s, bit for bit; what remains per
+    trial is setting its generator's state and numpy's own draws.  Values
+    whose mean or variance overflows raise :class:`OracleRangeError`.  With
+    a single trial the standard error is reported as 0.0.  ``algo`` is
+    "random" (uniform orthant) or "greedy_rand".
     """
     check_int("trials", trials, 1)
     check_int("seed", seed, 0)

@@ -171,6 +171,18 @@ class TestDeterministicGreedy:
         f = ValueOracle(Dims(3, 2), lambda x: 1.0)
         assert deterministic_greedy(f).solution == (1, 1, 1)
 
+    def test_gains_are_float64_for_an_int_valued_fn(self):
+        # exact ints would make label 2 the better by 1; as float64 both
+        # gains are 2**60, a tie that goes to label 1
+        f = ValueOracle(Dims(1, 2), lambda x: (0, 2**60, 2**60 + 1)[x[0]])
+        result = deterministic_greedy(f)
+        assert result.solution == (1,)
+        assert type(result.value) is float and result.value == 2.0**60
+        (step,) = result.trace
+        assert [type(y) for y in step.marginals] == [float, float]
+        assert step.marginals == (2.0**60, 2.0**60) and step.chosen == 1
+        assert f.calls == 1 + 2
+
     def test_indicator_picks_target(self):
         result = deterministic_greedy(make_indicator(3, 2))
         assert result.solution == (2,)
@@ -437,13 +449,18 @@ BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 7
 @given(seed=st.one_of(st.integers(0, 2**200), st.sampled_from(BOUNDARY_SEEDS)))
 def test_seeded_generators_start_in_numpys_pcg64_states(seed):
     # the vectorized SeedSequence port against numpy's own seeding, among
-    # seeds of other word counts; a numpy integer seed is taken by value,
-    # and a seed alone gets the same state
-    seeds = [seed, 2**128 + 5, 0, np.uint64(seed % 2**64), seed ^ 1]
-    states = [gen.bit_generator.state for gen in ksubmax.maximize._seeded(seeds)]
+    # seeds of other word counts; a numpy integer seed is taken by value.
+    # 16 seeds take the port, whose one generator serves them all; fewer,
+    # and a seed alone, get default_rng each, in the same states
+    seeds = [seed, 2**128 + 5, 0, np.uint64(seed % 2**64), seed ^ 1,
+             *BOUNDARY_SEEDS, *range(2**96 - 2, 2**96 + 2)]
+    gens, states = zip(*((gen, gen.bit_generator.state)
+                         for gen in ksubmax.maximize._seeded(seeds)))
+    assert len(seeds) == 16 and all(gen is gens[0] for gen in gens)
+    assert list(states) == [np.random.PCG64(int(s)).state for s in seeds]
+    fewer = [gen.bit_generator.state for gen in ksubmax.maximize._seeded(seeds[:15])]
     alone = next(ksubmax.maximize._seeded([seed])).bit_generator.state
-    assert states == [np.random.PCG64(int(s)).state for s in seeds]
-    assert alone == states[0]
+    assert fewer == list(states[:15]) and alone == states[0]
 
 
 class TestEmpiricalExpectation:
@@ -503,8 +520,9 @@ class TestEmpiricalExpectation:
     @pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
     @pytest.mark.parametrize("algo", ["greedy_rand", "random"])
     def test_boundary_seeds_match_the_reference_runs(self, algo, seed):
-        # trial t runs with seed ^ t, so the low word moves
-        check_trials_against_the_reference("long_path", algo, 5, seed)
+        # trial t runs with seed ^ t, so the low word moves; 20 trials are
+        # enough seeds for the vectorized pass
+        check_trials_against_the_reference("long_path", algo, 20, seed)
 
     def test_threads_get_the_single_thread_values(self):
         # each thread, with its own oracle, samples with its own generators:
