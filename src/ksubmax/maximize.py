@@ -277,7 +277,7 @@ def _seeded(seeds: list):
     words = _hashmix(pool[[0, 1, 2, 3] * 2], _consts(0x8B51F9DD, 0x58F38DED, 8))
     bits, mask = np.random.PCG64(0), (1 << 128) - 1
     gen = np.random.Generator(bits)
-    for w in words.T.tolist():  # PCG64's srandom: two LCG steps, the start added between
+    for w in zip(*words.tolist()):  # PCG64's srandom: two LCG steps, start added between
         start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
         inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & mask | 1
         state = ((inc + start) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask
