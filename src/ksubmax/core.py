@@ -4,11 +4,12 @@ A solution over a ground set of ``n`` elements is a plain tuple of ints in
 ``{0, ..., k}``: label 0 means "unassigned", labels ``1..k`` name the parts
 of the partition.  A vector with no zero entry is an *orthant* (a partition
 of the whole ground set).  Everything downstream (function families,
-property checkers, maximizers) consumes this one representation through
-:class:`ValueOracle`, which counts evaluations so query complexity can be
-audited, and refuses every NaN or infinite value.  Enumerations name
-assignments by their mixed-radix index and evaluate whole index vectors at
-once through :meth:`ValueOracle.eval_indices` or :meth:`ValueOracle.eval_all`.
+property checkers, :mod:`maximize` and its greedy rules) consumes this one
+representation through :class:`ValueOracle`, which counts evaluations so
+query complexity can be audited, and refuses every NaN or infinite value.
+Enumerations name assignments by their mixed-radix index and evaluate
+whole index vectors at once through :meth:`ValueOracle.eval_indices` or
+:meth:`ValueOracle.eval_all`.
 """
 
 from __future__ import annotations
@@ -81,8 +82,14 @@ class Dims:
         the (k+1)^n assignments.  The count is named as a power: it can have
         more digits than Python will format."""
         base = self.k + 1 if base is None else base
-        if base**self.n > cap:
+        if _power_exceeds(base, self.n, cap):
             raise InputError(f"{what} needs {base}^{self.n} {unit}, cap is {cap}")
+
+
+def _power_exceeds(base: int, n: int, bound: int) -> bool:
+    """base^n > bound, decided without building base^n, which an unchecked n
+    can make too large to build: base >= 2 passes bound by its bit length."""
+    return base ** min(n, int(bound).bit_length()) > bound
 
 
 def check_eps(eps: float) -> None:
@@ -230,7 +237,9 @@ def _checked_indices(idx, dims: Dims) -> np.ndarray:
             f"indices: need a 1-D integer array, got {idx.dtype} of shape {idx.shape}"
         )
     idx = idx.astype(np.int64, copy=False)
-    if idx.size and not (0 <= int(idx.min()) and int(idx.max()) < dims.num_assignments):
+    if idx.size and not (
+        0 <= int(idx.min()) and _power_exceeds(dims.k + 1, dims.n, int(idx.max()))
+    ):
         raise InputError(f"indices: must lie in [0, {dims.k + 1}^{dims.n})")
     return idx
 
@@ -292,6 +301,15 @@ class ValueOracle:
         self._kept = None  # the read-only value vector tabulate leaves
 
     def __call__(self, x: Assignment) -> float:
+        x = self._checked(x)
+        value = self._unchecked(x)
+        if not math.isfinite(_as_float(value)):
+            raise self._non_finite(x, value)
+        return value
+
+    def _checked(self, x: Assignment) -> tuple:
+        """x as a tuple, refusing a length other than n or a label that is
+        not an int or numpy integer in [0, k], as ``f(x)`` does."""
         n, k = self.dims.n, self.dims.k
         if len(x) != n:
             raise InputError(f"assignment has length {len(x)}, expected n={n}")
@@ -303,11 +321,7 @@ class ValueOracle:
                     f"label {v} out of range [0, k={k}]" if integral
                     else f"label {v!r} is not an integer"
                 )
-        x = tuple(x)
-        value = self._unchecked(x)
-        if not math.isfinite(_as_float(value)):
-            raise self._non_finite(x, value)
-        return value
+        return tuple(x)
 
     def eval_indices(self, idx) -> np.ndarray:
         """Values at the mixed-radix indices ``idx``, in the order given
@@ -398,27 +412,6 @@ class ValueOracle:
         return f"{type(self).__name__}({self.name}, n={d.n}, k={d.k})"
 
 
-@dataclass(frozen=True)
-class GreedyTrace:
-    """Audit record for one greedy step: the element considered, the k
-    marginal values seen, the probability normalizer (randomized variant
-    only, None otherwise), and the chosen label.  :meth:`to_json` writes an
-    overflowed normalizer (beta = inf, which takes label k) as null."""
-
-    element: int
-    marginals: tuple
-    beta: float | None
-    chosen: int
-
-    def to_json(self) -> dict:
-        return {
-            "element": self.element,
-            "marginals": list(self.marginals),
-            "beta": None if self.beta == math.inf else self.beta,
-            "chosen": self.chosen,
-        }
-
-
 def marginal(f: ValueOracle, label: int, e: int, s: Assignment) -> float:
     """Gain from assigning ``label`` to the unassigned element e in s.
 
@@ -432,53 +425,3 @@ def marginal(f: ValueOracle, label: int, e: int, s: Assignment) -> float:
     if s[e] != 0:
         raise PreconditionError(f"element {e} already assigned label {s[e]}")
     return f(with_label(s, e, label)) - f(s)
-
-
-def smallest_max_label(ys: Sequence[float], eps: float = EPS) -> int:
-    """Smallest label (1-based) whose value is within eps of the maximum."""
-    top = max(ys)
-    for i, y in enumerate(ys, start=1):
-        if y >= top - eps:
-            return i
-    return len(ys)  # unreachable; max is always within eps of itself
-
-
-def greedy_fill(
-    f: ValueOracle, s: tuple, value: float, elements: Iterable[int], eps: float
-) -> tuple:
-    """Assign each of ``elements``, in turn, the label of maximal marginal
-    gain, ties within eps going to the smallest label.
-
-    ``value`` is f(s); the running value is tracked incrementally, so this
-    makes k oracle calls per element, one batched call of its k children,
-    whose values, as every batched read, are float64.  Returns the final
-    assignment, its value and the per-element :class:`GreedyTrace` list.
-    """
-    trace = []
-    labels = np.arange(1, f.dims.k + 1)
-    children = np.array([s] * f.dims.k, dtype=np.int64)  # rows of s, column e varied
-    for e in elements:
-        children[:, e] = labels
-        gains = (f._eval_rows(children) - value).tolist()
-        q = smallest_max_label(gains, eps)
-        children[:, e] = q
-        s = with_label(s, e, q)
-        value += gains[q - 1]
-        trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))
-    return s, value, trace
-
-
-def extend_to_orthant(f: ValueOracle, s: Assignment, eps: float = EPS) -> tuple:
-    """Assign every unassigned element the label of maximal marginal gain.
-
-    Elements are visited in index order; marginal ties within eps are broken
-    toward the smallest label.  For r-wise monotone f this never decreases
-    the value (some marginal in any size-r label set is nonnegative, so the
-    best one is); that precondition is the caller's responsibility.
-    """
-    check_eps(eps)
-    cur = tuple(s)
-    if is_orthant(cur):
-        return cur
-    unassigned = [e for e, v in enumerate(cur) if v == 0]
-    return greedy_fill(f, cur, f(cur), unassigned, eps)[0]

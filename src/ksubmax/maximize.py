@@ -3,7 +3,8 @@
 Three algorithms: evaluate one uniform random orthant, the deterministic
 greedy (per element, take the label of largest marginal gain, smallest label
 on ties), and the randomized greedy (per element, pick a label with
-probability proportional to its clamped marginal gain).  Alongside them:
+probability proportional to its clamped marginal gain), each rule written
+once (:func:`smallest_max_label`, :func:`_clamped_sums`).  Alongside them:
 brute-force maximization, the exact expectation of the random-orthant draw,
 and an exact decision-tree expectation for the randomized greedy, so every
 approximation guarantee can be verified at desk scale without sampling
@@ -20,7 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -28,8 +29,8 @@ from .core import (
     DEFAULT_MAX_STATES,
     EPS,
     EVAL_BLOCK,
+    Assignment,
     Dims,
-    GreedyTrace,
     InputError,
     OracleRangeError,
     ValueOracle,
@@ -37,8 +38,29 @@ from .core import (
     assignment_of,
     check_eps,
     check_int,
-    greedy_fill,
+    is_orthant,
 )
+
+
+@dataclass(frozen=True)
+class GreedyTrace:
+    """Audit record for one greedy step: the element considered, the k
+    marginal values seen, the probability normalizer (randomized variant
+    only, None otherwise), and the chosen label.  :meth:`to_json` writes an
+    overflowed normalizer (beta = inf, which takes label k) as null."""
+
+    element: int
+    marginals: tuple
+    beta: float | None
+    chosen: int
+
+    def to_json(self) -> dict:
+        return {
+            "element": self.element,
+            "marginals": list(self.marginals),
+            "beta": None if self.beta == math.inf else self.beta,
+            "chosen": self.chosen,
+        }
 
 
 @dataclass(frozen=True)
@@ -63,6 +85,8 @@ class MaximizeResult:
 def _validated_order(order: Sequence[int] | None, n: int) -> tuple:
     if order is None:
         return tuple(range(n))
+    for i, e in enumerate(order):  # int() would truncate 1.9 and take True as 1
+        check_int(f"order[{i}]", e, 0)
     order = tuple(int(e) for e in order)
     if sorted(order) != list(range(n)):
         raise InputError(f"order {order} is not a permutation of 0..{n - 1}")
@@ -126,6 +150,57 @@ def exact_expectation_random_orthant(
     return _fsum(f, values, f"sum of {len(values)} orthant values") / dims.num_orthants
 
 
+def smallest_max_label(ys: Sequence[float], eps: float = EPS) -> int:
+    """Smallest label (1-based) whose value is within eps of the maximum."""
+    top = max(ys)
+    for i, y in enumerate(ys, start=1):
+        if y >= top - eps:
+            return i
+    return len(ys)  # no value is within eps of a NaN max(ys): the first was NaN
+
+
+def greedy_fill(
+    f: ValueOracle, s: tuple, value: float, elements: Iterable[int], eps: float
+) -> tuple:
+    """Assign each of ``elements``, in turn, the label of maximal marginal
+    gain, ties within eps going to the smallest label.
+
+    ``value`` is f(s); the running value is tracked incrementally, so this
+    makes k oracle calls per element, one batched call of its k children,
+    whose values, as every batched read, are float64.  Returns the final
+    assignment, its value and the per-element :class:`GreedyTrace` list.
+    """
+    trace = []
+    labels = np.arange(1, f.dims.k + 1)
+    children = np.array([s] * f.dims.k, dtype=np.int64)  # rows of s, column e varied
+    for e in elements:
+        children[:, e] = labels
+        gains = (f._eval_rows(children) - value).tolist()
+        q = smallest_max_label(gains, eps)
+        children[:, e] = q
+        value += gains[q - 1]
+        trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))
+    return tuple(children[0].tolist()), value, trace
+
+
+def extend_to_orthant(f: ValueOracle, s: Assignment, eps: float = EPS) -> tuple:
+    """Assign every unassigned element the label of maximal marginal gain.
+
+    Elements are visited in index order; marginal ties within eps are broken
+    toward the smallest label.  For r-wise monotone f this never decreases
+    the value (some marginal in any size-r label set is nonnegative, so the
+    best one is); that precondition is the caller's responsibility.  ``s``
+    is refused as ``f(s)`` would refuse it, and an orthant is returned as
+    it is, with no oracle call.
+    """
+    check_eps(eps)
+    cur = f._checked(s)
+    if is_orthant(cur):
+        return cur
+    unassigned = [e for e, v in enumerate(cur) if v == 0]
+    return greedy_fill(f, cur, f(cur), unassigned, eps)[0]
+
+
 def deterministic_greedy(
     f: ValueOracle,
     order: Sequence[int] | None = None,
@@ -148,15 +223,16 @@ def deterministic_greedy(
     return MaximizeResult(s, value, 1 + dims.n * dims.k, trace)
 
 
-def _clamped_beta(raw: np.ndarray) -> tuple:
-    """Each row of a matrix of gains clamped at zero, and the row sums beta,
-    the randomized greedy's normalizers.  beta is accumulated left to right,
-    so seeded picks do not depend on how numpy would sum a row."""
+def _clamped_sums(raw: np.ndarray, eps: float) -> tuple:
+    """The randomized greedy's rule on gains, one row per run or node: the
+    gains clamped at 0, their running sums, added left to right, whose last
+    column is the normalizer beta, and whether each row branches."""
     clamped = np.where(raw > 0.0, raw, 0.0)
-    beta = np.zeros(len(raw))
-    for i in range(raw.shape[1]):  # a loop: sum(axis=1) may add pairwise
-        beta += clamped[:, i]
-    return clamped, beta
+    sums = np.array(clamped, order="F")  # a copy, whose columns add in place
+    for i in range(1, raw.shape[1]):  # as cumsum(axis=1) adds, without its loop per row
+        sums[:, i] += sums[:, i - 1]
+    beta = sums[:, -1]
+    return clamped, sums, beta > eps
 
 
 def randomized_greedy(
@@ -215,8 +291,8 @@ def exact_expectation_randomized_greedy(
         for e in order:
             children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
             raw = f.eval_indices(children.ravel()).reshape(-1, k) - value[:, None]
-            clamped, beta = _clamped_beta(raw)
-            branching = beta > eps
+            clamped, sums, branching = _clamped_sums(raw, eps)
+            beta = sums[:, -1]
             overflow = np.isinf(beta)
             split = branching & ~overflow
             share = np.ones_like(clamped)
@@ -294,11 +370,11 @@ def _greedy_runs(
     first run's steps are appended to ``trace`` when one is given.
 
     Run t draws from ``default_rng(seeds[t])``'s stream (:func:`_seeded`),
-    one uniform r per branching step (beta > eps), and takes the first
-    label whose running sum of clamped gains exceeds u = r * beta, else
-    label k.  Each run evaluates f(0) once, then at each element the k
-    children of its assignment: one batched call over all runs'
-    children, so len(seeds) * k rows."""
+    one uniform r per branching step, and takes the first label whose
+    running sum of clamped gains exceeds u = r * beta, read from one
+    comparison with the row of sums, else label k.  Each run evaluates
+    f(0) once, then at each element the k children of its assignment: one
+    batched call over all runs' children, so len(seeds) * k rows."""
     m, n, k = len(seeds), f.dims.n, f.dims.k
     runs = np.arange(m)
     draws = np.empty((m, n))
@@ -309,27 +385,22 @@ def _greedy_runs(
     labels = np.zeros((m, n), dtype=np.int64)
     value = f._eval_rows(labels)  # f(0): each run evaluates it once
     child_labels = np.tile(np.arange(1, k + 1), m)
-    with np.errstate(over="ignore"):  # beta and acc may overflow to inf
+    with np.errstate(over="ignore", invalid="ignore"):  # sums overflow; u = 0 * inf
         for e in order:
             children = np.repeat(labels, k, axis=0)
             children[:, e] = child_labels
             raw = f._eval_rows(children).reshape(m, k) - value[:, None]
-            clamped, beta = _clamped_beta(raw)
-            branching = beta > eps
-            u = draws[runs, used] * beta
+            clamped, sums, branching = _clamped_sums(raw, eps)
+            u = draws[runs, used] * sums[:, -1]
             used += branching
-            q = np.zeros(m, dtype=np.int64)  # 0: no label hit yet
-            acc = np.zeros(m)
-            for i in range(k):
-                acc += clamped[:, i]
-                q[(q == 0) & (u < acc)] = i + 1
-            q[q == 0] = k
+            hit = u[:, None] < sums  # none when beta = inf: u is inf, or NaN at r = 0
+            q = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, k)
             q[~branching] = 1
             labels[:, e] = q
             value = value + raw[runs, q - 1]
             if trace is not None:
                 trace.append(GreedyTrace(e, tuple(clamped[0].tolist()),
-                                         float(beta[0]), int(q[0])))
+                                         float(sums[0, -1]), int(q[0])))
     return labels, value
 
 

@@ -23,6 +23,7 @@ from .core import (
     InputError,
     OracleRangeError,
     ValueOracle,
+    _power_exceeds,
     assignment_of,
     check_int,
     label_rows,
@@ -41,7 +42,8 @@ class TabularFunction(ValueOracle):
 
     def __init__(self, dims: Dims, values, name: str = "table") -> None:
         values = np.array(values, dtype=float)
-        if values.shape != (dims.num_assignments,):
+        fits = values.ndim == 1 and not _power_exceeds(dims.k + 1, dims.n, values.size)
+        if not (fits and values.size == dims.num_assignments):
             raise InputError(
                 f"values: need (k+1)^n = {dims.k + 1}^{dims.n} entries for "
                 f"n={dims.n}, k={dims.k}, got shape {values.shape}"

@@ -116,6 +116,23 @@ class TestCheckCommand:
         assert captured.out == ""
         assert field in captured.err
 
+    @pytest.mark.parametrize("doc,argv,refusal", [
+        ({"kind": "tabular", "n": 10**12, "k": 2, "values": [0, 1, 2]},
+         ["check", "--property", "ksub"], "values: need (k+1)^n = 3^1000000000000 "),
+        ({**HUGE_CUT, "n": 10**12}, ["check", "--property", "ksub"],
+         "tabulation needs 4^1000000000000 states"),
+        ({**HUGE_CUT, "n": 10**12}, ["maximize", "--algo", "brute"],
+         "brute force needs 4^1000000000000 states"),
+    ], ids=["tabular-check", "cut-check", "cut-brute"])
+    def test_trillion_n_exit_2_without_building_the_count(self, tmp_path, capsys,
+                                                           doc, argv, refusal):
+        # the caps built (k+1)^n to compare it: n = 2*10^7 took seconds to refuse
+        path = write_instance(tmp_path, doc)
+        code = main(argv[:1] + [path] + argv[1:])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert refusal in captured.err
+
     def test_pair_cap_counts_the_pairs_each_check_scans(self, tmp_path, capsys):
         # n=7, k=3: orthant-pairs scans 9^7 (about 4.8e6) orthant pairs and
         # runs; ksub scans 16^7 (about 2.7e8) assignment pairs, past 1e8

@@ -1,6 +1,7 @@
 """Core representation: lattice operations, indexing, oracle contract."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -9,11 +10,15 @@ from ksubmax import (
     Dims,
     InputError,
     PreconditionError,
+    TabularFunction,
     ValueOracle,
     all_orthants,
+    brute_force_max,
+    deterministic_greedy,
     extend_to_orthant,
     id0,
     is_orthant,
+    make_coverage_tight,
     make_det_greedy_tight,
     make_indicator,
     make_layer_layout,
@@ -24,13 +29,14 @@ from ksubmax import (
     random_ksubmodular,
     random_table,
     restrict,
+    tabulate,
 )
 from ksubmax.core import (
     assignment_of,
     index_of,
-    smallest_max_label,
     with_label,
 )
+from ksubmax.maximize import smallest_max_label
 
 import oracles
 from factories import all_assignments, single_edge
@@ -136,6 +142,30 @@ class TestIndexing:
         with pytest.raises(InputError, match="4\\^40 states"):
             dims.check_cap("tabulation", 10**6)
 
+    def test_caps_hold_at_their_bound(self):
+        Dims(3, 2).check_cap("tabulation", 27)
+        with pytest.raises(InputError, match=r"^tabulation needs 3\^3 states, cap is 26$"):
+            Dims(3, 2).check_cap("tabulation", 26)
+        # base 1 never exceeds a cap of 1 or more, for any n
+        Dims(10**12, 1).check_cap("orthant count", 1, base=1)
+        with pytest.raises(InputError, match=r"needs 1\^1000000000000 states, cap is 0$"):
+            Dims(10**12, 1).check_cap("orthant count", 0, base=1)
+
+    @pytest.mark.parametrize("run,refusal", [
+        (lambda dims: tabulate(ValueOracle(dims, sum)), "tabulation needs 3"),
+        (lambda dims: brute_force_max(ValueOracle(dims, sum)), "brute force needs 3"),
+        (lambda dims: brute_force_max(ValueOracle(dims, sum), over_orthants_only=True),
+         "brute force needs 2"),
+        (lambda dims: random_table(dims, seed=0), "random table needs 3"),
+        (lambda dims: random_ksubmodular(dims, atoms=1, seed=0), "random table needs 3"),
+        (lambda dims: TabularFunction(dims, [0.0, 1.0, 2.0]), r"values: need .* = 3"),
+    ], ids=["tabulate", "brute-force", "brute-force-orthants", "random-table",
+            "random-ksubmodular", "tabular"])
+    def test_caps_refuse_a_huge_n_without_building_the_count(self, run, refusal):
+        # 3^(10^12) was built before it was compared: n = 2*10^7 took seconds
+        with pytest.raises(InputError, match=rf"^{refusal}\^1000000000000 "):
+            run(Dims(10**12, 2))
+
 
 class TestValueOracle:
     def test_calls_counter_increases(self):
@@ -236,12 +266,40 @@ class TestExtendToOrthant:
             assert is_orthant(extended)
             assert table(extended) >= table(s) - 1e-12
 
+    @pytest.mark.parametrize("s,refusal", [
+        ((1, 2, 3), r"^assignment has length 3, expected n=2$"),
+        ((9, 7), r"^label 9 out of range \[0, k=3\]$"),
+        ((1.5, 2), r"^label 1.5 is not an integer$"),
+    ], ids=["length", "label-out-of-range", "float-label"])
+    def test_malformed_input_refused(self, s, refusal):
+        # each came back as an orthant: only a partial input was checked, by f(s)
+        f = make_coverage_tight(3)
+        with pytest.raises(InputError, match=refusal):
+            extend_to_orthant(f, s)
+        assert f.calls == 0
+
+    def test_orthant_costs_no_call(self):
+        f = make_coverage_tight(3)
+        assert extend_to_orthant(f, (np.int64(3), 1)) == (3, 1)
+        assert f.calls == 0
+
 
 def test_smallest_max_label_tie_breaking():
     assert smallest_max_label([0.0, 0.0, 0.0]) == 1
     assert smallest_max_label([1.0, 2.0, 2.0]) == 2
     assert smallest_max_label([2.0, 2.0 - 1e-12, 0.0]) == 1  # within eps counts as tied
     assert smallest_max_label([1.0, 2.0, 1.0], eps=0.0) == 2
+
+
+def test_smallest_max_label_takes_k_when_the_first_value_is_nan():
+    # max() then returns the NaN, which no value is within eps of.  The
+    # greedy meets it when a negative-valued f, which the oracle does not
+    # refuse, overflows its running value: inf, then inf - inf
+    assert smallest_max_label([math.nan, 1.0, 0.0]) == 3
+    f = ValueOracle(Dims(3, 2), lambda x: -1e308 if x == (0, 0, 0) else 1e308)
+    with np.errstate(over="ignore"):
+        result = deterministic_greedy(f)
+    assert result.solution == (1, 1, 2) and math.isnan(result.value)
 
 
 def test_with_label():

@@ -463,6 +463,30 @@ def test_seeded_generators_start_in_numpys_pcg64_states(seed):
     assert fewer == list(states[:15]) and alone == states[0]
 
 
+def test_running_sums_add_left_to_right():
+    # the sampler's and the tree's running sums and beta against plain left
+    # to right float additions, on finite gains up to 1.6e308 in magnitude,
+    # whose sums overflow in some rows
+    rng = np.random.default_rng(23)
+    overflowed = 0
+    for _ in range(200):
+        m, k = (int(v) for v in rng.integers(1, 12, size=2))
+        powers = np.where(rng.random((m, k)) < 0.3, 308.2, rng.uniform(-300, 300, (m, k)))
+        raw = rng.uniform(-1, 1, (m, k)) * 10.0**powers
+        with np.errstate(over="ignore"):
+            clamped, sums, branching = ksubmax.maximize._clamped_sums(raw, 1e-9)
+        for row, clamped_row, sums_row in zip(raw.tolist(), clamped, sums.tolist()):
+            acc, want = 0.0, []
+            for g in row:
+                acc += g if g > 0.0 else 0.0
+                want.append(acc)
+            assert hexed(sums_row) == hexed(want)
+            assert hexed(clamped_row.tolist()) == hexed([max(g, 0.0) for g in row])
+        assert branching.tolist() == [s > 1e-9 for s in sums[:, -1].tolist()]
+        overflowed += int(np.isinf(sums[:, -1]).sum())
+    assert overflowed
+
+
 class TestEmpiricalExpectation:
     def test_agrees_with_exact_on_coverage(self):
         f = make_coverage_tight(5)
@@ -647,6 +671,87 @@ def test_seed_must_be_a_nonnegative_int(run, bad):
     # -1 was numpy's "expected non-negative integer", 1.5 a TypeError
     with pytest.raises(InputError, match=r"^seed: "):
         run(make_coverage_tight(3), bad)
+
+
+@pytest.mark.parametrize("order,at", [((1.9, 0.2), 0), ((True, False), 0),
+                                      ((1, 0.5), 1), ((1, "0"), 1)],
+                         ids=["truncated", "bools", "half", "text"])
+@pytest.mark.parametrize("run", [
+    lambda f, order: deterministic_greedy(f, order),
+    lambda f, order: randomized_greedy(f, 0, order),
+    lambda f, order: empirical_expectation(f, "greedy_rand", 3, 0, order),
+    lambda f, order: exact_expectation_randomized_greedy(f, order),
+], ids=["greedy-det", "greedy-rand", "empirical-greedy-rand", "exact-greedy-rand"])
+def test_order_entries_must_be_integers(run, order, at):
+    # (1.9, 0.2) ran the order (1, 0), and (True, False) was taken as (1, 0)
+    with pytest.raises(InputError, match=rf"^order\[{at}\]: must be an integer >= 0"):
+        run(make_coverage_tight(3), order)
+
+
+@pytest.mark.parametrize("run", [
+    lambda f, order: deterministic_greedy(f, order).to_json(),
+    lambda f, order: randomized_greedy(f, 0, order).to_json(),
+    lambda f, order: empirical_expectation(f, "greedy_rand", 3, 0, order),
+    lambda f, order: exact_expectation_randomized_greedy(f, order),
+], ids=["greedy-det", "greedy-rand", "empirical-greedy-rand", "exact-greedy-rand"])
+def test_order_takes_numpy_integers(run):
+    f = make_coverage_tight(3)
+    assert run(f, np.array([1, 0])) == run(f, (1, 0))
+
+
+class ZeroDraws:
+    """A generator stand-in whose every uniform draw is 0.0."""
+
+    def random(self, out):
+        out[...] = 0.0
+
+
+class TestZeroDraw:
+    """The running-sum pick at u = 0: the draw r is 0, so u = r * beta is 0,
+    or NaN when beta is infinite."""
+
+    @pytest.fixture(autouse=True)
+    def zero_draws(self, monkeypatch):
+        monkeypatch.setattr(ksubmax.maximize, "_seeded",
+                            lambda seeds: (ZeroDraws() for _ in seeds))
+
+    @staticmethod
+    def tree_labels(f):
+        """The labels of element 0 that the exact tree keeps as nodes, read
+        from the children it evaluates at element 1 (order (0, 1))."""
+        asked, real = [], f.eval_indices
+
+        def spy(idx):
+            asked.append(np.asarray(idx))
+            return real(idx)
+
+        f.eval_indices = spy
+        expectation = exact_expectation_randomized_greedy(f)
+        base = f.dims.k + 1
+        first_children = asked[2].reshape(-1, f.dims.k)[:, 0]  # label 1 at element 1
+        return expectation, set(((first_children - base) % base).tolist())
+
+    @pytest.mark.parametrize("gains,label,beta", [
+        ((0.0, 0.5, 0.5), 2, 1.0),  # u = 0 is below the first positive running sum
+        ((1.5e308, 1.7e308), 2, math.inf),  # u = 0 * inf = NaN is below none: label k
+        ((0.0, 1.5e308, 1.7e308), 3, math.inf),
+    ], ids=["first-positive-gain", "overflow-k2", "overflow-k3"])
+    def test_pick_and_tree(self, gains, label, beta):
+        # element 0 takes the gains; element 1's are all 0, so it takes label 1
+        k = len(gains)
+        g = [0.0, *gains]
+        values = [g[i % (k + 1)] for i in range((k + 1) ** 2)]
+        f = TabularFunction(Dims(2, k), values)
+        run = randomized_greedy(f, seed=0)
+        assert run.solution == (label, 1)
+        assert (run.trace[0].beta, run.trace[0].chosen) == (beta, label)
+        assert empirical_expectation(f, "greedy_rand", 1, 0) == (g[label], 0.0)
+        expectation, kept = self.tree_labels(f)
+        assert label in kept
+        if beta == math.inf:
+            assert (kept, expectation) == ({k}, g[k])
+        else:
+            assert kept == {2, 3}
 
 
 class TestGuarantees:
