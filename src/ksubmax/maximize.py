@@ -8,13 +8,17 @@ once (:func:`smallest_max_label`, :func:`_clamped_sums`).  Alongside them:
 brute-force maximization, the exact expectation of the random-orthant draw,
 and an exact decision-tree expectation for the randomized greedy, so every
 approximation guarantee can be verified at desk scale without sampling
-noise.  All randomness is seeded and reproducible within this
-implementation.  Each randomized algorithm has one sampler, which advances
-any number of seeded runs together over a matrix of label rows: a single
-run is its one-seed case and trial t of :func:`empirical_expectation` is
-row t.  Every value comes from the oracle, which refuses a non-finite one
-with :class:`~ksubmax.core.OracleRangeError`; a sum of finite values that
-overflows a float is refused here.
+noise.  All randomness is seeded and reproducible.  Each randomized
+algorithm has one sampler, which advances any number of seeded runs
+together over a matrix of label rows: a single run is its one-seed case
+and trial t of :func:`empirical_expectation` is row t.  A run with seed s
+draws what ``default_rng(s)``'s ``random`` and ``integers`` draw, computed
+here from raw PCG64 words, one matrix per chunk of runs
+(:func:`_raw_words`), so no value depends on numpy's Generator methods.  Every value comes from
+the oracle, which refuses a non-finite one with
+:class:`~ksubmax.core.OracleRangeError`; a sum of finite values that
+overflows a float, and a greedy gain or running value that does, are
+refused here.
 """
 
 from __future__ import annotations
@@ -120,13 +124,24 @@ def brute_force_max(
     dims = f.dims
     dims.check_cap("brute force", max_states, dims.k if over_orthants_only else None)
     if over_orthants_only:
-        idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)
-        values = f.eval_indices(idx)
+        values, orthant = _orthant_values(f)
     else:
-        idx, values = None, f.eval_all()
+        values, orthant = f.eval_all(), lambda j: assignment_of(j, dims)
     best = int(np.argmax(values))  # the first maximum: ties go to the smaller index
-    x = assignment_of(best if idx is None else int(idx[best]), dims)
-    return MaximizeResult(x, float(values[best]), evals=values.size, trace=None)
+    return MaximizeResult(orthant(best), float(values[best]), values.size, trace=None)
+
+
+def _orthant_values(f: ValueOracle) -> tuple:
+    """The values of the k^n orthants in increasing index order, and a map
+    from a position among them to its orthant.  At k = 1 the one orthant,
+    all 1s, is read as a label row: its index 2^n - 1 overflows int64 from
+    n = 64 on."""
+    dims = f.dims
+    if dims.k == 1:
+        ones = np.ones((1, dims.n), dtype=np.int64)
+        return f._eval_rows(ones), lambda j: (1,) * dims.n
+    idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)
+    return f.eval_indices(idx), lambda j: assignment_of(int(idx[j]), dims)
 
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
@@ -145,8 +160,7 @@ def exact_expectation_random_orthant(
     overflows a float raise :class:`OracleRangeError`."""
     dims = f.dims
     dims.check_cap("random-orthant expectation", max_states, dims.k)
-    idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)
-    values = f.eval_indices(idx).tolist()
+    values = _orthant_values(f)[0].tolist()
     return _fsum(f, values, f"sum of {len(values)} orthant values") / dims.num_orthants
 
 
@@ -169,18 +183,33 @@ def greedy_fill(
     makes k oracle calls per element, one batched call of its k children,
     whose values, as every batched read, are float64.  Returns the final
     assignment, its value and the per-element :class:`GreedyTrace` list.
+    A gain or running value that overflows a float raises
+    :class:`OracleRangeError`.
     """
     trace = []
     labels = np.arange(1, f.dims.k + 1)
     children = np.array([s] * f.dims.k, dtype=np.int64)  # rows of s, column e varied
-    for e in elements:
-        children[:, e] = labels
-        gains = (f._eval_rows(children) - value).tolist()
-        q = smallest_max_label(gains, eps)
-        children[:, e] = q
-        value += gains[q - 1]
-        trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+        for e in elements:
+            children[:, e] = labels
+            gains = (f._eval_rows(children) - value).tolist()
+            q = smallest_max_label(gains, eps)
+            children[:, e] = q
+            value += gains[q - 1]
+            if not all(map(math.isfinite, (*gains, value))):
+                raise _overflowed(f, e)
+            trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))
     return tuple(children[0].tolist()), value, trace
+
+
+def _overflowed(f: ValueOracle, e: int) -> OracleRangeError:
+    """The refusal of a greedy step at element e whose gains or running
+    value overflowed: the finite values of an oracle that goes negative
+    can differ by more than the largest float."""
+    return OracleRangeError(
+        f"oracle {f.name}: a marginal gain or the running value at element {e} "
+        "overflows a float"
+    )
 
 
 def extend_to_orthant(f: ValueOracle, s: Assignment, eps: float = EPS) -> tuple:
@@ -291,6 +320,8 @@ def exact_expectation_randomized_greedy(
         for e in order:
             children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
             raw = f.eval_indices(children.ravel()).reshape(-1, k) - value[:, None]
+            if not np.isfinite(raw).all():
+                raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
             beta = sums[:, -1]
             overflow = np.isinf(beta)
@@ -303,6 +334,8 @@ def exact_expectation_randomized_greedy(
             idx = children[take]
             value = (value[:, None] + raw)[take]
             prob = (prob[:, None] * share)[take]
+    if not np.isfinite(value).all():  # a step's value shows in the next step's gains
+        raise _overflowed(f, e)
     return math.fsum((prob * value).tolist())
 
 
@@ -326,21 +359,34 @@ def _mixed(x: np.ndarray, words: np.ndarray, consts: np.ndarray) -> np.ndarray:
     return x ^ x >> 16
 
 
-def _seeded(seeds: list):
-    """Yield, for each of ``seeds`` in turn, a Generator in the state of
-    ``default_rng(seed)``.  From 16 seeds on (fewer do not repay the fixed
-    cost), numpy's SeedSequence runs over all of them at once on uint32
-    arrays, and PCG64's seeding step follows on Python ints: numpy keeps
-    the output of both stable across versions, but not that of its
-    Generator methods, so the draws are numpy's own, from one PCG64 and
-    one Generator whose state is set before each yield."""
+def _mul64(a: np.ndarray, b) -> tuple:
+    """The 128-bit products of uint64 operands a * b, as (high, low) uint64
+    halves: four 32 x 32-bit partial products and their carries."""
+    low32, w = np.uint64(0xFFFFFFFF), np.uint64(32)
+    a_hi, a_lo, b_hi, b_lo = a >> w, a & low32, b >> w, b & low32
+    lo_lo, lo_hi, hi_lo = a_lo * b_lo, a_lo * b_hi, a_hi * b_lo
+    mid = (lo_lo >> w) + (lo_hi & low32) + (hi_lo & low32)
+    high = a_hi * b_hi + (lo_hi >> w) + (hi_lo >> w) + (mid >> w)
+    return high, mid << w | lo_lo & low32
+
+
+def _raw_words(seeds: list, count: int) -> np.ndarray:
+    """(len(seeds), count) uint64 matrix whose row t is
+    ``default_rng(seeds[t]).bit_generator.random_raw(count)``.
+
+    From 16 seeds on (fewer do not repay the fixed cost), numpy's
+    SeedSequence runs over all of them at once on uint32 arrays, and
+    PCG64's seeding step follows on uint64 (high, low) halves of its
+    128-bit state; per seed, one PCG64 is set to that state and draws the
+    row.  numpy keeps the output of both steps, and of PCG64 itself,
+    stable across versions."""
     seeds = [int(s) for s in seeds]
     if len(seeds) < 16:
-        yield from map(np.random.default_rng, seeds)
-        return
-    sizes = np.array([max(1, -(-s.bit_length() // 32)) for s in seeds])  # in words
-    entropy = np.array([[s >> 32 * i & 0xFFFFFFFF for s in seeds]
-                        for i in range(max(4, sizes.max()))], dtype=np.uint32)
+        rows = [np.random.default_rng(s).bit_generator.random_raw(count) for s in seeds]
+        return np.array(rows, dtype=np.uint64).reshape(len(seeds), count)
+    width = max(4, -(-max(seeds).bit_length() // 32))  # uint32 words per seed
+    data = b"".join(s.to_bytes(4 * width, "little") for s in seeds)
+    entropy = np.frombuffer(data, dtype="<u4").reshape(len(seeds), width).T
     consts = _consts(0x43B0D7E5, 0x931E8875, 4 * len(entropy))  # 4 per word
     pool = _hashmix(entropy[:4], consts[:5])  # a seed's missing words are 0
     for src in range(4):  # each pool word into the other three, in one step
@@ -348,18 +394,78 @@ def _seeded(seeds: list):
         pool[dst] = _mixed(pool[dst], pool[src], consts[4 + 3 * src : 8 + 3 * src])
     for src in range(4, len(entropy)):  # the words of seeds >= 2**128 come last
         mixed = _mixed(pool, entropy[src], consts[4 * src : 4 * src + 5])
-        pool = np.where(sizes > src, mixed, pool)
-    # four uint64 words, as eight uint32 words, low word first
-    words = _hashmix(pool[[0, 1, 2, 3] * 2], _consts(0x8B51F9DD, 0x58F38DED, 8))
-    bits, mask = np.random.PCG64(0), (1 << 128) - 1
-    gen = np.random.Generator(bits)
-    for w in zip(*words.tolist()):  # PCG64's srandom: two LCG steps, start added between
-        start = w[1] << 96 | w[0] << 64 | w[3] << 32 | w[2]
-        inc = (w[5] << 96 | w[4] << 64 | w[7] << 32 | w[6]) << 1 & mask | 1
-        state = ((inc + start) * 0x2360ED051FC65DA44385DF649FCCF645 + inc) & mask
-        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-                      "has_uint32": 0, "uinteger": 0}
-        yield gen
+        pool = np.where(entropy[src:].any(axis=0), mixed, pool)  # seeds that reach src
+    # four uint64 words, as eight uint32 words, low word first: the high
+    # and low halves of the start, then of the stream
+    half = _hashmix(pool[[0, 1, 2, 3] * 2], _consts(0x8B51F9DD, 0x58F38DED, 8))
+    half = half.astype(np.uint64)
+    one, w = np.uint64(1), np.uint64(32)
+    start_hi, start_lo, seq_hi, seq_lo = (half[i + 1] << w | half[i]
+                                          for i in (0, 2, 4, 6))
+    # PCG64's srandom: two LCG steps from 0, the start added between, so the
+    # state is (inc + start) * mult + inc, mod 2^128
+    inc_hi, inc_lo = seq_hi << one | seq_lo >> np.uint64(63), seq_lo << one | one
+    lo = inc_lo + start_lo
+    hi = inc_hi + start_hi + (lo < inc_lo)
+    mult_hi, mult_lo = np.uint64(0x2360ED051FC65DA4), np.uint64(0x4385DF649FCCF645)
+    prod_hi, prod_lo = _mul64(lo, mult_lo)
+    hi = prod_hi + lo * mult_hi + hi * mult_lo
+    lo = prod_lo + inc_lo
+    hi = hi + inc_hi + (lo < prod_lo)
+    bits, state = np.random.PCG64(0), {"state": 0, "inc": 0}
+    full = {"bit_generator": "PCG64", "state": state, "has_uint32": 0, "uinteger": 0}
+    rows = []
+    for s_hi, s_lo, i_hi, i_lo in zip(hi.tolist(), lo.tolist(), inc_hi.tolist(),
+                                      inc_lo.tolist()):
+        state["state"], state["inc"] = s_hi << 64 | s_lo, i_hi << 64 | i_lo
+        bits.state = full
+        rows.append(bits.random_raw(count))
+    return np.concatenate(rows).reshape(len(seeds), count)
+
+
+def _uniforms(seeds: list, count: int) -> np.ndarray:
+    """(len(seeds), count) matrix whose row t is
+    ``default_rng(seeds[t]).random(count)``: numpy's ``next_double``, the
+    top 53 bits of each raw word times 2^-53."""
+    return (_raw_words(seeds, count) >> np.uint64(11)) * 2.0**-53
+
+
+def _lemire(words: np.ndarray, k: int) -> tuple:
+    """numpy's bounded draws of a label in 1..k from raw words, by Lemire's
+    method: for k <= 2^32 one draw per 32-bit half, low half first, else
+    one per word.  A draw x of that width gives label 1 + (x * k >> width),
+    and is rejected while x * k mod 2^width < (2^width - k) mod k.  Returns
+    each draw's label, int64, and whether it is accepted."""
+    low32, w = np.uint64(0xFFFFFFFF), np.uint64(32)
+    if k <= 2**32:
+        x = np.stack([words & low32, words >> w], axis=-1).reshape(len(words), -1)
+        prod = x * np.uint64(k)
+        high, low, width = prod >> w, prod & low32, 32
+    else:
+        (high, low), width = _mul64(words, np.uint64(k)), 64
+    accepted = low >= np.uint64((2**width - k) % k)
+    return high.astype(np.int64) + 1, accepted
+
+
+def _labels(seeds: list, k: int, n: int) -> np.ndarray:
+    """(len(seeds), n) int64 matrix whose row t is
+    ``default_rng(seeds[t]).integers(1, k + 1, size=n)``: the first n
+    accepted draws of :func:`_lemire`, none at k = 1.  A row with a
+    rejected draw among them reads on, over a longer prefix of its words
+    where it needs one."""
+    if k == 1:
+        return np.ones((len(seeds), n), dtype=np.int64)
+    count = n if k > 2**32 else -(-n // 2)  # words holding n draws
+    labels, accepted = _lemire(_raw_words(seeds, count), k)
+    out = labels[:, :n].copy()
+    for t in np.flatnonzero(~accepted[:, :n].all(axis=1)).tolist():
+        row, more = labels[t][accepted[t]], count
+        while len(row) < n:
+            more *= 2
+            more_labels, more_accepted = _lemire(_raw_words(seeds[t : t + 1], more), k)
+            row = more_labels[0][more_accepted[0]]
+        out[t] = row[:n]
+    return out
 
 
 def _greedy_runs(
@@ -369,18 +475,15 @@ def _greedy_runs(
     of ``seeds``, all runs advancing together one element at a time; the
     first run's steps are appended to ``trace`` when one is given.
 
-    Run t draws from ``default_rng(seeds[t])``'s stream (:func:`_seeded`),
-    one uniform r per branching step, and takes the first label whose
-    running sum of clamped gains exceeds u = r * beta, read from one
+    Run t takes ``default_rng(seeds[t]).random()``'s values in turn
+    (:func:`_uniforms`), one r per branching step, and the first label
+    whose running sum of clamped gains exceeds u = r * beta, read from one
     comparison with the row of sums, else label k.  Each run evaluates
     f(0) once, then at each element the k children of its assignment: one
     batched call over all runs' children, so len(seeds) * k rows."""
     m, n, k = len(seeds), f.dims.n, f.dims.k
     runs = np.arange(m)
-    draws = np.empty((m, n))
-    for t, gen in enumerate(_seeded(seeds)):
-        # a run takes its next draw only on a branching step, so n suffice
-        gen.random(out=draws[t])
+    draws = _uniforms(seeds, n)  # one per branching step, so n suffice
     used = np.zeros(m, dtype=np.int64)  # draws each run has taken
     labels = np.zeros((m, n), dtype=np.int64)
     value = f._eval_rows(labels)  # f(0): each run evaluates it once
@@ -390,6 +493,8 @@ def _greedy_runs(
             children = np.repeat(labels, k, axis=0)
             children[:, e] = child_labels
             raw = f._eval_rows(children).reshape(m, k) - value[:, None]
+            if not np.isfinite(raw).all():
+                raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
             u = draws[runs, used] * sums[:, -1]
             used += branching
@@ -401,16 +506,16 @@ def _greedy_runs(
             if trace is not None:
                 trace.append(GreedyTrace(e, tuple(clamped[0].tolist()),
                                          float(sums[0, -1]), int(q[0])))
+    if not np.isfinite(value).all():  # a step's value shows in the next step's gains
+        raise _overflowed(f, e)
     return labels, value
 
 
 def _random_runs(f: ValueOracle, seeds: list) -> tuple:
     """Label rows and values of the uniform random orthant drawn with each
-    of ``seeds``, drawn from :func:`_seeded`'s generators and all scored
-    in one batched call."""
-    labels = np.empty((len(seeds), f.dims.n), dtype=np.int64)
-    for t, gen in enumerate(_seeded(seeds)):
-        labels[t] = gen.integers(1, f.dims.k + 1, size=f.dims.n)
+    of ``seeds``, row t ``default_rng(seeds[t]).integers(1, k + 1, n)``
+    (:func:`_labels`), all scored in one batched call."""
+    labels = _labels(seeds, f.dims.k, f.dims.n)
     return labels, f._eval_rows(labels)
 
 
@@ -432,9 +537,11 @@ def empirical_expectation(
     same calls, so any trial can be replayed with its trace.  The trials
     advance together in chunks of EVAL_BLOCK // k, through one batched
     evaluation of every trial's k children per element.  Each chunk seeds
-    its trials' generators in one pass (:func:`_seeded`), and trial t's
-    stream is ``default_rng(seed ^ t)``'s, bit for bit; what remains per
-    trial is setting its generator's state and numpy's own draws.  Values
+    its trials in one pass and reads their raw PCG64 words as one matrix
+    (:func:`_raw_words`); the uniforms and labels are numpy's ``random``
+    and ``integers``, ported bit for bit, so a trial's draws are
+    ``default_rng(seed ^ t)``'s and call no Generator method.  What remains
+    per trial is setting one PCG64's state and reading its words.  Values
     whose mean or variance overflows raise :class:`OracleRangeError`.  With
     a single trial the standard error is reported as 0.0.  ``algo`` is
     "random" (uniform orthant) or "greedy_rand".

@@ -235,6 +235,39 @@ def sample_randomized_greedy(f, n, k, seed, order=None, eps=1e-9):
     return s, value, steps
 
 
+def next_double(word):
+    """numpy's ``next_double`` on one raw 64-bit word: its top 53 bits,
+    scaled by 2^-53 into [0, 1)."""
+    return (word >> 11) * 2.0**-53
+
+
+def bounded_draws(words, k):
+    """numpy's bounded draws of a label in 1..k (Lemire's method) from raw
+    64-bit words, as (label, accepted) pairs in stream order.  For
+    k <= 2^32 a draw is a 32-bit half, the low half of a word first, else a
+    whole word.  A draw x of w bits gives label 1 + floor(x * k / 2^w), and
+    is rejected when x * k mod 2^w < (2^w - k) mod k."""
+    width = 32 if k <= 2**32 else 64
+    draws = []
+    for word in words:
+        if width == 32:
+            draws += [word % 2**32, word // 2**32]
+        else:
+            draws.append(word)
+    return [(1 + x * k // 2**width, x * k % 2**width >= (2**width - k) % k)
+            for x in draws]
+
+
+def bounded_labels(words, k, n):
+    """``integers(1, k + 1, size=n)`` from raw words: the first n accepted
+    labels of :func:`bounded_draws` (none is drawn at k = 1), or None when
+    the words run out first."""
+    if k == 1:
+        return [1] * n
+    labels = [label for label, accepted in bounded_draws(words, k) if accepted]
+    return labels[:n] if len(labels) >= n else None
+
+
 def sample_random_orthant(f, n, k, seed):
     """The orthant of labels ``default_rng(seed).integers(1, k + 1, n)`` and
     its value."""

@@ -9,7 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from ksubmax import Dims, OracleRangeError, parse_instance, random_ksubmodular, tabulate
+import ksubmax.cli
+from ksubmax import (Dims, OracleRangeError, ValueOracle, parse_instance,
+                     random_ksubmodular, tabulate)
 from ksubmax.cli import main
 
 
@@ -254,6 +256,24 @@ class TestMaximizeCommand:
         assert code == 2
         assert captured.out == ""
         assert "overflows" in captured.err
+
+    @pytest.mark.parametrize("flags", [
+        ["--algo", "greedy-det"],
+        ["--algo", "greedy-rand"],
+        ["--algo", "greedy-rand", "--trials", "20"],
+        ["--algo", "greedy-rand", "--exact"],
+    ], ids=["greedy-det", "greedy-rand", "trials", "exact"])
+    def test_overflowing_gain_exit_2(self, tmp_path, capsys, monkeypatch, flags):
+        # a hand-built oracle in place of the file's: its finite values
+        # differ by more than the largest float, so every gain is inf
+        swing = ValueOracle(Dims(3, 2), lambda x: -1e308 if x == (0, 0, 0) else 1e308,
+                            name="swing")
+        monkeypatch.setattr(ksubmax.cli, "_load_instance", lambda path: swing)
+        code = main(["maximize", write_instance(tmp_path, BIG), *flags])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == ("error: oracle swing: a marginal gain or the running "
+                                "value at element 0 overflows a float\n")
 
     def test_overflowing_orthant_sum_exit_2(self, tmp_path, capsys):
         # both orthant values are finite, but their sum overflows fsum

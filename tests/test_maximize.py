@@ -143,6 +143,22 @@ class TestExactExpectationRandomOrthant:
         with pytest.raises(OracleRangeError, match="overflows a float"):
             exact_expectation_random_orthant(f)
 
+    @pytest.mark.parametrize("n", [63, 64, 10**6])
+    def test_one_label_reads_its_one_orthant(self, n):
+        # at k = 1 the one orthant is all 1s; its index 2^n - 1 overflows
+        # int64 from n = 64 on, and was refused as out of range after O(n) work
+        f, g = (ValueOracle(Dims(n, 1), lambda x: float(sum(x))) for _ in range(2))
+        assert exact_expectation_random_orthant(f) == n
+        best = brute_force_max(g, over_orthants_only=True)
+        assert (best.solution, best.value, best.evals) == ((1,) * n, n, 1)
+        assert f.calls == g.calls == 1
+
+    def test_one_label_table_reads_its_last_entry(self):
+        f = TabularFunction(Dims(3, 1), [float(v) for v in range(8)])
+        assert exact_expectation_random_orthant(f) == 7.0
+        best = brute_force_max(f, over_orthants_only=True)
+        assert (best.solution, best.value, f.calls) == ((1, 1, 1), 7.0, 2)
+
 
 class TestDeterministicGreedy:
     @pytest.mark.parametrize("k,r", [(2, 1), (2, 2), (4, 2), (5, 5)])
@@ -395,6 +411,38 @@ class TestNonFiniteValues:
             evaluate(f)
         assert [term.calls for term in terms] == [f.calls, f.calls]
 
+    #: Finite values that differ by more than the largest float: every gain
+    #: at element 0 is inf, or every child at element 0 is -1e308 as well,
+    #: so the gains at element 1 overflow.
+    SWINGS = {0: lambda x: -1e308 if x == (0, 0, 0) else 1e308,
+              1: lambda x: 0.0 if not any(x) else -1e308 if x[1] == 0 else 1e308}
+
+    @pytest.mark.parametrize("at", sorted(SWINGS))
+    @pytest.mark.parametrize("run", [
+        deterministic_greedy,
+        pytest.param(lambda f: extend_to_orthant(f, (0, 0, 0)), id="extend_to_orthant"),
+        single_greedy_rand,
+        empirical_greedy_rand,
+        exact_expectation_randomized_greedy,
+    ])
+    def test_overflowing_gains_refused_naming_the_oracle(self, run, at):
+        # these returned NaN, deterministic_greedy with numpy's overflow warning
+        f = ValueOracle(Dims(3, 2), self.SWINGS[at], name="swing")
+        refusal = (rf"^oracle swing: a marginal gain or the running value at element "
+                   rf"{at} overflows a float$")
+        with pytest.raises(OracleRangeError, match=refusal):
+            run(f)
+
+    @pytest.mark.parametrize("run", [
+        lambda f: deterministic_greedy(f).value,
+        lambda f: randomized_greedy(f, 0).value,
+        lambda f: empirical_expectation(f, "greedy_rand", 1, 0)[0],
+        exact_expectation_randomized_greedy,
+    ], ids=["greedy-det", "greedy-rand", "empirical-greedy-rand", "exact-greedy-rand"])
+    def test_overflowing_beta_still_takes_label_k(self, run):
+        # finite gains whose sum, beta, overflows: label k, not a refusal
+        assert run(TabularFunction(Dims(1, 2), [0.0, 1.5e308, 1.7e308])) == 1.7e308
+
     def test_overflowing_embedding_refused_naming_it(self):
         # g(S) + g(U \ T) overflows at (0,): both sets are the ground set
         g = TabularFunction(Dims(1, 1), [1e308, 1e308])
@@ -446,21 +494,98 @@ BOUNDARY_SEEDS = [0, 2**32 - 1, 2**32, 2**64 - 1, 2**128 - 1, 2**128, 2**160 + 7
 
 
 @settings(max_examples=200)
-@given(seed=st.one_of(st.integers(0, 2**200), st.sampled_from(BOUNDARY_SEEDS)))
-def test_seeded_generators_start_in_numpys_pcg64_states(seed):
-    # the vectorized SeedSequence port against numpy's own seeding, among
-    # seeds of other word counts; a numpy integer seed is taken by value.
-    # 16 seeds take the port, whose one generator serves them all; fewer,
-    # and a seed alone, get default_rng each, in the same states
+@given(seed=st.one_of(st.integers(0, 2**200), st.sampled_from(BOUNDARY_SEEDS)),
+       count=st.integers(1, 9))
+def test_raw_words_are_numpys_pcg64_words(seed, count):
+    # the vectorized SeedSequence and PCG64 seeding port against numpy's own
+    # seeding, among seeds of other word counts; a numpy integer seed is
+    # taken by value.  16 seeds take the port; fewer, and a seed alone, get
+    # default_rng each, with the same words
     seeds = [seed, 2**128 + 5, 0, np.uint64(seed % 2**64), seed ^ 1,
              *BOUNDARY_SEEDS, *range(2**96 - 2, 2**96 + 2)]
-    gens, states = zip(*((gen, gen.bit_generator.state)
-                         for gen in ksubmax.maximize._seeded(seeds)))
-    assert len(seeds) == 16 and all(gen is gens[0] for gen in gens)
-    assert list(states) == [np.random.PCG64(int(s)).state for s in seeds]
-    fewer = [gen.bit_generator.state for gen in ksubmax.maximize._seeded(seeds[:15])]
-    alone = next(ksubmax.maximize._seeded([seed])).bit_generator.state
-    assert fewer == list(states[:15]) and alone == states[0]
+    want = np.array([np.random.PCG64(int(s)).random_raw(count) for s in seeds])
+    words = ksubmax.maximize._raw_words(seeds, count)
+    assert len(seeds) == 16 and words.dtype == np.uint64 and words.shape == want.shape
+    assert (words == want).all()
+    assert (ksubmax.maximize._raw_words(seeds[:15], count) == want[:15]).all()
+    assert (ksubmax.maximize._raw_words([seed], count) == want[:1]).all()
+
+
+#: Label counts at the edges of numpy's bounded draws: k = 1 draws nothing,
+#: 2^31 + 1 rejects about half of its 32-bit draws, 2^32 none, and from
+#: 2^32 + 1 on a draw is a whole word.
+PORT_KS = [1, 2, 3, 21, 1023, 1024, 2**31 + 1, 2**32, 2**32 + 1, 2**62 + 1]
+
+#: Seed batches of 1 (each boundary seed alone), 15 (below the vectorized
+#: seeding), 16 and 1000.
+_MANY_SEEDS = [b ^ t for t in range(143) for b in BOUNDARY_SEEDS][:1000]
+SEED_BATCHES = {1: [[s] for s in BOUNDARY_SEEDS], 15: [_MANY_SEEDS[:15]],
+                16: [_MANY_SEEDS[:16]], 1000: [_MANY_SEEDS]}
+
+
+class TestPortedDraws:
+    """The sampler's uniforms and labels are numpy's ``random`` and
+    ``integers``, computed from raw words, bit for bit."""
+
+    @pytest.mark.parametrize("batch", sorted(SEED_BATCHES))
+    def test_uniforms_are_numpys_random(self, batch):
+        for seeds, n in itertools.product(SEED_BATCHES[batch], [1, 2, 7]):
+            want = np.array([np.random.default_rng(s).random(n) for s in seeds])
+            got = ksubmax.maximize._uniforms(seeds, n)
+            assert got.dtype == np.float64
+            assert (got.view(np.uint64) == want.view(np.uint64)).all()
+            words = [np.random.default_rng(s).bit_generator.random_raw(n) for s in seeds]
+            assert [[oracles.next_double(w) for w in row.tolist()] for row in words] \
+                == want.tolist()
+
+    @pytest.mark.parametrize("batch", sorted(SEED_BATCHES))
+    @pytest.mark.parametrize("k", PORT_KS, ids=str)
+    def test_labels_are_numpys_integers(self, k, batch):
+        for seeds, n in itertools.product(SEED_BATCHES[batch], [1, 2, 7]):
+            want = np.array([np.random.default_rng(s).integers(1, k + 1, size=n)
+                             for s in seeds])
+            got = ksubmax.maximize._labels(seeds, k, n)
+            assert got.dtype == np.int64 and (got == want).all()
+        for s, n in itertools.product(SEED_BATCHES[1][0], [1, 2, 7]):
+            words = np.random.default_rng(s).bit_generator.random_raw(8 * n).tolist()
+            want = np.random.default_rng(s).integers(1, k + 1, size=n).tolist()
+            assert oracles.bounded_labels(words, k, n) == want
+
+    @pytest.mark.parametrize("k,words,draws", [
+        # (2^32 - 3) mod 3 = 1: x = 0 is rejected, and the high half 5 is not
+        (3, [5 << 32], [(1, False), (1, True)]),
+        (3, [2**64 - 1], [(3, True), (3, True)]),
+        # (2^32 - k) mod k = 2^31 - 1: x = 2 leaves 2, x = 1 leaves 2^31 + 1
+        (2**31 + 1, [2 | 1 << 32], [(2, False), (1, True)]),
+        (2**32, [7 | (2**32 - 1) << 32], [(8, True), (2**32, True)]),
+        # (2^64 - k) mod k = 1 at k = 2^32 + 1: x = 0 is rejected
+        (2**32 + 1, [0, 1, 2**64 - 1], [(1, False), (1, True), (2**32 + 1, True)]),
+    ], ids=["k3-low-zero", "k3-top", "k2^31+1", "k2^32", "k2^32+1"])
+    def test_crafted_words_force_rejections(self, k, words, draws):
+        assert oracles.bounded_draws(words, k) == draws
+        labels, accepted = ksubmax.maximize._lemire(np.array([words], dtype=np.uint64), k)
+        assert list(zip(labels[0].tolist(), accepted[0].tolist())) == draws
+
+    @pytest.mark.parametrize("k", PORT_KS[1:], ids=str)
+    def test_draws_match_the_transcription_on_random_words(self, k):
+        words = np.random.default_rng(k).integers(0, 2**64, size=(50, 4), dtype=np.uint64)
+        words[:, 0] = [0, 1, 2**32 - 1, 2**32, 2**64 - 1] * 10
+        labels, accepted = ksubmax.maximize._lemire(words, k)
+        for row, got_labels, got_accepted in zip(words.tolist(), labels, accepted):
+            draws = oracles.bounded_draws(row, k)
+            assert list(zip(got_labels.tolist(), got_accepted.tolist())) == draws
+
+    def test_mul64_is_the_128_bit_product(self):
+        edges = [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1]
+        rng = np.random.default_rng(64)
+        a = np.array(edges * 6 + rng.integers(0, 2**64, 200, dtype=np.uint64).tolist(),
+                     dtype=np.uint64)
+        b = np.array([e for e in edges for _ in edges]
+                     + rng.integers(0, 2**64, 200, dtype=np.uint64).tolist(), dtype=np.uint64)
+        high, low = ksubmax.maximize._mul64(a, b)
+        products = [x * y for x, y in zip(a.tolist(), b.tolist())]
+        assert high.tolist() == [p >> 64 for p in products]
+        assert low.tolist() == [p % 2**64 for p in products]
 
 
 def test_running_sums_add_left_to_right():
@@ -699,21 +824,14 @@ def test_order_takes_numpy_integers(run):
     assert run(f, np.array([1, 0])) == run(f, (1, 0))
 
 
-class ZeroDraws:
-    """A generator stand-in whose every uniform draw is 0.0."""
-
-    def random(self, out):
-        out[...] = 0.0
-
-
 class TestZeroDraw:
-    """The running-sum pick at u = 0: the draw r is 0, so u = r * beta is 0,
-    or NaN when beta is infinite."""
+    """The running-sum pick at u = 0: every raw word is 0, so the draw r is
+    0 and u = r * beta is 0, or NaN when beta is infinite."""
 
     @pytest.fixture(autouse=True)
     def zero_draws(self, monkeypatch):
-        monkeypatch.setattr(ksubmax.maximize, "_seeded",
-                            lambda seeds: (ZeroDraws() for _ in seeds))
+        monkeypatch.setattr(ksubmax.maximize, "_raw_words", lambda seeds, count:
+                            np.zeros((len(seeds), count), dtype=np.uint64))
 
     @staticmethod
     def tree_labels(f):
