@@ -13,9 +13,11 @@ bounds the shortfall of every pair by a proved multiple of the largest
 local one (see :func:`_certified`).  When that bound, rounding included,
 fits inside eps, the check holds without a pair scan; otherwise the
 exhaustive scan decides.  Either way the report is the one the scan alone
-gives.  :func:`check_characterization` calls the scans directly: the local
-rows are the characterization in local form, and certifying with them
-there would compare the code with itself.
+gives.  :func:`check_characterization` runs the scans without the
+certificate: the local rows are the characterization in local form, and
+certifying with them there would compare the code with itself.  One
+function runs every pair check, certificate, cap, scan and report
+(:func:`_pair_check`), from one table of what each mode names and charges.
 
 One pair scan serves the ``ksub``, ``orthant`` and ``orthant-pairs``
 checks and both sides of the characterization: it visits all assignment
@@ -224,15 +226,13 @@ def _min_extended(rows: np.ndarray, m: int, labels: int, others: np.ndarray):
     return out.reshape(-1, rows.shape[0])
 
 
-def _pair_scan(
-    table: TabularFunction, prop: str, inequality: str, mode: str,
-    eps: float, evals: int,
-) -> CheckReport:
-    """Report the first pair (s, t), in lexicographic order of (index(s),
+def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
+    """The first pair (s, t), in lexicographic order of (index(s),
     index(t)), with f(s) + f(t) < f(min0(s,t)) + f(max0(s,t)) - eps, over
     ``mode``'s pairs: "ksub" all assignment pairs, "orthant" the pairs that
     never clash (no element with two different nonzero labels) and
-    "orthant-pairs" the orthant pairs (where min0 = max0 = id0).
+    "orthant-pairs" the orthant pairs (where min0 = max0 = id0), as the
+    witness {s, t, lhs, rhs}, or None when no pair violates.
 
     Both sides are symmetric in (s, t), so the first violating pair has
     index(s) <= index(t).  Over the L scanned labels (k+1, or k on
@@ -350,7 +350,6 @@ def _pair_scan(
             return None
         a, q, b = best
         return {
-            "inequality": inequality,
             "s": assignment(p * width + a),
             "t": assignment((p + q) * width + b),
             "lhs": float(rows[p, a] + rows[p + q, b]),
@@ -366,8 +365,46 @@ def _pair_scan(
             pairs = prepared(tables[1])
         found = step(p, a0, a1, q_step, pairs, whole)
         if found is not None:
-            return CheckReport(prop, False, found, evals)
-    return CheckReport(prop, True, None, evals)
+            return found
+    return None
+
+
+#: Per pair-check mode: the property reported, the name its cap and
+#: certificate refuse under, its pairs per element at k, the oracle reads
+#: charged per pair and the inequality a counterexample names.
+_PAIR_CHECKS = {
+    "ksub": ("k_submodular", "k-submodularity check", lambda k: (k + 1) ** 2, 4,
+             "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"),
+    "orthant": ("orthant_submodular", "orthant check", lambda k: 3 * k + 1, 4,
+                "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b)) within one orthant"),
+    "orthant-pairs": ("orthant_pair_inequality", "orthant-pair check",
+                      lambda k: k * k, 3, "f(s) + f(t) >= 2 f(id0(s,t))"),
+}
+
+
+def _pair_check(
+    table: TabularFunction, mode: str, eps: float, max_pairs: int, certify: bool
+) -> CheckReport:
+    """The pair check of ``mode`` (see :data:`_PAIR_CHECKS`): with
+    ``certify``, first the local certificate (:func:`_certified`, rows (i)
+    with "ksub"), then the cap on its pairs, the exhaustive scan
+    (:func:`_pair_scan`) and its report.  An "orthant" counterexample also
+    names the least orthant above both (s's label on each element, else
+    t's, else 1)."""
+    prop, what, per_element, reads, inequality = _PAIR_CHECKS[mode]
+    dims = _guard(table, eps)
+    base = per_element(dims.k)
+    evals = reads * base**dims.n
+    if certify and _certified(table, eps, max_pairs, what, singles=mode == "ksub"):
+        return CheckReport(prop, True, None, evals)
+    dims.check_cap(what, max_pairs, base, "pairs")
+    found = _pair_scan(table, mode, eps)
+    if found is None:
+        return CheckReport(prop, True, None, evals)
+    if mode == "orthant":
+        orthant = [x or y or 1 for x, y in zip(found["s"], found["t"])]
+        found = {"orthant": orthant, **found}
+    return CheckReport(prop, False, {"inequality": inequality, **found}, evals)
 
 
 def _local_shortfalls(table: TabularFunction, singles: bool):
@@ -504,21 +541,7 @@ def check_k_submodular(
     pair is reported.  ``max_pairs`` caps the local rows, then the
     (k+1)^(2n) pairs; a certified table needs only the first.
     """
-    _guard(table, eps)
-    if _certified(table, eps, max_pairs, "k-submodularity check", singles=True):
-        return CheckReport("k_submodular", True, None, 4 * table.values.size**2)
-    return _k_submodular_scan(table, eps, max_pairs)
-
-
-def _k_submodular_scan(
-    table: TabularFunction, eps: float, max_pairs: int
-) -> CheckReport:
-    """The exhaustive pair scan of :func:`check_k_submodular`."""
-    dims = table.dims
-    dims.check_cap("k-submodularity check", max_pairs, (dims.k + 1) ** 2, "pairs")
-    inequality = "f(s) + f(t) >= f(min0(s,t)) + f(max0(s,t))"
-    evals = 4 * table.values.size * table.values.size
-    return _pair_scan(table, "k_submodular", inequality, "ksub", eps, evals)
+    return _pair_check(table, "ksub", eps, max_pairs, certify=True)
 
 
 def check_orthant_submodular(
@@ -540,26 +563,7 @@ def check_orthant_submodular(
     else 1).  ``max_pairs`` caps the local rows, then the (3k+1)^n pairs
     without a clash; a certified table needs only the first.
     """
-    dims = _guard(table, eps)
-    if _certified(table, eps, max_pairs, "orthant check", singles=False):
-        evals = 4 * (3 * dims.k + 1) ** dims.n  # as the scan charges
-        return CheckReport("orthant_submodular", True, None, evals)
-    return _nonclash_scan(table, eps, max_pairs)
-
-
-def _nonclash_scan(table: TabularFunction, eps: float, max_pairs: int) -> CheckReport:
-    """The exhaustive pair scan of :func:`check_orthant_submodular`."""
-    dims = table.dims
-    dims.check_cap("orthant check", max_pairs, 3 * dims.k + 1, "pairs")
-    inequality = "f(a) + f(b) >= f(min0(a,b)) + f(max0(a,b)) within one orthant"
-    evals = 4 * (3 * dims.k + 1) ** dims.n
-    report = _pair_scan(table, "orthant_submodular", inequality, "orthant", eps, evals)
-    if report.holds:
-        return report
-    found = report.counterexample
-    orthant = [x or y or 1 for x, y in zip(found["s"], found["t"])]
-    counterexample = {"inequality": inequality, "orthant": orthant, **found}
-    return CheckReport("orthant_submodular", False, counterexample, evals)
+    return _pair_check(table, "orthant", eps, max_pairs, certify=True)
 
 
 def induced_set_function(f: ValueOracle, x) -> ValueOracle:
@@ -672,8 +676,8 @@ def check_characterization(
     """
     if _guard(table, eps).k < 2:
         raise InputError("characterization check needs k >= 2")
-    ksub = _k_submodular_scan(table, eps, max_pairs)
-    orthant = _nonclash_scan(table, eps, max_pairs)
+    ksub = _pair_check(table, "ksub", eps, max_pairs, certify=False)
+    orthant = _pair_check(table, "orthant", eps, max_pairs, certify=False)
     pairwise = check_r_wise_monotone(table, 2, eps)
     right = orthant.holds and pairwise.holds
     evals = ksub.evals_used + orthant.evals_used + pairwise.evals_used
@@ -702,9 +706,4 @@ def check_orthant_pair_inequality(
     fail it.  Pairs are enumerated lexicographically by (index(s),
     index(t)); the smallest violating pair is reported.
     """
-    dims = _guard(table, eps)
-    dims.check_cap("orthant-pair check", max_pairs, dims.k**2, "pairs")
-    inequality = "f(s) + f(t) >= 2 f(id0(s,t))"
-    evals = 3 * table.dims.num_orthants * table.dims.num_orthants
-    return _pair_scan(table, "orthant_pair_inequality", inequality, "orthant-pairs", eps,
-                      evals)
+    return _pair_check(table, "orthant-pairs", eps, max_pairs, certify=False)

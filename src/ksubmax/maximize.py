@@ -16,9 +16,10 @@ draws what ``default_rng(s)``'s ``random`` and ``integers`` draw, computed
 here from raw PCG64 words, one matrix per chunk of runs
 (:func:`_raw_words`), so no value depends on numpy's Generator methods.  Every value comes from
 the oracle, which refuses a non-finite one with
-:class:`~ksubmax.core.OracleRangeError`; a sum of finite values that
-overflows a float, and a greedy gain or running value that does, are
-refused here.
+:class:`~ksubmax.core.OracleRangeError`: a greedy value is the oracle's
+value of its solution, read with its step's children.  A sum of finite
+values that overflows a float, and a greedy gain that does, are refused
+here.
 """
 
 from __future__ import annotations
@@ -179,36 +180,36 @@ def greedy_fill(
     """Assign each of ``elements``, in turn, the label of maximal marginal
     gain, ties within eps going to the smallest label.
 
-    ``value`` is f(s); the running value is tracked incrementally, so this
-    makes k oracle calls per element, one batched call of its k children,
-    whose values, as every batched read, are float64.  Returns the final
-    assignment, its value and the per-element :class:`GreedyTrace` list.
-    A gain or running value that overflows a float raises
-    :class:`OracleRangeError`.
+    ``value`` is f(s).  Each element costs k oracle calls, one batched call
+    of its k children, whose values, as every batched read, are float64:
+    the gains are taken against the current value, which then becomes the
+    chosen child's.  Returns the final assignment, its value f(assignment)
+    and the per-element :class:`GreedyTrace` list.  A gain that overflows
+    a float raises :class:`OracleRangeError`.
     """
     trace = []
     labels = np.arange(1, f.dims.k + 1)
     children = np.array([s] * f.dims.k, dtype=np.int64)  # rows of s, column e varied
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below
+    with np.errstate(over="ignore"):  # refused below
         for e in elements:
             children[:, e] = labels
-            gains = (f._eval_rows(children) - value).tolist()
+            values = f._eval_rows(children)
+            gains = (values - value).tolist()
+            if not all(map(math.isfinite, gains)):
+                raise _overflowed(f, e)
             q = smallest_max_label(gains, eps)
             children[:, e] = q
-            value += gains[q - 1]
-            if not all(map(math.isfinite, (*gains, value))):
-                raise _overflowed(f, e)
+            value = values[q - 1]
             trace.append(GreedyTrace(e, tuple(gains), beta=None, chosen=q))
-    return tuple(children[0].tolist()), value, trace
+    return tuple(children[0].tolist()), float(value), trace
 
 
 def _overflowed(f: ValueOracle, e: int) -> OracleRangeError:
-    """The refusal of a greedy step at element e whose gains or running
-    value overflowed: the finite values of an oracle that goes negative
-    can differ by more than the largest float."""
+    """The refusal of a greedy step at element e whose gains overflowed:
+    the finite values of an oracle that goes negative can differ by more
+    than the largest float."""
     return OracleRangeError(
-        f"oracle {f.name}: a marginal gain or the running value at element {e} "
-        "overflows a float"
+        f"oracle {f.name}: a marginal gain at element {e} overflows a float"
     )
 
 
@@ -240,9 +241,10 @@ def deterministic_greedy(
 
     Achieves at least 1/(1+r) of the optimum on functions submodular in
     every orthant and r-wise monotone, hence 1/3 on k-submodular functions.
-    Uses 1 + n*k evaluations: the running value is tracked incrementally.
-    Gains, value and trace are float64 whatever type f returns: an int
-    ``fn``'s values above 2^53 are rounded before they are compared.
+    Uses 1 + n*k evaluations: the value is f(solution), the last chosen
+    child's.  Gains, value and trace are Python floats whatever type f
+    returns: an int ``fn``'s values above 2^53 are rounded before they are
+    compared.
     """
     dims = f.dims
     order = _validated_order(order, dims.n)
@@ -304,13 +306,17 @@ def exact_expectation_randomized_greedy(
     are not branched on; a zero normalizer (beta <= eps) forces label 1
     and an overflowing one (beta = inf) label k deterministically, mirroring
     the sampler.  Each node's gains, normalizer and branch probabilities take
-    the same floating-point steps as :func:`randomized_greedy`, and each
-    internal node costs k evaluations.
+    the same floating-point steps as :func:`randomized_greedy`, each node's
+    value is its oracle value, and each internal node costs k evaluations.
+    At k = 1 the tree is one path, label 1 at every element, walked as the
+    sampler's one run: its indices would overflow int64 from n = 64 on.
     """
     dims = f.dims
     dims.check_cap("randomized-greedy decision tree", max_states, dims.k)
     order = _validated_order(order, dims.n)
     check_eps(eps)
+    if dims.k == 1:
+        return float(_greedy_runs(f, [0], order, eps)[1][0])
     k, base = dims.k, dims.k + 1
     # the frontier: one entry per tree node at the current depth
     idx = np.zeros(1, dtype=np.int64)
@@ -319,7 +325,8 @@ def exact_expectation_randomized_greedy(
     with np.errstate(over="ignore"):  # beta may overflow to inf: see below
         for e in order:
             children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
-            raw = f.eval_indices(children.ravel()).reshape(-1, k) - value[:, None]
+            values = f.eval_indices(children.ravel()).reshape(-1, k)
+            raw = values - value[:, None]
             if not np.isfinite(raw).all():
                 raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
@@ -332,11 +339,9 @@ def exact_expectation_randomized_greedy(
             take[~branching, 0] = True  # beta <= eps: label 1, probability kept
             take[overflow, -1] = True  # u = r * inf is below no partial sum: label k
             idx = children[take]
-            value = (value[:, None] + raw)[take]
+            value = values[take]
             prob = (prob[:, None] * share)[take]
-    if not np.isfinite(value).all():  # a step's value shows in the next step's gains
-        raise _overflowed(f, e)
-    return math.fsum((prob * value).tolist())
+    return _fsum(f, (prob * value).tolist(), "expected value")
 
 
 def _consts(init: int, mult: int, count: int) -> np.ndarray:
@@ -492,7 +497,8 @@ def _greedy_runs(
         for e in order:
             children = np.repeat(labels, k, axis=0)
             children[:, e] = child_labels
-            raw = f._eval_rows(children).reshape(m, k) - value[:, None]
+            values = f._eval_rows(children).reshape(m, k)
+            raw = values - value[:, None]
             if not np.isfinite(raw).all():
                 raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
@@ -502,12 +508,10 @@ def _greedy_runs(
             q = np.where(hit.any(axis=1), hit.argmax(axis=1) + 1, k)
             q[~branching] = 1
             labels[:, e] = q
-            value = value + raw[runs, q - 1]
+            value = values[runs, q - 1]
             if trace is not None:
                 trace.append(GreedyTrace(e, tuple(clamped[0].tolist()),
                                          float(sums[0, -1]), int(q[0])))
-    if not np.isfinite(value).all():  # a step's value shows in the next step's gains
-        raise _overflowed(f, e)
     return labels, value
 
 

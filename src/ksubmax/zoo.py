@@ -26,7 +26,6 @@ from .core import (
     _power_exceeds,
     assignment_of,
     check_int,
-    label_rows,
 )
 
 
@@ -292,27 +291,35 @@ def random_ksubmodular(
     the plain cut indicator, that extension is k-submodular for every k
     (checkable exhaustively), and k-submodularity is closed under lifting
     to more elements and under nonnegative combination, so the output is
-    k-submodular by construction rather than by rejection sampling.
+    k-submodular by construction rather than by rejection sampling.  Each
+    atom, its (k+1) x (k+1) cut table or (k+1) indicator row times its
+    weight, is added in place onto the value cube by broadcasting, so
+    memory stays one value vector.
     """
     check_int("atoms", atoms, 0)
     check_int("seed", seed, 0)
     dims.check_cap("random table", max_states)
-    size = dims.num_assignments
+    n, k = dims.n, dims.k
     rng = np.random.default_rng(seed)
-    digits = label_rows(dims.n, dims.k, dims.n)
-    values = np.zeros(size)
+    values = np.zeros(dims.num_assignments)
+    cube = values.reshape((k + 1,) * n)  # element e on axis n-1-e
+    a, b = np.arange(k + 1)[:, None], np.arange(k + 1)
+    # an edge's score by its endpoints' labels, symmetric, so either
+    # endpoint may take either axis
+    edge = 1.0 * ((a != b) & (a != 0) & (b != 0)) + 0.5 * ((a == 0) ^ (b == 0))
     for _ in range(atoms):
         weight = rng.random()
-        if dims.n >= 2 and rng.random() < 0.5:
-            u, v = rng.choice(dims.n, size=2, replace=False)
-            au, av = digits[:, u], digits[:, v]
-            cut = (au != av) & (au != 0) & (av != 0)
-            half = (au == 0) ^ (av == 0)
-            values += weight * (1.0 * cut + 0.5 * half)
+        shape = [1] * n
+        if n >= 2 and rng.random() < 0.5:
+            u, v = rng.choice(n, size=2, replace=False).tolist()
+            term = weight * edge
+            shape[n - 1 - u] = shape[n - 1 - v] = k + 1
         else:
-            e = int(rng.integers(dims.n))
-            p = int(rng.integers(1, dims.k + 1))
-            values += weight * (digits[:, e] == p)
+            e = int(rng.integers(n))
+            p = int(rng.integers(1, k + 1))
+            term = weight * (b == p)
+            shape[n - 1 - e] = k + 1
+        cube += term.reshape(shape)
     return TabularFunction(dims, values, name=f"random_ksub_s{seed}")
 
 

@@ -204,18 +204,20 @@ def expect_randomized_greedy(f, n, k, order=None, eps=1e-9):
 
 def sample_randomized_greedy(f, n, k, seed, order=None, eps=1e-9):
     """One seeded run of the randomized greedy, one element and one label at
-    a time.  Per element: the k gains against the running value, clamped at
-    zero and summed left to right into beta; when beta > eps, one draw r
-    from ``default_rng(seed)`` and the first label whose running sum of
-    clamped gains exceeds u = r * beta (label k when none does), otherwise
-    label 1.  Returns the orthant, its value and one (element, clamped
-    gains, beta, label) tuple per step."""
+    a time.  Per element: the k gains against f(s), clamped at zero and
+    summed left to right into beta; when beta > eps, one draw r from
+    ``default_rng(seed)`` and the first label whose running sum of clamped
+    gains exceeds u = r * beta (label k when none does), otherwise label 1;
+    f(s) is then the chosen child's value.  Returns the orthant, f of it
+    and one (element, clamped gains, beta, label) tuple per step, with
+    1 + n * k calls of f."""
     rng = np.random.default_rng(seed)
     s = (0,) * n
     value = f(s)
     steps = []
     for e in range(n) if order is None else order:
-        raw = [f(s[:e] + (i,) + s[e + 1 :]) - value for i in range(1, k + 1)]
+        children = [f(s[:e] + (i,) + s[e + 1 :]) for i in range(1, k + 1)]
+        raw = [y - value for y in children]
         clamped = [g if g > 0.0 else 0.0 for g in raw]
         beta = 0.0
         for g in clamped:
@@ -230,7 +232,7 @@ def sample_randomized_greedy(f, n, k, seed, order=None, eps=1e-9):
                     label = i
                     break
         s = s[:e] + (label,) + s[e + 1 :]
-        value += raw[label - 1]
+        value = children[label - 1]
         steps.append((e, clamped, beta, label))
     return s, value, steps
 

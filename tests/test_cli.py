@@ -272,8 +272,8 @@ class TestMaximizeCommand:
         code = main(["maximize", write_instance(tmp_path, BIG), *flags])
         captured = capsys.readouterr()
         assert (code, captured.out) == (2, "")
-        assert captured.err == ("error: oracle swing: a marginal gain or the running "
-                                "value at element 0 overflows a float\n")
+        assert captured.err == ("error: oracle swing: a marginal gain at element 0 "
+                                "overflows a float\n")
 
     def test_overflowing_orthant_sum_exit_2(self, tmp_path, capsys):
         # both orthant values are finite, but their sum overflows fsum
@@ -522,3 +522,39 @@ def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
     assert not report.exists()
+
+
+#: One edge on 64 elements at k = 1: 2^64 assignments, whose indices
+#: overflow int64, and one orthant.
+ONE_LABEL_CUT = {"kind": "max_k_cut", "n": 64, "k": 1, "edges": [[0, 1]]}
+
+ONE_LABEL_RUNS = [
+    ["maximize", "--algo", "brute"],
+    ["maximize", "--algo", "brute", "--orthants-only"],
+    ["maximize", "--algo", "random"],
+    ["maximize", "--algo", "random", "--exact"],
+    ["maximize", "--algo", "random", "--trials", "3"],
+    ["maximize", "--algo", "greedy-det"],
+    ["maximize", "--algo", "greedy-rand"],
+    ["maximize", "--algo", "greedy-rand", "--exact"],
+    ["maximize", "--algo", "greedy-rand", "--trials", "3"],
+    *(["check", "--property", prop] for prop in
+      ("ksub", "orthant", "orthant-pairs", "characterization", "monotone:1")),
+]
+
+
+@pytest.mark.parametrize("argv", ONE_LABEL_RUNS, ids=" ".join)
+def test_one_label_instance_past_int64_exits_0_or_2(tmp_path, capsys, argv):
+    # the greedy-rand tree built indices 2^e and exited 1 with a traceback
+    path = write_instance(tmp_path, ONE_LABEL_CUT)
+    code = main([argv[0], path, *argv[1:]])
+    captured = capsys.readouterr()
+    if code == 0:
+        doc = json.loads(captured.out)
+        assert captured.err == ""
+        if "--exact" in argv:  # the one orthant, or the greedy's one path
+            calls = 1 + 64 if "greedy-rand" in argv else 1
+            assert (doc["expectation"], doc["evals"]) == (0.0, calls)
+    else:
+        assert (code, captured.out) == (2, "")
+        assert captured.err.startswith("error: ") and "cap is" in captured.err

@@ -204,11 +204,22 @@ class TestDeterministicGreedy:
         assert result.solution == (2,)
         assert result.value == 1.0
 
-    def test_value_matches_fresh_evaluation(self):
-        table = random_ksubmodular(Dims(3, 3), atoms=6, seed=5)
+    @pytest.mark.parametrize("n,k,atoms,seed", [(3, 3, 6, 5), (2, 2, 6, 4), (2, 6, 6, 4)])
+    def test_value_matches_fresh_evaluation(self, n, k, atoms, seed):
+        # on the last two, f(0) plus the gains was one ulp above f(solution)
+        table = random_ksubmodular(Dims(n, k), atoms=atoms, seed=seed)
         result = deterministic_greedy(table)
         assert is_orthant(result.solution)
-        assert result.value == pytest.approx(table(result.solution), abs=1e-9)
+        assert result.value == table(result.solution)
+
+    def test_float32_fn_gives_python_floats(self):
+        # the value used to be the fn's float32, which json.dumps refuses
+        f = ValueOracle(Dims(2, 2), lambda x: np.float32(0.1 * x[0] + 0.3 * x[1]))
+        result = deterministic_greedy(f)
+        assert type(result.value) is float
+        assert result.value == float(np.float32(0.8))
+        assert all(type(y) is float for step in result.trace for y in step.marginals)
+        assert json.loads(json.dumps(result.to_json()))["value"] == result.value
 
     def test_bad_order_rejected(self):
         f = make_indicator(2, 1)
@@ -251,7 +262,7 @@ class TestRandomizedGreedy:
             assert step.beta == pytest.approx(sum(step.marginals), abs=1e-12)
             assert 1 <= step.chosen <= 4
         assert is_orthant(result.solution)
-        assert result.value == pytest.approx(f(result.solution), abs=1e-9)
+        assert result.value == f(result.solution)
 
     def test_first_choice_distribution_on_coverage(self):
         k = 5
@@ -307,6 +318,16 @@ class TestExactExpectationRandomizedGreedy:
     def test_cap(self):
         with pytest.raises(InputError):
             exact_expectation_randomized_greedy(make_coverage_tight(9), max_states=8)
+
+    @pytest.mark.parametrize("n", [63, 64, 100])
+    def test_one_label_walks_its_one_path(self, n):
+        # at k = 1 every element takes label 1; the tree's indices 2^e
+        # overflow int64 from n = 64 on, which raised an OverflowError
+        f = ValueOracle(Dims(n, 1), lambda x: float(sum(x)))
+        assert exact_expectation_randomized_greedy(f) == float(n)
+        assert f.calls == 1 + n
+        cut = make_max_k_cut(GraphInstance(n, ((0, 1),)), 1)
+        assert exact_expectation_randomized_greedy(cut) == cut((1,) * n)
 
     def test_overflowing_beta_takes_label_k_like_every_run(self):
         # gains 1.5e308 and 1.7e308 overflow beta to inf, and u = r * inf is
@@ -428,8 +449,7 @@ class TestNonFiniteValues:
     def test_overflowing_gains_refused_naming_the_oracle(self, run, at):
         # these returned NaN, deterministic_greedy with numpy's overflow warning
         f = ValueOracle(Dims(3, 2), self.SWINGS[at], name="swing")
-        refusal = (rf"^oracle swing: a marginal gain or the running value at element "
-                   rf"{at} overflows a float$")
+        refusal = rf"^oracle swing: a marginal gain at element {at} overflows a float$"
         with pytest.raises(OracleRangeError, match=refusal):
             run(f)
 
@@ -443,12 +463,62 @@ class TestNonFiniteValues:
         # finite gains whose sum, beta, overflows: label k, not a refusal
         assert run(TabularFunction(Dims(1, 2), [0.0, 1.5e308, 1.7e308])) == 1.7e308
 
+    @pytest.mark.parametrize("run", [
+        lambda f: deterministic_greedy(f).value,
+        lambda f: randomized_greedy(f, 0).value,
+        exact_expectation_randomized_greedy,
+        lambda f: empirical_expectation(f, "greedy_rand", 1, 0)[0],
+    ], ids=["greedy-det", "greedy-rand", "exact-greedy-rand", "empirical-greedy-rand"])
+    def test_near_max_value_is_returned(self, run):
+        # gain max - 3 * 2^970 picks label 1; a running value adding it
+        # back to f(0) rounded to inf and was refused, but the value is
+        # f(1), the largest float
+        top = sys.float_info.max
+        f = ValueOracle(Dims(1, 2), lambda x: (3 * 2.0**970, top, 0.0)[x[0]])
+        assert run(f) == top
+
+    def test_overflowing_expectation_refused(self):
+        # both branches end at the largest float, and their rounded
+        # probabilities times it sum past it: fsum's OverflowError escaped
+        top = sys.float_info.max
+        a, b = 0.8602897789205496, 0.23217612806301458
+        f = TabularFunction(Dims(2, 2), [0.0, a, b, 0.0, top, top, 0.0, 0.0, 0.0])
+        with pytest.raises(OracleRangeError, match="expected value overflows a float$"):
+            exact_expectation_randomized_greedy(f)
+
     def test_overflowing_embedding_refused_naming_it(self):
         # g(S) + g(U \ T) overflows at (0,): both sets are the ground set
         g = TabularFunction(Dims(1, 1), [1e308, 1e308])
         refusal = r"^oracle embed\(table\) has a non-finite value at \(0,\): inf$"
         with pytest.raises(OracleRangeError, match=refusal):
             tabulate(embed_submodular(g))
+
+
+GREEDY_SOURCES = ["random_table", "random_ksubmodular", *EVAL_CASES]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    source=st.sampled_from(GREEDY_SOURCES),
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 4),
+    k=st.integers(1, 4),
+    eps=st.sampled_from([0.0, 1e-9]),
+    data=st.data(),
+)
+def test_greedy_value_is_f_of_its_solution(source, seed, n, k, eps, data):
+    # bit for bit: each step's value is its chosen child's oracle value
+    if source == "random_table":
+        f = random_table(Dims(n, k), seed=seed)
+    elif source == "random_ksubmodular":
+        f = random_ksubmodular(Dims(n, k), atoms=3 * n, seed=seed)
+    else:
+        f = EVAL_CASES[source]()[0]
+    order = data.draw(st.permutations(range(f.dims.n)))
+    for result in (deterministic_greedy(f, order, eps),
+                   randomized_greedy(f, seed, order, eps)):
+        assert type(result.value) is float
+        assert result.value.hex() == float(f(result.solution)).hex()
 
 
 #: The sampler's cases: every zoo family, tables, a plain ValueOracle

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -327,6 +328,38 @@ class TestRandomGenerators:
         a, b = build(3), build(np.int64(3))
         assert a.name == b.name
         assert np.array_equal(a.values, b.values)
+
+    @pytest.mark.parametrize("n,k,atoms,seed", [(1, 3, 4, 0), (2, 2, 6, 1), (3, 4, 9, 2),
+                                                (5, 2, 15, 3), (4, 3, 20, 4)])
+    def test_random_ksubmodular_is_the_per_assignment_sum(self, n, k, atoms, seed):
+        # the same draws and products, added entry by entry in atom order
+        rng = np.random.default_rng(seed)
+        rows = [tuple(int(i) // (k + 1) ** e % (k + 1) for e in range(n))
+                for i in range((k + 1) ** n)]
+        values = np.zeros(len(rows))
+        for _ in range(atoms):
+            weight = rng.random()
+            if n >= 2 and rng.random() < 0.5:
+                u, v = rng.choice(n, size=2, replace=False)
+                cut = [x[u] != x[v] and x[u] * x[v] != 0 for x in rows]
+                half = [(x[u] == 0) ^ (x[v] == 0) for x in rows]
+                values += [weight * (1.0 * c + 0.5 * h) for c, h in zip(cut, half)]
+            else:
+                e, p = int(rng.integers(n)), int(rng.integers(1, k + 1))
+                values += [weight * (x[e] == p) for x in rows]
+        table = random_ksubmodular(Dims(n, k), atoms=atoms, seed=seed)
+        assert table.values.tobytes() == values.tobytes()
+
+    def test_random_ksubmodular_memory_is_about_its_table(self):
+        # each atom is added onto the table by broadcasting, not through
+        # a (k+1)^n x n label matrix and full-size temporaries
+        tracemalloc.start()
+        try:
+            table = random_ksubmodular(Dims(12, 2), atoms=36, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * table.values.nbytes
 
     def test_random_table_nonnegative(self):
         table = random_table(Dims(2, 3), seed=5)
