@@ -59,7 +59,7 @@ from .core import (
     OracleRangeError,
     PreconditionError,
     ValueOracle,
-    _digits,
+    _fold,
     assignment_of,
     check_eps,
     check_int,
@@ -116,16 +116,6 @@ def _buffers(size: int) -> tuple:
     return held
 
 
-def _fold(tables, radix: int) -> np.ndarray:
-    """out[a, b] = sum_d tables[d][a_d, b_d] * radix^(D-1-d) over the rows a, b
-    of D digits, the first most significant: one broadcast per digit."""
-    out = tables[0] if tables else np.zeros((1, 1), dtype=np.intp)
-    for table in tables[1:]:
-        out = out[:, None, :, None] * radix + table[:, None]
-        out = out.reshape(out.shape[0] * out.shape[1], -1)
-    return out
-
-
 @lru_cache(maxsize=16)
 def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
     """What :func:`_pair_scan` needs of an (n, k) table's shape in ``mode``,
@@ -174,7 +164,7 @@ def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
     packed = (meet * high + join)[state]  # high meets and joins, per label pair
     tail, apart = _fold([packed] * low, k + 1), _fold([clash] * low, 1)
     radices = (labels.size, labels.size + g.size, c.size)
-    valid = [_digits(d, r, m) for d, r in zip(digit, radices)]
+    valid = [_fold([d[None]] * m, r)[0] for d, r in zip(digit, radices)]
     order = np.argsort(valid[0], kind="stable")  # in order of s, then of t
     width, heights = code.shape[0], labels.size ** (n - m)
     # on all assignments s = 0 meets and joins every t at 0 and t: it never

@@ -9,7 +9,8 @@ representation through :class:`ValueOracle`, which counts evaluations so
 query complexity can be audited, and refuses every NaN or infinite value.
 Enumerations name assignments by their mixed-radix index and evaluate
 whole index vectors at once through :meth:`ValueOracle.eval_indices` or
-:meth:`ValueOracle.eval_all`.
+:meth:`ValueOracle.eval_all`; a batched form reads label columns, one per
+element, that broadcast together.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ DEFAULT_MAX_STATES = 10**6
 DEFAULT_MAX_PAIRS = 10**8
 
 #: Indices per block in :meth:`ValueOracle.eval_indices`, bound on the
-#: (k+1)^m rows per block in :meth:`ValueOracle.eval_all` and, divided by
+#: (k+1)^m assignments per block in :meth:`ValueOracle.eval_all` and, divided by
 #: k, trials per chunk in ``maximize.empirical_expectation``.
 EVAL_BLOCK = 2**14
 
@@ -207,25 +208,27 @@ def _place_values(n: int, k: int) -> np.ndarray:
     return powers
 
 
-def label_rows(n: int, k: int, m: int) -> np.ndarray:
-    """``digits_of(np.arange((k+1)**m), n, k)`` for m <= n, by broadcasting:
-    column e < m repeats each label 0..k (k+1)^e times in turn; the rest
-    are 0."""
-    base = k + 1
-    rows = np.zeros((base**m, n), dtype=np.int64, order="F")
-    for e in range(m):
-        rows[:, e].reshape(-1, base, base**e)[...] = np.arange(base)[:, None]
-    return rows
+def _column_index(cols, k: int):
+    """Sum over e of cols[e] * (k+1)^e, broadcast: the mixed-radix indices
+    of label columns, an int64 array or scalar.  Columns held as one
+    matrix, the transpose of label rows, take :func:`index_rows` on those
+    rows, one product."""
+    if isinstance(cols, np.ndarray):
+        return index_rows(cols.T, k)
+    return sum(col * p for col, p in zip(cols, _place_values(len(cols), k).tolist()))
 
 
-def _digits(values: np.ndarray, radix: int, m: int) -> np.ndarray:
-    """sum_d values[i_d] * radix^(m-1-d) over every (i_0, ..., i_{m-1}) in
-    lexicographic order: the m-digit numbers whose digits take ``values``.
-    Labels 1..k in radix k+1 with m = n give the k^n orthants' indices in
+def _fold(tables, radix: int) -> np.ndarray:
+    """out[a, b] = sum_d tables[d][a_d, b_d] * radix^(D-1-d) over the rows a, b
+    of D digits, the first most significant: one broadcast per digit.  On
+    one-row tables, ``_fold([values[None]] * m, radix)[0]`` are the m-digit
+    numbers whose digits take ``values``, in lexicographic order: labels
+    1..k in radix k+1 with m = n give the k^n orthants' indices in
     increasing order."""
-    out = np.zeros(1, dtype=np.intp)
-    for _ in range(m):
-        out = (out[:, None] * radix + values).ravel()
+    out = tables[0] if tables else np.zeros((1, 1), dtype=np.intp)
+    for table in tables[1:]:
+        out = out[:, None, :, None] * radix + table[:, None]
+        out = out.reshape(out.shape[0] * out.shape[1], -1)
     return out
 
 
@@ -263,27 +266,29 @@ class ValueOracle:
     """Counted evaluator for a k-set function on label vectors.
 
     Wraps a deterministic map from assignments to nonnegative reals.  The
-    ``calls`` counter rises by one per index asked, through ``__call__``,
-    :meth:`eval_indices`, :meth:`eval_all` or the label rows of a sampler.
-    ``tabulate`` leaves the oracle its table's read-only value vector,
-    bounded by the state cap (8 MB at 10^6 states); every later call,
-    ``f(x)`` or batched, by index or by label row, reads from it and
+    ``calls`` counter rises by one per assignment asked, through
+    ``__call__``, :meth:`eval_indices`, :meth:`eval_all` or the label
+    columns of a greedy step or sampler.  ``tabulate`` leaves the oracle
+    its table's read-only value vector, bounded by the state cap (8 MB at
+    10^6 states); every later call, ``f(x)`` or batched, reads from it and
     consults no form of the map nor any sub-oracle.  The map comes in one
-    of two forms.  ``batch`` maps a matrix of label rows (one per
-    assignment; :meth:`eval_all` builds them without division) to one value
-    per row; the zoo families have only this form, and an untabulated
-    ``f(x)`` evaluates it on one label row.  A hand-built ``fn``, the
-    scalar fallback, maps one assignment tuple to its value: it answers
-    ``f(x)``, and every row when there is no ``batch``.  ``f(x)`` returns
-    the value as the map gives it; batched reads return float64.  This is
-    the one place that refuses NaN and inf: each value returned is checked
-    (a kept vector once, when it is made), and a non-finite one, or an int
-    beyond the float range, raises :class:`OracleRangeError` naming the
-    assignment.  Nonnegativity is a
-    contract, not enforced here: consumers that materialize or verify
-    values raise it when they meet a negative one.
-    For parallel use, give each worker its own oracle instance; the counter
-    is not synchronized.
+    of two forms.  ``batch`` maps a sequence of n label columns, element
+    e's labels in column e, that broadcast to one shape (integer arrays or
+    numpy integer scalars) to the values of that shape, or values that
+    broadcast to it; a caller holding label rows passes ``rows.T``, and
+    :meth:`eval_all` passes open grids.  The zoo families have only this
+    form, and an untabulated ``f(x)`` evaluates it on x's n labels as
+    scalars.  A hand-built ``fn``, the scalar fallback, maps one assignment
+    tuple to its value: it answers ``f(x)``, and every assignment, in C
+    order, when there is no ``batch``.  ``f(x)`` returns the value as the
+    map gives it; batched reads return float64.  This is the one place
+    that refuses NaN and inf: each value returned is checked (a kept
+    vector once, when it is made), and a non-finite one, or an int beyond
+    the float range, raises :class:`OracleRangeError` naming the
+    assignment.  Nonnegativity is a contract, not enforced here: consumers
+    that materialize or verify values raise it when they meet a negative
+    one.  For parallel use, give each worker its own oracle instance; the
+    counter is not synchronized.
     """
 
     def __init__(
@@ -291,7 +296,7 @@ class ValueOracle:
         dims: Dims,
         fn: Callable[[tuple], float] | None,
         name: str = "f",
-        batch: Callable[[np.ndarray], np.ndarray] | None = None,
+        batch: Callable[[Sequence], np.ndarray] | None = None,
     ) -> None:
         self.dims = dims
         self.name = name
@@ -326,7 +331,8 @@ class ValueOracle:
     def eval_indices(self, idx) -> np.ndarray:
         """Values at the mixed-radix indices ``idx``, in the order given
         (repeats allowed), as a float array.  Counts one call per index; gathers
-        from the kept vector if any, else evaluates in :data:`EVAL_BLOCK` blocks."""
+        from the kept vector if any, else evaluates in :data:`EVAL_BLOCK` blocks,
+        each block's labels as one matrix of columns."""
         idx = _checked_indices(idx, self.dims)
         if self._kept is not None:
             self.calls += idx.size
@@ -335,72 +341,84 @@ class ValueOracle:
         values = np.empty(idx.size)
         for lo in range(0, idx.size, EVAL_BLOCK):
             block = idx[lo : lo + EVAL_BLOCK]
-            values[lo : lo + block.size] = self._eval_rows(digits_of(block, n, k))
+            values[lo : lo + block.size] = self._eval_cols(digits_of(block, n, k).T)
         return values
 
     def eval_all(self) -> np.ndarray:
         """``eval_indices(np.arange((k+1)**n))``: the same values and calls,
         and the same first value refused.  Unless it gathers from the kept
-        vector, it walks blocks of (k+1)^m rows, m in 1..n the largest with
-        (k+1)^m <= :data:`EVAL_BLOCK` (else 1); block j's low m labels are
-        one broadcast pattern, its high n - m labels the digits of j."""
+        vector, it walks blocks of (k+1)^m assignments, m in 1..n the largest
+        with (k+1)^m <= :data:`EVAL_BLOCK` (else 1), each given as an open
+        grid: element e < m is the read-only column 0..k on axis m-1-e of an
+        m-axis grid, so the block's values come in index order, and each
+        later element is one of block j's digits, a numpy int64 scalar.  No
+        label row is built."""
         n, k = self.dims.n, self.dims.k
         size = self.dims.num_assignments
         if self._kept is not None:
             self.calls += size
             return self._kept.copy()
+        base = k + 1
         m = 1
-        while m < n and (k + 1) ** (m + 1) <= EVAL_BLOCK:
+        while m < n and base ** (m + 1) <= EVAL_BLOCK:
             m += 1
-        first = label_rows(n, k, m)
-        width = len(first)
-        highs = label_rows(n - m, k, n - m)
-        values = np.empty(size)
-        for j, high in enumerate(highs):
-            # fresh, as a batch may keep its input; no block copies the last
-            rows = first.copy(order="F") if j + 1 < len(highs) else first
-            rows[:, m:] = high
-            values[j * width : (j + 1) * width] = self._eval_rows(rows)
-        return values
+        labels = np.arange(base)
+        labels.flags.writeable = False  # shared by every block
+        low = [labels.reshape((base,) + (1,) * e) for e in range(m)]
+        values = np.empty(size).reshape(-1, *(base,) * m)
+        # block j's digits, the lowest (element m) varying fastest
+        for j, high in enumerate(itertools.product(labels, repeat=n - m)):
+            values[j] = self._eval_cols(low + list(high[::-1]))
+        return values.reshape(-1)
 
-    def _eval_rows(self, digits: np.ndarray) -> np.ndarray:
-        """:meth:`_unchecked_rows`, refusing the first non-finite value; the
-        kept vector, checked when it was made, is not checked again.  Rows,
-        unlike indices, name assignments of any (n, k)."""
-        values = self._unchecked_rows(digits)
+    def _eval_cols(self, cols) -> np.ndarray:
+        """:meth:`_unchecked_cols`, refusing the first non-finite value in
+        C order; the kept vector, checked when it was made, is not checked
+        again.  Columns, unlike indices, name assignments of any (n, k)."""
+        values = self._unchecked_cols(cols)
         if self._kept is None and not np.isfinite(values).all():
             j = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise self._non_finite(tuple(digits[j].tolist()), values[j])
+            x = tuple(int(np.broadcast_to(col, values.shape).flat[j]) for col in cols)
+            raise self._non_finite(x, values.flat[j])
         return values
 
     def _unchecked(self, x: tuple) -> float:
         """The value at x, counted once but unchecked: ``f(x)`` before its
         check, and an embedding's g(U), which the embedding's own check
         covers.  Read from the kept vector when there is one, else fn at x,
-        else, for a batch-only oracle, the batched form on x as one label
-        row, a Python float whose sub-oracles count that one row."""
+        else, for a batch-only oracle, the batched form on x's n labels as
+        scalar columns, a Python float whose sub-oracles count that one
+        assignment."""
         if self._kept is None and self._fn is None:
-            return self._unchecked_rows(np.array([x], dtype=np.int64)).item()
+            return self._unchecked_cols(np.array(x, dtype=np.int64)).item()
         self.calls += 1
         if self._kept is not None:
             return self._kept.item(index_of(x, self.dims.k))
         return self._fn(x)
 
-    def _unchecked_rows(self, digits: np.ndarray) -> np.ndarray:
-        """:meth:`_unchecked` at each label row of ``digits``: a gather from
-        the kept vector when there is one, else the batched form when there
-        is one, else ``fn`` row by row."""
-        self.calls += len(digits)
+    def _unchecked_cols(self, cols) -> np.ndarray:
+        """:meth:`_unchecked` at every assignment of the label columns
+        ``cols``, as float64 of their broadcast shape: a gather from the
+        kept vector when there is one, else the batched form when there is
+        one, else ``fn`` at each assignment in C order."""
         if self._kept is not None:
-            return self._kept[index_rows(digits, self.dims.k)]
+            idx = _column_index(cols, self.dims.k)
+            self.calls += idx.size
+            return self._kept[idx]
+        # label rows' transpose holds its shape; broadcast_shapes takes ~6 us
+        shape = (cols.shape[1:] if isinstance(cols, np.ndarray)
+                 else np.broadcast_shapes(*map(np.shape, cols)))
+        self.calls += math.prod(shape)
         if self._batch is not None:
-            values = self._batch(digits)
-        else:
-            values = [self._fn(x) for x in map(tuple, digits.tolist())]
+            values = self._batch(cols)
+        else:  # objects, so that an int beyond the float range stays one
+            grid = [col.ravel().tolist() for col in np.broadcast_arrays(*cols)]
+            values = np.array([self._fn(x) for x in zip(*grid)], dtype=object).reshape(shape)
         try:
-            return np.asarray(values, dtype=float)
+            values = np.asarray(values, dtype=float)
         except OverflowError:
-            return np.array([_as_float(v) for v in values])
+            values = np.vectorize(_as_float, otypes=[float])(values)
+        return values if values.shape == shape else np.broadcast_to(values, shape)
 
     def _non_finite(self, x: tuple, value) -> OracleRangeError:
         return OracleRangeError(

@@ -39,7 +39,7 @@ from .core import (
     InputError,
     OracleRangeError,
     ValueOracle,
-    _digits,
+    _fold,
     assignment_of,
     check_eps,
     check_int,
@@ -135,14 +135,20 @@ def brute_force_max(
 def _orthant_values(f: ValueOracle) -> tuple:
     """The values of the k^n orthants in increasing index order, and a map
     from a position among them to its orthant.  At k = 1 the one orthant,
-    all 1s, is read as a label row: its index 2^n - 1 overflows int64 from
-    n = 64 on."""
+    all 1s, is read as n label columns: its index 2^n - 1 overflows int64
+    from n = 64 on.  A kept vector is sliced as the value cube, labels 1..k
+    on every axis, which keeps that order; k^n calls either way."""
     dims = f.dims
     if dims.k == 1:
-        ones = np.ones((1, dims.n), dtype=np.int64)
-        return f._eval_rows(ones), lambda j: (1,) * dims.n
-    idx = _digits(np.arange(1, dims.k + 1), dims.k + 1, dims.n)
-    return f.eval_indices(idx), lambda j: assignment_of(int(idx[j]), dims)
+        ones = np.ones((dims.n, 1), dtype=np.int64)
+        return f._eval_cols(ones), lambda j: (1,) * dims.n
+    if f._kept is None:
+        values = f.eval_indices(_fold([np.arange(1, dims.k + 1)[None]] * dims.n, dims.k + 1)[0])
+    else:
+        f.calls += dims.num_orthants
+        values = f._kept.reshape((dims.k + 1,) * dims.n)[(slice(1, None),) * dims.n].ravel()
+    # position j's base-k digits, each label one more
+    return values, lambda j: tuple(d + 1 for d in assignment_of(j, Dims(dims.n, dims.k - 1)))
 
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
@@ -185,7 +191,9 @@ def greedy_fill(
     the gains are taken against the current value, which then becomes the
     chosen child's.  Returns the final assignment, its value f(assignment)
     and the per-element :class:`GreedyTrace` list.  A gain that overflows
-    a float raises :class:`OracleRangeError`.
+    a float raises :class:`OracleRangeError`; a kept vector's values are
+    finite and nonnegative, so no gain between them can overflow, and
+    they are not checked.
     """
     trace = []
     labels = np.arange(1, f.dims.k + 1)
@@ -193,9 +201,9 @@ def greedy_fill(
     with np.errstate(over="ignore"):  # refused below
         for e in elements:
             children[:, e] = labels
-            values = f._eval_rows(children)
+            values = f._eval_cols(children.T)
             gains = (values - value).tolist()
-            if not all(map(math.isfinite, gains)):
+            if f._kept is None and not all(map(math.isfinite, gains)):
                 raise _overflowed(f, e)
             q = smallest_max_label(gains, eps)
             children[:, e] = q
@@ -327,7 +335,7 @@ def exact_expectation_randomized_greedy(
             children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
             values = f.eval_indices(children.ravel()).reshape(-1, k)
             raw = values - value[:, None]
-            if not np.isfinite(raw).all():
+            if f._kept is None and not np.isfinite(raw).all():  # see greedy_fill
                 raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
             beta = sums[:, -1]
@@ -491,15 +499,15 @@ def _greedy_runs(
     draws = _uniforms(seeds, n)  # one per branching step, so n suffice
     used = np.zeros(m, dtype=np.int64)  # draws each run has taken
     labels = np.zeros((m, n), dtype=np.int64)
-    value = f._eval_rows(labels)  # f(0): each run evaluates it once
+    value = f._eval_cols(labels.T)  # f(0): each run evaluates it once
     child_labels = np.tile(np.arange(1, k + 1), m)
     with np.errstate(over="ignore", invalid="ignore"):  # sums overflow; u = 0 * inf
         for e in order:
             children = np.repeat(labels, k, axis=0)
             children[:, e] = child_labels
-            values = f._eval_rows(children).reshape(m, k)
+            values = f._eval_cols(children.T).reshape(m, k)
             raw = values - value[:, None]
-            if not np.isfinite(raw).all():
+            if f._kept is None and not np.isfinite(raw).all():  # see greedy_fill
                 raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
             u = draws[runs, used] * sums[:, -1]
@@ -520,7 +528,7 @@ def _random_runs(f: ValueOracle, seeds: list) -> tuple:
     of ``seeds``, row t ``default_rng(seeds[t]).integers(1, k + 1, n)``
     (:func:`_labels`), all scored in one batched call."""
     labels = _labels(seeds, f.dims.k, f.dims.n)
-    return labels, f._eval_rows(labels)
+    return labels, f._eval_cols(labels.T)
 
 
 def empirical_expectation(

@@ -4,8 +4,10 @@ Graph objectives (max-k-cut, layered layout), the two-element instances on
 which the greedy guarantees are met with equality, nonnegative combinations,
 the embedding of set functions into the k=2 world, and seeded random
 generators.  Every constructor returns a :class:`~ksubmax.core.ValueOracle`
-with one form, batched over label-row matrices: an untabulated ``f(x)``
-evaluates it on one label row.  :func:`tabulate` materializes any oracle
+with one form, batched over label columns that broadcast together, so a
+full enumeration is evaluated on open grids and each term works on the
+axes of the elements it reads: an untabulated ``f(x)`` evaluates it on
+x's labels as scalars.  :func:`tabulate` materializes any oracle
 into a :class:`TabularFunction` for exhaustive checking.
 """
 
@@ -107,7 +109,8 @@ def make_max_k_cut(graph: GraphInstance, k: int) -> ValueOracle:
     """
     if graph.directed:
         raise InputError("directed: max-k-cut expects an undirected graph")
-    return _edge_sum(graph, k, lambda a, b: float(a != b), f"max_{k}_cut")
+    a, b = np.ogrid[: k + 1, : k + 1]  # an edge's labels, x_u down, x_v across
+    return _edge_sum(graph, k, 1.0 * (a != b), f"max_{k}_cut")
 
 
 def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
@@ -125,36 +128,29 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
     if k < 2:
         raise InputError(f"k: layer layout needs k >= 2, got {k}")
 
-    def edge_value(xu: int, xv: int) -> float:
-        if xu == 0 and xv == 0:
-            return 0.0
-        if xv == 0:
-            return (k - xu) / k
-        if xu == 0:
-            return (xv - 1) / k
-        return 1.0 if xu < xv else 0.0
-
-    return _edge_sum(graph, k, edge_value, f"layer_layout_{k}")
+    a, b = np.ogrid[: k + 1, : k + 1]  # an edge's labels, x_u down, x_v across
+    table = 1.0 * (a < b)  # both assigned
+    table[1:, 0] = (k - a[1:, 0]) / k  # x_v unassigned
+    table[0, 1:] = (b[0, 1:] - 1) / k  # x_u unassigned
+    table[0, 0] = 0.0
+    return _edge_sum(graph, k, table, f"layer_layout_{k}")
 
 
-def _edge_sum(graph: GraphInstance, k: int, edge_value, name: str) -> ValueOracle:
-    """The oracle x -> sum over edges (u, v) of w * edge_value(x_u, x_v), the
-    terms added in edge order from 0.0.  edge_value is tabulated once on
-    every label pair, flattened to (k+1)·a + b, and each edge takes its
-    terms from its own weighted copy of that table."""
+def _edge_sum(graph: GraphInstance, k: int, table: np.ndarray, name: str) -> ValueOracle:
+    """The oracle x -> sum over edges (u, v) of w * table[x_u, x_v], the
+    terms added in edge order from 0.0.  The one table serves every edge:
+    each edge gathers its entries at its endpoints' columns, at most a
+    (k+1) x (k+1) grid on an open grid, multiplies them by its weight and
+    adds them onto the values by broadcasting."""
     dims = Dims(graph.n_vertices, k)
-    flat = np.array([edge_value(a, b) for a in range(k + 1) for b in range(k + 1)])
-    weighted = np.multiply.outer(graph.weights, flat)  # row i: edge i's copy
-    terms = [(u, v, row) for (u, v), row in zip(graph.edges, weighted)]
+    table.flags.writeable = False
+    terms = [(u, v, w) for (u, v), w in zip(graph.edges, graph.weights)]
 
-    def batch(digits: np.ndarray) -> np.ndarray:
-        values = np.zeros(len(digits))
-        pair = np.empty(len(digits), dtype=np.int64)
+    def batch(cols) -> np.ndarray:
+        values = 0.0
         with np.errstate(over="ignore"):  # the oracle's own check refuses an inf
-            for u, v, term in terms:
-                np.multiply(digits[:, u], k + 1, out=pair)
-                pair += digits[:, v]
-                values += term.take(pair)
+            for u, v, w in terms:
+                values = values + w * table[cols[u], cols[v]]
         return values
 
     return ValueOracle(dims, None, name=name, batch=batch)
@@ -177,8 +173,8 @@ def make_det_greedy_tight(k: int, r: int) -> ValueOracle:
     lo = 1.0 / (r + 1)
     hi = r / (r + 1)
 
-    def batch(digits: np.ndarray) -> np.ndarray:
-        xu, xv = digits[:, 0], digits[:, 1]
+    def batch(cols) -> np.ndarray:
+        xu, xv = cols[0], cols[1]
         return np.where(xu != 0, lo, 0.0) + np.where((xu != 1) & (xv == 2), hi, 0.0)
 
     return ValueOracle(dims, None, name=f"det_greedy_tight_k{k}_r{r}", batch=batch)
@@ -203,8 +199,8 @@ def make_coverage_tight(k: int) -> ValueOracle:
     gamma = coverage_gamma(k)
     dims = Dims(2, k)
 
-    def batch(digits: np.ndarray) -> np.ndarray:
-        xu, xv = digits[:, 0], digits[:, 1]
+    def batch(cols) -> np.ndarray:
+        xu, xv = cols[0], cols[1]
         return np.where(xu == 1, 1.0, 0.0) + np.where((xu >= 2) | (xv >= 1), gamma, 0.0)
 
     return ValueOracle(dims, None, name=f"coverage_tight_k{k}", batch=batch)
@@ -217,8 +213,8 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
         raise InputError(f"target: label {target_label} out of range [1, k={k}]")
     dims = Dims(1, k)
 
-    def batch(digits: np.ndarray) -> np.ndarray:
-        return np.where(digits[:, 0] == target_label, 1.0, 0.0)
+    def batch(cols) -> np.ndarray:
+        return np.where(cols[0] == target_label, 1.0, 0.0)
 
     return ValueOracle(dims, None, name=f"indicator_k{k}_t{target_label}", batch=batch)
 
@@ -226,8 +222,9 @@ def make_indicator(k: int, target_label: int) -> ValueOracle:
 def sum_combine(
     fs: Sequence[ValueOracle], weights: Sequence[float] | None = None
 ) -> ValueOracle:
-    """Pointwise nonnegative combination of oracles over the same (n, k); a
-    non-finite term or an overflowing sum is refused by its own check."""
+    """Pointwise nonnegative combination of oracles over the same (n, k),
+    each term evaluated on the sum's own label columns; a non-finite term
+    or an overflowing sum is refused by its own check."""
     if not fs:
         raise InputError("terms: need at least one oracle")
     ws = (1.0,) * len(fs) if weights is None else _weights(weights, len(fs), "terms")
@@ -239,11 +236,11 @@ def sum_combine(
             )
     terms = list(zip(fs, ws))
 
-    def batch(digits: np.ndarray) -> np.ndarray:
-        values = np.zeros(len(digits))
+    def batch(cols) -> np.ndarray:
+        values = 0.0
         with np.errstate(over="ignore"):  # the sum's own check refuses an inf
             for f, w in terms:
-                values += w * f._unchecked_rows(digits)
+                values = values + w * f._unchecked_cols(cols)
         return values
 
     return ValueOracle(dims, None, name="sum", batch=batch)
@@ -258,7 +255,8 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
     it goes negative, which surfaces as an :class:`OracleRangeError` at
     tabulation or check time rather than being clamped here.  g(U) is
     evaluated once, here; each evaluation then makes exactly two further
-    g-calls, unchecked: the embedding's own check covers them.
+    g-calls, unchecked: the embedding's own check covers them.  g reads
+    columns of the same shapes as the embedding's, 0/1 by element.
     """
     if g.dims.k != 1:
         raise InputError(
@@ -267,11 +265,11 @@ def embed_submodular(g: ValueOracle) -> ValueOracle:
     n = g.dims.n
     ground_value = g._unchecked((1,) * n)
 
-    def batch(digits: np.ndarray) -> np.ndarray:
-        first = (digits == 1).astype(np.int64)
-        co_second = (digits != 2).astype(np.int64)
+    def batch(cols) -> np.ndarray:
+        first = [np.equal(col, 1).astype(np.int64) for col in cols]
+        co_second = [np.not_equal(col, 2).astype(np.int64) for col in cols]
         with np.errstate(over="ignore"):  # the embedding's own check refuses an inf
-            total = g._unchecked_rows(first) + g._unchecked_rows(co_second)
+            total = g._unchecked_cols(first) + g._unchecked_cols(co_second)
             return total - ground_value
 
     return ValueOracle(Dims(n, 2), None, name=f"embed({g.name})", batch=batch)
@@ -339,10 +337,11 @@ def random_table(
 
 def tabulate(f: ValueOracle, max_states: int = DEFAULT_MAX_STATES) -> TabularFunction:
     """Materialize an oracle into a table by evaluating every assignment in
-    index order, in blocks of label rows built by broadcasting, not
-    division.  Idempotent: tables pass through unchanged with no calls.
+    index order, in blocks given as open grids of label columns
+    (:meth:`~ksubmax.core.ValueOracle.eval_all`), with no division and no
+    label row.  Idempotent: tables pass through unchanged with no calls.
     The oracle keeps the table's read-only values, from which every later
-    call on it reads, ``f(x)`` and the sampler's label rows included.
+    call on it reads, ``f(x)`` and the sampler's label columns included.
     Raises :class:`OracleRangeError` naming the first non-finite value (the
     oracle's own check), else the first negative one; a refused
     enumeration keeps nothing."""

@@ -1080,7 +1080,7 @@ class TestKeptEnumeration:
         want = np.linspace(0.0, 1.0, 9)
         assert np.array_equal(table.values, want)
         assert np.array_equal(table.eval_all(), want)
-        assert table((1, 0)) == table._eval_rows(np.array([[1, 0]]))[0] == want[1]
+        assert table((1, 0)) == table._eval_cols(np.array([[1, 0]]).T)[0] == want[1]
 
     @pytest.mark.parametrize("build", [
         lambda: ValueOracle(Dims(2, 2), lambda x: math.nan if x == (2, 1) else 1.0),

@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import re
+import time
 import tracemalloc
 
 import numpy as np
@@ -15,7 +16,6 @@ from ksubmax.core import (
     assignment_of,
     digits_of,
     index_rows,
-    label_rows,
 )
 from ksubmax import (
     Dims,
@@ -123,6 +123,49 @@ class TestLayerLayout:
         assert check_r_wise_monotone(table, k).holds
         # k-submodular exactly when k = 2
         assert check_k_submodular(table).holds == (k == 2)
+
+
+def layout_edge_value(k, xu, xv):
+    """One directed edge's layer-layout value, by its definition."""
+    if xu == 0 and xv == 0:
+        return 0.0
+    if xv == 0:
+        return (k - xu) / k
+    if xu == 0:
+        return (xv - 1) / k
+    return 1.0 if xu < xv else 0.0
+
+
+@pytest.mark.parametrize("build,directed,edge_value", [
+    (make_max_k_cut, False, lambda k, xu, xv: float(xu != xv)),
+    (make_layer_layout, True, layout_edge_value),
+], ids=["cut", "layout"])
+def test_an_edge_sum_builds_one_table_by_numpy(build, directed, edge_value):
+    # a 5-edge path at k = 1000 took 0.34 s and 112 MB when each label pair
+    # was a Python call and each edge kept its own weighted copy; one
+    # (k+1)^2 table, 8 MB, is built now, whatever the number of edges
+    k = 1000
+    path = GraphInstance(6, tuple((e, e + 1) for e in range(5)), directed=directed,
+                         weights=(0.5, 1.0, 1.5, 2.0, 2.5))
+    seconds = []
+    for _ in range(3):
+        start = time.perf_counter()
+        build(path, k)
+        seconds.append(time.perf_counter() - start)
+    assert min(seconds) < 0.05
+    tracemalloc.start()
+    try:
+        f = build(path, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * 8 * (k + 1) ** 2
+    rng = np.random.default_rng(k)
+    for x in rng.integers(0, k + 1, size=(40, 6)).tolist() + [[0] * 6, [k] * 6]:
+        want = 0.0
+        for (u, v), w in zip(path.edges, path.weights):
+            want += w * edge_value(k, x[u], x[v])
+        assert f(tuple(x)).hex() == want.hex()
 
 
 class TestDetGreedyTight:
@@ -453,14 +496,24 @@ class TestEvalIndices:
         assert f.calls == 0
 
 
-def block_width(n, k, block):
-    """(k+1)^m for the largest m in 1..n with (k+1)^m <= block, else k+1."""
-    return max([(k + 1) ** m for m in range(1, n + 1) if (k + 1) ** m <= block],
-               default=k + 1)
+def block_axes(n, k, block):
+    """The largest m in 1..n with (k+1)^m <= block, else 1: eval_all's
+    blocks are (k+1)^m assignments on m axes."""
+    return max([m for m in range(1, n + 1) if (k + 1) ** m <= block], default=1)
+
+
+def grid_indices(cols, k):
+    """The mixed-radix index of every assignment of broadcasting label
+    columns, in C order, by plain broadcasting arithmetic."""
+    shape = np.broadcast_shapes(*map(np.shape, cols))
+    index = np.zeros(shape, dtype=np.int64)
+    for e, col in enumerate(cols):
+        index += np.broadcast_to(col, shape) * (k + 1) ** e
+    return index.ravel()
 
 
 class TestEvalAll:
-    # k = 9 takes the floor m = 1 at a block bound of 7: 10 rows a block
+    # k = 9 takes the floor m = 1 at a block bound of 7: 10 assignments a block
     CASES = {**EVAL_CASES, "coverage_k9": lambda: (make_coverage_tight(9), [])}
 
     @pytest.mark.parametrize("name", sorted(CASES))
@@ -472,11 +525,11 @@ class TestEvalAll:
         size = g.dims.num_assignments
         blocks = []
 
-        def keep_rows(rows, evaluate=g._eval_rows):
-            blocks.append(rows)  # kept: a later block must not overwrite it
-            return evaluate(rows)
+        def keep_cols(cols, evaluate=g._eval_cols):
+            blocks.append(cols)  # kept: a later block must not change it
+            return evaluate(cols)
 
-        monkeypatch.setattr(g, "_eval_rows", keep_rows)
+        monkeypatch.setattr(g, "_eval_cols", keep_cols)
         want = f.eval_indices(np.arange(size))
         got = g.eval_all()
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
@@ -485,11 +538,15 @@ class TestEvalAll:
         if isinstance(g, TabularFunction):  # gathered from its values
             assert blocks == []
             return
-        width = block_width(n, k, 7)
-        assert len(blocks) == size // width and (len(blocks) > 1 or n == 1)
-        assert all(rows.shape == (width, n) for rows in blocks)
-        radix = (k + 1) ** np.arange(n)
-        indices = np.concatenate([rows @ radix for rows in blocks])
+        m = block_axes(n, k, 7)
+        assert len(blocks) == size // (k + 1) ** m and (len(blocks) > 1 or n == 1)
+        for cols in blocks:  # an open grid: m columns 0..k, n - m scalars
+            assert len(cols) == n
+            for e, col in enumerate(cols[:m]):
+                assert col.shape == (k + 1,) + (1,) * e and not col.flags.writeable
+                assert col.ravel().tolist() == list(range(k + 1))
+            assert all(type(col) is np.int64 for col in cols[m:])
+        indices = np.concatenate([grid_indices(cols, k) for cols in blocks])
         assert np.array_equal(indices, np.arange(size))
 
     @pytest.mark.parametrize("name", ["nested_sum", "fallback"])
@@ -513,10 +570,9 @@ class TestEvalAll:
         monkeypatch.setattr(ksubmax.core, "EVAL_BLOCK", 7)
         dims = Dims(3, 2)
         first, later = assignment_of(22, dims), assignment_of(25, dims)
-        radix = 3 ** np.arange(3)
 
-        def batch(rows):
-            return np.where(np.isin(rows @ radix, [22, 25]), bad, 1.0)
+        def batch(cols):
+            return np.where(np.isin(grid_indices(cols, 2), [22, 25]), bad, 1.0)
 
         f = ValueOracle(dims, lambda x: bad if x in (first, later) else 1.0,
                         batch=batch)
@@ -545,7 +601,7 @@ def test_digits_of_matches_assignment_of(n, k):
 
 def divmod_label_rows(n, k, m):
     """The labels of assignments 0..(k+1)^m - 1 by repeated divmod of every
-    index, one column per element: the reference the broadcast rows must
+    index, one column per element: the reference the open grids must
     equal."""
     rest = np.arange((k + 1) ** m, dtype=np.int64)
     digits = np.empty((rest.size, n), dtype=np.int64)
@@ -554,16 +610,105 @@ def divmod_label_rows(n, k, m):
     return digits
 
 
-def test_label_rows_match_divmod():
-    # the checkers ask for (n//2, k), (n - n//2, k), (n, k-1) and (n, k) of
-    # the tables they check, eval_all for its low and high blocks: every
-    # (n, k) up to 2^15 rows, and (9, 3), at every m <= n
-    sizes = [(n, k) for n in range(12) for k in range(40) if (k + 1) ** n <= 2**15]
-    for n, k in sizes + [(9, 3)]:
-        for m in range(n + 1):
-            got = label_rows(n, k, m)
-            assert got.dtype == np.int64 and got.flags.f_contiguous, (n, k, m)
-            assert np.array_equal(got, divmod_label_rows(n, k, m)), (n, k, m)
+@pytest.mark.parametrize("block,most", [(7, 2**10), (2**14, 2**15)])
+def test_open_grids_match_divmod(block, most, monkeypatch):
+    # every (n, k) up to `most` assignments, and (9, 3) in blocks of 4^7:
+    # the open grids of eval_all, broadcast to label rows and taken in
+    # order, are the labels of every assignment in index order
+    monkeypatch.setattr(ksubmax.core, "EVAL_BLOCK", block)
+    sizes = [(n, k) for n in range(1, 12) for k in range(1, 40) if (k + 1) ** n <= most]
+    for n, k in sizes + [(9, 3)] * (block > 7):
+        blocks = []
+        f = ValueOracle(Dims(n, k), None, batch=lambda cols: blocks.append(cols) or 0.0)
+        assert np.array_equal(f.eval_all(), np.zeros((k + 1) ** n)), (n, k)
+        rows = np.concatenate([
+            np.stack(np.broadcast_arrays(*cols), axis=-1).reshape(-1, n) for cols in blocks
+        ])
+        assert np.array_equal(rows, divmod_label_rows(n, k, n)), (n, k)
+
+
+#: A recipe is pure data, built into oracles by build_recipe: each leaf a
+#: zoo family, a "sum" of recipes of the same (n, k), an "embed" of a k = 1
+#: recipe.
+def recipes(n, k, depth):
+    weights = st.floats(0.0, 4.0, allow_nan=False)
+    pairs = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)).filter(
+        lambda p: p[0] != p[1])
+    edges = st.lists(st.tuples(pairs, weights), max_size=5)
+    seeds = st.integers(0, 2**16)
+    leaves = [st.tuples(st.just("table"), seeds),
+              st.tuples(st.just("ksub"), st.integers(0, 6), seeds)]
+    if n >= 2:
+        leaves.append(st.tuples(st.just("cut"), edges))
+        if k >= 2:
+            leaves.append(st.tuples(st.just("layout"), edges))
+    if n == 2 and k >= 2:
+        leaves += [st.tuples(st.just("det"), st.integers(1, k)),
+                   st.tuples(st.just("coverage"))]
+    if n == 1:
+        leaves.append(st.tuples(st.just("indicator"), st.integers(1, k)))
+    options = leaves
+    if depth > 0:
+        parts = st.lists(st.tuples(st.deferred(lambda: recipes(n, k, depth - 1)), weights),
+                         min_size=1, max_size=3)
+        options = options + [st.tuples(st.just("sum"), parts)]
+        if k == 2:
+            options.append(st.tuples(st.just("embed"), recipes(n, 1, depth - 1)))
+    return st.one_of(*options)
+
+
+def build_recipe(recipe, n, k, built):
+    """The oracle of ``recipe`` at (n, k); every oracle built for it,
+    sub-oracles first, is appended to ``built``."""
+    kind, args = recipe[0], recipe[1:]
+    if kind == "table":
+        f = random_table(Dims(n, k), seed=args[0])
+    elif kind == "ksub":
+        f = random_ksubmodular(Dims(n, k), atoms=args[0], seed=args[1])
+    elif kind in ("cut", "layout"):
+        graph = GraphInstance(n, tuple(p for p, _ in args[0]), directed=kind == "layout",
+                              weights=tuple(w for _, w in args[0]))
+        f = (make_layer_layout if kind == "layout" else make_max_k_cut)(graph, k)
+    elif kind == "det":
+        f = make_det_greedy_tight(k, args[0])
+    elif kind == "coverage":
+        f = make_coverage_tight(k)
+    elif kind == "indicator":
+        f = make_indicator(k, args[0])
+    elif kind == "sum":
+        terms = [build_recipe(part, n, k, built) for part, _ in args[0]]
+        f = sum_combine(terms, [w for _, w in args[0]])
+    else:
+        f = embed_submodular(build_recipe(args[0], n, 1, built))
+    built.append(f)
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), block=st.sampled_from([7, 2**14]))
+def test_eval_all_is_eval_indices_over_nested_families(data, block):
+    # eval_all's open grids and eval_indices' matrices of columns give the
+    # same values, bit for bit, and charge the oracle and every sub-oracle
+    # the same calls
+    n, k = data.draw(st.sampled_from([(1, 3), (2, 2), (2, 5), (3, 2), (4, 2),
+                                      (3, 4), (5, 2), (6, 1), (4, 3)]))
+    recipe = data.draw(recipes(n, k, depth=2))
+    by_index, by_grid = [], []
+    f = build_recipe(recipe, n, k, by_index)
+    g = build_recipe(recipe, n, k, by_grid)
+    before = [h.calls for h in by_index]
+    assert before == [h.calls for h in by_grid]
+    size = (k + 1) ** n
+    saved = ksubmax.core.EVAL_BLOCK
+    ksubmax.core.EVAL_BLOCK = block
+    try:
+        want = f.eval_indices(np.arange(size))
+        got = g.eval_all()
+    finally:
+        ksubmax.core.EVAL_BLOCK = saved
+    assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+    assert f.calls - before[-1] == g.calls - before[-1] == size
+    assert [h.calls for h in by_grid] == [h.calls for h in by_index]
 
 
 def family_digest(f):
