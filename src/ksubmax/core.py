@@ -405,7 +405,7 @@ class ValueOracle:
             idx = _column_index(cols, self.dims.k)
             self.calls += idx.size
             return self._kept[idx]
-        # label rows' transpose holds its shape; broadcast_shapes takes ~6 us
+        # label rows' transpose holds its shape: broadcast_shapes costs more than a small batch
         shape = (cols.shape[1:] if isinstance(cols, np.ndarray)
                  else np.broadcast_shapes(*map(np.shape, cols)))
         self.calls += math.prod(shape)

@@ -138,17 +138,16 @@ def _orthant_values(f: ValueOracle) -> tuple:
     all 1s, is read as n label columns: its index 2^n - 1 overflows int64
     from n = 64 on.  A kept vector is sliced as the value cube, labels 1..k
     on every axis, which keeps that order; k^n calls either way."""
-    dims = f.dims
-    if dims.k == 1:
-        ones = np.ones((dims.n, 1), dtype=np.int64)
-        return f._eval_cols(ones), lambda j: (1,) * dims.n
+    n, k = f.dims.n, f.dims.k
+    if k == 1:
+        return f._eval_cols(np.ones((n, 1), dtype=np.int64)), lambda j: (1,) * n
     if f._kept is None:
-        values = f.eval_indices(_fold([np.arange(1, dims.k + 1)[None]] * dims.n, dims.k + 1)[0])
+        values = f.eval_indices(_fold([np.arange(1, k + 1)[None]] * n, k + 1)[0])
     else:
-        f.calls += dims.num_orthants
-        values = f._kept.reshape((dims.k + 1,) * dims.n)[(slice(1, None),) * dims.n].ravel()
+        f.calls += k**n
+        values = f._kept.reshape((k + 1,) * n)[(slice(1, None),) * n].ravel()
     # position j's base-k digits, each label one more
-    return values, lambda j: tuple(d + 1 for d in assignment_of(j, Dims(dims.n, dims.k - 1)))
+    return values, lambda j: tuple(d + 1 for d in assignment_of(j, Dims(n, k - 1)))
 
 
 def naive_random_sample(f: ValueOracle, seed: int) -> MaximizeResult:
