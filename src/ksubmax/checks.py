@@ -27,18 +27,20 @@ order of (index(s), index(t)) row by row, in blocks of at most _BLOCK
 entries, so memory stays flat whatever the table.  It computes f(min0) +
 f(max0) - eps once per block and (meet, join) pattern of the low digits;
 on all assignments and on orthants it tests each s against the least f
-over each group of t that clashes with it on the same low digits, whose
-pairs share one right side: (4k+1)^m low pairs instead of (k+1)^(2m), and
-the same first pair (see :func:`_pair_scan`).  What a scan needs of the
-table's shape alone, its plan, is built once per shape, check and block
-and kept read-only: at most 16 plans (code, meet-join and clash tables,
-pair lists, steps; :func:`_scan_plan`), each array within max(_BLOCK,
-(k+1)^2) entries.  What grows with the table (its values, rows, least f
-over the groups) is built per call.  Every scan runs its steps in order
-on the caller's thread, and each calling thread keeps its own block
-buffers for its next scan, at most 1.6 MB (:func:`_buffers`).  The
-r-wise checker sweeps marginals, one sort per base assignment, none when
-r = k.
+over each group of t that clashes with it on the same digits, whose
+pairs share one right side: (4k+1)^m low pairs instead of (k+1)^(2m),
+the high digits next to them grouped alike from k = 3 on while the
+grouped rows of t fit in _GROUPED entries, and the same first pair (see
+:func:`_pair_scan`).  What a scan needs of the table's shape alone, its
+plan, is built once per shape, check, block and bound and kept
+read-only: at most 16 plans (code, meet, join and clash tables, pair
+lists, the parts of t each part of s visits on the listed high digits,
+steps; :func:`_scan_plan`), each array within max(_BLOCK, (k+1)^2)
+entries.  What grows with the table (its values, rows, least f over the
+groups) is built per call.  Every scan runs its steps in order on the
+caller's thread, and each calling thread keeps its own block buffers for
+its next scan, at most 1.6 MB (:func:`_buffers`).  The r-wise checker
+sweeps marginals, one sort per base assignment, none when r = k.
 """
 
 from __future__ import annotations
@@ -69,6 +71,7 @@ from .zoo import TabularFunction
 
 _BLOCK = 1 << 16  # entries per block of an exhaustive scan
 _RUN = 8  # high parts of t per block, where a row has as many, so gathers copy runs
+_GROUPED = 1 << 20  # most entries of a scan's grouped rows of t, where high digits group
 
 
 @dataclass(frozen=True)
@@ -117,21 +120,27 @@ def _buffers(size: int) -> tuple:
 
 
 @lru_cache(maxsize=16)
-def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
+def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     """What :func:`_pair_scan` needs of an (n, k) table's shape in ``mode``,
-    built once per (n, k, mode, block) and read-only: (m, code, lo_meet,
-    lo_join, packed, tail, clash, apart, others, tables, steps).  m is the
-    most low digits whose W x W code table and patterns fit in a block with
-    room for _RUN high parts of t per block of valid pairs, or for every
-    one.  ``tables`` holds the first step's pairs (low part of s, low part
-    of t, pattern) and the valid pairs (low part of s, low part of t or
-    grouped low part, pattern), each in order of s and then of t, with
-    start[a] the first pair of low part a and the meet and join of the
-    patterns it numbers; a step is (row, low parts a0:a1 of s, high parts of
-    t per block, whether it gathers from t's rows).  ``clash`` marks one
-    digit's clashing label pairs and ``apart`` counts the clashes on the
-    high digits that ``tail`` folds.  No array has more than ``block`` entries, or (k+1)^2
-    when a block is smaller."""
+    built once per (n, k, mode, block, grouped) and read-only: (m, h, code,
+    lo_meet, lo_join, packed, clash, others, tables, lists, steps).  m is
+    the most low digits whose W x W code table and patterns fit in a block
+    with room for _RUN high parts of t per block of valid pairs, or for
+    every one.  h is the most high digits next to them listed per part of
+    s, grouped as the low ones from k = 3 on, while the grouped rows of t
+    hold at most ``grouped`` entries and the lists at most ``block``.
+    ``tables`` holds the first step's pairs (low part of s, low part of t,
+    pattern) and the valid pairs (low part of s, low part of t or grouped
+    low part, pattern), each in order of s and then of t, with start[a]
+    the first pair of low part a and the meet and join of the patterns it
+    numbers.  ``lists`` holds, per part of s on the h high digits, the
+    parts of t with a member at or above s's, then every part: (start,
+    part of t, meet, join), each meet and join on the (k+1)-radix of the
+    table.  ``packed`` holds one high digit's meet * (k+1)^(n-m) + join
+    per label pair and ``clash`` its clashes, for the high digits past the
+    h; a step is (row, low parts a0:a1 of s, high parts of t per block,
+    whether it gathers from t's rows).  No array has more than ``block``
+    entries, or (k+1)^2 when a block is smaller."""
     orthants = mode == "orthant-pairs"
     labels = np.arange(int(orthants), k + 1)
     x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
@@ -156,17 +165,35 @@ def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
         return max(labels.size ** (2 * m), c.size**m, run * digit[0].size**m) <= block
 
     m = next((m for m in range(n, 0, -1) if fits(m)), 0)
-    span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
+    span, high = (k + 1) ** m, (k + 1) ** (n - m)
+    size, wide = labels.size, labels.size + g.size
+    # a high digit groups where a group stands for two labels or more; at
+    # k = 2 it keeps t's labels, which then cost no more rows of t
+    one = others.shape[1] < 2
+    h = max((h for h in range(n - m + 1) if digit[0].size**h <= block
+             and wide**m * (size if one else wide) ** h * size ** (n - m - h) <= grouped),
+            default=0)
     meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
     code = _fold([state] * m, c.size)  # W x W, in the least unsigned type
     code = code.astype(np.min_scalar_type(c.size**m - 1))
     lo_meet, lo_join = divmod(_fold([meet[None] * span + join] * m, k + 1)[0], span)
-    packed = (meet * high + join)[state]  # high meets and joins, per label pair
-    tail, apart = _fold([packed] * low, k + 1), _fold([clash] * low, 1)
-    radices = (labels.size, labels.size + g.size, c.size)
+    packed = (meet * high + join)[state]  # one high digit's meet and join, per label pair
+    radices = (size, wide, c.size)
     valid = [_fold([d[None]] * m, r)[0] for d, r in zip(digit, radices)]
     order = np.argsort(valid[0], kind="stable")  # in order of s, then of t
-    width, heights = code.shape[0], labels.size ** (n - m)
+    width, heights = code.shape[0], size ** (n - m)
+    # the h grouped high digits' valid pairs, each grouped part of t with
+    # the largest label any of its members holds, to keep those with a
+    # member at or above s's; at k = 2 that label is the group's one label
+    top = np.append(np.arange(size), size - k + others.max(1, initial=0))
+    near = [_fold([d[None]] * h, r)[0] for d, r in zip(
+        (digit[0], top[digit[1]] if one else digit[1], meet[digit[2]], join[digit[2]],
+         top[digit[1]]), (size, size if one else wide, k + 1, k + 1, size))]
+    by_s = np.lexsort(near[1::-1])  # in order of s, then of t
+    near = [part[by_s] for part in near]
+    lists = tuple((np.searchsorted(near[0][keep], np.arange(size**h + 1)),
+                   *(part[keep] for part in near[1:4]))
+                  for keep in (near[4] >= near[0], slice(None)))
     # on all assignments s = 0 meets and joins every t at 0 and t: it never
     # violates, so row 0 starts at low part 1.  Its first step takes the s
     # whose low digits but element 0's hold their first label and pairs them
@@ -194,26 +221,32 @@ def _scan_plan(n: int, k: int, mode: str, block: int) -> tuple:
     rest += [(p, 0, width) for p in range(1, heights)]
     steps = [(0, lowest, first, per_block(tables[0], lowest, first), gathers)]
     steps += [(p, a0, a1, per_block(tables[1], a0, a1), True) for p, a0, a1 in rest]
-    for array in (code, lo_meet, lo_join, packed, tail, clash, apart, others,
-                  *sum(tables, ())):
+    for array in (code, lo_meet, lo_join, packed, clash, others, *sum(tables + lists, ())):
         array.flags.writeable = False
-    return (m, code, lo_meet, lo_join, packed, tail, clash, apart, others, tables,
-            tuple(steps))
+    return (m, h, code, lo_meet, lo_join, packed, clash, others, tables, lists, tuple(steps))
 
 
-def _min_extended(rows: np.ndarray, m: int, labels: int, others: np.ndarray):
-    """Rows of t, (q, labels^m) by high part and low part, as f over the
-    grouped low parts of t, (R^m, q) with R = labels + G for the G rows of
-    ``others`` (none when k = 1 or no pair may clash: then the rows of t
-    themselves, transposed).  Digit labels + g of a grouped part stands for
-    every nonzero label but the g-th, ``others[g]``, and its entry is the
-    least f over the t it stands for: one take and one min per digit."""
-    out = rows.T.reshape((labels,) * m + (rows.shape[0],))
-    k = others.shape[0]
-    for d in range(m - 1, -1, -1) if k else ():  # the small axes first
-        nonzero = out[(slice(None),) * d + (slice(labels - k, None),)]
-        out = np.concatenate([out, nonzero.take(others, d).min(d + 1)], d)
-    return out.reshape(-1, rows.shape[0])
+def _min_extended(cube: np.ndarray, m: int, h: int, others: np.ndarray):
+    """The values of t as a cube, one axis of labels per element, the m low
+    elements first and then the high ones, most significant first, as f
+    over the grouped parts of t, (R^m, L^f R^h) by low part and high part
+    with R = labels + G for the G rows of ``others``: the m low digits and
+    the h high digits nearest them grouped, the f others not (none when
+    k = 1 or no pair may clash: then the cube itself, as W x H).  Digit
+    labels + g of a grouped part stands for every nonzero label but the
+    g-th, ``others[g]``, and its entry is the least f over the t it stands
+    for: one take and one min per grouped digit, into one array."""
+    n, k, size = cube.ndim, others.shape[0], cube.shape[0]
+    grouped = [*range(n - 1, n - h - 1, -1), *range(m - 1, -1, -1)] if k else []
+    out = np.empty([size + k * (d in grouped) for d in range(n)])
+    done = [slice(size)] * n  # filled: every digit done, the first labels of the others
+    out[tuple(done)] = cube
+    for d in grouped:
+        nonzero, groups = (out[tuple(done[:d] + [part] + done[d + 1 :])]
+                           for part in (slice(size - k, size), slice(size, None)))
+        nonzero.take(others, d).min(d + 1, out=groups)
+        done[d] = slice(None)
+    return out.reshape(prod(out.shape[:m]), -1)
 
 
 def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
@@ -227,16 +260,15 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     Both sides are symmetric in (s, t), so the first violating pair has
     index(s) <= index(t).  Over the L scanned labels (k+1, or k on
     orthants) an index is hi * L^m + lo, with m low digits and W = L^m low
-    parts (:func:`_scan_plan`).  Row p pairs s of high part p with t of
-    high part p or later, in "orthant" only those that do not clash with p
-    on a high digit, a list folded from one digit's clashes as the high
-    meets and joins are; a pair within a high part with index(s) >
-    index(t) mirrors one at a smaller low part of s, so it is never the
+    parts (:func:`_scan_plan`).  Row p pairs s of high part p with the
+    parts of t that reach p or later, in "orthant" only those that do not
+    clash with p on a high digit; a pair with index(s) > index(t) that
+    violates mirrors one that the scan meets first, so it is never the
     least.  A digit pair has one of 2k+1 (meet, join) states, k+1 on
     orthants, and the low digits' states make the pair's pattern.  The
     valid low pairs are (3k+1)^m in "orthant", the pairs without a clash.
 
-    Groups.  Where s has label x != 0 on a low digit and t another nonzero
+    Groups.  Where s has label x != 0 on a digit and t another nonzero
     label, the digit clashes: its meet and join are 0 whatever t's label
     there.  So every t that differs only in such labels has the same right
     side, the float R = fl(fl(f(M) + f(J)) - eps), and as rounding is
@@ -244,35 +276,44 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     fl(f(s) + min f(t)) < R.  The "ksub" and "orthant-pairs" scans pair
     each low part of s with the grouped low parts of t, each digit a label
     or "every nonzero label but x": (4k+1)^m valid pairs instead of W^2 =
-    (k+1)^(2m), (2k)^m instead of k^(2m) on orthants, and read min f(t)
-    from the grouped rows of t (:func:`_min_extended`), built once per
-    scan, at its first gathering step: about (R/L)^m times the scanned
-    entries, R = 2k+1 on all assignments (under 2^m times) and 2k on
-    orthants.  A block's least (low part of s, high part of t) with a
-    violating group is its least with a violating pair, and there every t
-    of that high part is tested with the same floats, so the report is the
-    pair-by-pair scan's.  In "orthant" t's rows are the table's rows.
+    (k+1)^(2m), (2k)^m instead of k^(2m) on orthants.  From k = 3 on,
+    where a group stands for two labels or more, the h high digits next to
+    the low ones group the same way: on each, t takes 0, x or the group of
+    the other nonzero labels where s has x != 0, and a row keeps a grouped
+    high part when one of its members is p or later.  h is the most high
+    digits for which the grouped rows of t hold at most _GROUPED entries:
+    every high digit under the default pair cap but "orthant-pairs" at
+    (8, 3).  The rows, f over the grouped parts of t
+    (:func:`_min_extended`), are built once per scan, at its first
+    gathering step.  A block's least low part of s with a violating group
+    is its least with a violating pair; that s is then tested exactly
+    against every t from its own high part on, a block of entries at a
+    time, so the report is the pair-by-pair scan's.  Without groups
+    ("orthant", k = 1) the block's least pair is the least t.
 
     Steps and blocks.  A block holds at most _BLOCK entries (valid pair,
-    high part of t), high parts innermost, so that both gathers copy runs:
-    R once per high part and pattern, then one gather for each pair's R,
-    one for its f(t) or min f(t), and f(s) added per pair.  Outside
-    "orthant-pairs" row 0 starts at low part 1, as s = 0 meets and joins
-    every t at 0 and t.  Row 0's first step, the low parts of s whose other
-    low digits hold their first label, pairs them with every t, without
-    groups, by broadcasting, or in "orthant" with their valid pairs, so an
-    early violation costs one small step and no grouped rows.  The steps
-    run in order on the caller's thread, and the first step with a
-    violation reports its least (low part of s, high part of t, low part
-    of t).
+    part of t on the high digits), the latter innermost, so that both
+    gathers copy runs: R once per part and pattern, then one gather for
+    each pair's R, one for its f(t) or min f(t), and f(s) added per pair.
+    Each row's parts of t, with their high meets and joins, come from the
+    plan, joined with the high digits past the h ones per row where there
+    are such.  Outside "orthant-pairs" row 0 starts at low part 1, as
+    s = 0 meets and joins every t at 0 and t.  Row 0's first step, the low
+    parts of s whose other low digits hold their first label, pairs them
+    with every t, without groups, by broadcasting, or in "orthant" with
+    their valid pairs, so an early violation costs one small step and no
+    grouped rows.  The steps run in order on the caller's thread, and the
+    first step with a violation reports its least s and that s's least t.
     """
     n, k = table.dims.n, table.dims.k
-    m, code, lo_meet, lo_join, packed, tail, clash, apart, others, tables, steps = (
-        _scan_plan(n, k, mode, _BLOCK))
+    m, h, code, lo_meet, lo_join, packed, clash, others, tables, lists, steps = (
+        _scan_plan(n, k, mode, _BLOCK, _GROUPED))
     orthants = int(mode == "orthant-pairs")
-    span, high, low = (k + 1) ** m, (k + 1) ** (n - m), min(m, n - m)
+    span, high = (k + 1) ** m, (k + 1) ** (n - m)
     labels, width = k + 1 - orthants, code.shape[0]
     heights, grid = labels ** (n - m), table.values.reshape(-1, span)
+    one = others.shape[1] < 2  # the high digits keep t's labels (:func:`_scan_plan`)
+    near, far, wide = labels**h, labels ** (n - m - h), (labels + k * (not one)) ** h
     # row p: the entries of high part p that the scan pairs, low parts in order
     rows = table.values.reshape((k + 1,) * n)[(slice(orthants, None),) * n]
     rows = rows.reshape(heights, width)
@@ -289,74 +330,90 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     def assignment(r: int) -> list:  # of rows.flat[r]: element e's digit weighs labels^e
         return [r // labels**e % labels + orthants for e in range(n)]
 
-    def step(p: int, a0: int, a1: int, q_step: int, pairs: tuple, whole):
+    def fold(x: int, d: int, part: np.ndarray, radix: int) -> np.ndarray:
+        # per high part y of d digits: the sum of part[x_e, y_e] * radix^e
+        return _fold([part[e, None] for e in np.unravel_index(x, (labels,) * d)], radix)[0]
+
+    def sides(x: int, d: int) -> tuple:  # per y: x and y's high meet and join
+        return divmod(fold(x, d, packed, k + 1), high)
+
+    def row(p: int) -> list:  # row p's parts of t, with their high meets and joins
+        pf, pn = divmod(p, near)
+        reach, every = ([part[start[pn] : start[pn + 1]] for part in parts]
+                        for start, *parts in lists)
+        if far == 1:
+            return reach
+        # the far parts of t from s's on, but in "orthant" those that clash
+        clear = (fold(pf, n - m - h, clash, 1)[pf:] == 0) | (mode != "orthant")
+        up = pf + np.flatnonzero(clear)
+        ups = (up * wide, *(side[up] * (k + 1) ** h for side in sides(pf, n - m - h)))
+        return [np.concatenate([a + b[0], (e + b[1:, None]).ravel()])
+                for a, e, b in zip(reach, every, ups)]
+
+    def step(p, a0, a1, q_step, pairs, whole, cols, hi_meet, hi_join):
         pa, pb, pc, start, meet, join = pairs
-        i0 = int(start[a0])
-        head = np.unravel_index(p, (labels,) * (n - m))[: n - m - low]
-        hi = _fold([packed[e, None] for e in head], k + 1).T * (k + 1) ** low
-        hi_meet, hi_join = divmod((hi + tail[p % labels**low]).ravel()[p:], high)
-        near = None  # the high parts of t from p on that the row visits, if not all
-        if mode == "orthant":
-            clashes = _fold([clash[e, None] for e in head], 1).T + apart[p % labels**low]
-            near = np.flatnonzero(clashes.ravel()[p:] == 0)
-        count = heights - p if near is None else near.size
+        i0, count = int(start[a0]), cols.size
         lhs, rhs, _, bad = _buffers(min(q_step, count) * int(start[a1] - i0))
-        t_rows = (rows.T if whole is None else whole)[:, p:]
-        best = None  # the least (a, q, b) so far
+        t_rows = rows.T if whole is None else whole
+        best = None  # the least (a, t's part in cols, b) so far
         for j0 in range(0, count, q_step):
             limit = a1 if best is None else best[0]  # no later a >= limit wins
             if limit <= a0:
                 break
             j1 = min(j0 + q_step, count)
-            cols = slice(j0, j1) if near is None else near[j0:j1]
             i1 = int(start[limit])
-            shape = (i1 - i0, j1 - j0)  # low pair, t's high part
+            shape = (i1 - i0, j1 - j0)  # low pair, t's part
             left, right, below = (buf[: prod(shape)].reshape(shape)
                                   for buf in (lhs, rhs, bad))
-            rs = patterns(hi_meet[cols], meet) + patterns(hi_join[cols], join) - eps
+            rs = patterns(hi_meet[j0:j1], meet) + patterns(hi_join[j0:j1], join) - eps
+            parts = cols[j0:j1]
+            if parts[-1] - parts[0] == j1 - j0 - 1:  # a run of parts: gather from a view
+                parts = slice(parts[0], parts[-1] + 1)
             # mode="clip" writes into out directly; "raise" buffers it
             rs.take(pc[i0:i1], 0, right, "clip")
             if whole is None:  # f(s) + f(t) for each low part of s and every t
-                np.add(rows[p, a0:limit, None, None], t_rows[None, :, cols],
+                np.add(rows[p, a0:limit, None, None], t_rows[None, :, parts],
                        out=left.reshape(limit - a0, width, shape[1]))
             else:  # f(t), or the least f over each pair's group of t, then f(s) added
-                t_rows[:, cols].take(pb[i0:i1], 0, left, "clip")
+                t_rows[:, parts].take(pb[i0:i1], 0, left, "clip")
                 left += rows[p, pa[i0:i1], None]
             np.less(left, right, out=below)
             hit = int(below.argmax())
             if below.flat[hit]:
-                # the least a with a violating pair and its least q, then
-                # the least t of that high part that violates
+                # the least a with a violating pair; without groups its
+                # least part of t and least t there, as a's pairs are in
+                # order of t
                 a = int(pa[i0 + hit // shape[1]])
                 hits = below[hit // shape[1] : start[a + 1] - i0]
                 j = int(hits.any(0).argmax())
-                q = j0 + j if near is None else int(near[j0 + j])
-                if whole is not None and others.size:  # every t of a group's high part
-                    b = (rows[p, a] + rows[p + q] < rs[code[a], j]).argmax()
-                else:  # a's pairs are in order of t
-                    b = pb[i0 + hit // shape[1] + hits[:, j].argmax()]
-                best = (a, q, int(b))
-        if best is None:
-            return None
-        a, q, b = best
-        return {
-            "s": assignment(p * width + a),
-            "t": assignment((p + q) * width + b),
-            "lhs": float(rows[p, a] + rows[p + q, b]),
-            "rhs": float(grid[hi_meet[q], lo_meet[code[a, b]]]
-                         + grid[hi_join[q], lo_join[code[a, b]]]),
-        }
+                best = (a, j0 + j, int(pb[i0 + hit // shape[1] + hits[:, j].argmax()]))
+        return best
 
     pairs, whole = prepared(tables[0]), None
     for i, (p, a0, a1, q_step, gathers) in enumerate(steps):
         if gathers and whole is None:  # t's rows, grouped where pairs group
-            whole = np.ascontiguousarray(_min_extended(rows, m, labels, others))
+            whole = _min_extended(rows.T.reshape((labels,) * n), m, h * (not one), others)
         if i == 1:  # every later step pairs the valid pairs
             pairs = prepared(tables[1])
-        found = step(p, a0, a1, q_step, pairs, whole)
+        visits = row(p) if i else (np.arange(heights), *sides(0, n - m))
+        found = step(p, a0, a1, q_step, pairs, whole, *visits)
         if found is not None:
-            return found
-    return None
+            break
+    else:
+        return None
+    a, j, b = found
+    if whole is not None and others.size:  # s's least t: s alone against every t from p on
+        alone = (np.full(width, a), np.arange(width), code[a],
+                 np.where(np.arange(width + 1) > a, width, 0), lo_meet, lo_join)
+        visits = (np.arange(p, heights), *(side[p:] for side in sides(p, n - m)))
+        _, j, b = step(p, a, a + 1, max(1, _BLOCK // width), alone, None, *visits)
+    q, hi_meet, hi_join = (int(side[j]) for side in visits)
+    return {
+        "s": assignment(p * width + a),
+        "t": assignment(q * width + b),
+        "lhs": float(rows[p, a] + rows[q, b]),
+        "rhs": float(grid[hi_meet, lo_meet[code[a, b]]] + grid[hi_join, lo_join[code[a, b]]]),
+    }
 
 
 #: Per pair-check mode: the property reported, the name its cap and

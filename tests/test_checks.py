@@ -10,6 +10,7 @@ import threading
 import tracemalloc
 from fractions import Fraction
 from itertools import accumulate, chain, product
+from math import prod
 from unittest.mock import patch
 
 import numpy as np
@@ -45,6 +46,7 @@ from ksubmax import (
 
 import ksubmax.checks as checks
 import oracles
+from ksubmax.core import DEFAULT_MAX_PAIRS
 from factories import all_assignments, directed_path, hexed, single_edge
 
 
@@ -273,7 +275,7 @@ class TestOrthantSubmodular:
         # layouts hold in every orthant but fail on clashing pairs
         table = make()
         n, k = table.dims.n, table.dims.k
-        assert block == 1 << 16 or checks._scan_plan(n, k, "orthant", block)[0] < n
+        assert block == 1 << 16 or scan_plan(n, k, "orthant", block)[0] < n
         with patch.object(checks, "_BLOCK", block):
             report = SCANS["orthant"](table)
         # the reference's pair, its least orthant above both, sides and evals
@@ -475,7 +477,7 @@ class TestCharacterization:
         table = seeded_table(kind, 5, 3, seed=5)
         reports, real = {}, checks._pair_check
         for name in ("ksub", "orthant"):
-            assert checks._scan_plan(5, 3, name, checks._BLOCK)[0] < 5
+            assert scan_plan(5, 3, name)[0] < 5
         monkeypatch.setattr(checks, "_pair_check", lambda table, mode, *args, **kw:
                             reports.setdefault(mode, real(table, mode, *args, **kw)))
         assert check_characterization(table).holds
@@ -905,28 +907,32 @@ class TestClashGroups:
             assert json.dumps(report.to_json()) == expected
             assert json.dumps(pairs.to_json()) == expected_pairs
 
-    @pytest.mark.parametrize("n,k,orthants", [
-        (3, 3, False), (2, 4, False), (3, 4, True), (4, 2, False)])
-    def test_min_extended_rows_are_the_least_f_over_each_group(self, n, k, orthants):
+    @pytest.mark.parametrize("n,k,orthants,m,h", [
+        (3, 3, False, 2, 0), (2, 4, False, 1, 0), (3, 4, True, 2, 0), (4, 2, False, 3, 0),
+        (3, 3, False, 2, 1), (3, 4, True, 1, 2), (4, 2, False, 1, 2), (4, 3, False, 0, 3)])
+    def test_min_extended_rows_are_the_least_f_over_each_group(self, n, k, orthants, m, h):
+        # the cube's axes: the m low elements, then the high ones, most
+        # significant first; the m low axes and the last h are grouped
         labels = k + 1 - orthants
-        rows = np.random.default_rng(n + k).random((labels, labels ** (n - 1)))
+        cube = np.random.default_rng(n + k).random((labels,) * n)
         mode = "orthant-pairs" if orthants else "ksub"
-        others = checks._scan_plan(n, k, mode, checks._BLOCK)[8]
-        got = checks._min_extended(rows, n - 1, labels, others)
+        others = scan_plan(n, k, mode)[7]
+        got = checks._min_extended(cube, m, h, others)
         if not orthants:  # "orthant" pairs no clashing t: no groups, t's own rows
-            none = checks._scan_plan(n, k, "orthant", checks._BLOCK)[8]
+            none = scan_plan(n, k, "orthant")[7]
             assert none.size == 0
-            assert np.array_equal(checks._min_extended(rows, n - 1, labels, none), rows.T)
+            assert np.array_equal(checks._min_extended(cube, m, h, none),
+                                  cube.reshape(labels**m, -1))
         # digit r of a grouped part: label r, or from labels on, every
         # nonzero label but the (r - labels)-th
         nonzero = list(range(labels - k, labels))
         choices = [[r] for r in range(labels)] + [
             [x for x in nonzero if x != nonzero[g]] for g in range(k)]
-        for index, part in enumerate(np.ndindex(*(len(choices),) * (n - 1))):
-            for q in range(labels):
-                members = [rows[q, sum(d * labels ** (n - 2 - i) for i, d in enumerate(t))]
-                           for t in product(*(choices[r] for r in part))]
-                assert got[index, q] == min(members)
+        sizes = [len(choices) if d < m or d >= n - h else labels for d in range(n)]
+        assert got.shape == (prod(sizes[:m]), prod(sizes[m:]))
+        for index, part in enumerate(np.ndindex(*sizes)):
+            members = [cube[t] for t in product(*(choices[r] for r in part))]
+            assert got.flat[index] == min(members)
 
     @pytest.mark.parametrize("scan", ["ksub", "orthant-pairs"])
     @pytest.mark.parametrize("n,k", [(3, 2), (5, 3), (4, 4)])
@@ -960,10 +966,11 @@ class TestClashGroups:
     def test_rows_of_t_are_built_once_per_scan(self, monkeypatch, n, k, name):
         # at (7, 3) the grouped rows of "ksub" and "orthant-pairs" exceed a
         # block, and were rebuilt per block before
-        m, *_, steps = checks._scan_plan(n, k, name, checks._BLOCK)
+        m, h, *_, steps = scan_plan(n, k, name)
         labels = k + 1 - (name == "orthant-pairs")
-        grouped = labels ** (n - m) * (labels + k * (name != "orthant")) ** m
-        assert (grouped > checks._BLOCK) == (n == 7 and name != "orthant") and len(steps) > 2
+        grouped = labels ** (n - m - h) * (labels + k * (name != "orthant")) ** (m + h)
+        assert h == n - m and len(steps) > 2
+        assert grouped > checks._BLOCK or n < 7 or name == "orthant"
         calls, real = [], checks._min_extended
 
         def counted(*args):
@@ -973,6 +980,202 @@ class TestClashGroups:
         monkeypatch.setattr(checks, "_min_extended", counted)
         report = SCANS[name](seeded_table("holds", n, k, seed=n + k))
         assert report.holds and len(calls) == 1
+
+
+def modular_table(n, k, seed, lowered):
+    """f(x) = sum_e c[e, x_e], c[e, 0] = 0 and the other c drawn from 1..8,
+    with ``lowered`` entries lowered by 1..29 (and kept nonnegative).  A
+    modular table holds every inequality, with equality on the pairs
+    without a clash, so the lowered entries make the only violations."""
+    rng = np.random.default_rng(seed)
+    c = rng.integers(1, 9, size=(n, k + 1)).astype(float)
+    c[:, 0] = 0
+    dims = Dims(n, k)
+    values = np.array([sum(c[e, x[e]] for e in range(n)) for x in all_assignments(dims)])
+    for _ in range(lowered):
+        values[rng.integers(values.size)] -= rng.integers(1, 30)
+    return TabularFunction(dims, np.maximum(values, 0))
+
+
+def tight_table(n, k, seed):
+    """f = 8, which holds every inequality with equality, with a few
+    entries raised by 1..3 and a few but f(0) lowered by 1..2."""
+    rng = np.random.default_rng(seed)
+    values = np.full((k + 1) ** n, 8.0)
+    for _ in range(rng.integers(2, 12)):
+        values[rng.integers(values.size)] += rng.integers(1, 4)
+    for _ in range(rng.integers(1, 4)):
+        values[rng.integers(1, values.size)] -= rng.integers(1, 3)
+    return TabularFunction(Dims(n, k), values)
+
+
+def high_part(x, m, k):
+    """The high part of assignment x over its elements from m on."""
+    return sum(v * (k + 1) ** (e - m) for e, v in enumerate(x) if e >= m)
+
+
+def grouped_part(s, t, m, h, k):
+    """On all assignments, the part of t that the row of s visits, as
+    (index among the parts of t, the high parts of its members): on
+    element e in m..m+h-1 where s has x != 0 and t another nonzero label,
+    the group of every nonzero label but x, else t's own label."""
+    part, members = 0, [0]
+    for e in range(len(s) - 1, m - 1, -1):
+        x, y = s[e], t[e]
+        grouped = e < m + h and k > 2
+        labels = [v for v in range(1, k + 1) if v != x] if grouped and x and y and y != x else [y]
+        part = part * (2 * k + 1 if grouped else k + 1) + (k + x if labels != [y] else y)
+        members = [q * (k + 1) + v for q in members for v in labels]
+    return part, sorted(members)
+
+
+def least_violations(table, eps=1e-9):
+    """The first s with a violating pair on all assignments, and every t
+    that violates with it, in index order, by plain loops."""
+    states = list(all_assignments(table.dims))
+    for s in states:
+        ts = [t for t in states if table(s) + table(t)
+              < table(oracles.vec_min0(s, t)) + table(oracles.vec_max0(s, t)) - eps]
+        if ts:
+            return s, ts
+    return None
+
+
+class TestGroupedHighDigits:
+    @pytest.mark.parametrize("n,k,block,seed,lowered", [(3, 3, 40, 232, 2), (3, 4, 300, 3, 1)])
+    def test_first_t_in_a_group_with_members_on_both_sides_of_s(
+        self, n, k, block, seed, lowered
+    ):
+        # s's least t lies in a grouped part of t past row 0's first step,
+        # and that part holds members below and above s's own high part
+        table = modular_table(n, k, seed, lowered)
+        expected = first_violation_json(table, "ksub", 1e-9)
+        s, ts = least_violations(table)
+        assert json.loads(expected)["counterexample"]["t"] == list(ts[0])
+        m, h, *_, steps = scan_plan(n, k, "ksub", block)
+        p, a = high_part(s, m, k), sum(v * (k + 1) ** e for e, v in enumerate(s[:m]))
+        assert any(step[0] == p and step[1] <= a < step[2] for step in steps[1:])
+        members = grouped_part(s, ts[0], m, h, k)[1]
+        assert h and members[0] < p < members[-1]
+        assert scan_json("ksub", table, block) == expected
+
+    @pytest.mark.parametrize("block", [13, 40])
+    def test_flagged_groups_in_two_chunks_yield_the_least_t(self, block):
+        # with no low digit, a block takes `block` parts of t of a row: the
+        # violating groups of s's row fall in two chunks or more, and the
+        # report is still s's least t
+        seen = 0
+        m, h, *_, steps = scan_plan(3, 3, "ksub", block)
+        assert (m, h) == (0, 1)
+        for seed in range(10):
+            table = tight_table(3, 3, seed)
+            expected = first_violation_json(table, "ksub", 1e-9)
+            assert scan_json("ksub", table, block) == expected
+            s, ts = least_violations(table)
+            p = high_part(s, 0, 3)
+            parts = sorted({grouped_part(s, t, 0, h, 3)[0] for t in all_assignments(table.dims)
+                            if high_part(t, 0, 3) >= p})
+            q_step = next(step[3] for step in steps[1:] if step[0] == p)
+            groups = [parts.index(part) // q_step for part, members in
+                      (grouped_part(s, t, 0, h, 3) for t in ts) if len(members) > 1]
+            seen += len(set(groups)) > 1 and len(grouped_part(s, ts[0], 0, h, 3)[1]) > 1
+        assert seen >= 3
+
+    @pytest.mark.parametrize("n,k", [(1, 1), (4, 1), (6, 1), (2, 2), (3, 2), (4, 2)])
+    def test_one_and_two_labels_match_the_loops(self, n, k):
+        # no groups at k = 1; at k = 2 each group is one label, and the high
+        # digits keep t's labels; blocks of 7 to 2^16 entries and grouped
+        # rows capped at 40 entries give every split of the digits
+        for kind in KINDS:
+            table = seeded_table(kind, n, k, seed=n + k)
+            for name in SCANS:
+                expected = first_violation_json(table, name, 1e-9)
+                for block, grouped in product([7, 40, 300, 1 << 16], [checks._GROUPED, 40]):
+                    with patch.object(checks, "_GROUPED", grouped):
+                        assert scan_json(name, table, block) == expected
+
+    def test_holding_6_3_ksub_scan_visits_at_most_2_75m_entries(self):
+        # (valid low pair, part of t) entries past row 0's first step:
+        # 2,197 x 2,080 = 4.57M with every high part of t from p on
+        m, h, *_, tables, lists, steps = scan_plan(6, 3, "ksub")
+        start, reach = tables[1][3], lists[0][0]
+        assert (m, h) == (3, 3)
+        entries = sum(int(start[a1] - start[a0]) * int(reach[p + 1] - reach[p])
+                      for p, a0, a1, *_ in steps[1:])
+        assert entries <= 2_750_000
+
+    def test_every_high_digit_groups_under_the_default_pair_cap(self):
+        # every (n, k) whose pairs the default cap allows, k <= 12, groups
+        # all its high digits but "orthant-pairs" at (8, 3), whose 6^8
+        # grouped rows exceed the bound: it groups 2 of its 3
+        most, partial = {}, []
+        for k, mode in product(range(1, 13), ["ksub", "orthant-pairs"]):
+            labels = k + 1 - (mode == "orthant-pairs")
+            for n in range(1, 28):
+                if labels ** (2 * n) > DEFAULT_MAX_PAIRS:
+                    break
+                m, h = scan_plan(n, k, mode)[:2]
+                if h < n - m:
+                    partial.append((mode, n, k, h, n - m))
+                elif k > 2:  # where a group holds two labels or more
+                    most[mode] = max(most.get(mode, 0), (labels + k) ** n)
+        assert partial == [("orthant-pairs", 8, 3, 2, 3)] and 6**8 > checks._GROUPED
+        assert most == {"ksub": 11**5, "orthant-pairs": 6**7}
+
+    def test_holding_8_3_ksub_scan_memory_stays_bounded(self):
+        # the grouped rows of t group one high digit at (8, 3), 7^4 x 4^4
+        # entries; a scan peaked at 7.2 MB with the low digits grouped alone
+        table = random_ksubmodular(Dims(8, 3), atoms=24, seed=11)
+        cold_plans()
+        tracemalloc.start()
+        try:
+            assert SCANS["ksub"](table).holds
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scan_plan(8, 3, "ksub")[:2] == (3, 1) and peak <= 16 * 2**20
+
+
+def permuted_table(table, elements, labels):
+    """g(y) = f(x) with x[elements[e]] = labels[y[e]]: a relabelling of the
+    elements and of the labels 1..k, which commutes with min0, max0 and id0,
+    so each inequality of g is one of f on the same floats."""
+    n, k = table.dims.n, table.dims.k
+    y = np.array(list(all_assignments(table.dims)))
+    x = np.empty_like(y)
+    x[:, elements] = np.array(labels)[y]
+    return TabularFunction(table.dims, table.values[x @ (k + 1) ** np.arange(n)])
+
+
+class TestPermutedTables:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_verdicts_and_witnesses_survive_relabelling(self, data):
+        n, k = data.draw(st.sampled_from(
+            [(2, 3), (3, 2), (3, 3), (4, 2), (4, 3), (3, 4), (5, 3), (5, 4), (6, 3)]))
+        kind = data.draw(st.sampled_from(["holds", "random"]))
+        block = data.draw(st.sampled_from([40, 300, 1 << 16]))
+        assume(block == 1 << 16 or (k + 1) ** n <= 256)
+        table = seeded_table(kind, n, k, data.draw(st.integers(0, 10**6)))
+        elements = data.draw(st.permutations(range(n)))
+        labels = [0, *data.draw(st.permutations(range(1, k + 1)))]
+        permuted = permuted_table(table, elements, labels)
+        checkers = [*SCANS.values(), check_k_submodular, check_orthant_submodular,
+                    check_characterization, lambda table: check_r_wise_monotone(table, 2)]
+        with patch.object(checks, "_BLOCK", block):
+            for check in checkers:
+                assert check(permuted).holds == check(table).holds
+            for name, scan in SCANS.items():
+                found = scan(permuted).counterexample
+                if found is None:
+                    continue
+                s, t = ([0] * n, [0] * n)
+                for e in range(n):
+                    s[elements[e]], t[elements[e]] = labels[found["s"][e]], labels[found["t"][e]]
+                meet, join = ((oracles.vec_id0,) * 2 if name == "orthant-pairs"
+                              else (oracles.vec_min0, oracles.vec_max0))
+                lhs, rhs = table(s) + table(t), table(meet(s, t)) + table(join(s, t))
+                assert (lhs, rhs) == (found["lhs"], found["rhs"]) and lhs < rhs - 1e-9
 
 
 class TestScanBlocks:
@@ -1091,6 +1294,11 @@ def cold_plans():
     checks._scan_plan.cache_clear()
 
 
+def scan_plan(n, k, mode, block=None):
+    """The scan's plan for (n, k, mode), at ``block`` or the module's block."""
+    return checks._scan_plan(n, k, mode, block or checks._BLOCK, checks._GROUPED)
+
+
 KINDS = ("holds", "random", "raised-last")
 
 
@@ -1117,13 +1325,13 @@ class TestScanPlans:
         (6, 3, "orthant", 300), (4, 4, "orthant", 40), (7, 2, "orthant", 81),
     ])
     def test_plan_arrays_are_read_only_and_within_a_block(self, n, k, mode, block):
-        plan = checks._scan_plan(n, k, mode, block)
+        plan = scan_plan(n, k, mode, block)
         arrays = [part for part in plan if isinstance(part, np.ndarray)]
-        assert len(arrays) == 8 and isinstance(plan[-1], tuple)
+        assert len(arrays) == 6 and isinstance(plan[-1], tuple)
         # the first step's pairs and the valid pairs, each (s, t, pattern,
         # start, meet, join), in order of s and then of t
-        first, valid = plan[9]
-        m, width = plan[0], plan[1].shape[0]
+        first, valid = plan[8]
+        m, h, width = plan[0], plan[1], plan[2].shape[0]
         per_digit = {"ksub": 4 * k + 1, "orthant": 3 * k + 1, "orthant-pairs": 2 * k}
         assert valid[0].size == per_digit[mode] ** m
         # the first step pairs s of low parts below L (every digit but
@@ -1136,10 +1344,23 @@ class TestScanPlans:
         for pairs in (first, valid):
             assert len(pairs) == 6 and pairs[3].size == width + 1
             assert np.array_equal(np.lexsort((pairs[1], pairs[0])), np.arange(pairs[0].size))
+        # per part of s on the h grouped high digits, the grouped parts of t
+        # with a member at or above it, then all of them, each (start, part
+        # of t, meet, join) in order of t: as many as the valid pairs of h
+        # digits, and a high digit groups only where its lists fit a block
+        reach, every = plan[9]
+        assert every[1].size == per_digit[mode] ** h and reach[1].size <= every[1].size
+        wide = labels + k * (mode != "orthant")
+        assert h == max(d for d in range(n - m + 1) if per_digit[mode] ** d <= block
+                        and wide ** (m + d) * labels ** (n - m - d) <= checks._GROUPED)
+        for start, *parts in (reach, every):
+            assert start.size == labels**h + 1 and start[-1] == parts[0].size
+            for s in range(labels**h):
+                assert np.all(np.diff(parts[0][start[s] : start[s + 1]]) > 0)
         # only row 0's first step may broadcast, and in "orthant" none does
         gathers = [step[-1] for step in plan[-1]]
         assert all(gathers[1:]) and (all(gathers) or mode != "orthant")
-        for array in arrays + [*first, *valid]:
+        for array in arrays + [*first, *valid, *reach, *every]:
             assert array.size <= block
             with pytest.raises(ValueError, match="read-only"):
                 array[...] = 0
@@ -1220,9 +1441,9 @@ class TestScanPlans:
         # then poison them, so a read of anything not written shows
         scan_json("ksub", seeded_table("holds", 6, 3, seed=1))
         held = checks._buffers(0)
-        plan = checks._scan_plan(6, 3, "ksub", checks._BLOCK)
+        plan = scan_plan(6, 3, "ksub")
         *_, q_step, _ = plan[-1][-1]  # high parts of t per block past row 0, every valid pair
-        assert held[0].size >= q_step * plan[9][1][0].size > checks._BLOCK // 2
+        assert held[0].size >= q_step * plan[8][1][0].size > checks._BLOCK // 2
         for buffer in held[:3]:
             buffer.fill(np.nan)
         held[3].fill(True)
