@@ -179,27 +179,44 @@ def expect_random_orthant(f, n, k):
 
 
 def expect_randomized_greedy(f, n, k, order=None, eps=1e-9):
-    """Recursive decision-tree expectation, independent of the library's
-    depth-first enumerator (no incremental value tracking)."""
+    """Recursive decision-tree expectation, one node at a time, independent
+    of the library's level-by-level enumerator.  Each node takes the step
+    of :func:`sample_randomized_greedy`: its k children's values, the gains
+    against its own value clamped at zero and summed left to right into
+    beta.  When eps < beta < inf it branches to every label of positive
+    clamped gain, with its probability times clamped / beta; otherwise it
+    goes on with its probability to label 1 (beta <= eps) or label k
+    (beta = inf, which no running sum exceeds).  A leaf's probability is
+    that product along its path from 1.0 at the root, and the expectation is
+    math.fsum of probability times value over the leaves, so it is the exact
+    tree's, branch for branch and to the bit.  f is called once at the root
+    and k times per internal node; a sum that overflows raises
+    OverflowError."""
     order = list(range(n)) if order is None else list(order)
+    terms = []
 
-    def go(s, depth):
+    def go(s, value, prob, depth):
         if depth == len(order):
-            return f(s)
+            terms.append(prob * value)
+            return
         e = order[depth]
-        base = f(s)
-        raw = [f(s[:e] + (i,) + s[e + 1 :]) - base for i in range(1, k + 1)]
-        clamped = [max(0.0, g) for g in raw]
-        beta = sum(clamped)
+        children = [f(s[:e] + (i,) + s[e + 1 :]) for i in range(1, k + 1)]
+        clamped = [y - value if y - value > 0.0 else 0.0 for y in children]
+        beta = 0.0
+        for g in clamped:
+            beta += g
         if beta <= eps:
-            return go(s[:e] + (1,) + s[e + 1 :], depth + 1)
-        return sum(
-            (clamped[i] / beta) * go(s[:e] + (i + 1,) + s[e + 1 :], depth + 1)
-            for i in range(k)
-            if clamped[i] > 0.0
-        )
+            picks = [(1, prob)]
+        elif beta == math.inf:
+            picks = [(k, prob)]
+        else:
+            picks = [(i, prob * (g / beta)) for i, g in enumerate(clamped, 1) if g > 0.0]
+        for label, p in picks:
+            go(s[:e] + (label,) + s[e + 1 :], children[label - 1], p, depth + 1)
 
-    return go((0,) * n, 0)
+    root = (0,) * n
+    go(root, f(root), 1.0, 0)
+    return math.fsum(terms)
 
 
 def sample_randomized_greedy(f, n, k, seed, order=None, eps=1e-9):

@@ -51,7 +51,13 @@ from ksubmax import (
 )
 
 import oracles
-from factories import EVAL_CASES, directed_path, hexed, single_edge
+from factories import (
+    EVAL_CASES,
+    directed_path,
+    hexed,
+    random_submodular_table,
+    single_edge,
+)
 
 
 class TestBruteForce:
@@ -276,6 +282,93 @@ class TestRandomizedGreedy:
         assert first_label_one / runs == pytest.approx(expected, abs=0.03)
 
 
+@st.composite
+def ksubmodular_tree_cases(draw):
+    """(values, n, k, order) of a random k-submodular table."""
+    n, k = draw(st.integers(1, 3)), draw(st.integers(2, 3))
+    table = random_ksubmodular(Dims(n, k), atoms=5, seed=draw(st.integers(0, 10**6)))
+    return table.values, n, k, draw(st.permutations(range(n)))
+
+
+@st.composite
+def mixed_level_tree_cases(draw):
+    """(values, n, k, order) of a table whose tree holds, on its second
+    level, a branching node beside one whose normalizer is zero or
+    overflows: the root gains on every label of the first element, and
+    below it label 1's children gain nothing or overflow beta, while label
+    2's first child gains.  The other values mix zeros, small floats and
+    floats near the largest."""
+    n, k = draw(st.integers(2, 3)), draw(st.integers(2, 3))
+    order = draw(st.permutations(range(n)))
+    spread = st.sampled_from([0.0, 0.25, 1.0, 1.5e308, 1.7e308]) | st.floats(0.0, 4.0)
+    values = draw(st.lists(spread, min_size=(k + 1) ** n, max_size=(k + 1) ** n))
+    first, second = order[0], order[1]
+
+    def at(label, then=0):  # label at the first element, then at the second
+        return label * (k + 1) ** first + then * (k + 1) ** second
+
+    values[0] = 0.0
+    for label in range(1, k + 1):
+        values[at(label)] = draw(st.floats(0.5, 2.0))
+    stuck = draw(st.sampled_from(["zero", "overflow"]))
+    for then in range(1, k + 1):
+        values[at(1, then)] = draw(st.floats(0.0, values[at(1)]) if stuck == "zero"
+                                   else st.sampled_from([1.5e308, 1.7e308]))
+        values[at(2, then)] = draw(st.floats(0.0, 4.0))
+    values[at(2, 1)] = values[at(2)] + draw(st.floats(0.25, 2.0))
+    return values, n, k, order
+
+
+PIN_DAG4 = GraphInstance(4, ((0, 1), (1, 2), (3, 2), (0, 3), (0, 2)), directed=True,
+                         weights=(0.3, 1.7, 0.1, 2.9, 0.6))
+PIN_CUT4 = GraphInstance(4, ((0, 1), (1, 2), (2, 3), (0, 3), (1, 3)),
+                         weights=(0.7, 1.3, 0.2, 2.1, 0.9))
+PIN_DAG5 = GraphInstance(5, ((0, 1), (1, 2), (2, 4), (3, 1), (0, 4), (3, 4)), directed=True,
+                         weights=(1.1, 0.4, 2.3, 0.8, 1.6, 0.5))
+PIN_CUT5 = GraphInstance(5, ((0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (1, 3)),
+                         weights=(0.9, 1.4, 0.3, 2.2, 0.6, 1.8))
+
+#: The passes pinned by PINNED_AUDITS, each returning a float.
+PINNED_PASSES = (
+    exact_expectation_randomized_greedy,
+    lambda f: deterministic_greedy(f).value,
+    exact_expectation_random_orthant,
+    lambda f: brute_force_max(f).value,
+)
+
+#: name -> (build, one (value by float.hex, calls) per pass of PINNED_PASSES
+#: on an untabulated oracle), recorded before the tree read its nodes
+#: without the index check.
+PINNED_AUDITS = {
+    "layout-4x3": (lambda: make_layer_layout(PIN_DAG4, 3), [
+        ("0x1.4a3374323af95p+2", 55), ("0x1.5333333333333p+2", 13),
+        ("0x1.dddddddddddddp+0", 81), ("0x1.6666666666666p+2", 256)]),
+    "cut-4x3": (lambda: make_max_k_cut(PIN_CUT4, 3), [
+        ("0x1.fa497933c74dep+1", 94), ("0x1.4cccccccccccep+2", 13),
+        ("0x1.bbbbbbbbbbbbcp+1", 81), ("0x1.4cccccccccccep+2", 256)]),
+    "sum-4x3": (lambda: sum_combine([make_layer_layout(PIN_DAG4, 3),
+                                     make_max_k_cut(PIN_CUT4, 3)], (1.0, 0.5)), [
+        ("0x1.a43dfac128655p+2", 79), ("0x1.0000000000000p+3", 13),
+        ("0x1.ccccccccccccdp+1", 81), ("0x1.0000000000000p+3", 256)]),
+    "embedding-4x2": (lambda: embed_submodular(random_submodular_table(4, 1, True)), [
+        ("0x1.abdc77d87a9b5p+2", 19), ("0x1.fcd7b6611049cp+2", 9),
+        ("0x1.fcd7b6611049ep+1", 16), ("0x1.fcd7b6611049cp+2", 81)]),
+    "layout-5x2": (lambda: make_layer_layout(PIN_DAG5, 2), [
+        ("0x1.9333333333334p+2", 11), ("0x1.9333333333334p+2", 11),
+        ("0x1.acccccccccccdp+0", 32), ("0x1.9333333333334p+2", 243)]),
+    "cut-5x2": (lambda: make_max_k_cut(PIN_CUT5, 2), [
+        ("0x1.3737923bd22eep+2", 39), ("0x1.b999999999999p+2", 11),
+        ("0x1.ccccccccccccdp+1", 32), ("0x1.cccccccccccccp+2", 243)]),
+    "sum-5x2": (lambda: sum_combine([make_layer_layout(PIN_DAG5, 2),
+                                     make_max_k_cut(PIN_CUT5, 2)], (0.75, 1.25)), [
+        ("0x1.3d548b66524c0p+3", 39), ("0x1.ab33333333334p+3", 11),
+        ("0x1.7066666666666p+2", 32), ("0x1.ab33333333334p+3", 243)]),
+    "embedding-5x2": (lambda: embed_submodular(random_submodular_table(5, 2, True)), [
+        ("0x1.3f94077498c18p+2", 19), ("0x1.3f94077498c18p+2", 11),
+        ("0x1.4b57ee435284bp+1", 32), ("0x1.3f94077498c18p+2", 243)]),
+}
+
+
 class TestExactExpectationRandomizedGreedy:
     @pytest.mark.parametrize("k", [2, 3, 5, 12])
     def test_coverage_formula(self, k):
@@ -301,13 +394,22 @@ class TestExactExpectationRandomizedGreedy:
         assert det.solution == (2, 3)
         assert exact == pytest.approx(det.value, abs=1e-12)
 
-    @settings(max_examples=15)
-    @given(seed=st.integers(0, 10**6), n=st.integers(1, 3), k=st.integers(2, 3))
-    def test_matches_reference(self, seed, n, k):
-        table = random_ksubmodular(Dims(n, k), atoms=5, seed=seed)
-        mine = exact_expectation_randomized_greedy(table)
-        ref = oracles.expect_randomized_greedy(table, n, k)
-        assert mine == pytest.approx(ref, abs=1e-10)
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.one_of(ksubmodular_tree_cases(), mixed_level_tree_cases()),
+           eps=st.sampled_from([0.0, 1e-9]))
+    def test_matches_reference(self, case, eps):
+        # branch for branch: the same nodes, shares and leaf terms, so the
+        # same float to the bit and the same calls
+        values, n, k, order = case
+        f, g = (TabularFunction(Dims(n, k), values) for _ in range(2))
+        try:
+            want = oracles.expect_randomized_greedy(g, n, k, order, eps)
+        except OverflowError:
+            with pytest.raises(OracleRangeError, match="expected value overflows"):
+                exact_expectation_randomized_greedy(f, order, eps)
+            return
+        assert exact_expectation_randomized_greedy(f, order, eps).hex() == want.hex()
+        assert f.calls == g.calls
 
     def test_order_parameter(self):
         f = make_det_greedy_tight(3, 2)
@@ -350,6 +452,20 @@ class TestExactExpectationRandomizedGreedy:
         f = build()
         assert exact_expectation_randomized_greedy(f, order).hex() == value
         assert f.calls == calls
+
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["untabulated", "tabulated"])
+    @pytest.mark.parametrize("name", sorted(PINNED_AUDITS))
+    def test_pinned_audit_passes(self, name, tabulated):
+        # recorded before the tree read its nodes without the index check;
+        # a tabulated oracle answers the same and is charged its (k+1)^n
+        # tabulated states on top
+        build, pins = PINNED_AUDITS[name]
+        for run, (value, calls) in zip(PINNED_PASSES, pins):
+            f = build()
+            if tabulated:
+                tabulate(f)
+                calls += f.dims.num_assignments
+            assert (run(f).hex(), f.calls) == (value, calls)
 
 
 def single_greedy_rand(f):
