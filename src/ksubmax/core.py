@@ -34,9 +34,10 @@ DEFAULT_MAX_STATES = 10**6
 #: Default cap on the number of enumerated assignment pairs (checkers).
 DEFAULT_MAX_PAIRS = 10**8
 
-#: Indices per block in :meth:`ValueOracle.eval_indices`, bound on the
-#: (k+1)^m assignments per block in :meth:`ValueOracle.eval_all` and, divided by
-#: k, trials per chunk in ``maximize.empirical_expectation``.
+#: Indices per block in :meth:`ValueOracle.eval_indices` and its unchecked
+#: read, bound on the (k+1)^m assignments per block in
+#: :meth:`ValueOracle.eval_all` and, divided by k, trials per chunk in
+#: ``maximize.empirical_expectation``.
 EVAL_BLOCK = 2**14
 
 Assignment = Sequence  # length-n sequence of ints in {0, ..., k}; tuples preferred
@@ -330,19 +331,27 @@ class ValueOracle:
 
     def eval_indices(self, idx) -> np.ndarray:
         """Values at the mixed-radix indices ``idx``, in the order given
-        (repeats allowed), as a float array.  Counts one call per index; gathers
-        from the kept vector if any, else evaluates in :data:`EVAL_BLOCK` blocks,
-        each block's labels as one matrix of columns."""
-        idx = _checked_indices(idx, self.dims)
+        (repeats allowed), as a float array: :meth:`_at` on ``idx`` once it
+        is checked, which refuses anything but a 1-D integer array with
+        every index in [0, (k+1)^n)."""
+        return self._at(_checked_indices(idx, self.dims))
+
+    def _at(self, idx: np.ndarray) -> np.ndarray:
+        """Values at int64 indices of any shape that the library built
+        itself, unchecked, as a float array of that shape.  Counts one call
+        per index; gathers from the kept vector if any, else evaluates the
+        indices in C order in :data:`EVAL_BLOCK` blocks, each block's labels
+        as one matrix of columns."""
         if self._kept is not None:
             self.calls += idx.size
             return self._kept[idx]
         n, k = self.dims.n, self.dims.k
-        values = np.empty(idx.size)
-        for lo in range(0, idx.size, EVAL_BLOCK):
-            block = idx[lo : lo + EVAL_BLOCK]
+        flat = idx.ravel()
+        values = np.empty(flat.size)
+        for lo in range(0, flat.size, EVAL_BLOCK):
+            block = flat[lo : lo + EVAL_BLOCK]
             values[lo : lo + block.size] = self._eval_cols(digits_of(block, n, k).T)
-        return values
+        return values.reshape(idx.shape)
 
     def eval_all(self) -> np.ndarray:
         """``eval_indices(np.arange((k+1)**n))``: the same values and calls,

@@ -114,6 +114,8 @@ def _array(obj: dict, key: str, path: str) -> list:
 
 def _numbers(obj: dict, key: str, path: str) -> list:
     items = _array(obj, key, path)
+    if all(type(v) is float for v in items):  # as _number would return them
+        return items
     return [_number(v, f"{path}.{key}[{i}]") for i, v in enumerate(items)]
 
 

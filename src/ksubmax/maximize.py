@@ -142,7 +142,7 @@ def _orthant_values(f: ValueOracle) -> tuple:
     if k == 1:
         return f._eval_cols(np.ones((n, 1), dtype=np.int64)), lambda j: (1,) * n
     if f._kept is None:
-        values = f.eval_indices(_fold([np.arange(1, k + 1)[None]] * n, k + 1)[0])
+        values = f._at(_fold([np.arange(1, k + 1)[None]] * n, k + 1)[0])
     else:
         f.calls += k**n
         values = f._kept.reshape((k + 1,) * n)[(slice(1, None),) * n].ravel()
@@ -314,9 +314,15 @@ def exact_expectation_randomized_greedy(
     and an overflowing one (beta = inf) label k deterministically, mirroring
     the sampler.  Each node's gains, normalizer and branch probabilities take
     the same floating-point steps as :func:`randomized_greedy`, each node's
-    value is its oracle value, and each internal node costs k evaluations.
-    At k = 1 the tree is one path, label 1 at every element, walked as the
-    sampler's one run: its indices would overflow int64 from n = 64 on.
+    value is its oracle value, and each internal node costs k evaluations,
+    read with every node of its level as one batch of the indices the tree
+    builds, unchecked.  A level whose nodes all branch with a finite
+    normalizer takes each positive share clamped / beta directly; a level
+    with a zero or overflowing normalizer takes the masked form, which
+    keeps such a node's probability on its one label.  Both forms give the
+    same floats.  At k = 1 the tree is one path, label 1 at every element,
+    walked as the sampler's one run: its indices would overflow int64 from
+    n = 64 on.
     """
     dims = f.dims
     dims.check_cap("randomized-greedy decision tree", max_states, dims.k)
@@ -325,26 +331,31 @@ def exact_expectation_randomized_greedy(
     if dims.k == 1:
         return float(_greedy_runs(f, [0], order, eps)[1][0])
     k, base = dims.k, dims.k + 1
+    labels = np.arange(1, base, dtype=np.int64)
     # the frontier: one entry per tree node at the current depth
     idx = np.zeros(1, dtype=np.int64)
-    value = f.eval_indices(idx)
+    value = f._at(idx)
     prob = np.ones(1)
     with np.errstate(over="ignore"):  # beta may overflow to inf: see below
         for e in order:
-            children = idx[:, None] + np.arange(1, base, dtype=np.int64) * base**e
-            values = f.eval_indices(children.ravel()).reshape(-1, k)
+            children = idx[:, None] + labels * base**e
+            values = f._at(children)
             raw = values - value[:, None]
             if f._kept is None and not np.isfinite(raw).all():  # see greedy_fill
                 raise _overflowed(f, e)
             clamped, sums, branching = _clamped_sums(raw, eps)
             beta = sums[:, -1]
-            overflow = np.isinf(beta)
-            split = branching & ~overflow
-            share = np.ones_like(clamped)
-            np.divide(clamped, beta[:, None], out=share, where=split[:, None])
-            take = (clamped > 0.0) & split[:, None]
-            take[~branching, 0] = True  # beta <= eps: label 1, probability kept
-            take[overflow, -1] = True  # u = r * inf is below no partial sum: label k
+            if branching.all() and np.isfinite(beta).all():
+                take = clamped > 0.0
+                share = clamped / beta[:, None]
+            else:
+                overflow = np.isinf(beta)
+                split = branching & ~overflow
+                share = np.ones_like(clamped)
+                np.divide(clamped, beta[:, None], out=share, where=split[:, None])
+                take = (clamped > 0.0) & split[:, None]
+                take[~branching, 0] = True  # beta <= eps: label 1, probability kept
+                take[overflow, -1] = True  # u = r * inf is below no partial sum: label k
             idx = children[take]
             value = values[take]
             prob = (prob[:, None] * share)[take]

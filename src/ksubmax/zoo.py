@@ -109,8 +109,7 @@ def make_max_k_cut(graph: GraphInstance, k: int) -> ValueOracle:
     """
     if graph.directed:
         raise InputError("directed: max-k-cut expects an undirected graph")
-    a, b = np.ogrid[: k + 1, : k + 1]  # an edge's labels, x_u down, x_v across
-    return _edge_sum(graph, k, 1.0 * (a != b), f"max_{k}_cut")
+    return _edge_sum(graph, k, lambda a, b: 1.0 * (a != b), f"max_{k}_cut")
 
 
 def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
@@ -128,25 +127,35 @@ def make_layer_layout(graph: GraphInstance, k: int) -> ValueOracle:
     if k < 2:
         raise InputError(f"k: layer layout needs k >= 2, got {k}")
 
-    a, b = np.ogrid[: k + 1, : k + 1]  # an edge's labels, x_u down, x_v across
-    table = 1.0 * (a < b)  # both assigned
-    table[1:, 0] = (k - a[1:, 0]) / k  # x_v unassigned
-    table[0, 1:] = (b[0, 1:] - 1) / k  # x_u unassigned
-    table[0, 0] = 0.0
-    return _edge_sum(graph, k, table, f"layer_layout_{k}")
+    def edge(a, b) -> np.ndarray:
+        table = 1.0 * (a < b)  # both assigned
+        table[1:, 0] = (k - a[1:, 0]) / k  # x_v unassigned
+        table[0, 1:] = (b[1:] - 1) / k  # x_u unassigned
+        table[0, 0] = 0.0
+        return table
+
+    return _edge_sum(graph, k, edge, f"layer_layout_{k}")
 
 
-def _edge_sum(graph: GraphInstance, k: int, table: np.ndarray, name: str) -> ValueOracle:
-    """The oracle x -> sum over edges (u, v) of w * table[x_u, x_v], the
-    terms added in edge order from 0.0.  The one table serves every edge:
+def _edge_sum(graph: GraphInstance, k: int, edge, name: str) -> ValueOracle:
+    """The oracle x -> sum over edges (u, v) of w * T[x_u, x_v], the terms
+    added in edge order from 0.0, where T = edge(a, b) is the edge's value
+    on the label column a = 0..k down and the row b = 0..k across.  The one
+    table T, 8 (k+1)^2 bytes, is built by the first read, so a k whose
+    enumeration a cap refuses never builds it, and it serves every edge:
     each edge gathers its entries at its endpoints' columns, at most a
     (k+1) x (k+1) grid on an open grid, multiplies them by its weight and
     adds them onto the values by broadcasting."""
     dims = Dims(graph.n_vertices, k)
-    table.flags.writeable = False
     terms = [(u, v, w) for (u, v), w in zip(graph.edges, graph.weights)]
+    table = None  # T, once the first read has built it
 
     def batch(cols) -> np.ndarray:
+        nonlocal table
+        if table is None:
+            labels = np.arange(k + 1)
+            table = edge(labels[:, None], labels)
+            table.flags.writeable = False
         values = 0.0
         with np.errstate(over="ignore"):  # the oracle's own check refuses an inf
             for u, v, w in terms:

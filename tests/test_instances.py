@@ -276,6 +276,13 @@ DIAGNOSTICS = [
      "instance.k: declared 3, but this embedding payload builds k=2"),
     ('{"kind": "embedding", "n": 3, "k": 2, "base": ' + TAB1 + '}',
      "instance.n: declared 3, but this embedding payload builds n=2"),
+    # a list of floats is taken as it is: one item of another type among
+    # them is still named
+    ('{"kind": "tabular", "n": 1, "k": 2, "values": [0.5, true, 1.5]}',
+     "instance.values[1]: expected a number, got True"),
+    ('{"kind": "max_k_cut", "n": 3, "k": 2, "edges": [[0, 1], [1, 2]], '
+     '"weights": [1.5, "2.5"]}',
+     "instance.weights[1]: expected a number, got '2.5'"),
 ]
 
 

@@ -1023,13 +1023,13 @@ class TestZeroDraw:
     def tree_labels(f):
         """The labels of element 0 that the exact tree keeps as nodes, read
         from the children it evaluates at element 1 (order (0, 1))."""
-        asked, real = [], f.eval_indices
+        asked, real = [], f._at
 
         def spy(idx):
-            asked.append(np.asarray(idx))
+            asked.append(np.array(idx))
             return real(idx)
 
-        f.eval_indices = spy
+        f._at = spy
         expectation = exact_expectation_randomized_greedy(f)
         base = f.dims.k + 1
         first_children = asked[2].reshape(-1, f.dims.k)[:, 0]  # label 1 at element 1

@@ -36,6 +36,7 @@ from ksubmax import (
     make_indicator,
     make_layer_layout,
     make_max_k_cut,
+    parse_instance,
     random_ksubmodular,
     random_table,
     sum_combine,
@@ -143,22 +144,26 @@ def layout_edge_value(k, xu, xv):
 def test_an_edge_sum_builds_one_table_by_numpy(build, directed, edge_value):
     # a 5-edge path at k = 1000 took 0.34 s and 112 MB when each label pair
     # was a Python call and each edge kept its own weighted copy; one
-    # (k+1)^2 table, 8 MB, is built now, whatever the number of edges
+    # (k+1)^2 table, 8 MB, is built now, by the first read, whatever the
+    # number of edges
     k = 1000
     path = GraphInstance(6, tuple((e, e + 1) for e in range(5)), directed=directed,
                          weights=(0.5, 1.0, 1.5, 2.0, 2.5))
     seconds = []
     for _ in range(3):
         start = time.perf_counter()
-        build(path, k)
+        build(path, k)((0,) * 6)
         seconds.append(time.perf_counter() - start)
     assert min(seconds) < 0.05
     tracemalloc.start()
     try:
         f = build(path, k)
+        built = tracemalloc.get_traced_memory()[1]
+        f((0,) * 6)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert built < 64 * 1024  # construction builds no table
     assert peak <= 1.25 * 8 * (k + 1) ** 2
     rng = np.random.default_rng(k)
     for x in rng.integers(0, k + 1, size=(40, 6)).tolist() + [[0] * 6, [k] * 6]:
@@ -166,6 +171,19 @@ def test_an_edge_sum_builds_one_table_by_numpy(build, directed, edge_value):
         for (u, v), w in zip(path.edges, path.weights):
             want += w * edge_value(k, x[u], x[v])
         assert f(tuple(x)).hex() == want.hex()
+    # at k = 3000 the table alone is 72 MB: the tabulation cap refuses the
+    # instance before any read builds it
+    kind = "layer_layout" if directed else "max_k_cut"
+    doc = json.dumps({"kind": kind, "n": 2, "k": 3000, "edges": [[0, 1]],
+                      "directed": directed})
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"^tabulation needs 3001\^2 states"):
+            tabulate(parse_instance(doc).build())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 class TestDetGreedyTight:
@@ -494,6 +512,53 @@ class TestEvalIndices:
             with pytest.raises(InputError):
                 f.eval_indices(np.array(bad))
         assert f.calls == 0
+
+    @pytest.mark.parametrize("tabulated", [False, True], ids=["untabulated", "tabulated"])
+    @pytest.mark.parametrize("bad,message", [
+        ([[0, 1]], "indices: need a 1-D integer array, got int64 of shape (1, 2)"),
+        ([0.5], "indices: need a 1-D integer array, got float64 of shape (1,)"),
+        ([4], "indices: must lie in [0, 4^1)"),
+        ([0, -1], "indices: must lie in [0, 4^1)"),
+    ], ids=["2-D", "float", "past-the-end", "negative"])
+    def test_refusals_name_the_indices(self, bad, message, tabulated):
+        # the check that eval_indices makes before its unchecked read
+        f = make_indicator(3, 1)
+        if tabulated:
+            tabulate(f)
+        calls = f.calls
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            f.eval_indices(np.array(bad))
+        assert f.calls == calls
+
+    @settings(max_examples=80, deadline=None)
+    @given(name=st.sampled_from(sorted(EVAL_CASES)), tabulated=st.booleans(),
+           shape=st.sampled_from([(0,), (1,), (9,), (0, 3), (1, 4), (4, 1), (3, 5), (6, 4)]),
+           block=st.sampled_from([7, 2**14]), data=st.data())
+    def test_unchecked_read_is_eval_indices_reshaped(self, name, tabulated, shape, block,
+                                                     data):
+        # _at reads indices the library built, of any shape, without the
+        # check: the values of eval_indices on the raveled indices, bit for
+        # bit, in their shape, and the same calls on the oracle and on
+        # every sub-oracle
+        (f, f_subs), (g, g_subs) = EVAL_CASES[name](), EVAL_CASES[name]()
+        if tabulated:
+            tabulate(f)
+            tabulate(g)
+        size = f.dims.num_assignments
+        count = math.prod(shape)
+        idx = np.array(data.draw(st.lists(st.integers(0, size - 1), min_size=count,
+                                          max_size=count)), dtype=np.int64).reshape(shape)
+        saved = ksubmax.core.EVAL_BLOCK
+        ksubmax.core.EVAL_BLOCK = block
+        try:
+            got = f._at(idx)
+            want = g.eval_indices(idx.ravel())
+        finally:
+            ksubmax.core.EVAL_BLOCK = saved
+        assert got.shape == shape and got.dtype == np.float64
+        assert hexed(got.ravel().tolist()) == hexed(want.tolist())
+        assert f.calls == g.calls
+        assert [h.calls for h, _ in f_subs] == [h.calls for h, _ in g_subs]
 
 
 def block_axes(n, k, block):
