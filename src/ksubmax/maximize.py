@@ -142,7 +142,7 @@ def _orthant_values(f: ValueOracle) -> tuple:
     if k == 1:
         return f._eval_cols(np.ones((n, 1), dtype=np.int64)), lambda j: (1,) * n
     if f._kept is None:
-        values = f._at(_fold([np.arange(1, k + 1)[None]] * n, k + 1)[0])
+        values = f.eval_indices(_fold([np.arange(1, k + 1)[None]] * n, k + 1)[0])
     else:
         f.calls += k**n
         values = f._kept.reshape((k + 1,) * n)[(slice(1, None),) * n].ravel()
@@ -322,7 +322,8 @@ def exact_expectation_randomized_greedy(
     keeps such a node's probability on its one label.  Both forms give the
     same floats.  At k = 1 the tree is one path, label 1 at every element,
     walked as the sampler's one run: its indices would overflow int64 from
-    n = 64 on.
+    n = 64 on.  From k = 2 on, a tree whose (k+1)^n indices do not all fit
+    in an int64, possible only under a raised ``max_states``, is refused.
     """
     dims = f.dims
     dims.check_cap("randomized-greedy decision tree", max_states, dims.k)
@@ -330,6 +331,7 @@ def exact_expectation_randomized_greedy(
     check_eps(eps)
     if dims.k == 1:
         return float(_greedy_runs(f, [0], order, eps)[1][0])
+    dims.check_cap("randomized-greedy decision tree", 2**63, unit="int64 indices")
     k, base = dims.k, dims.k + 1
     labels = np.arange(1, base, dtype=np.int64)
     # the frontier: one entry per tree node at the current depth

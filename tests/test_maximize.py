@@ -431,6 +431,23 @@ class TestExactExpectationRandomizedGreedy:
         cut = make_max_k_cut(GraphInstance(n, ((0, 1),)), 1)
         assert exact_expectation_randomized_greedy(cut) == cut((1,) * n)
 
+    @pytest.mark.parametrize("n,k,fits", [(39, 2, True), (40, 2, False), (41, 2, False),
+                                          (31, 3, True), (32, 3, False)])
+    def test_indices_past_int64_are_refused(self, n, k, fits):
+        # under a cap raised to k^n the (k+1)^n indices can pass int64, and
+        # the tree reads its indices unchecked: a wrapped index would be
+        # read as another assignment, so such a tree is refused before any
+        # call
+        f = ValueOracle(Dims(n, k), lambda x: float(sum(v == 2 for v in x)))
+        if fits:  # label 2 gains 1 at every element, every other label 0
+            assert exact_expectation_randomized_greedy(f, max_states=k**n) == n
+            assert f.calls == 1 + n * k
+            return
+        refusal = rf"^randomized-greedy decision tree needs {k + 1}\^{n} int64 indices"
+        with pytest.raises(InputError, match=refusal):
+            exact_expectation_randomized_greedy(f, max_states=k**n)
+        assert f.calls == 0
+
     def test_overflowing_beta_takes_label_k_like_every_run(self):
         # gains 1.5e308 and 1.7e308 overflow beta to inf, and u = r * inf is
         # below no partial sum, so every run takes label 2; the tree used to

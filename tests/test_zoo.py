@@ -506,28 +506,21 @@ class TestEvalIndices:
         assert f.eval_indices([]).shape == (0,)
         assert f.calls == calls
 
-    def test_rejects_bad_indices(self):
-        f = make_indicator(3, 1)
-        for bad in ([4], [-1], [0.5], [[0, 1]]):
-            with pytest.raises(InputError):
-                f.eval_indices(np.array(bad))
-        assert f.calls == 0
-
     @pytest.mark.parametrize("tabulated", [False, True], ids=["untabulated", "tabulated"])
-    @pytest.mark.parametrize("bad,message", [
-        ([[0, 1]], "indices: need a 1-D integer array, got int64 of shape (1, 2)"),
-        ([0.5], "indices: need a 1-D integer array, got float64 of shape (1,)"),
-        ([4], "indices: must lie in [0, 4^1)"),
-        ([0, -1], "indices: must lie in [0, 4^1)"),
-    ], ids=["2-D", "float", "past-the-end", "negative"])
-    def test_refusals_name_the_indices(self, bad, message, tabulated):
+    def test_rejects_bad_indices(self, tabulated):
         # the check that eval_indices makes before its unchecked read
         f = make_indicator(3, 1)
         if tabulated:
             tabulate(f)
         calls = f.calls
-        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
-            f.eval_indices(np.array(bad))
+        for bad, message in [
+            ([4], "indices: must lie in [0, 4^1)"),
+            ([0, -1], "indices: must lie in [0, 4^1)"),
+            ([0.5], "indices: need a 1-D integer array, got float64 of shape (1,)"),
+            ([[0, 1]], "indices: need a 1-D integer array, got int64 of shape (1, 2)"),
+        ]:
+            with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+                f.eval_indices(np.array(bad))
         assert f.calls == calls
 
     @settings(max_examples=80, deadline=None)
