@@ -139,6 +139,28 @@ def is_r_wise_monotone(f, n, k, r, eps):
     return True
 
 
+def first_r_wise_violation(f, n, k, r, eps):
+    """The first label set of size r whose marginals sum below -eps, as
+    (s, element, labels, lhs), or None: elements in order, then the base
+    assignments s that leave the element unassigned, in index order, then
+    label sets in lexicographic order.  Each set's gains f(s+e:i) - f(s)
+    are added left to right in label order."""
+    for e in range(n):
+        for index in range((k + 1) ** n):
+            s = assignment_at(index, n, k)
+            if s[e] != 0:
+                continue
+            base = f(s)
+            gains = [None] + [f(s[:e] + (i,) + s[e + 1 :]) - base for i in range(1, k + 1)]
+            for labels in itertools.combinations(range(1, k + 1), r):
+                total = gains[labels[0]]
+                for i in labels[1:]:
+                    total += gains[i]
+                if total < -eps:
+                    return s, e, list(labels), total
+    return None
+
+
 def with_labels(x, labels):
     """x with element e set to label v for each (e, v) in ``labels``."""
     y = list(x)
@@ -166,6 +188,30 @@ def local_shortfalls(f, n, k):
                          - f(with_labels(s, [(a, i)])) - f(with_labels(s, [(b, j)])))
                     pairs = d if pairs is None else max(pairs, d)
     return singles, pairs
+
+
+def local_shortfall_blocks(f, n, k, singles):
+    """The largest shortfall of each block of local rows, in the
+    certificate's order: per element pair a < b, (f(s) + f(s+a:i+b:j)) -
+    (f(s+a:i) + f(s+b:j)) over labels i, j; then, with ``singles`` and
+    k >= 2, per element e, (f(s) + f(s)) - (f(s+e:i) + f(s+e:j)) over
+    labels i < j; each over every s that leaves the named elements
+    unassigned, each side one float sum."""
+    states = list(every_assignment(n, k))
+    blocks = []
+    for a, b in itertools.combinations(range(n), 2):
+        blocks.append(max(
+            (f(s) + f(with_labels(s, [(a, i), (b, j)])))
+            - (f(with_labels(s, [(a, i)])) + f(with_labels(s, [(b, j)])))
+            for s in states if s[a] == 0 and s[b] == 0
+            for i in range(1, k + 1) for j in range(1, k + 1)))
+    if singles and k >= 2:
+        for e in range(n):
+            blocks.append(max(
+                (f(s) + f(s)) - (f(with_labels(s, [(e, i)])) + f(with_labels(s, [(e, j)])))
+                for s in states if s[e] == 0
+                for i, j in itertools.combinations(range(1, k + 1), 2)))
+    return blocks
 
 
 def brute_max_value(f, n, k, orthants_only=False):

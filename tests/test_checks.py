@@ -109,6 +109,33 @@ def any_table(seed, n, k):
     return random_table(dims, seed=seed)
 
 
+def grid_table(n, k, seed, dips, scale):
+    """A modular table with gains 0..3 per element and label, ``dips`` of
+    its entries redrawn from 0..3, about half its zeros -0.0, times
+    ``scale``: small integers times a power of two, so that sums of a few
+    gains are exact and gains tie."""
+    rng = np.random.default_rng(seed)
+    gains = rng.integers(0, 4, (n, k + 1))
+    gains[:, 0] = 0
+    digits = np.indices((k + 1,) * n).reshape(n, -1)[::-1]  # element e's label, index order
+    values = gains[np.arange(n)[:, None], digits].sum(0).astype(float)
+    values[rng.integers(0, values.size, dips)] = rng.integers(0, 4, dips)
+    values[(values == 0) & (rng.random(values.size) < 0.5)] = -0.0
+    return TabularFunction(Dims(n, k), values * scale)
+
+
+def signed_zero_table():
+    """A modular (4, 3) table on quarters whose zeros alternate between
+    0.0 and -0.0 in runs of four indices, with f(0, 1, 0, 2) dropped to
+    -0.0: its first r-wise violation is at element 1 of s = (0, 0, 0, 2)."""
+    gains = [[0, 0.25, 0.0, 0.5], [0, 0.5, 0.0, 0.0], [0, 0.25, 0.25, 0.0],
+             [0, 0.5, 0.25, 0.25]]
+    values = [sum(gains[e][x[e]] for e in range(4)) for x in all_assignments(Dims(4, 3))]
+    values[1 * 4 + 2 * 64] = 0.0
+    values = [(-0.0 if i // 4 % 2 else 0.0) if v == 0 else v for i, v in enumerate(values)]
+    return TabularFunction(Dims(4, 3), values)
+
+
 def path_layout(n, k):
     """The layer layout of a directed path on n elements: submodular in
     every orthant, but not k-submodular for k >= 3."""
@@ -411,6 +438,61 @@ class TestRWiseMonotone:
         with pytest.raises(InputError):
             check_r_wise_monotone(table, 0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(1, 4),
+        k=st.integers(1, 7),
+        r=st.integers(0, 6),
+        dips=st.integers(0, 6),
+        scale=st.sampled_from([2.0**-30, 1.0, 2.0**30]),
+        eps=st.sampled_from([0.0, 1e-9]),
+    )
+    def test_report_is_the_loop_references(self, seed, n, k, r, dips, scale, eps):
+        # every r up to 7, where numpy's sum still adds left to right; the
+        # entries are small multiples of a power of two, so every sum is
+        # exact and gains tie, with -0.0 among the zeros
+        r = 1 + r % k
+        table = grid_table(n, k, seed, dips, scale)
+        f = dict(zip(all_assignments(table.dims), table.values.tolist())).__getitem__
+        report = check_r_wise_monotone(table, r, eps)
+        found = oracles.first_r_wise_violation(f, n, k, r, eps)
+        assert report.holds is (found is None)
+        # every entry read k + 1 times per element swept
+        assert report.evals_used == (n if found is None else found[1] + 1) * (k + 1) ** n
+        if found is not None:
+            s, element, labels, lhs = found
+            cx = report.counterexample
+            assert (cx["s"], cx["element"], cx["labels"], cx["lhs"].hex()) == (
+                list(s), element, labels, lhs.hex())
+
+    @pytest.mark.parametrize("make,r,pinned", [
+        *((lambda: random_table(Dims(2, 9), seed=0), r, pinned) for r, pinned in (
+            (1, ([0, 0], 0, [1], "-0x1.77fcb75d5ba2cp-2")),
+            (2, ([0, 0], 0, [1, 2], "-0x1.ed23b7fbc3ba9p-1")),
+            (8, ([0, 0], 0, [*range(1, 9)], "-0x1.29a1a07bfabe2p+0")),
+            (9, ([0, 0], 0, [*range(1, 10)], "-0x1.baa148888a53dp-1")))),
+        *((lambda: tabulate(make_coverage_tight(26)), r, None) for r in (2, 13, 26)),
+        *((lambda: signed_zero_table(), r, ([0, 0, 0, 2], 1, [*range(1, r + 1)],
+                                            "-0x1.0000000000000p-2")) for r in (1, 2, 3)),
+    ], ids=["9-r1", "9-r2", "9-r8", "9-r9", "26-r2", "26-r13", "26-r26",
+            "zeros-r1", "zeros-r2", "zeros-r3"])
+    def test_pinned_reports(self, make, r, pinned):
+        # recorded before the sweep read label slices of the value cube;
+        # from r = 8 on numpy adds the set's marginals pairwise
+        table = make()
+        counterexample = None
+        if pinned is not None:
+            s, element, labels, lhs = pinned
+            counterexample = {"inequality": "sum of marginals over the label set >= 0",
+                              "s": s, "element": element, "labels": labels, "lhs": lhs,
+                              "rhs": "0x0.0p+0"}
+        assert hexed(check_r_wise_monotone(table, r).to_json()) == {
+            "property": f"{r}_wise_monotone", "holds": pinned is None,
+            "counterexample": counterexample,
+            "evals": (table.dims.n if pinned is None else pinned[1] + 1)
+            * (table.dims.k + 1) ** table.dims.n}
+
     @pytest.mark.parametrize("r", [True, 2.0, 1.5])
     def test_r_must_be_an_integer(self, r):
         # True reported "True_wise_monotone"; 2.0 raised numpy's TypeError
@@ -659,6 +741,18 @@ class TestLocalCertificate:
                 assert shortfall <= only_s * only_t * every
                 if all(x == y or 0 in (x, y) for x, y in zip(s, t)):
                     assert shortfall <= only_s * only_t * within
+
+    @pytest.mark.parametrize("factor", [1.0, 2.0**40])
+    @pytest.mark.parametrize("kind", ["holds", "random"])
+    @pytest.mark.parametrize("n,k", [(1, 3), (2, 2), (2, 4), (3, 3), (4, 2), (3, 4), (5, 3)])
+    def test_shortfalls_are_the_loop_references_blocks(self, n, k, kind, factor):
+        # block by block and bit for bit, with rows (i) and without
+        table = scaled(lambda: seeded_table(kind, n, k, seed=n + k), factor)()
+        f = dict(zip(all_assignments(table.dims), table.values.tolist())).__getitem__
+        for singles in (True, False):
+            expected = oracles.local_shortfall_blocks(f, n, k, singles)
+            got = list(checks._local_shortfalls(table, singles))
+            assert [delta.hex() for delta in got] == [delta.hex() for delta in expected]
 
     @pytest.mark.parametrize("make", REPORT_TABLES.values(), ids=REPORT_TABLES.keys())
     @pytest.mark.parametrize("name", PAIR_CHECKS)
