@@ -40,7 +40,8 @@ entries.  What grows with the table (its values, rows, least f over the
 groups) is built per call.  Every scan runs its steps in order on the
 caller's thread, and each calling thread keeps its own block buffers for
 its next scan, at most 1.6 MB (:func:`_buffers`).  The r-wise checker
-sweeps marginals, one sort per base assignment, none when r = k.
+reads the marginals as label slices of the value cube: running minima for
+r <= 2, one sort per base assignment for 3 <= r < k and none when r = k.
 """
 
 from __future__ import annotations
@@ -471,19 +472,20 @@ def _local_shortfalls(table: TabularFunction, singles: bool):
     first: a table raised at one orthant fails only those.
     """
     n, k = table.dims.n, table.dims.k
-    cube = table.values.reshape((k + 1,) * n)  # element e on axis n-1-e
+    values, w = table.values, k + 1  # element e's digit weighs w^e
     for a in range(n):
         for b in range(a + 1, n):
-            square = np.moveaxis(cube, (n - 1 - a, n - 1 - b), (-2, -1))
-            lhs = square[..., 1:, :1] + square[..., :1, 1:]
-            rhs = square[..., :1, :1] + square[..., 1:, 1:]
+            # the elements above b, then b, those between, a, those below a
+            cube = values.reshape(w ** (n - 1 - b), w, w ** (b - a - 1), w, w**a)
+            lhs = cube[:, :1, :, 1:] + cube[:, 1:, :, :1]
+            rhs = cube[:, :1, :, :1] + cube[:, 1:, :, 1:]
             yield float((rhs - lhs).max())
     if singles and k >= 2:
         for e in range(n):
-            line = np.moveaxis(cube, n - 1 - e, -1)
-            rhs = line[..., 0] + line[..., 0]
+            line = values.reshape(w ** (n - 1 - e), w, w**e)
+            rhs = line[:, 0] + line[:, 0]
             yield max(
-                float((rhs - (line[..., i] + line[..., j])).max())
+                float((rhs - (line[:, i] + line[:, j])).max())
                 for i, j in combinations(range(1, k + 1), 2)
             )
 
@@ -660,41 +662,59 @@ def check_r_wise_monotone(
     element is nonnegative.
 
     Enumeration order: element index, then base assignment index, then
-    label sets in lexicographic order.  Every set's marginals are added in
-    label order.  A base assignment fails when the set of its r smallest
-    marginals does, so label sets are searched only on the first failing
-    one, to name the lexicographically first failing set.
+    label sets in lexicographic order.  A set's sum is its marginals in
+    label order, added as numpy's sum adds them (left to right up to seven
+    terms, pairwise from eight on), the same way in the row test, the set
+    search and the reported lhs.  A base assignment fails when the set of
+    its r smallest marginals does, so label sets are searched only on the
+    first failing one, to name the lexicographically first failing set.
+
+    Per element the marginals are label slices of one reshape of the
+    values.  r <= 2 takes running minima over the k slices, which is
+    exact: as rounding is monotone, the least marginals are those of the
+    least f(s+e:i), and a sum of two commutes.  3 <= r < k sorts each base
+    assignment's marginals, stably, and r = k sums them all.
     """
     dims = _guard(table, eps)
     check_int("r", r, 1)
     if r > dims.k:
-        raise InputError(f"r must be in [1, k={dims.k}], got {r}")
-    values = table.values
-    every = np.arange(values.size)
-    labels = np.arange(1, dims.k + 1)
-    evals = 0
-    for e in range(dims.n):
-        step = (dims.k + 1) ** e
-        rows = every.reshape(-1, dims.k + 1, step)[:, 0].ravel()  # e unassigned
-        margs = values[rows[:, None] + labels * step] - values[rows][:, None]
-        evals += (dims.k + 1) * rows.size
-        # r = k keeps every label: the r smallest in label order are all
-        low = margs if r == dims.k else np.take_along_axis(margs, _low_set(margs, r), -1)
-        bad = low.sum(axis=-1) < -eps
+        raise InputError(f"r: must be in [1, k={dims.k}], got {r}")
+    n, k, values = dims.n, dims.k, table.values
+    for e in range(n):
+        step = (k + 1) ** e
+        # cube[:, 0]: f(s) over every s that leaves e unassigned, in index
+        # order; cube[:, i]: f(s+e:i)
+        cube = values.reshape(-1, k + 1, step)
+        base = cube[:, 0]
+        if r <= 2:  # running minima: the least f(s+e:i), for r = 2 the second least too
+            least, second = cube[:, 1], inf
+            for i in range(2, k + 1):
+                if r == 2:
+                    second = np.minimum(second, np.maximum(least, cube[:, i]))
+                least = np.minimum(least, cube[:, i])
+            low = least - base
+            bad = (low + (second - base) if r == 2 else low) < -eps
+        else:  # the gains of each s as one row, in label order
+            margs = (cube[:, 1:] - cube[:, :1]).transpose(0, 2, 1).reshape(-1, k)
+            # r = k keeps every label: the r smallest in label order are all
+            low = margs if r == k else np.take_along_axis(margs, _low_set(margs, r), -1)
+            bad = low.sum(axis=-1) < -eps
         if bad.any():
-            pos = int(np.argmax(bad))
-            chosen = _first_label_set(margs[pos], r, eps)
-            lhs = float(margs[pos, [i - 1 for i in chosen]].sum())
+            hi, lo = divmod(int(np.argmax(bad)), step)
+            gains = cube[hi, 1:, lo] - cube[hi, 0, lo]
+            chosen = _first_label_set(gains, r, eps)
+            lhs = float(gains[[i - 1 for i in chosen]].sum())
             counterexample = {
                 "inequality": "sum of marginals over the label set >= 0",
-                "s": list(assignment_of(int(rows[pos]), dims)),
+                "s": list(assignment_of(hi * (k + 1) * step + lo, dims)),
                 "element": e,
                 "labels": chosen,
                 "lhs": lhs,
                 "rhs": 0.0,
             }
-            return CheckReport(f"{r}_wise_monotone", False, counterexample, evals)
-    return CheckReport(f"{r}_wise_monotone", True, None, evals)
+            return CheckReport(f"{r}_wise_monotone", False, counterexample,
+                               (e + 1) * values.size)
+    return CheckReport(f"{r}_wise_monotone", True, None, n * values.size)
 
 
 def check_characterization(

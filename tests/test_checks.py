@@ -433,7 +433,7 @@ class TestRWiseMonotone:
 
     def test_r_out_of_range(self):
         table = random_ksubmodular(Dims(2, 2), atoms=2, seed=0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^r: must be in \[1, k=2\], got 3$"):
             check_r_wise_monotone(table, 3)
         with pytest.raises(InputError):
             check_r_wise_monotone(table, 0)

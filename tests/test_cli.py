@@ -79,6 +79,13 @@ class TestCheckCommand:
                 main(["check", path, "--property", prop])
             assert excinfo.value.code == 2
 
+    def test_r_above_k_exit_2(self, tmp_path, capsys):
+        path = write_instance(tmp_path, layer_layout_doc(3))
+        code = main(["check", path, "--property", "monotone:5"])
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (2, "")
+        assert captured.err == "error: r: must be in [1, k=3], got 5\n"
+
     def test_invalid_instance_exit_2(self, tmp_path, capsys):
         path = write_instance(
             tmp_path, {"kind": "det_greedy_tight", "n": 2, "k": 2, "r": 3}
