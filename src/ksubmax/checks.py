@@ -26,13 +26,13 @@ pairs, the pairs without a clash (the orthant inequality, see
 order of (index(s), index(t)) row by row, in blocks of at most _BLOCK
 entries, so memory stays flat whatever the table.  It computes f(min0) +
 f(max0) - eps once per block and (meet, join) pattern of the low digits;
-on all assignments and on orthants it tests each s against the least f
-over each group of t that clashes with it on the same digits, whose
-pairs share one right side: (4k+1)^m low pairs instead of (k+1)^(2m),
-the high digits next to them grouped alike from k = 3 on while the
-grouped rows of t fit in _GROUPED entries, and the same first pair (see
-:func:`_pair_scan`).  What a scan needs of the table's shape alone, its
-plan, is built once per shape, check, block and bound and kept
+from k = 3 on, on all assignments and on orthants, it tests each s
+against the least f over each group of t that clashes with it on the
+same digits, whose pairs share one right side: (4k+1)^m low pairs
+instead of (k+1)^(2m), the high digits next to them grouped alike while
+the grouped rows of t fit in _GROUPED entries, and the same first pair
+(see :func:`_pair_scan`).  What a scan needs of the table's shape
+alone, its plan, is built once per shape, check, block and bound and kept
 read-only: at most 16 plans (code, meet, join and clash tables, pair
 lists, the parts of t each part of s visits on the listed high digits,
 steps; :func:`_scan_plan`), each array within max(_BLOCK, (k+1)^2)
@@ -49,7 +49,6 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, inf, nextafter, prod
 
 import numpy as np
@@ -128,8 +127,8 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     the most low digits whose W x W code table and patterns fit in a block
     with room for _RUN high parts of t per block of valid pairs, or for
     every one.  h is the most high digits next to them listed per part of
-    s, grouped as the low ones from k = 3 on, while the grouped rows of t
-    hold at most ``grouped`` entries and the lists at most ``block``.
+    s, grouped as the low ones, while the grouped rows of t hold at most
+    ``grouped`` entries and the lists at most ``block``.
     ``tables`` holds the first step's pairs (low part of s, low part of t,
     pattern) and the valid pairs (low part of s, low part of t or grouped
     low part, pattern), each in order of s and then of t, with start[a]
@@ -148,15 +147,17 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     state = np.where(x == y, x, np.where(x * y, 0, k + x + y))
     clash = ((x != y) & (x * y != 0)).astype(np.intp)
     c = np.arange(k + 1 if orthants else 2 * k + 1)
-    # others[g]: the nonzero labels but the g-th; none when k = 1 or when
-    # no pair may clash ("orthant")
-    others = ((np.arange(k)[:, None] + np.arange(1, k)) % k if k > 1 and mode != "orthant"
+    # others[g]: the nonzero labels but the g-th, from k = 3 on, where a
+    # group stands for two labels or more; none when no pair may clash
+    # ("orthant")
+    groups = k > 2 and mode != "orthant"
+    others = ((np.arange(k)[:, None] + np.arange(1, k)) % k if groups
               else np.zeros((0, 0), dtype=np.intp))
     # one digit's valid pairs (label of s, label of t, state): every label of
-    # t but the clashes, which, but in "orthant", fold into one group per
-    # nonzero label of s, label labels + g of t for the g-th
+    # t but, in "orthant", the clashes, which from k = 3 on fold into one
+    # group per nonzero label of s, label labels + g of t for the g-th
     # (:func:`_min_extended`)
-    s, t = np.nonzero(clash == 0)
+    s, t = np.nonzero((clash == 0) | (mode != "orthant" and not groups))
     g = np.arange(others.shape[0])
     digit = (np.append(s, g + labels.size - k), np.append(t, g + labels.size),
              np.append(state[s, t], 0 * g))
@@ -168,12 +169,8 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     m = next((m for m in range(n, 0, -1) if fits(m)), 0)
     span, high = (k + 1) ** m, (k + 1) ** (n - m)
     size, wide = labels.size, labels.size + g.size
-    # a high digit groups where a group stands for two labels or more; at
-    # k = 2 it keeps t's labels, which then cost no more rows of t
-    one = others.shape[1] < 2
     h = max((h for h in range(n - m + 1) if digit[0].size**h <= block
-             and wide**m * (size if one else wide) ** h * size ** (n - m - h) <= grouped),
-            default=0)
+             and wide ** (m + h) * size ** (n - m - h) <= grouped), default=0)
     meet, join = np.where(c > k, 0, c), np.where(c > k, c - k, c)
     code = _fold([state] * m, c.size)  # W x W, in the least unsigned type
     code = code.astype(np.min_scalar_type(c.size**m - 1))
@@ -185,11 +182,11 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     width, heights = code.shape[0], size ** (n - m)
     # the h grouped high digits' valid pairs, each grouped part of t with
     # the largest label any of its members holds, to keep those with a
-    # member at or above s's; at k = 2 that label is the group's one label
+    # member at or above s's
     top = np.append(np.arange(size), size - k + others.max(1, initial=0))
     near = [_fold([d[None]] * h, r)[0] for d, r in zip(
-        (digit[0], top[digit[1]] if one else digit[1], meet[digit[2]], join[digit[2]],
-         top[digit[1]]), (size, size if one else wide, k + 1, k + 1, size))]
+        (digit[0], digit[1], meet[digit[2]], join[digit[2]], top[digit[1]]),
+        (size, wide, k + 1, k + 1, size))]
     by_s = np.lexsort(near[1::-1])  # in order of s, then of t
     near = [part[by_s] for part in near]
     lists = tuple((np.searchsorted(near[0][keep], np.arange(size**h + 1)),
@@ -233,7 +230,7 @@ def _min_extended(cube: np.ndarray, m: int, h: int, others: np.ndarray):
     over the grouped parts of t, (R^m, L^f R^h) by low part and high part
     with R = labels + G for the G rows of ``others``: the m low digits and
     the h high digits nearest them grouped, the f others not (none when
-    k = 1 or no pair may clash: then the cube itself, as W x H).  Digit
+    k <= 2 or no pair may clash: then the cube itself, as W x H).  Digit
     labels + g of a grouped part stands for every nonzero label but the
     g-th, ``others[g]``, and its entry is the least f over the t it stands
     for: one take and one min per grouped digit, into one array."""
@@ -274,23 +271,23 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     there.  So every t that differs only in such labels has the same right
     side, the float R = fl(fl(f(M) + f(J)) - eps), and as rounding is
     monotone, fl(f(s) + f(t)) < R for one of them exactly when
-    fl(f(s) + min f(t)) < R.  The "ksub" and "orthant-pairs" scans pair
-    each low part of s with the grouped low parts of t, each digit a label
-    or "every nonzero label but x": (4k+1)^m valid pairs instead of W^2 =
-    (k+1)^(2m), (2k)^m instead of k^(2m) on orthants.  From k = 3 on,
-    where a group stands for two labels or more, the h high digits next to
-    the low ones group the same way: on each, t takes 0, x or the group of
-    the other nonzero labels where s has x != 0, and a row keeps a grouped
-    high part when one of its members is p or later.  h is the most high
-    digits for which the grouped rows of t hold at most _GROUPED entries:
-    every high digit under the default pair cap but "orthant-pairs" at
-    (8, 3).  The rows, f over the grouped parts of t
+    fl(f(s) + min f(t)) < R.  From k = 3 on, where a group stands for two
+    labels or more, the "ksub" and "orthant-pairs" scans pair each low
+    part of s with the grouped low parts of t, each digit a label or
+    "every nonzero label but x": (4k+1)^m valid pairs instead of W^2 =
+    (k+1)^(2m), (2k)^m instead of k^(2m) on orthants.  The h high digits
+    next to the low ones group the same way: on each, t takes 0, x or the
+    group of the other nonzero labels where s has x != 0, and a row keeps
+    a grouped high part when one of its members is p or later.  h is the
+    most high digits for which the grouped rows of t hold at most _GROUPED
+    entries: every high digit under the default pair cap but
+    "orthant-pairs" at (8, 3).  The rows, f over the grouped parts of t
     (:func:`_min_extended`), are built once per scan, at its first
     gathering step.  A block's least low part of s with a violating group
     is its least with a violating pair; that s is then tested exactly
     against every t from its own high part on, a block of entries at a
     time, so the report is the pair-by-pair scan's.  Without groups
-    ("orthant", k = 1) the block's least pair is the least t.
+    ("orthant", k <= 2) the block's least pair is the least t.
 
     Steps and blocks.  A block holds at most _BLOCK entries (valid pair,
     part of t on the high digits), the latter innermost, so that both
@@ -313,8 +310,7 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     span, high = (k + 1) ** m, (k + 1) ** (n - m)
     labels, width = k + 1 - orthants, code.shape[0]
     heights, grid = labels ** (n - m), table.values.reshape(-1, span)
-    one = others.shape[1] < 2  # the high digits keep t's labels (:func:`_scan_plan`)
-    near, far, wide = labels**h, labels ** (n - m - h), (labels + k * (not one)) ** h
+    near, far, wide = labels**h, labels ** (n - m - h), (labels + others.shape[0]) ** h
     # row p: the entries of high part p that the scan pairs, low parts in order
     rows = table.values.reshape((k + 1,) * n)[(slice(orthants, None),) * n]
     rows = rows.reshape(heights, width)
@@ -393,7 +389,7 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     pairs, whole = prepared(tables[0]), None
     for i, (p, a0, a1, q_step, gathers) in enumerate(steps):
         if gathers and whole is None:  # t's rows, grouped where pairs group
-            whole = _min_extended(rows.T.reshape((labels,) * n), m, h * (not one), others)
+            whole = _min_extended(rows.T.reshape((labels,) * n), m, h, others)
         if i == 1:  # every later step pairs the valid pairs
             pairs = prepared(tables[1])
         visits = row(p) if i else (np.arange(heights), *sides(0, n - m))
@@ -455,6 +451,16 @@ def _pair_check(
     return CheckReport(prop, False, {"inequality": inequality, **found}, evals)
 
 
+def _least_two(line: np.ndarray) -> tuple:
+    """The least and the second least of line[:, 1], ..., line[:, k], entry
+    by entry, by running minima; the second is inf when k = 1."""
+    least, second = line[:, 1], inf
+    for i in range(2, line.shape[1]):
+        second = np.minimum(second, np.maximum(least, line[:, i]))
+        least = np.minimum(least, line[:, i])
+    return least, second
+
+
 def _local_shortfalls(table: TabularFunction, singles: bool):
     """Yield the largest float shortfall rhs - lhs among the local rows,
     one block at a time: per element pair a < b, the rows
@@ -482,12 +488,11 @@ def _local_shortfalls(table: TabularFunction, singles: bool):
             yield float((rhs - lhs).max())
     if singles and k >= 2:
         for e in range(n):
+            # as rounding is monotone, the largest shortfall at s is that
+            # of its two least f(s+e:i)
             line = values.reshape(w ** (n - 1 - e), w, w**e)
-            rhs = line[:, 0] + line[:, 0]
-            yield max(
-                float((rhs - (line[:, i] + line[:, j])).max())
-                for i, j in combinations(range(1, k + 1), 2)
-            )
+            least, second = _least_two(line)
+            yield float((line[:, 0] + line[:, 0] - (least + second)).max())
 
 
 def _certified(
@@ -687,11 +692,7 @@ def check_r_wise_monotone(
         cube = values.reshape(-1, k + 1, step)
         base = cube[:, 0]
         if r <= 2:  # running minima: the least f(s+e:i), for r = 2 the second least too
-            least, second = cube[:, 1], inf
-            for i in range(2, k + 1):
-                if r == 2:
-                    second = np.minimum(second, np.maximum(least, cube[:, i]))
-                least = np.minimum(least, cube[:, i])
+            least, second = _least_two(cube)
             low = least - base
             bad = (low + (second - base) if r == 2 else low) < -eps
         else:  # the gains of each s as one row, in label order

@@ -3,7 +3,7 @@
 Subcommands: ``check`` (run one property verifier on an instance file),
 ``maximize`` (run an algorithm; ``--exact`` switches the randomized
 algorithms to their exact expectation), and ``bench`` (run a suite and
-write a JSON report with a CSV twin).
+print its report, one row per run with its ratio and bound).
 
 Exit codes: 0 when the property holds / all bounds are satisfied, 1 on a
 property or bound violation, 2 on input or usage errors, on results that
@@ -17,7 +17,6 @@ only dispatch, after ``maximize`` refuses any flag its mode would ignore.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import math
 import os
@@ -99,10 +98,14 @@ _CHECKERS = {
 
 
 def _checker(text: str):
-    """The --property checker, called as checker(table, eps, max_pairs)."""
+    """The --property checker, called as checker(table, eps, max_pairs), or
+    None for an unknown name or an r below 1; r above k is refused at run
+    time, as it depends on the instance."""
     name, _, arity = text.partition(":")
     if name == "monotone":
         r = int(arity)
+        if r < 1:
+            return None
         return lambda table, eps, max_pairs: check_r_wise_monotone(table, r, eps)
     return _CHECKERS.get(text)
 
@@ -116,7 +119,7 @@ _k_values = _flag(_int_range, lambda ks: ks and min(ks) >= 2,
                   "a non-empty range of k >= 2")
 _r_values = _flag(_int_range, lambda rs: rs and min(rs) >= 1,
                   "a non-empty range of r >= 1")
-_property = _flag(_checker, bool, "one of ksub, orthant, monotone:<r>, "
+_property = _flag(_checker, bool, "one of ksub, orthant, monotone:<r> with r >= 1, "
                   "characterization, orthant-pairs")
 
 
@@ -257,12 +260,6 @@ def _random_ksub(args: argparse.Namespace) -> Iterator[tuple]:
 
 _SUITES = {"paper-tight": _paper_tight, "random-ksub": _random_ksub}
 
-_CSV_COLUMNS = (
-    "instance", "k", "r", "algorithm", "mode", "value", "opt",
-    "ratio", "bound", "bound_satisfied", "seed",
-)
-
-
 def cmd_bench(args: argparse.Namespace) -> int:
     rows = []
     for instance, oracle, k, r, seed, runs in _SUITES[args.suite](args):
@@ -270,39 +267,13 @@ def cmd_bench(args: argparse.Namespace) -> int:
         for algorithm, mode, value, bound in runs:
             ratio = value / opt if opt > 0 else None
             satisfied = True if ratio is None else ratio >= bound - args.eps
-            cells = (instance, k, r, algorithm, mode, value, opt, ratio, bound,
-                     satisfied, seed)
-            rows.append(dict(zip(_CSV_COLUMNS, cells)))
-    report = {
-        "suite": args.suite,
-        "eps": args.eps,
-        "k_values": args.k,
-        "rows": rows,
-        "all_bounds_satisfied": all(row["bound_satisfied"] for row in rows),
-    }
-    out_path = Path(args.out)
-    csv_path = out_path.with_suffix(".csv")
-    try:
-        out_path.write_text(json.dumps(report, indent=2) + "\n")
-        with open(csv_path, "w", newline="") as handle:
-            writer = csv.writer(handle)
-            writer.writerow(_CSV_COLUMNS)
-            for row in rows:
-                writer.writerow(
-                    ["" if row[c] is None else row[c] for c in _CSV_COLUMNS]
-                )
-    except OSError as exc:
-        raise InputError(f"cannot write report: {exc}") from exc
-    _emit(
-        {
-            "suite": args.suite,
-            "rows": len(rows),
-            "violations": sum(1 for row in rows if not row["bound_satisfied"]),
-            "out": str(out_path),
-            "csv": str(csv_path),
-        }
-    )
-    return 0 if report["all_bounds_satisfied"] else 1
+            rows.append(dict(instance=instance, k=k, r=r, algorithm=algorithm, mode=mode,
+                             value=value, opt=opt, ratio=ratio, bound=bound,
+                             bound_satisfied=satisfied, seed=seed))
+    held = all(row["bound_satisfied"] for row in rows)
+    _emit({"suite": args.suite, "eps": args.eps, "k_values": args.k, "rows": rows,
+           "all_bounds_satisfied": held})
+    return 0 if held else 1
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -346,7 +317,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p_max)
     p_max.set_defaults(func=cmd_maximize)
 
-    p_bench = sub.add_parser("bench", help="run a benchmark suite, write a report")
+    p_bench = sub.add_parser("bench", help="run a benchmark suite, print its report")
     p_bench.add_argument("--suite", required=True, choices=_SUITES)
     p_bench.add_argument("--k", required=True, type=_k_values,
                          help="k values >= 2, e.g. 2..6 or 3 or 2,4,6")
@@ -355,8 +326,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--trials", type=_positive_int, default=100,
                          help="random tables per k for the random-ksub suite")
     p_bench.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
-    p_bench.add_argument("--out", required=True, help="report path (.json; CSV twin "
-                         "written alongside)")
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

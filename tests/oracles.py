@@ -3,7 +3,8 @@
 Everything here is written with plain loops and its own scalar coordinate
 operations, sharing no code path with the library's vectorized checkers or
 incremental algorithms, so agreement between the two is meaningful
-evidence.
+evidence.  :func:`first_pair_violation` loops over s and compares every t
+at once, so that tables of a few thousand states stay within seconds.
 """
 
 import itertools
@@ -121,6 +122,40 @@ def first_nonclash_violation(f, n, k, eps):
                 continue
             if f(s) + f(t) < f(vec_min0(s, t)) + f(vec_max0(s, t)) - eps:
                 return s, t
+    return None
+
+
+def outer_sum(parts):
+    """Per assignment t over the labels that ``parts`` lists, in index
+    order: the sum over elements e of parts[e][t_e], element 0 least
+    significant."""
+    total = np.asarray(parts[-1])
+    for part in parts[-2::-1]:
+        total = (total[:, None] + np.asarray(part)).ravel()
+    return total
+
+
+def first_pair_violation(values, n, k, mode, eps):
+    """The first pair (s, t), in lexicographic order of (index(s),
+    index(t)), with f(s) + f(t) < f(M) + f(J) - eps, as (s, t), or None.
+    ``mode`` "ksub" takes every pair with (M, J) = (min0, max0), "orthant"
+    the pairs without a clash and "orthant-pairs" the orthant pairs with
+    M = J = id0.  Each s is compared with every t at once: the index of
+    each t, M and J is a sum over elements of a per-element term."""
+    w = k + 1
+    labels = list(range(int(mode == "orthant-pairs"), w))
+    meet, join = (sc_id0, sc_id0) if mode == "orthant-pairs" else (sc_min0, sc_max0)
+    index = outer_sum([[x * w**e for x in labels] for e in range(n)])
+    for i in index:
+        s = assignment_at(int(i), n, k)
+        meets = outer_sum([[meet(s[e], y) * w**e for y in labels] for e in range(n)])
+        joins = outer_sum([[join(s[e], y) * w**e for y in labels] for e in range(n)])
+        bad = values[i] + values[index] < values[meets] + values[joins] - eps
+        if mode == "orthant":
+            bad &= outer_sum([[clashes((s[e],), (y,)) for y in labels]
+                              for e in range(n)]) == 0
+        if bad.any():
+            return s, assignment_at(int(index[bad.argmax()]), n, k)
     return None
 
 

@@ -9,6 +9,7 @@ import sys
 import threading
 import tracemalloc
 from fractions import Fraction
+from functools import lru_cache
 from itertools import accumulate, chain, product
 from math import prod
 from unittest.mock import patch
@@ -754,6 +755,22 @@ class TestLocalCertificate:
             got = list(checks._local_shortfalls(table, singles))
             assert [delta.hex() for delta in got] == [delta.hex() for delta in expected]
 
+    @pytest.mark.parametrize("factor", [1.0, 2.0**-40, 1e300])
+    @pytest.mark.parametrize("kind", ["holds", "random", "ties"])
+    @pytest.mark.parametrize("k", [2, 3, 4, 5, 6])
+    def test_single_rows_are_the_loop_references_blocks(self, k, kind, factor):
+        # rows (i) from the two least f(s+e:i), bit for bit the largest
+        # over every label pair; "ties" repeats gains on a grid, zeros +0.0
+        if kind == "ties":
+            grid = grid_table(3, k, seed=k, dips=4, scale=factor)
+            table = TabularFunction(grid.dims, np.abs(grid.values))
+        else:
+            table = scaled(lambda: seeded_table(kind, 3, k, seed=k), factor)()
+        f = dict(zip(all_assignments(table.dims), table.values.tolist())).__getitem__
+        expected = oracles.local_shortfall_blocks(f, 3, k, True)
+        got = list(checks._local_shortfalls(table, True))
+        assert [delta.hex() for delta in got] == [delta.hex() for delta in expected]
+
     @pytest.mark.parametrize("make", REPORT_TABLES.values(), ids=REPORT_TABLES.keys())
     @pytest.mark.parametrize("name", PAIR_CHECKS)
     def test_report_equals_the_exhaustive_one(self, make, name):
@@ -888,10 +905,11 @@ def boundary_table(n, k, scan, shortfall, unit):
     return TabularFunction(dims, values)
 
 
-def first_violation_json(table, scan, eps):
+def first_violation_json(table, scan, eps, rowwise=False):
     """The report of ``scan`` on ``table`` from the independent reference:
     the first violating pair in index order, by plain loops over
-    tests/oracles.py, with the scan's float operations."""
+    tests/oracles.py, with the scan's float operations; with ``rowwise``,
+    by :func:`oracles.first_pair_violation`, one s at a time."""
     dims = table.dims
     states = list(all_assignments(dims))
     meet_join = (oracles.vec_min0, oracles.vec_max0)
@@ -915,7 +933,9 @@ def first_violation_json(table, scan, eps):
         lhs, rhs = sides(s, t)
         return lhs < rhs - eps
 
-    if scan == "orthant":
+    if rowwise:
+        pair = oracles.first_pair_violation(table.values, dims.n, dims.k, scan, eps)
+    elif scan == "orthant":
         pair = oracles.first_nonclash_violation(table, dims.n, dims.k, eps)
     else:
         pair = first_pair_in_index_order(states, violates)
@@ -1001,9 +1021,23 @@ class TestClashGroups:
             assert json.dumps(report.to_json()) == expected
             assert json.dumps(pairs.to_json()) == expected_pairs
 
+    @pytest.mark.parametrize("mode", ["ksub", "orthant-pairs"])
+    @pytest.mark.parametrize("m,h", [(3, 0), (1, 2)])
+    def test_k_2_plans_have_no_groups(self, m, h, mode):
+        # a group would stand for one label: every label pair is a plain
+        # valid pair, and t's rows are the cube itself
+        labels = 3 - (mode == "orthant-pairs")
+        plan = scan_plan(4, 2, mode)  # (m, h, ..., others, tables, ...)
+        others, valid = plan[7], plan[8][1][0]
+        assert others.size == 0
+        assert valid.size == labels ** (2 * plan[0])
+        cube = np.random.default_rng(m + h).random((labels,) * 4)
+        assert np.array_equal(checks._min_extended(cube, m, h, others),
+                              cube.reshape(labels**m, -1))
+
     @pytest.mark.parametrize("n,k,orthants,m,h", [
-        (3, 3, False, 2, 0), (2, 4, False, 1, 0), (3, 4, True, 2, 0), (4, 2, False, 3, 0),
-        (3, 3, False, 2, 1), (3, 4, True, 1, 2), (4, 2, False, 1, 2), (4, 3, False, 0, 3)])
+        (3, 3, False, 2, 0), (2, 4, False, 1, 0), (3, 4, True, 2, 0),
+        (3, 3, False, 2, 1), (3, 4, True, 1, 2), (4, 3, False, 0, 3)])
     def test_min_extended_rows_are_the_least_f_over_each_group(self, n, k, orthants, m, h):
         # the cube's axes: the m low elements, then the high ones, most
         # significant first; the m low axes and the last h are grouped
@@ -1074,6 +1108,78 @@ class TestClashGroups:
         monkeypatch.setattr(checks, "_min_extended", counted)
         report = SCANS[name](seeded_table("holds", n, k, seed=n + k))
         assert report.holds and len(calls) == 1
+
+
+def clash_witness_table(n, k):
+    """A holding table with f(1, k, ..., k) halved: its first violating
+    pair, on all assignments and on orthants, clashes (see
+    :class:`TestTwoLabels`)."""
+    table = holding_table(n, k)
+    values = table.values.copy()
+    values[-2] *= 0.5
+    return TabularFunction(table.dims, values, name="clash-witness")
+
+
+#: k = 2 tables: holding, raised-last and clash-witness, up to (8, 2)
+TWO_LABEL_TABLES = {
+    **{f"{kind}-{n}-2": (lambda kind=kind, n=n: seeded_table(kind, n, 2, seed=n))
+       for kind in ("holds", "raised-last") for n in (3, 5, 8)},
+    **{f"clash-witness-{n}-2": (lambda n=n: clash_witness_table(n, 2)) for n in (3, 5, 8)},
+    **{f"clash-group-{case}": (lambda case=case: clash_group_table(2, CLASH_CASES[case](2)))
+       for case in ("least-violating-member-is-not-the-minimizer", "tied-members")},
+}
+
+
+@lru_cache(maxsize=None)
+def two_label_report(name, scan, eps=1e-9):
+    """The report of ``scan`` on TWO_LABEL_TABLES[name] from the references,
+    as JSON text: the first pairs one s at a time, and for the
+    characterization the r = 2 loops too, whose sides must agree."""
+    table = TWO_LABEL_TABLES[name]()
+    if scan != "characterization":
+        return first_violation_json(table, scan, eps, rowwise=True)
+    ksub, orthant = (json.loads(two_label_report(name, side, eps)) for side in ("ksub", "orthant"))
+    n, k = table.dims.n, table.dims.k
+    pairwise = oracles.first_r_wise_violation(table, n, k, 2, eps)
+    assert ksub["holds"] == (orthant["holds"] and pairwise is None)
+    evals = (ksub["evals"] + orthant["evals"]
+             + (pairwise[1] + 1 if pairwise else n) * (k + 1) ** n)
+    return json.dumps({"property": "characterization", "holds": True,
+                       "counterexample": None, "evals": evals})
+
+
+class TestTwoLabels:
+    """At k = 2 a clash group stands for one label, so a clashing t is a
+    plain pair of the scan; these pins hold the k = 2 scans to the
+    references whatever the scan groups."""
+
+    @pytest.mark.parametrize("scan", ["ksub", "orthant", "orthant-pairs"])
+    @pytest.mark.parametrize("n,k", [(2, 2), (3, 2), (2, 3), (3, 3)])
+    @pytest.mark.parametrize("kind", ["holds", "random", "raised-last"])
+    def test_rowwise_reference_is_the_plain_loops(self, kind, n, k, scan):
+        for table in (seeded_table(kind, n, k, seed=n + k), clash_witness_table(n, k)):
+            assert (first_violation_json(table, scan, 1e-9, rowwise=True)
+                    == first_violation_json(table, scan, 1e-9))
+
+    @pytest.mark.parametrize("scan", ["ksub", "orthant-pairs"])
+    @pytest.mark.parametrize("n", [3, 5, 8])
+    def test_clash_witness_tables_fail_on_a_clashing_pair(self, n, scan):
+        witness = json.loads(two_label_report(f"clash-witness-{n}-2", scan))["counterexample"]
+        assert oracles.clashes(witness["s"], witness["t"])
+
+    # blocks of 300 entries or fewer take seconds at (8, 2)
+    @pytest.mark.parametrize("name,block", [
+        (name, block) for name in TWO_LABEL_TABLES
+        for block in ((checks._BLOCK, 4096) if "-8-" in name else (checks._BLOCK, 300, 40))])
+    @pytest.mark.parametrize("scan", ["ksub", "orthant-pairs", "characterization"])
+    def test_reports_are_the_references(self, scan, name, block):
+        table = TWO_LABEL_TABLES[name]()
+        with patch.object(checks, "_BLOCK", block):
+            if scan == "characterization":
+                report = check_characterization(table, 1e-9, 10**12)
+            else:
+                report = SCANS[scan](table)
+        assert json.dumps(report.to_json()) == two_label_report(name, scan)
 
 
 def modular_table(n, k, seed, lowered):

@@ -1,4 +1,4 @@
-"""Command-line contract: exit codes, single-JSON stdout, report files."""
+"""Command-line contract: exit codes and one JSON document on stdout."""
 
 import json
 import math
@@ -78,6 +78,18 @@ class TestCheckCommand:
             with pytest.raises(SystemExit) as excinfo:
                 main(["check", path, "--property", prop])
             assert excinfo.value.code == 2
+
+    @pytest.mark.parametrize("prop", ["monotone:0", "monotone:-1"])
+    def test_r_below_one_exit_2_before_reading(self, capsys, prop):
+        # monotone:0 passed argparse: a missing file was reported instead,
+        # and a real one was read before r was refused
+        with pytest.raises(SystemExit) as excinfo:
+            main(["check", "/no/such/file.json", "--property", prop])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "argument --property:" in captured.err
+        assert "file.json" not in captured.err
 
     def test_r_above_k_exit_2(self, tmp_path, capsys):
         path = write_instance(tmp_path, layer_layout_doc(3))
@@ -395,14 +407,13 @@ class TestMaximizeCommand:
 
 
 class TestBenchCommand:
-    def test_paper_tight_all_bounds_hold(self, tmp_path, capsys):
-        out_path = tmp_path / "report.json"
-        code, out = run(capsys, ["bench", "--suite", "paper-tight",
-                                 "--k", "2..4", "--out", str(out_path)])
+    def test_paper_tight_all_bounds_hold(self, capsys):
+        code, out = run(capsys, ["bench", "--suite", "paper-tight", "--k", "2..4"])
         assert code == 0
-        summary = json.loads(out)
-        assert summary["violations"] == 0
-        report = json.loads(out_path.read_text())
+        report = json.loads(out)
+        assert list(report) == ["suite", "eps", "k_values", "rows",
+                                "all_bounds_satisfied"]
+        assert (report["suite"], report["k_values"]) == ("paper-tight", [2, 3, 4])
         assert report["all_bounds_satisfied"] is True
         assert all(row["bound_satisfied"] for row in report["rows"])
         # tight rows meet their guarantee with equality
@@ -410,58 +421,73 @@ class TestBenchCommand:
         assert det_rows
         for row in det_rows:
             assert row["ratio"] == pytest.approx(row["bound"], abs=1e-12)
-        csv_lines = (tmp_path / "report.csv").read_text().strip().splitlines()
-        assert len(csv_lines) == len(report["rows"]) + 1
         header = "instance,k,r,algorithm,mode,value,opt,ratio,bound,bound_satisfied,seed"
-        assert csv_lines[0] == header
         assert all(list(row) == header.split(",") for row in report["rows"])
+        # the one document, as json.dumps with indent 2 writes it
+        assert out == json.dumps(report, indent=2) + "\n"
 
-    def test_random_ksub_reproducible(self, tmp_path, capsys):
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        code, _ = run(capsys, ["bench", "--suite", "random-ksub", "--k", "2,3",
-                               "--trials", "3", "--seed", "7", "--out", str(a)])
+    def test_random_ksub_reproducible(self, capsys):
+        argv = ["bench", "--suite", "random-ksub", "--k", "2,3",
+                "--trials", "3", "--seed", "7"]
+        code, first = run(capsys, argv)
         assert code == 0
-        run(capsys, ["bench", "--suite", "random-ksub", "--k", "2,3",
-                     "--trials", "3", "--seed", "7", "--out", str(b)])
-        assert a.read_bytes() == b.read_bytes()
+        assert len(json.loads(first)["rows"]) == 2 * 3 * 3
+        assert run(capsys, argv) == (0, first)
 
-    def test_empty_k_range_exit_2(self, tmp_path, capsys):
-        for ks in ("6..2", "1"):
-            with pytest.raises(SystemExit) as excinfo:
-                main(["bench", "--suite", "paper-tight",
-                      "--k", ks, "--out", str(tmp_path / "r.json")])
-            assert excinfo.value.code == 2
+    def test_violated_bound_exit_1_with_the_report(self, capsys, monkeypatch):
+        # a guarantee above every ratio: each greedy-det row fails
+        monkeypatch.setattr(ksubmax.cli, "det_greedy_guarantee", lambda r: 2.0)
+        code, out = run(capsys, ["bench", "--suite", "paper-tight", "--k", "2"])
+        assert code == 1
+        report = json.loads(out)
+        assert report["all_bounds_satisfied"] is False
+        failed = {row["algorithm"] for row in report["rows"]
+                  if not row["bound_satisfied"]}
+        assert failed == {"greedy-det"}
 
-    @pytest.mark.parametrize("rs", ["0", "0..2", "-1", "2,0"])
-    def test_r_below_one_exit_2(self, tmp_path, capsys, rs):
-        # --r 0 exited 0 with every deterministic-greedy row silently dropped
+    def test_out_flag_exit_2(self, tmp_path, capsys):
+        # the report is the one stdout document; no flag names a file
         out_path = tmp_path / "r.json"
         with pytest.raises(SystemExit) as excinfo:
-            main(["bench", "--suite", "paper-tight", "--k", "3",
-                  "--r", rs, "--out", str(out_path)])
+            main(["bench", "--suite", "paper-tight", "--k", "2",
+                  "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert excinfo.value.code == 2
+        assert captured.out == ""
+        assert "--out" in captured.err and "usage:" in captured.err
+        assert not out_path.exists()
+
+    def test_empty_k_range_exit_2(self, capsys):
+        for ks in ("6..2", "1"):
+            with pytest.raises(SystemExit) as excinfo:
+                main(["bench", "--suite", "paper-tight", "--k", ks])
+            assert excinfo.value.code == 2
+            assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("rs", ["0", "0..2", "-1", "2,0"])
+    def test_r_below_one_exit_2(self, capsys, rs):
+        # --r 0 exited 0 with every deterministic-greedy row silently dropped
+        with pytest.raises(SystemExit) as excinfo:
+            main(["bench", "--suite", "paper-tight", "--k", "3", "--r", rs])
         captured = capsys.readouterr()
         assert excinfo.value.code == 2
         assert captured.out == ""
         assert "argument --r:" in captured.err and "usage:" in captured.err
-        assert not out_path.exists()
 
     @pytest.mark.parametrize("ks,rs", [("3", "5"), ("2..3", "2..4"), ("2,4", "5")])
-    def test_r_above_every_k_exit_2(self, tmp_path, capsys, ks, rs):
+    def test_r_above_every_k_exit_2(self, capsys, ks, rs):
         # --k 3 --r 5 exited 0 with no deterministic-greedy row in the report
-        out_path = tmp_path / "r.json"
-        code = main(["bench", "--suite", "paper-tight", "--k", ks,
-                     "--r", rs, "--out", str(out_path)])
+        code = main(["bench", "--suite", "paper-tight", "--k", ks, "--r", rs])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.out == ""
         assert "--r" in captured.err and "--k" in captured.err
-        assert not out_path.exists()
 
-    def test_r_restriction(self, tmp_path, capsys):
-        out_path = tmp_path / "report.json"
-        run(capsys, ["bench", "--suite", "paper-tight", "--k", "3..4",
-                     "--r", "2", "--out", str(out_path)])
-        report = json.loads(out_path.read_text())
+    def test_r_restriction(self, capsys):
+        code, out = run(capsys, ["bench", "--suite", "paper-tight", "--k", "3..4",
+                                 "--r", "2"])
+        assert code == 0
+        report = json.loads(out)
         rs = {row["r"] for row in report["rows"] if row["algorithm"] == "greedy-det"}
         assert rs == {2}
 
@@ -516,11 +542,10 @@ BAD_RUN_FLAGS = [("--eps", "nan"), ("--eps", "inf"), ("--eps", "-1"),
 )
 def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
     path = write_instance(tmp_path, layer_layout_doc(3))
-    report = tmp_path / "report.json"
     argv = {
         "check": ["check", path, "--property", "ksub"],
         "maximize": ["maximize", path, "--algo", "greedy-rand"],
-        "bench": ["bench", "--suite", "random-ksub", "--k", "2", "--out", str(report)],
+        "bench": ["bench", "--suite", "random-ksub", "--k", "2"],
     }[command]
     with pytest.raises(SystemExit) as excinfo:
         main(argv + [flag, value])
@@ -528,7 +553,6 @@ def test_out_of_range_flag_exit_2(tmp_path, capsys, command, flag, value):
     assert excinfo.value.code == 2
     assert captured.out == ""
     assert f"argument {flag}:" in captured.err
-    assert not report.exists()
 
 
 #: One edge on 64 elements at k = 1: 2^64 assignments, whose indices
