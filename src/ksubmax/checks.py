@@ -138,9 +138,9 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     part of t, meet, join), each meet and join on the (k+1)-radix of the
     table.  ``packed`` holds one high digit's meet * (k+1)^(n-m) + join
     per label pair and ``clash`` its clashes, for the high digits past the
-    h; a step is (row, low parts a0:a1 of s, high parts of t per block,
-    whether it gathers from t's rows).  No array has more than ``block``
-    entries, or (k+1)^2 when a block is smaller."""
+    h; a step is (row, low parts a0:a1 of s, high parts of t per block).
+    No array has more than ``block`` entries, or (k+1)^2 when a block is
+    smaller."""
     orthants = mode == "orthant-pairs"
     labels = np.arange(int(orthants), k + 1)
     x, y = labels[:, None], labels  # state: (x, x) is x, (0, y) k + y, a clash 0
@@ -195,13 +195,12 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
     # on all assignments s = 0 meets and joins every t at 0 and t: it never
     # violates, so row 0 starts at low part 1.  Its first step takes the s
     # whose low digits but element 0's hold their first label and pairs them
-    # with every t by broadcasting, without groups, but in "orthant", where
-    # that would pair clashing s and t, with their valid pairs
-    lowest, gathers = int(not orthants), mode == "orthant"
-    first = min(width, labels.size)
+    # with every t, without groups, but in "orthant", where that would pair
+    # clashing s and t, with their valid pairs
+    lowest, first = int(not orthants), min(width, labels.size)
     valid = [d[order] for d in valid]
     cut = int(np.searchsorted(valid[0], first))
-    opening = [d[:cut] for d in valid] if gathers else [
+    opening = [d[:cut] for d in valid] if mode == "orthant" else [
         np.arange(first).repeat(width), np.tile(np.arange(width), first), code[:first]]
     used, pc = np.unique(opening[2], return_inverse=True)  # the patterns it meets
 
@@ -217,8 +216,8 @@ def _scan_plan(n: int, k: int, mode: str, block: int, grouped: int) -> tuple:
 
     rest = [(0, first, width)] * (first < width)
     rest += [(p, 0, width) for p in range(1, heights)]
-    steps = [(0, lowest, first, per_block(tables[0], lowest, first), gathers)]
-    steps += [(p, a0, a1, per_block(tables[1], a0, a1), True) for p, a0, a1 in rest]
+    steps = [(0, lowest, first, per_block(tables[0], lowest, first))]
+    steps += [(p, a0, a1, per_block(tables[1], a0, a1)) for p, a0, a1 in rest]
     for array in (code, lo_meet, lo_join, packed, clash, others, *sum(tables + lists, ())):
         array.flags.writeable = False
     return (m, h, code, lo_meet, lo_join, packed, clash, others, tables, lists, tuple(steps))
@@ -282,12 +281,13 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     most high digits for which the grouped rows of t hold at most _GROUPED
     entries: every high digit under the default pair cap but
     "orthant-pairs" at (8, 3).  The rows, f over the grouped parts of t
-    (:func:`_min_extended`), are built once per scan, at its first
-    gathering step.  A block's least low part of s with a violating group
-    is its least with a violating pair; that s is then tested exactly
-    against every t from its own high part on, a block of entries at a
-    time, so the report is the pair-by-pair scan's.  Without groups
-    ("orthant", k <= 2) the block's least pair is the least t.
+    (:func:`_min_extended`), are built once per scan, at its second step.
+    A block's least low part of s with a violating group is its least with
+    a violating pair; that s is then tested exactly against every t from
+    its own high part on, gathered from the plain rows a block of entries
+    at a time, so the report is the pair-by-pair scan's.  Without groups
+    ("orthant", k <= 2, row 0's first step) the block's least pair is the
+    least t.
 
     Steps and blocks.  A block holds at most _BLOCK entries (valid pair,
     part of t on the high digits), the latter innermost, so that both
@@ -298,10 +298,10 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
     are such.  Outside "orthant-pairs" row 0 starts at low part 1, as
     s = 0 meets and joins every t at 0 and t.  Row 0's first step, the low
     parts of s whose other low digits hold their first label, pairs them
-    with every t, without groups, by broadcasting, or in "orthant" with
-    their valid pairs, so an early violation costs one small step and no
-    grouped rows.  The steps run in order on the caller's thread, and the
-    first step with a violation reports its least s and that s's least t.
+    with every t, or in "orthant" with their valid pairs, gathered from the
+    plain rows, so an early violation costs one small step and no grouped
+    rows.  The steps run in order on the caller's thread, and the first
+    step with a violation reports its least s and that s's least t.
     """
     n, k = table.dims.n, table.dims.k
     m, h, code, lo_meet, lo_join, packed, clash, others, tables, lists, steps = (
@@ -347,11 +347,10 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
         return [np.concatenate([a + b[0], (e + b[1:, None]).ravel()])
                 for a, e, b in zip(reach, every, ups)]
 
-    def step(p, a0, a1, q_step, pairs, whole, cols, hi_meet, hi_join):
+    def step(p, a0, a1, q_step, pairs, t_rows, cols, hi_meet, hi_join):
         pa, pb, pc, start, meet, join = pairs
         i0, count = int(start[a0]), cols.size
         lhs, rhs, _, bad = _buffers(min(q_step, count) * int(start[a1] - i0))
-        t_rows = rows.T if whole is None else whole
         best = None  # the least (a, t's part in cols, b) so far
         for j0 in range(0, count, q_step):
             limit = a1 if best is None else best[0]  # no later a >= limit wins
@@ -368,12 +367,9 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
                 parts = slice(parts[0], parts[-1] + 1)
             # mode="clip" writes into out directly; "raise" buffers it
             rs.take(pc[i0:i1], 0, right, "clip")
-            if whole is None:  # f(s) + f(t) for each low part of s and every t
-                np.add(rows[p, a0:limit, None, None], t_rows[None, :, parts],
-                       out=left.reshape(limit - a0, width, shape[1]))
-            else:  # f(t), or the least f over each pair's group of t, then f(s) added
-                t_rows[:, parts].take(pb[i0:i1], 0, left, "clip")
-                left += rows[p, pa[i0:i1], None]
+            # f(t), or the least f over each pair's group of t, then f(s) added
+            t_rows[:, parts].take(pb[i0:i1], 0, left, "clip")
+            left += rows[p, pa[i0:i1], None]
             np.less(left, right, out=below)
             hit = int(below.argmax())
             if below.flat[hit]:
@@ -386,24 +382,23 @@ def _pair_scan(table: TabularFunction, mode: str, eps: float) -> dict | None:
                 best = (a, j0 + j, int(pb[i0 + hit // shape[1] + hits[:, j].argmax()]))
         return best
 
-    pairs, whole = prepared(tables[0]), None
-    for i, (p, a0, a1, q_step, gathers) in enumerate(steps):
-        if gathers and whole is None:  # t's rows, grouped where pairs group
-            whole = _min_extended(rows.T.reshape((labels,) * n), m, h, others)
-        if i == 1:  # every later step pairs the valid pairs
+    pairs, t_rows = prepared(tables[0]), rows.T
+    for i, (p, a0, a1, q_step) in enumerate(steps):
+        if i == 1:  # later steps: the valid pairs, t's rows grouped where pairs group
             pairs = prepared(tables[1])
+            t_rows = _min_extended(rows.T.reshape((labels,) * n), m, h, others)
         visits = row(p) if i else (np.arange(heights), *sides(0, n - m))
-        found = step(p, a0, a1, q_step, pairs, whole, *visits)
+        found = step(p, a0, a1, q_step, pairs, t_rows, *visits)
         if found is not None:
             break
     else:
         return None
     a, j, b = found
-    if whole is not None and others.size:  # s's least t: s alone against every t from p on
+    if i and others.size:  # s's least t: s alone against every t from p on
         alone = (np.full(width, a), np.arange(width), code[a],
                  np.where(np.arange(width + 1) > a, width, 0), lo_meet, lo_join)
         visits = (np.arange(p, heights), *(side[p:] for side in sides(p, n - m)))
-        _, j, b = step(p, a, a + 1, max(1, _BLOCK // width), alone, None, *visits)
+        _, j, b = step(p, a, a + 1, max(1, _BLOCK // width), alone, rows.T, *visits)
     q, hi_meet, hi_join = (int(side[j]) for side in visits)
     return {
         "s": assignment(p * width + a),

@@ -11,7 +11,8 @@ are not finite and on a stdout closed before the result is written.
 stdout carries exactly one JSON document per invocation; diagnostics go to
 stderr.  Each flag is checked by its argparse type, so a bad value exits 2
 through argparse's usage message, which names the flag; command bodies
-only dispatch, after ``maximize`` refuses any flag its mode would ignore.
+only dispatch, after ``maximize`` and ``bench`` refuse any flag their mode
+or suite would ignore.
 """
 
 from __future__ import annotations
@@ -146,24 +147,27 @@ def cmd_check(args: argparse.Namespace) -> int:
     return 0 if report.holds else 1
 
 
-def _refuse_ignored_flags(args: argparse.Namespace) -> None:
-    """Refuse a maximize flag that the chosen mode would ignore, naming it
-    and the flag that rules it out."""
-    algo = f"--algo {args.algo}"
-    randomized = args.algo in ("random", "greedy-rand")
-    seeded = args.seed is not None
-    rules = (
-        ("--exact", algo, args.exact and not randomized),
-        ("--trials", algo, args.trials is not None and not randomized),
-        ("--trials", "--exact", args.trials is not None and args.exact),
-        ("--seed", algo, seeded and not randomized),
-        ("--seed", "--exact", seeded and args.exact),
-        ("--orthants-only", algo, args.orthants_only and args.algo != "brute"),
-        ("--order", algo, args.order is not None and args.algo in ("brute", "random")),
-    )
+def _refuse(*rules: tuple) -> None:
+    """Refuse the first flag that its rule finds ignored, naming it and the
+    flag that rules it out: each rule is (flag, rival, ignored)."""
     for flag, rival, ignored in rules:
         if ignored:
             raise InputError(f"{flag} does not apply to {rival}")
+
+
+def _refuse_ignored_flags(args: argparse.Namespace) -> None:
+    """Refuse a maximize flag that the chosen mode would ignore."""
+    algo = f"--algo {args.algo}"
+    randomized = args.algo in ("random", "greedy-rand")
+    _refuse(
+        ("--exact", algo, args.exact and not randomized),
+        ("--trials", algo, args.trials is not None and not randomized),
+        ("--trials", "--exact", args.trials is not None and args.exact),
+        ("--seed", algo, args.seed is not None and not randomized),
+        ("--seed", "--exact", args.seed is not None and args.exact),
+        ("--orthants-only", algo, args.orthants_only and args.algo != "brute"),
+        ("--order", algo, args.order is not None and args.algo in ("brute", "random")),
+    )
 
 
 def cmd_maximize(args: argparse.Namespace) -> int:
@@ -239,12 +243,13 @@ def _paper_tight(args: argparse.Namespace) -> Iterator[tuple]:
 
 
 def _random_ksub(args: argparse.Namespace) -> Iterator[tuple]:
-    """--trials seeded random k-submodular tables on 3 elements per k, each
-    run by all three algorithms; yields as :func:`_paper_tight` does."""
+    """--trials (default 100) seeded random k-submodular tables on 3
+    elements per k, from --seed (default 0), each run by all three
+    algorithms; yields as :func:`_paper_tight` does."""
     eps, cap = args.eps, args.max_states
     for k in args.k:
-        for t in range(args.trials):
-            seed = args.seed * 1_000_003 + k * 1_009 + t
+        for t in range(args.trials or 100):
+            seed = (args.seed or 0) * 1_000_003 + k * 1_009 + t
             table = random_ksubmodular(Dims(3, k), atoms=6, seed=seed)
             yield "random_ksub", table, k, None, seed, [
                 ("greedy-det", "single-run", deterministic_greedy(table, eps=eps).value,
@@ -261,6 +266,10 @@ def _random_ksub(args: argparse.Namespace) -> Iterator[tuple]:
 _SUITES = {"paper-tight": _paper_tight, "random-ksub": _random_ksub}
 
 def cmd_bench(args: argparse.Namespace) -> int:
+    suite, tight = f"--suite {args.suite}", args.suite == "paper-tight"
+    _refuse(("--r", suite, args.r is not None and not tight),
+            ("--trials", suite, args.trials is not None and tight),
+            ("--seed", suite, args.seed is not None and tight))
     rows = []
     for instance, oracle, k, r, seed, runs in _SUITES[args.suite](args):
         opt = brute_force_max(oracle, max_states=args.max_states).value
@@ -323,9 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="k values >= 2, e.g. 2..6 or 3 or 2,4,6")
     p_bench.add_argument("--r", type=_r_values, default=None,
                          help="restrict the tight greedy family to arities r >= 1")
-    p_bench.add_argument("--trials", type=_positive_int, default=100,
-                         help="random tables per k for the random-ksub suite")
-    p_bench.add_argument("--seed", type=_seed, default=0, help="base seed (default 0)")
+    p_bench.add_argument("--trials", type=_positive_int, default=None,
+                         help="random tables per k for the random-ksub suite (default 100)")
+    p_bench.add_argument("--seed", type=_seed, default=None, help="base seed (default 0)")
     _add_common(p_bench)
     p_bench.set_defaults(func=cmd_bench)
     return parser

@@ -434,6 +434,28 @@ class TestBenchCommand:
         assert len(json.loads(first)["rows"]) == 2 * 3 * 3
         assert run(capsys, argv) == (0, first)
 
+    def test_random_ksub_defaults_are_100_trials_from_seed_0(self, capsys):
+        default = run(capsys, ["bench", "--suite", "random-ksub", "--k", "2"])
+        assert default[0] == 0 and len(json.loads(default[1])["rows"]) == 100 * 3
+        assert run(capsys, ["bench", "--suite", "random-ksub", "--k", "2",
+                            "--trials", "100", "--seed", "0"]) == default
+
+    @pytest.mark.parametrize("flags,refusal", [
+        (["--suite", "random-ksub", "--trials", "1", "--r", "1"],
+         "--r does not apply to --suite random-ksub"),
+        (["--suite", "paper-tight", "--trials", "7", "--seed", "3"],
+         "--trials does not apply to --suite paper-tight"),
+        (["--suite", "paper-tight", "--seed", "0"],
+         "--seed does not apply to --suite paper-tight"),
+    ])
+    def test_flag_the_suite_ignores_exit_2(self, capsys, flags, refusal):
+        # each exited 0 with a report that never read the flag
+        code = main(["bench", "--k", "2", *flags])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == f"error: {refusal}\n"
+
     def test_violated_bound_exit_1_with_the_report(self, capsys, monkeypatch):
         # a guarantee above every ratio: each greedy-det row fails
         monkeypatch.setattr(ksubmax.cli, "det_greedy_guarantee", lambda r: 2.0)

@@ -1,8 +1,10 @@
-"""The package's public names: ``ksubmax.__all__`` lists exactly what
-``ksubmax/__init__.py`` binds, and every name a demo imports from
-``ksubmax`` is in it.  Parsed, not run."""
+"""The package's public names and the demos: ``ksubmax.__all__`` lists
+exactly what ``ksubmax/__init__.py`` binds, every name a demo imports from
+``ksubmax`` is in it, and each demo runs to its end in-process, printing
+its tour."""
 
 import ast
+import runpy
 from pathlib import Path
 
 import pytest
@@ -41,3 +43,9 @@ def test_demo_imports_are_exported(demo):
     names = imported_names(demo.read_text())
     assert names
     assert names <= set(ksubmax.__all__), names - set(ksubmax.__all__)
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(demo, capsys):
+    runpy.run_path(str(demo), run_name="__main__")
+    assert capsys.readouterr().out

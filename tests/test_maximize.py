@@ -411,6 +411,16 @@ class TestExactExpectationRandomizedGreedy:
         assert exact_expectation_randomized_greedy(f, order, eps).hex() == want.hex()
         assert f.calls == g.calls
 
+    def test_one_level_holds_every_kind_of_node(self):
+        # element 1's level: (1, 0) branches on labels 1 and 3, (2, 0) has
+        # gains -1, 0, -1.5 (beta = 0: label 1) and (3, 0) has children
+        # 1.5e308 and 1.7e308 (beta = inf: label 3, whose value is 0)
+        values = [0.0, 1.0, 2.0, 3.0, 0.0, 2.0, 1.0, 1.5e308,
+                  0.0, 1.0, 2.0, 1.7e308, 0.0, 3.5, 0.5, 0.0]
+        f = TabularFunction(Dims(2, 3), values)
+        assert exact_expectation_randomized_greedy(f).hex() == "0x1.b0c30c30c30c2p-1"
+        assert f.calls == 1 + 3 + 3 * 3
+
     def test_order_parameter(self):
         f = make_det_greedy_tight(3, 2)
         forward = exact_expectation_randomized_greedy(f, order=(0, 1))

@@ -1,7 +1,8 @@
 """The README's examples: every name its Python blocks import from
-``ksubmax`` is exported, every ``ksub`` line parses, the ``check`` lines
-exit with the code annotated next to them (0 when none is), and the
-``maximize`` lines exit 0 with one JSON document."""
+``ksubmax`` is exported, the quick start prints the values its comments
+state, every ``ksub`` line parses, the ``check`` lines exit with the code
+annotated next to them (0 when none is), and the ``maximize`` lines exit 0
+with one JSON document."""
 
 import ast
 import json
@@ -26,6 +27,17 @@ def test_python_imports_are_exported():
              for alias in node.names}
     assert names
     assert names <= set(ksubmax.__all__), names - set(ksubmax.__all__)
+
+
+def test_quick_start_prints_what_its_comments_state(capsys):
+    block, = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+    exec(compile(block, str(README), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed == ["1.5", "1.5", "0.8333333333333334", "True"]
+    # each comment opens with the value printed, "0.8333..." with its digits
+    stated = re.findall(r"^print\(.*\)\s+# (\S+)", block, re.M)
+    assert len(stated) == 4
+    assert all(value.startswith(claim.rstrip(".")) for claim, value in zip(stated, printed))
 
 
 def ksub_lines():
